@@ -695,8 +695,6 @@ def verify_kernel_containment(rho_a: Representation, rho_b: Representation,
                               match_tol: float = MATCH_TOL,
                               kernel_tol: float = KERNEL_RESIDUAL_TOL) -> ContainmentReport:
     _require_same_group(rho_a, rho_b)
-    t_a = opcore.as_complex_matrix(t_a)
-    t_b = opcore.as_complex_matrix(t_b)
     dec_a = isotypic_projectors(rho_a, chars)
     dec_b = isotypic_projectors(rho_b, chars)
     schur_a = schur_scalars(t_a, rho_a, dec_a)
@@ -706,7 +704,7 @@ def verify_kernel_containment(rho_a: Representation, rho_b: Representation,
         if bad:
             raise ValueError(f"representation {side} is not multiplicity-free ({bad})")
 
-    k = np.kron(t_a, np.eye(rho_b.dim)) - np.kron(np.eye(rho_a.dim), t_b)
+    k = opcore.kron_difference(t_a, t_b)
     entries = []
     for comp_a, comp_b in zip(dec_a.components, dec_b.components):
         if comp_a.multiplicity != 1 or comp_b.multiplicity != 1:
@@ -739,8 +737,7 @@ def verify_kernel_containment(rho_a: Representation, rho_b: Representation,
 def commutant_dimension(rho: Representation) -> int:
     """dim{M : [M, rho(g)] = 0 for all g} by solving the stacked linear system."""
     d = rho.dim
-    eye = np.eye(d)
-    rows = [np.kron(rho[g], eye) - np.kron(eye, rho[g].T) for g in range(rho.group.order)]
+    rows = [opcore.kron_difference(rho[g], rho[g].T) for g in range(rho.group.order)]
     stacked = np.vstack(rows)
     s = np.linalg.svd(stacked, compute_uv=False)
     if s.size == 0 or s[0] < 1e-300:

@@ -83,6 +83,12 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def kron_difference(a, b) -> np.ndarray:
+    """A (x) I - I (x) B, the shape of every synchronization operator K."""
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    return np.kron(a, np.eye(b.shape[0])) - np.kron(np.eye(a.shape[0]), b)
+
+
 def commutator(a, b) -> np.ndarray:
     """AB - BA; raises on dimension mismatch."""
     a = as_complex_matrix(a)
@@ -175,6 +181,13 @@ class Subspace:
         return int(self.basis.shape[1])
 
 
+def kernel_cutoff(sigma_max: float, tol: float) -> float:
+    """Absolute singular-value cutoff: tol * sigma_max, or the floor for a zero matrix."""
+    if tol <= 0:
+        raise ValueError("kernel tolerance must be positive")
+    return KERNEL_ABS_FLOOR if sigma_max < _SIGMA_ZERO else tol * sigma_max
+
+
 def null_space(a, tol: float = KERNEL_TOL) -> Subspace:
     """Kernel of a 2-d array via SVD.
 
@@ -182,15 +195,12 @@ def null_space(a, tol: float = KERNEL_TOL) -> Subspace:
     the matrix is numerically zero the absolute floor applies and the full
     space is returned.
     """
-    if tol <= 0:
-        raise ValueError("kernel tolerance must be positive")
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     n = a.shape[1]
     _, s, vh = np.linalg.svd(a)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = KERNEL_ABS_FLOOR if sigma_max < _SIGMA_ZERO else tol * sigma_max
+    cutoff = kernel_cutoff(float(s[0]) if s.size else 0.0, tol)
     rank = int(np.count_nonzero(s > cutoff))
     basis = _fix_phases(vh[rank:].conj().T)
     return Subspace(ambient_dim=n, basis=basis, tol_used=cutoff)

@@ -379,6 +379,13 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
         "tolerances": tol,
     }
     series = None
+    if s.kind in ("kernel",) + SERIES_KINDS:
+        dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
+        h, pert_seed = np.zeros((dim_a * dim_b,) * 2), None
+        if s.hamiltonian is not None:
+            h, pert_seed = _resolve_hamiltonian(s.hamiltonian, dim_a, dim_b, seed_override, s.seed)
+        system = sync.make_system(s.clock_a, s.clock_b, h)
+        bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
 
     if s.kind == "compat":
         verdicts = []
@@ -391,21 +398,13 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
         passed = True
 
     elif s.kind == "kernel":
-        k = sync.sync_operator(s.clock_a, s.clock_b)
-        kernel = opcore.null_space(k, tol=tol["kernel_tol"])
-        payload["kernel"] = _subspace_payload(kernel)
-        payload["projector"] = matrix_to_literal(opcore.projector(kernel))
+        payload["kernel"] = _subspace_payload(bundle.kernel)
+        payload["projector"] = matrix_to_literal(bundle.projector)
         if s.hamiltonian is not None:
-            h, _ = _resolve_hamiltonian(s.hamiltonian, s.clock_a.dim, s.clock_b.dim,
-                                        seed_override, s.seed)
-            payload["epsilon"] = opcore.operator_norm(opcore.commutator(h, k))
+            payload["epsilon"] = bundle.epsilon
         passed = True
 
     elif s.kind in SERIES_KINDS:
-        h, pert_seed = _resolve_hamiltonian(s.hamiltonian, s.clock_a.dim, s.clock_b.dim,
-                                            seed_override, s.seed)
-        system = sync.make_system(s.clock_a, s.clock_b, h)
-        bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
         if "vector" in s.initial_state:
             psi0 = s.initial_state["vector"]
             if psi0.shape[0] != system.dim:
@@ -413,9 +412,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
                                     f"dimension {psi0.shape[0]} does not match {system.dim}")
             state_seed = None
         else:
-            state_seed = seed_override
-            if state_seed is None:
-                state_seed = s.initial_state["kernel_seed"]
+            state_seed = s.initial_state["kernel_seed"] if seed_override is None else seed_override
             psi0 = sync.sample_kernel_state(bundle, state_seed)
         report = sync.drift_trace(system, psi0, s.times, bundle=bundle,
                                   bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
@@ -475,8 +472,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
                 h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
                                             seed_override, s.seed)
                 joint = grouprep.tensor_representation(s.rep_a, s.rep_b)
-                k = np.kron(t_a, np.eye(s.rep_b.dim)) - np.kron(np.eye(s.rep_a.dim), t_b)
-                verdict = grouprep.hsync_membership(h, joint, k,
+                verdict = grouprep.hsync_membership(h, joint, opcore.kron_difference(t_a, t_b),
                                                     equivar_tol=tol["equivar_tol"],
                                                     compat_tol=tol["compat_tol"])
                 payload["membership"] = {

@@ -71,9 +71,7 @@ def local_system(clock_a: ClockObservable, clock_b: ClockObservable, h_a, h_b) -
 
 def sync_operator(clock_a: ClockObservable, clock_b: ClockObservable) -> np.ndarray:
     """K = T_A (x) I - I (x) T_B on the dim_a * dim_b product space."""
-    ia = np.eye(clock_a.dim, dtype=np.complex128)
-    ib = np.eye(clock_b.dim, dtype=np.complex128)
-    return np.kron(clock_a.matrix(), ib) - np.kron(ia, clock_b.matrix())
+    return opcore.kron_difference(clock_a.matrix(), clock_b.matrix())
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +85,24 @@ class SyncOperatorBundle:
 
 
 def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> SyncOperatorBundle:
+    """K, its kernel, the kernel projector, and epsilon = ||[H,K]||.
+
+    K = diag(a_i - b_j) in the product clock basis, so null_space's rank rule on K
+    keeps b_A,i (x) b_B,j for the label gaps within its cutoff, in product-index order.
+    """
+    with np.errstate(over="ignore"):
+        gaps = np.abs(np.subtract.outer(system.clock_a.labels, system.clock_b.labels))
+    if not np.all(np.isfinite(gaps)):
+        raise NumericalError("clock label differences overflow")
+    k_norm = float(gaps.max())   # ||K||, its largest singular value
+    cutoff = opcore.kernel_cutoff(k_norm, kernel_tol)
+    i, j = np.nonzero(gaps <= cutoff)
+    basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
+    kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
     k = sync_operator(system.clock_a, system.clock_b)
-    kernel = opcore.null_space(k, tol=kernel_tol)
     if kernel.dim:
         res = opcore.operator_norm(k @ kernel.basis)
-        if res > 10.0 * kernel_tol * max(1.0, opcore.operator_norm(k)):
+        if res > 10.0 * kernel_tol * max(1.0, k_norm):
             raise NumericalError(f"kernel basis residual {res:.3e} exceeds tolerance")
     epsilon = opcore.operator_norm(opcore.commutator(system.hamiltonian, k))
     return SyncOperatorBundle(
@@ -102,29 +113,18 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     )
 
 
-def _evolver(h):
-    """One eigendecomposition, many evolution times."""
-    spec = opcore.hermitian_eig(h)
-
-    def unitary(t: float) -> np.ndarray:
-        phases = np.exp(-1j * spec.eigenvalues * float(t))
-        return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
-
-    return unitary
-
-
 def preservation_residual(system: SyncSystem, bundle: SyncOperatorBundle, times) -> float:
-    """Worst leakage ||(I - Pi) U(t) Pi|| of the kernel over the sampled times."""
+    """Worst leakage ||(I - Pi) U(t) Pi|| = ||(I - Pi) U(t) B||, B the kernel basis."""
     times = np.asarray(times, dtype=np.float64)
     if not np.all(np.isfinite(times)):
         raise ValueError("evolution times must be finite")
-    unitary = _evolver(system.hamiltonian)
-    eye = np.eye(system.dim, dtype=np.complex128)
-    pi = bundle.projector
+    spec = opcore.hermitian_eig(system.hamiltonian)
+    basis = bundle.kernel.basis
+    coeffs = spec.eigenvectors.conj().T @ basis
     worst = 0.0
-    for t in times:
-        leak = opcore.operator_norm((eye - pi) @ unitary(float(t)) @ pi)
-        worst = max(worst, leak)
+    for phases in np.exp(-1j * np.outer(spec.eigenvalues, times)).T:
+        moved = spec.eigenvectors @ (phases[:, None] * coeffs)
+        worst = max(worst, opcore.operator_norm(moved - basis @ (basis.conj().T @ moved)))
     return worst
 
 
@@ -180,15 +180,12 @@ def drift_trace(system: SyncSystem, psi0, times,
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a nonempty finite 1-d sequence")
 
-    unitary = _evolver(system.hamiltonian)
+    spec = opcore.hermitian_eig(system.hamiltonian)
+    v = spec.eigenvectors
+    phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) * (v.conj().T @ psi0)[:, None]
+    drift = np.linalg.norm((bundle.operator @ v) @ phi, axis=0)
+    fidelity = np.linalg.norm((bundle.kernel.basis.conj().T @ v) @ phi, axis=0) ** 2
     eps = bundle.epsilon
-    drift = np.empty(times.size)
-    fidelity = np.empty(times.size)
-    for i, t in enumerate(times):
-        psi_t = unitary(float(t)) @ psi0
-        drift[i] = float(np.linalg.norm(bundle.operator @ psi_t))
-        fidelity[i] = float(np.linalg.norm(bundle.projector @ psi_t) ** 2)
-
     drift_excess = drift - eps * np.abs(times)
     fid_excess = (1.0 - (eps * times) ** 2) - fidelity
     return DriftReport(

@@ -262,6 +262,19 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["kernel", "drift"])
+    def test_label_difference_overflow_exit_three(self, tmp_path, capsys, kind):
+        # finite labels whose differences a_i - b_j overflow to +-inf
+        payload = {"name": "overflow", "kind": kind,
+                   "clock_a": {"labels": [1e308, -1e308]},
+                   "clock_b": {"labels": [-1e308, 1e308]},
+                   "hamiltonian": {"diag": [0.0, 1.0, 2.0, 3.0]}}
+        if kind == "drift":
+            payload["times"] = [0.0, 1.0]
+        code = cli.main(["run", str(write_scenario(tmp_path, payload))])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_library_validation_error_exit_two(self, tmp_path, capsys):
         # parses fine but multiplicities do not round to integers
         path = write_scenario(tmp_path, {

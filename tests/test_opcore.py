@@ -98,6 +98,14 @@ class TestTensorProduct:
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+class TestKronDifference:
+    def test_matches_tensor_products(self):
+        rng = np.random.default_rng(12)
+        a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
+        expected = opcore.tensor_product(a, np.eye(3)) - opcore.tensor_product(np.eye(2), b)
+        np.testing.assert_array_equal(opcore.kron_difference(a, b), expected)
+
+
 class TestCommutator:
     def test_self_commutator_is_zero(self):
         t = np.diag([0.0, 1.0, 2.0]).astype(complex)

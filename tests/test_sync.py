@@ -66,6 +66,13 @@ class TestSyncBundle:
         bundle = sync.sync_bundle(pauli_z_system(h))
         assert bundle.epsilon == pytest.approx(2.0, abs=1e-12)
 
+    def test_canonical_kernel_basis(self):
+        # matching pairs (0,1), (1,0), (2,1) give e_1, e_2, e_5 in product-index order
+        system = sync.make_system(clocks.make_clock([0, 1, 0]), clocks.make_clock([1, 0]),
+                                  np.zeros((6, 6)))
+        bundle = sync.sync_bundle(system)
+        np.testing.assert_array_equal(bundle.kernel.basis, np.eye(6)[:, [1, 2, 5]])
+
     def test_identity_clocks_trivial_operator(self):
         ta = clocks.make_clock([1.0, 1.0])
         rng = np.random.default_rng(0)
