@@ -25,6 +25,12 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """(G + G^dag)/2 for a complex Gaussian G; real parts are drawn first."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class ClockObservable:
     """Time labels plus the unitary basis whose columns are the clock states."""
@@ -167,9 +173,7 @@ def random_compatible(t: ClockObservable, seed: int) -> np.ndarray:
     rng = _philox(seed)
     h = np.zeros((t.dim, t.dim), dtype=np.complex128)
     for block in block_structure(t).blocks:
-        k = block.dim
-        g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        r = (g + g.conj().T) / 2.0
+        r = _random_hermitian(rng, block.dim)
         cols = t.basis[:, list(block.indices)]
         h += cols @ r @ cols.conj().T
     return (h + h.conj().T) / 2.0

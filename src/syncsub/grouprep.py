@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import opcore
-from .clocks import _philox
+from .clocks import _philox, _random_hermitian
 from .opcore import NumericalError, Subspace
 
 EQUIVAR_TOL = 1e-10
@@ -336,26 +336,29 @@ def representation_from_generators(group: FiniteGroup, generators: dict) -> Repr
 
 
 def tensor_representation(rho_a: Representation, rho_b: Representation) -> Representation:
-    """Joint diagonal action g -> rho_A(g) (x) rho_B(g)."""
-    _require_same_group(rho_a, rho_b)
+    """Joint diagonal action g -> rho_A(g) (x) rho_B(g), built from the factors.
+
+    The factors were validated, so the joint matrices are not checked again:
+    (A (x) B)^dag (A (x) B) - I = A^dag A (x) B^dag B - I has norm at most
+    delta_A + delta_B + delta_A * delta_B, which fits under
+    UNITARY_TOL * d_A * d_B whenever both dims are >= 2 and not both 2.
+    """
+    _require_same_group(rho_a.group, rho_b.group)
     mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
-    return make_representation(rho_a.group, mats)
+    return Representation(group=rho_a.group, matrices=mats)
 
 
 def random_equivariant_observable(rho: Representation, seed: int) -> np.ndarray:
     """Hermitian observable commuting with the whole group action (group twirl)."""
-    rng = _philox(seed)
-    d = rho.dim
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    r = (g + g.conj().T) / 2.0
+    r = _random_hermitian(_philox(seed), rho.dim)
     avg = sum(rho[i] @ r @ rho[i].conj().T for i in range(rho.group.order)) / rho.group.order
     return (avg + avg.conj().T) / 2.0
 
 
-def _require_same_group(rho_a: Representation, rho_b: Representation) -> None:
-    if rho_a.group is rho_b.group:
+def _require_same_group(group_a: FiniteGroup, group_b: FiniteGroup) -> None:
+    if group_a is group_b:
         return
-    if not np.array_equal(rho_a.group.mult_table, rho_b.group.mult_table):
+    if not np.array_equal(group_a.mult_table, group_b.mult_table):
         raise ValueError("representations must share one group")
 
 
@@ -419,36 +422,27 @@ def _element_characters(group: FiniteGroup, irrep: Irrep) -> np.ndarray:
     return chars
 
 
-def multiplicities(rho: Representation, chars: CharacterTable, *,
-                   mult_round_tol: float = MULT_ROUND_TOL) -> list:
+def multiplicities(rho: Representation, chars: CharacterTable) -> list:
     """Irrep multiplicities m = (1/|G|) sum_g tr rho(g) chi(g)*, rounded.
 
-    Raises when the rounding error exceeds mult_round_tol (bad table or rep)
+    Raises when the rounding error exceeds MULT_ROUND_TOL (bad table or rep)
     or when the multiplicities fail to add up to the representation dimension.
     """
-    items, _ = _multiplicities_with_error(rho, chars, mult_round_tol)
-    return items
-
-
-def _multiplicities_with_error(rho, chars, mult_round_tol):
     group = rho.group
     traces = np.einsum("gii->g", rho.matrices)
     items = []
-    worst = 0.0
     for irrep in chars:
         raw = np.sum(traces * _element_characters(group, irrep).conj()) / group.order
         m = int(round(raw.real))
-        err = abs(raw - m)
-        worst = max(worst, err)
-        if err > mult_round_tol or m < 0:
+        if abs(raw - m) > MULT_ROUND_TOL or m < 0:
             raise ValueError(
                 f"multiplicity of {irrep.name!r} is {raw:.6g}, not a nonnegative integer "
-                f"within {mult_round_tol:g}")
+                f"within {MULT_ROUND_TOL:g}")
         items.append((irrep.name, m))
     total = sum(m * irrep.dim for (_, m), irrep in zip(items, chars))
     if total != rho.dim:
         raise ValueError(f"multiplicities account for dim {total}, expected {rho.dim}")
-    return items, worst
+    return items
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,7 +460,7 @@ class IsotypicComponent:
 @dataclass(frozen=True, eq=False)
 class IsotypicDecomposition:
     components: tuple
-    mult_rounding_error: float
+    group: FiniteGroup
 
     def component(self, name: str) -> IsotypicComponent:
         for c in self.components:
@@ -478,7 +472,7 @@ class IsotypicDecomposition:
 def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicDecomposition:
     """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one per irrep."""
     group = rho.group
-    mults, round_err = _multiplicities_with_error(rho, chars, MULT_ROUND_TOL)
+    mults = multiplicities(rho, chars)
     components = []
     for irrep, (_, m) in zip(chars, mults):
         weights = _element_characters(group, irrep).conj() * (irrep.dim / group.order)
@@ -495,13 +489,29 @@ def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicD
                 f"expected {m * irrep.dim}")
         components.append(IsotypicComponent(
             irrep=irrep.name, irrep_dim=irrep.dim, multiplicity=m, projector=p))
-    return IsotypicDecomposition(components=tuple(components), mult_rounding_error=round_err)
+    return IsotypicDecomposition(components=tuple(components), group=group)
 
 
 def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of ran(P) via column-pivoted QR, deterministic phases."""
     q, _, _ = scipy.linalg.qr(p, mode="economic", pivoting=True)
     return opcore._fix_phases(q[:, :rank])
+
+
+def _diagonal_blocks(dec_a: IsotypicDecomposition, dec_b: IsotypicDecomposition) -> list:
+    """(component A, component B, basis of V_l^A (x) V_l^B) per shared irrep l.
+
+    The diagonal blocks are only defined for multiplicity-free content on
+    both sides; anything else raises.
+    """
+    for dec, side in ((dec_a, "A"), (dec_b, "B")):
+        bad = [c.irrep for c in dec.components if c.multiplicity > 1]
+        if bad:
+            raise ValueError(f"representation {side} is not multiplicity-free ({bad})")
+    return [(comp_a, comp_b, np.kron(_range_basis(comp_a.projector, comp_a.irrep_dim),
+                                     _range_basis(comp_b.projector, comp_b.irrep_dim)))
+            for comp_a, comp_b in zip(dec_a.components, dec_b.components)
+            if comp_a.multiplicity == 1 and comp_b.multiplicity == 1]
 
 
 def diagonal_isotypic_subspace(rho_a: Representation, rho_b: Representation,
@@ -511,22 +521,10 @@ def diagonal_isotypic_subspace(rho_a: Representation, rho_b: Representation,
     Requires multiplicity-free content on both sides; the returned subspace is
     invariant under the joint action (verified before returning).
     """
-    _require_same_group(rho_a, rho_b)
-    dec_a = isotypic_projectors(rho_a, chars)
-    dec_b = isotypic_projectors(rho_b, chars)
-    for dec, side in ((dec_a, "A"), (dec_b, "B")):
-        bad = [c.irrep for c in dec.components if c.multiplicity > 1]
-        if bad:
-            raise ValueError(
-                f"representation {side} has multiplicity > 1 for {bad}; the diagonal "
-                "isotypic subspace is only defined for multiplicity-free content")
-
-    pieces = []
-    for comp_a, comp_b in zip(dec_a.components, dec_b.components):
-        if comp_a.multiplicity == 1 and comp_b.multiplicity == 1:
-            basis_a = _range_basis(comp_a.projector, comp_a.irrep_dim)
-            basis_b = _range_basis(comp_b.projector, comp_b.irrep_dim)
-            pieces.append(np.kron(basis_a, basis_b))
+    _require_same_group(rho_a.group, rho_b.group)
+    blocks = _diagonal_blocks(isotypic_projectors(rho_a, chars),
+                              isotypic_projectors(rho_b, chars))
+    pieces = [basis for _, _, basis in blocks]
     ambient = rho_a.dim * rho_b.dim
     if pieces:
         basis = np.hstack(pieces)
@@ -571,6 +569,7 @@ class SchurEntry:
 class SchurReport:
     entries: tuple
     equivariance_residual: float
+    decomposition: IsotypicDecomposition
 
     def scalar(self, name: str) -> complex:
         for e in self.entries:
@@ -603,7 +602,8 @@ def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
             entries.append(SchurEntry(comp.irrep, 1, scalar, residual, None))
         else:
             entries.append(SchurEntry(comp.irrep, comp.multiplicity, None, None, p @ t @ p))
-    return SchurReport(entries=tuple(entries), equivariance_residual=eq_res)
+    return SchurReport(entries=tuple(entries), equivariance_residual=eq_res,
+                       decomposition=decomp)
 
 
 def observable_from_class_function(values, rho: Representation) -> np.ndarray:
@@ -690,30 +690,21 @@ class ContainmentReport:
     passed: bool
 
 
-def verify_kernel_containment(rho_a: Representation, rho_b: Representation,
-                              t_a, t_b, chars: CharacterTable,
+def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, k,
                               match_tol: float = MATCH_TOL,
                               kernel_tol: float = KERNEL_RESIDUAL_TOL) -> ContainmentReport:
-    _require_same_group(rho_a, rho_b)
-    dec_a = isotypic_projectors(rho_a, chars)
-    dec_b = isotypic_projectors(rho_b, chars)
-    schur_a = schur_scalars(t_a, rho_a, dec_a)
-    schur_b = schur_scalars(t_b, rho_b, dec_b)
-    for dec, side in ((dec_a, "A"), (dec_b, "B")):
-        bad = [c.irrep for c in dec.components if c.multiplicity > 1]
-        if bad:
-            raise ValueError(f"representation {side} is not multiplicity-free ({bad})")
+    """Fate of each diagonal block under K = T_A (x) I - I (x) T_B.
 
-    k = opcore.kron_difference(t_a, t_b)
+    ``schur_a`` and ``schur_b`` are the Schur reports of T_A and T_B, each
+    carrying the decomposition it was computed on.
+    """
+    dec_a, dec_b = schur_a.decomposition, schur_b.decomposition
+    _require_same_group(dec_a.group, dec_b.group)
     entries = []
-    for comp_a, comp_b in zip(dec_a.components, dec_b.components):
-        if comp_a.multiplicity != 1 or comp_b.multiplicity != 1:
-            continue
+    for comp_a, comp_b, basis in _diagonal_blocks(dec_a, dec_b):
         alpha = schur_a.scalar(comp_a.irrep).real
         beta = schur_b.scalar(comp_b.irrep).real
         gap = abs(alpha - beta)
-        basis = np.kron(_range_basis(comp_a.projector, comp_a.irrep_dim),
-                        _range_basis(comp_b.projector, comp_b.irrep_dim))
         norms = np.linalg.norm(k @ basis, axis=0)
         matched = gap <= match_tol
         if matched:
@@ -735,12 +726,15 @@ def verify_kernel_containment(rho_a: Representation, rho_b: Representation,
 
 
 def commutant_dimension(rho: Representation) -> int:
-    """dim{M : [M, rho(g)] = 0 for all g} by solving the stacked linear system."""
-    d = rho.dim
-    rows = [opcore.kron_difference(rho[g], rho[g].T) for g in range(rho.group.order)]
-    stacked = np.vstack(rows)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0 or s[0] < 1e-300:
-        return d * d
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
-    return d * d - rank
+    """dim{M : [M, rho(g)] = 0 for all g} = (1/|G|) sum_g |tr rho(g)|^2, rounded.
+
+    Raises when the value misses an integer by more than MULT_ROUND_TOL, as
+    it does when rho is not a unitary representation.
+    """
+    traces = np.einsum("gii->g", rho.matrices)
+    raw = float(np.sum(np.abs(traces) ** 2)) / rho.group.order
+    dim = round(raw)
+    if abs(raw - dim) > MULT_ROUND_TOL:
+        raise ValueError(
+            f"commutant dimension {raw:.6g} is not an integer within {MULT_ROUND_TOL:g}")
+    return dim

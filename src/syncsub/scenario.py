@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, clocks, grouprep, opcore, sync
-from .clocks import ClockObservable, _philox
+from .clocks import ClockObservable, _philox, _random_hermitian
 from .literals import (
     ScenarioError,
     _expect_mapping,
@@ -281,13 +281,6 @@ class Report:
     series: sync.DriftReport | None = None
 
 
-def _random_hermitian(dim: int, seed: int) -> np.ndarray:
-    rng = _philox(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (g + g.conj().T) / 2.0
-    return h / opcore.operator_norm(h)
-
-
 def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
                          seed_override: int | None, fallback_seed: int | None):
     """Concrete Hermitian matrix on the product space, plus the seed used."""
@@ -317,7 +310,8 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
         seed_used = seed_override
         if seed_used is None:
             seed_used = pert.seed if pert.seed is not None else (fallback_seed or 0)
-        direction = _random_hermitian(dim, seed_used)
+        direction = _random_hermitian(_philox(seed_used), dim)
+        direction = direction / opcore.operator_norm(direction)
     return base + pert.strength * direction, seed_used
 
 
@@ -455,8 +449,9 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
                 for e in rep_schur.entries:
                     if e.residual is not None and e.residual > tol["schur_tol"]:
                         schur_ok = False
+            k = opcore.kron_difference(t_a, t_b)
             containment = grouprep.verify_kernel_containment(
-                s.rep_a, s.rep_b, t_a, t_b, s.characters, match_tol=tol["match_tol"])
+                schur_a, schur_b, k, match_tol=tol["match_tol"])
             payload["containment"] = {
                 "entries": [{
                     "irrep": e.irrep, "alpha": e.alpha, "beta": e.beta,
@@ -472,7 +467,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
                 h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
                                             seed_override, s.seed)
                 joint = grouprep.tensor_representation(s.rep_a, s.rep_b)
-                verdict = grouprep.hsync_membership(h, joint, opcore.kron_difference(t_a, t_b),
+                verdict = grouprep.hsync_membership(h, joint, k,
                                                     equivar_tol=tol["equivar_tol"],
                                                     compat_tol=tol["compat_tol"])
                 payload["membership"] = {

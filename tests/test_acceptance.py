@@ -244,12 +244,14 @@ def test_criterion_08_s3_kernel_containment():
     r[2:, 2:] = rot
     s = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     rho = grouprep.representation_from_generators(group, {"r": r, "s": s})
+    dec = grouprep.isotypic_projectors(rho, chars)
 
     rng = np.random.default_rng(8)
     for trial in range(20):
         f = rng.uniform(-1, 1, size=3)
         t = grouprep.observable_from_class_function(f, rho)
-        report = grouprep.verify_kernel_containment(rho, rho, t, t, chars)
+        schur = grouprep.schur_scalars(t, rho, dec)
+        report = grouprep.verify_kernel_containment(schur, schur, opcore.kron_difference(t, t))
         if not report.all_matched:
             failures.append(f"trial {trial}: scalars diverged on equal inputs")
         for entry in report.entries:
@@ -260,7 +262,8 @@ def test_criterion_08_s3_kernel_containment():
         g = f.copy()
         g[trial % 3] += rng.uniform(0.1, 1.0)
         t_b = grouprep.observable_from_class_function(g, rho)
-        perturbed = grouprep.verify_kernel_containment(rho, rho, t, t_b, chars)
+        perturbed = grouprep.verify_kernel_containment(
+            schur, grouprep.schur_scalars(t_b, rho, dec), opcore.kron_difference(t, t_b))
         for entry in perturbed.entries:
             gap = abs(entry.alpha - entry.beta)
             left = entry.max_kernel_norm > 1e-6

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from syncsub import grouprep, opcore
+from syncsub import clocks, grouprep, opcore
+from test_sync_oracle import random_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -20,6 +21,14 @@ def block_diag(*blocks):
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+BUILTIN_NAMES = ("Z1", "Z2", "Z3", "Z5", "Z2xZ2", "S3", "D4")
+
+
+def conjugated(rho, v):
+    """The representation g -> V rho(g) V^dag."""
+    return grouprep.make_representation(rho.group, v @ rho.matrices @ v.conj().T)
 
 
 @pytest.fixture(scope="module")
@@ -421,11 +430,14 @@ class TestKernelContainment:
     def test_same_class_function_contained(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
+        dec = grouprep.isotypic_projectors(rho, chars)
         rng = np.random.default_rng(3)
         for _ in range(10):
             f = rng.uniform(-1, 1, size=3)
             t = grouprep.observable_from_class_function(f, rho)
-            report = grouprep.verify_kernel_containment(rho, rho, t, t, chars)
+            schur = grouprep.schur_scalars(t, rho, dec)
+            report = grouprep.verify_kernel_containment(schur, schur,
+                                                        opcore.kron_difference(t, t))
             assert report.all_matched and report.contained and report.passed
 
     def test_perturbed_class_function(self, s3, s3_multiplicity_free):
@@ -437,7 +449,10 @@ class TestKernelContainment:
         g = f.copy()
         g[2] += 0.5
         t_b = grouprep.observable_from_class_function(g, rho)
-        report = grouprep.verify_kernel_containment(rho, rho, t_a, t_b, chars)
+        dec = grouprep.isotypic_projectors(rho, chars)
+        report = grouprep.verify_kernel_containment(
+            grouprep.schur_scalars(t_a, rho, dec), grouprep.schur_scalars(t_b, rho, dec),
+            opcore.kron_difference(t_a, t_b))
         by_name = {e.irrep: e for e in report.entries}
         assert by_name["std"].matched and by_name["std"].ok
         for name in ("triv", "sign"):
@@ -450,11 +465,45 @@ class TestKernelContainment:
         _, chars = s3
         rho = s3_multiplicity_free
         t = grouprep.observable_from_class_function([0.0, 0.0, 0.0], rho)
-        report = grouprep.verify_kernel_containment(rho, rho, t, t, chars)
+        schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
+        report = grouprep.verify_kernel_containment(schur, schur, opcore.kron_difference(t, t))
         assert report.all_matched and report.contained
 
 
+def stacked_commutant_dimension(rho):
+    """Oracle: d^2 minus the rank of the stacked system rho(g) (x) I - I (x) rho(g)^T.
+
+    The cutoff is floored at 1e-10 absolute: for a conjugated trivial
+    representation the system is zero up to roundoff, and a purely relative
+    cutoff would count that roundoff as rank.
+    """
+    d = rho.dim
+    rows = [opcore.kron_difference(rho[g], rho[g].T) for g in range(rho.group.order)]
+    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    return d * d - int(np.count_nonzero(s > 1e-10 * max(s[0], 1.0)))
+
+
 class TestCommutantDimension:
+    def test_character_identity_matches_stacked_svd(self):
+        rng = np.random.default_rng(11)
+        for name in BUILTIN_NAMES:
+            group, _ = grouprep.builtin_group(name)
+            reg = grouprep.regular_representation(group)
+            triv = grouprep.trivial_representation(group, 2)
+            cases = [reg, triv, grouprep.tensor_representation(reg, triv)]
+            if group.order <= 4:
+                cases.append(grouprep.tensor_representation(reg, reg))
+            cases += [conjugated(rho, random_unitary(rng, rho.dim)) for rho in list(cases)]
+            for rho in cases:
+                assert grouprep.commutant_dimension(rho) == stacked_commutant_dimension(rho), name
+
+    def test_non_homomorphism_rejected(self, z2):
+        group, _ = z2
+        # unitary with rho(e) = I, but not a homomorphism: (1/2) sum |tr|^2 = 3 + cos(1)
+        rho = grouprep.make_representation(group, [np.eye(2), np.diag([1.0, np.exp(1j)])])
+        with pytest.raises(ValueError, match="commutant"):
+            grouprep.commutant_dimension(rho)
+
     def test_matches_sum_of_squared_multiplicities(self, z2, s3, s3_multiplicity_free):
         cases = []
         group2, chars2 = z2
@@ -467,3 +516,37 @@ class TestCommutantDimension:
             mult = grouprep.multiplicities(rho, chars)
             expected = sum(m * m for _, m in mult)
             assert grouprep.commutant_dimension(rho) == expected
+
+
+class TestTensorRepresentation:
+    def test_joint_residual_within_factor_bound(self):
+        """||(A (x) B)^dag (A (x) B) - I|| <= dA + dB + dA dB, with factors near their limit."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+
+        def near_limit(rho):
+            d = rho.dim
+            v = random_unitary(rng, d)
+            mats = []
+            for g in range(rho.group.order):
+                h = clocks._random_hermitian(rng, d)
+                c = 0.45 * opcore.UNITARY_TOL * d * rng.uniform(0.9, 1.0) / opcore.operator_norm(h)
+                mats.append(v @ rho[g] @ v.conj().T @ (np.eye(d) + c * h))
+            return grouprep.make_representation(rho.group, mats)
+
+        for name in BUILTIN_NAMES:
+            group, _ = grouprep.builtin_group(name)
+            reg = grouprep.regular_representation(group)
+            for rho_a, rho_b in ((reg, reg), (reg, grouprep.trivial_representation(group, 3))):
+                for fa, fb in ((conjugated(rho_a, random_unitary(rng, rho_a.dim)),
+                                conjugated(rho_b, random_unitary(rng, rho_b.dim))),
+                               (near_limit(rho_a), near_limit(rho_b))):
+                    joint = grouprep.tensor_representation(fa, fb)
+                    n = joint.dim
+                    for g in range(group.order):
+                        da = opcore.unitarity_residual(fa[g])
+                        db = opcore.unitarity_residual(fb[g])
+                        res = opcore.unitarity_residual(joint[g])
+                        assert res <= da + db + da * db + 64 * n * eps, (name, g)
+                        if min(fa.dim, fb.dim) >= 2 and (fa.dim, fb.dim) != (2, 2):
+                            assert res <= opcore.UNITARY_TOL * n, (name, g)

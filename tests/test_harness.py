@@ -1,4 +1,7 @@
+import importlib.util
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,9 @@ from syncsub.literals import (
     matrix_to_literal,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -298,7 +303,7 @@ class TestCli:
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["ex55_compat.json", "ex74_kernel.json",
-                                      "drift_perturbed.json"])
+                                      "drift_perturbed.json", "ex_group_s3.json"])
     def test_byte_identical_json(self, name, tmp_path):
         src = SCENARIO_DIR / name
         out1 = tmp_path / "a.json"
@@ -314,3 +319,43 @@ class TestDeterminism:
         assert cli.main(["drift", str(src), "--out", str(out1), "--format", "csv"]) == 0
         assert cli.main(["drift", str(src), "--out", str(out2), "--format", "csv"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def assert_report_close(got, want, path="report"):
+    """Keys, lengths, verdicts, flags, strings and integers exactly; floats to 1e-12."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_report_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_close(g, w, f"{path}[{i}]")
+    elif float in (type(got), type(want)):
+        assert got == pytest.approx(want, rel=0, abs=1e-12), path
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+class TestGolden:
+    def test_group_example_matches_golden(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(SCENARIO_DIR / "ex_group_s3.json"), "--out", str(out)]) == 0
+        assert_report_close(json.loads(out.read_bytes()),
+                            json.loads((GOLDEN_DIR / "ex_group_s3.json").read_bytes()))
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    """Every function the benchmark traces by name still exists in syncsub, so a
+    rename cannot silently turn a per-layer metric into 0."""
+    monkeypatch.setattr(sys, "path", list(sys.path))   # run.py prepends its directory
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    names = run.TIMED_FUNCTIONS + run.COUNTED_FUNCTIONS
+    assert names
+    for name in names:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"syncsub.{layer}")
+        fn = getattr(module, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
