@@ -26,9 +26,11 @@ MATCH_TOL = 1e-9            # scalar agreement |alpha - beta| for kernel members
 MULT_ROUND_TOL = 1e-6
 SCHUR_TOL = 1e-9
 KERNEL_RESIDUAL_TOL = 1e-9  # ||K b|| allowance on matched components
+HOMOMORPHISM_TOL = 1e-10
 _IDEMPOTENT_TOL = 1e-8
 _ASSOC_CHECK_MAX_ORDER = 64
 _EXHAUSTIVE_PAIRS_MAX_ORDER = 24
+_SAMPLED_PAIRS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +374,11 @@ class RepresentationValidation:
     passed: bool
 
 
-def validate_representation(rho: Representation,
-                            homomorphism_tol: float = 1e-10,
-                            sample_pairs: int = 500,
-                            seed: int = 0) -> RepresentationValidation:
-    """Report homomorphism/unitarity residuals; exhaustive pairs for small groups."""
+def validate_representation(rho: Representation) -> RepresentationValidation:
+    """Report homomorphism/unitarity residuals; exhaustive pairs for small groups.
+
+    Larger groups check _SAMPLED_PAIRS pairs drawn from a fixed Philox seed.
+    """
     group = rho.group
     n = group.order
     unit_res = max(opcore.unitarity_residual(rho[i]) for i in range(n))
@@ -386,15 +388,15 @@ def validate_representation(rho: Representation,
         pairs = [(g, h) for g in range(n) for h in range(n)]
         exhaustive = True
     else:
-        rng = _philox(seed)
-        pairs = [(int(g), int(h)) for g, h in rng.integers(0, n, size=(max(sample_pairs, 500), 2))]
+        rng = _philox(0)
+        pairs = [(int(g), int(h)) for g, h in rng.integers(0, n, size=(_SAMPLED_PAIRS, 2))]
         exhaustive = False
     hom_res = 0.0
     for g, h in pairs:
         gh = int(group.mult_table[g, h])
         hom_res = max(hom_res, opcore.operator_norm(rho[g] @ rho[h] - rho[gh]))
 
-    passed = (hom_res <= homomorphism_tol
+    passed = (hom_res <= HOMOMORPHISM_TOL
               and unit_res <= opcore.UNITARY_TOL * rho.dim
               and ident_res <= 1e-12 * rho.dim)
     return RepresentationValidation(
@@ -691,8 +693,7 @@ class ContainmentReport:
 
 
 def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, k,
-                              match_tol: float = MATCH_TOL,
-                              kernel_tol: float = KERNEL_RESIDUAL_TOL) -> ContainmentReport:
+                              match_tol: float = MATCH_TOL) -> ContainmentReport:
     """Fate of each diagonal block under K = T_A (x) I - I (x) T_B.
 
     ``schur_a`` and ``schur_b`` are the Schur reports of T_A and T_B, each
@@ -708,11 +709,11 @@ def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, k,
         norms = np.linalg.norm(k @ basis, axis=0)
         matched = gap <= match_tol
         if matched:
-            ok = bool(np.max(norms) <= kernel_tol)
+            ok = bool(np.max(norms) <= KERNEL_RESIDUAL_TOL)
             deviation = float(np.max(norms))
         else:
             deviation = float(np.max(np.abs(norms - gap)))
-            ok = deviation <= kernel_tol
+            ok = deviation <= KERNEL_RESIDUAL_TOL
         entries.append(ContainmentEntry(
             irrep=comp_a.irrep, alpha=alpha, beta=beta, matched=matched,
             max_kernel_norm=float(np.max(norms)), max_deviation=deviation, ok=ok))

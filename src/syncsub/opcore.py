@@ -50,14 +50,14 @@ def hermiticity_residual(m) -> float:
     return operator_norm(m - m.conj().T)
 
 
-def require_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex matrix, raising if it is not Hermitian.
 
-    The test is ||M - M^dag|| <= tol * max(1, ||M||).
+    The test is ||M - M^dag|| <= HERM_TOL * max(1, ||M||).
     """
     m = as_complex_matrix(m)
     res = hermiticity_residual(m)
-    if res > tol * max(1.0, operator_norm(m)):
+    if res > HERM_TOL * max(1.0, operator_norm(m)):
         raise ValueError(f"matrix is not Hermitian: residual {res:.3e} exceeds tolerance")
     return m
 
@@ -67,11 +67,11 @@ def unitarity_residual(u) -> float:
     return operator_norm(u.conj().T @ u - np.eye(u.shape[1]))
 
 
-def require_unitary(u, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Return ``u`` as a complex matrix, raising unless ||U^dag U - I|| <= tol * dim."""
+def require_unitary(u) -> np.ndarray:
+    """Return ``u`` as a complex matrix, raising unless ||U^dag U - I|| <= UNITARY_TOL * dim."""
     u = as_complex_matrix(u)
     res = unitarity_residual(u)
-    if res > tol * u.shape[0]:
+    if res > UNITARY_TOL * u.shape[0]:
         raise ValueError(f"matrix is not unitary: residual {res:.3e} exceeds tolerance")
     return u
 
@@ -127,16 +127,23 @@ class Spectrum:
         return int(self.eigenvalues.shape[0])
 
 
-def hermitian_eig(m, herm_tol: float = HERM_TOL) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic output."""
-    m = require_hermitian(m, tol=herm_tol)
+def spectrum(m: np.ndarray) -> Spectrum:
+    """Eigendecomposition of a complex matrix that has passed require_hermitian.
+
+    The reconstruction error is checked against RECON_TOL * max(1, max|lambda|),
+    where max|lambda| is ||M|| read off the computed spectrum.
+    """
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     v = _fix_phases(v)
-    recon = (v * w) @ v.conj().T
-    err = operator_norm(recon - m)
-    if err > RECON_TOL * max(1.0, operator_norm(m)):
+    err = operator_norm((v * w) @ v.conj().T - m)
+    if err > RECON_TOL * max(1.0, float(np.max(np.abs(w)))):
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
     return Spectrum(eigenvalues=w, eigenvectors=v)
+
+
+def hermitian_eig(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix with deterministic output."""
+    return spectrum(require_hermitian(m))
 
 
 def evolve(h, t: float) -> np.ndarray:

@@ -358,11 +358,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
     """Dispatch a parsed scenario and assemble its deterministic report."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(s.tolerances)
-    if tol_overrides:
-        for name in tol_overrides:
-            if name not in DEFAULT_TOLERANCES:
-                raise ScenarioError("tol", f"unknown tolerance {name!r}")
-        tol.update(tol_overrides)
+    tol.update(_parse_tolerances(tol_overrides or {}, "tol"))
 
     payload: dict = {
         "scenario": s.name,
@@ -488,7 +484,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
 
 def _format_float(x: float) -> str:
     if math.isnan(x):
-        raise ValueError("cannot serialize NaN")
+        raise opcore.NumericalError("cannot serialize NaN")
     if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(x, ".17g")

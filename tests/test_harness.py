@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncsub import cli, scenario
+from syncsub import cli, opcore, scenario
 from syncsub.literals import (
     ScenarioError,
     clock_from_literal,
@@ -249,6 +249,40 @@ class TestCli:
                          "--tol", "bound_slack"])
         assert code == 2
 
+    def test_non_finite_tol_rejected_before_running(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = cli.main(["run", str(SCENARIO_DIR / "drift_perturbed.json"),
+                         "--out", str(out), "--tol", "equivar_tol=nan"])
+        assert code == 2
+        assert "tol.equivar_tol: tolerance must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_tol_rejected_like_scenario_file(self, tmp_path, capsys):
+        # ex74's kernel would otherwise run (and pass) with an infinite cutoff
+        code = cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json"),
+                         "--tol", "kernel_tol=inf"])
+        assert code == 2
+        assert "tolerance must be a finite number" in capsys.readouterr().err
+        doc = json.loads((SCENARIO_DIR / "ex74_kernel.json").read_text())
+        doc["tolerances"] = {"kernel_tol": 1e400}   # json writes Infinity
+        assert cli.main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        assert "tolerance must be a finite number" in capsys.readouterr().err
+
+    def test_unknown_tol_flag_rejected(self, capsys):
+        code = cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json"), "--tol", "mystery_tol=1"])
+        assert code == 2
+        assert "tol.mystery_tol: unknown tolerance" in capsys.readouterr().err
+
+    def test_computed_nan_exit_three(self, monkeypatch, capsys):
+        def nan_epsilon(*args, **kwargs):
+            report = scenario.run_scenario(*args, **kwargs)
+            report.payload["epsilon"] = float("nan")
+            return report
+
+        monkeypatch.setattr(cli, "run_scenario", nan_epsilon)
+        assert cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json")]) == 3
+        assert "numerical failure: cannot serialize NaN" in capsys.readouterr().err
+
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         # (1, +-i) rows pass orthogonality but are no Z2 characters; the
         # isotypic projectors they produce fail idempotence mid-run
@@ -337,12 +371,41 @@ def assert_report_close(got, want, path="report"):
         assert type(got) is type(want) and got == want, path
 
 
+def assert_matches_golden(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)]) == 0
+    assert_report_close(json.loads(out.read_bytes()),
+                        json.loads((GOLDEN_DIR / f"{name}.json").read_bytes()))
+
+
 class TestGolden:
     def test_group_example_matches_golden(self, tmp_path):
-        out = tmp_path / "report.json"
-        assert cli.main(["run", str(SCENARIO_DIR / "ex_group_s3.json"), "--out", str(out)]) == 0
-        assert_report_close(json.loads(out.read_bytes()),
-                            json.loads((GOLDEN_DIR / "ex_group_s3.json").read_bytes()))
+        assert_matches_golden(tmp_path, "ex_group_s3")
+
+    @pytest.mark.parametrize("name", ["ex55_compat", "ex74_kernel", "drift_perturbed"])
+    def test_bundled_example_matches_golden(self, tmp_path, name):
+        assert_matches_golden(tmp_path, name)
+
+
+def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
+    """A drift scenario checks its n x n Hamiltonian once and takes five n x n
+    spectral norms: the random direction's scale, make_system's Hermiticity
+    residual and ||H||, epsilon, and the eigendecomposition's reconstruction."""
+    s = scenario.parse_scenario(write_scenario(tmp_path, drift_payload(
+        clock_a={"labels": [1, -1, 0]},
+        hamiltonian={"base": {"local": {"a": {"diag": [0.5, -0.5, 0.1]},
+                                        "b": {"diag": [0.5, -0.5]}}},
+                     "direction": "random", "strength": 0.05, "seed": 7})))
+    n = 6
+    shapes = {"require_hermitian": [], "operator_norm": []}
+    for name, calls in shapes.items():
+        def counted(m, *args, _fn=getattr(opcore, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(m))
+            return _fn(m, *args, **kwargs)
+        monkeypatch.setattr(opcore, name, counted)
+    assert scenario.run_scenario(s).passed
+    assert shapes["require_hermitian"].count((n, n)) == 1
+    assert shapes["operator_norm"].count((n, n)) == 5
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):

@@ -192,6 +192,30 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             opcore.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
+    def test_reconstruction_threshold_scales_with_spectrum(self, monkeypatch, factor, raises):
+        # eigenvalues up to 1e6, so the threshold RECON_TOL * max|lambda| is 1e-6;
+        # shifting the smallest eigenvalue by delta makes the reconstruction error delta
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(random_complex(rng, (4, 4)))
+        m = (q * np.array([-1e6, 0.5, 3.0, 2e5])) @ q.conj().T
+        m = (m + m.conj().T) / 2.0
+        threshold = opcore.RECON_TOL * 1e6
+        eigh = np.linalg.eigh
+
+        def perturbed_eigh(a):
+            w, v = eigh(a)
+            w = w.copy()
+            w[1] += factor * threshold    # 0.5, the smallest in magnitude
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+        if raises:
+            with pytest.raises(opcore.NumericalError, match="reconstruction"):
+                opcore.hermitian_eig(m)
+        else:
+            opcore.hermitian_eig(m)
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
