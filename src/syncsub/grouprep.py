@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import opcore
 from .clocks import _philox, _random_hermitian
@@ -453,6 +452,7 @@ class IsotypicComponent:
     irrep_dim: int
     multiplicity: int
     projector: np.ndarray
+    basis: np.ndarray    # orthonormal columns spanning ran(P), isotypic_dim of them
 
     @property
     def isotypic_dim(self) -> int:
@@ -472,7 +472,10 @@ class IsotypicDecomposition:
 
 
 def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicDecomposition:
-    """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one per irrep."""
+    """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one per irrep.
+
+    One eigh of each P checks its rank (eigenvalues > 0.5) and gives its range basis.
+    """
     group = rho.group
     mults = multiplicities(rho, chars)
     components = []
@@ -484,20 +487,17 @@ def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicD
             raise NumericalError(
                 f"isotypic projector for {irrep.name!r} fails idempotence ({idem:.3e}); "
                 "representation and character table are inconsistent")
-        rank = int(np.count_nonzero(np.linalg.eigvalsh((p + p.conj().T) / 2.0) > 0.5))
+        w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
+        in_range = w > 0.5
+        rank = int(np.count_nonzero(in_range))
         if rank != m * irrep.dim:
             raise NumericalError(
                 f"isotypic projector for {irrep.name!r} has rank {rank}, "
                 f"expected {m * irrep.dim}")
         components.append(IsotypicComponent(
-            irrep=irrep.name, irrep_dim=irrep.dim, multiplicity=m, projector=p))
+            irrep=irrep.name, irrep_dim=irrep.dim, multiplicity=m, projector=p,
+            basis=opcore._fix_phases(v[:, in_range])))
     return IsotypicDecomposition(components=tuple(components), group=group)
-
-
-def _range_basis(p: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of ran(P) via column-pivoted QR, deterministic phases."""
-    q, _, _ = scipy.linalg.qr(p, mode="economic", pivoting=True)
-    return opcore._fix_phases(q[:, :rank])
 
 
 def _diagonal_blocks(dec_a: IsotypicDecomposition, dec_b: IsotypicDecomposition) -> list:
@@ -510,8 +510,7 @@ def _diagonal_blocks(dec_a: IsotypicDecomposition, dec_b: IsotypicDecomposition)
         bad = [c.irrep for c in dec.components if c.multiplicity > 1]
         if bad:
             raise ValueError(f"representation {side} is not multiplicity-free ({bad})")
-    return [(comp_a, comp_b, np.kron(_range_basis(comp_a.projector, comp_a.irrep_dim),
-                                     _range_basis(comp_b.projector, comp_b.irrep_dim)))
+    return [(comp_a, comp_b, np.kron(comp_a.basis, comp_b.basis))
             for comp_a, comp_b in zip(dec_a.components, dec_b.components)
             if comp_a.multiplicity == 1 and comp_b.multiplicity == 1]
 
@@ -658,11 +657,15 @@ def hsync_membership(h, rho: Representation, k,
     k = opcore.as_complex_matrix(k)
     eq_res = equivariance_residual(rho, h)
     kern_res = opcore.operator_norm(opcore.commutator(h, k))
-    threshold = compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k))
+    # ||H|| and ||K|| only decide the verdict when kern_res exceeds compat_tol
+    # (compat_tol * max(1, m) >= compat_tol), so their SVDs run only then.
+    member = eq_res <= equivar_tol and (
+        kern_res <= compat_tol
+        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k)))
     return HsyncVerdict(
         equivariance_residual=eq_res,
         kernel_commutation_residual=kern_res,
-        member=bool(eq_res <= equivar_tol and kern_res <= threshold),
+        member=bool(member),
     )
 
 

@@ -278,7 +278,6 @@ class Report:
     kind: str
     passed: bool
     payload: dict
-    series: sync.DriftReport | None = None
 
 
 def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
@@ -368,7 +367,6 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
         "generator": GENERATOR_NAME,
         "tolerances": tol,
     }
-    series = None
     if s.kind in ("kernel",) + SERIES_KINDS:
         dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
         h, pert_seed = np.zeros((dim_a * dim_b,) * 2), None
@@ -406,7 +404,6 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
             psi0 = sync.sample_kernel_state(bundle, state_seed)
         report = sync.drift_trace(system, psi0, s.times, bundle=bundle,
                                   bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
-        series = report
         payload["seeds"] = {"perturbation": pert_seed, "initial_state": state_seed}
         payload["epsilon"] = report.epsilon
         payload["kernel_dim"] = bundle.kernel.dim
@@ -476,7 +473,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
 
     payload["seed_override"] = seed_override
     payload["passed"] = passed
-    return Report(scenario=s.name, kind=s.kind, passed=passed, payload=payload, series=series)
+    return Report(scenario=s.name, kind=s.kind, passed=passed, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +532,10 @@ def dumps_report(payload: dict) -> str:
 
 
 def _csv_bytes(report: Report) -> bytes:
-    r = report.series
+    p = report.payload
     lines = ["t,drift,fidelity,bound_drift,bound_fidelity"]
-    bound_d = r.drift_bound()
-    bound_f = r.fidelity_bound()
-    for i in range(r.times.size):
-        lines.append(",".join(format(v, ".17g") for v in
-                              (r.times[i], r.drift[i], r.fidelity[i], bound_d[i], bound_f[i])))
+    for row in zip(p["times"], p["drift"], p["fidelity"], p["bound_drift"], p["bound_fidelity"]):
+        lines.append(",".join(format(v, ".17g") for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -582,7 +576,7 @@ def emit_report(report: Report, fmt: str = "json") -> bytes:
     if fmt == "json":
         return dumps_report(report.payload).encode("utf-8")
     if fmt == "csv":
-        if report.series is None:
+        if report.kind not in SERIES_KINDS:
             raise ScenarioError("format", f"csv output is only defined for kinds "
                                           f"{SERIES_KINDS}, not {report.kind!r}")
         return _csv_bytes(report)

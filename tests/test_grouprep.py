@@ -223,20 +223,27 @@ class TestIsotypicProjectors:
         assert [c.isotypic_dim for c in dec.components] == [1, 1, 4]
 
     def test_completeness_orthogonality_equivariance(self):
+        rng = np.random.default_rng(11)
         for name in ("Z2", "Z2xZ2", "S3", "D4"):
             group, chars = grouprep.builtin_group(name)
-            rho = grouprep.regular_representation(group)
-            dec = grouprep.isotypic_projectors(rho, chars)
-            total = sum(c.projector for c in dec.components)
-            assert opcore.operator_norm(total - np.eye(group.order)) <= 1e-10
-            comps = dec.components
-            for i, a in enumerate(comps):
-                assert opcore.operator_norm(a.projector @ a.projector - a.projector) <= 1e-10
-                for b in comps[i + 1:]:
-                    assert opcore.operator_norm(a.projector @ b.projector) <= 1e-10
-                for g in range(group.order):
+            regular = grouprep.regular_representation(group)
+            for rho in (regular, conjugated(regular, random_unitary(rng, group.order))):
+                dec = grouprep.isotypic_projectors(rho, chars)
+                total = sum(c.projector for c in dec.components)
+                assert opcore.operator_norm(total - np.eye(group.order)) <= 1e-10
+                comps = dec.components
+                for i, a in enumerate(comps):
+                    p, basis = a.projector, a.basis
+                    assert opcore.operator_norm(p @ p - p) <= 1e-10
+                    assert basis.shape == (group.order, a.isotypic_dim)
                     assert opcore.operator_norm(
-                        opcore.commutator(rho[g], a.projector)) <= 1e-10
+                        basis.conj().T @ basis - np.eye(a.isotypic_dim)) <= 1e-10
+                    assert opcore.operator_norm(p @ basis - basis) <= 1e-10
+                    assert opcore.operator_norm(basis @ basis.conj().T - p) <= 1e-10
+                    for b in comps[i + 1:]:
+                        assert opcore.operator_norm(p @ b.projector) <= 1e-10
+                    for g in range(group.order):
+                        assert opcore.operator_norm(opcore.commutator(rho[g], p)) <= 1e-10
 
     def test_inconsistent_inputs_raise(self, s3, z2):
         group, _ = s3
@@ -405,6 +412,16 @@ class TestHsyncMembership:
         assert verdict.member
         assert verdict.equivariance_residual == 0.0
         assert verdict.kernel_commutation_residual == 0.0
+
+    def test_scaled_threshold_admits_large_hamiltonian(self, pauli_z_pair):
+        # ||[H,K]|| = 4e-8 exceeds compat_tol = 1e-10 but not compat_tol * ||H|| ||K||
+        _, _, rho = pauli_z_pair
+        joint = grouprep.tensor_representation(rho, rho)
+        k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
+        h = 1e4 * np.kron(SIGMA_Z, np.eye(2)) + 1e-8 * np.kron(SIGMA_X, SIGMA_X)
+        verdict = grouprep.hsync_membership(h, joint, k)
+        assert verdict.kernel_commutation_residual == pytest.approx(4e-8, rel=1e-6)
+        assert verdict.member
 
     def test_members_preserve_diagonal_subspace(self, s3, s3_multiplicity_free):
         # dynamics preservation: e^{-iHt} keeps the diagonal isotypic subspace

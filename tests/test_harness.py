@@ -1,6 +1,8 @@
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -422,3 +424,12 @@ def test_benchmark_traced_names_resolve(monkeypatch):
         module = importlib.import_module(f"syncsub.{layer}")
         fn = getattr(module, attr, None)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
+
+
+def test_package_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the CLI pulls in no scipy."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", 'import sys, syncsub.cli; print("scipy" in sys.modules)'],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"
