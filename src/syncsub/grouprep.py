@@ -30,6 +30,7 @@ _IDEMPOTENT_TOL = 1e-8
 _ASSOC_CHECK_MAX_ORDER = 64
 _EXHAUSTIVE_PAIRS_MAX_ORDER = 24
 _SAMPLED_PAIRS = 500
+_STACK_ENTRIES = 1 << 20   # matrix entries per stacked batch (16 MB complex)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +145,69 @@ def _perm_group(name: str, labels, perms) -> FiniteGroup:
         for j, q in enumerate(perms):
             table[i, j] = index[tuple(p[q[x]] for x in range(len(p)))]
     return make_group(labels, table, name=name)
+
+
+@dataclass(frozen=True)
+class GeneratorTree:
+    """A generating set S and a tree of forward words over it.
+
+    Each element h outside S appears once in ``edges`` as (h, p, s) with
+    h = p*s, s in S and p earlier in the tree (an element of S or an earlier
+    h). ``depth`` is the most products on any path from S, 15 for Z16.
+    """
+
+    generators: tuple
+    edges: tuple
+    depth: int
+
+
+def _forward_words(table: np.ndarray, gens) -> tuple:
+    """BFS over h = p*s from ``gens``: ({element: depth}, edges in BFS order).
+
+    In a finite group the forward words over a set reach exactly the subgroup
+    it generates, identity included.
+    """
+    depth = dict.fromkeys(gens, 0)
+    edges, frontier = [], list(gens)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in gens:
+                h = int(table[p, s])
+                if h not in depth:
+                    depth[h] = depth[p] + 1
+                    edges.append((h, p, s))
+                    nxt.append(h)
+        frontier = nxt
+    return depth, edges
+
+
+def generator_tree(group: FiniteGroup) -> GeneratorTree:
+    """Greedy generating set S of ``group`` and its forward-word tree.
+
+    Elements are taken by descending element order, then index, each one not
+    yet in the subgroup generated so far, until S generates the group: Zn
+    gives {g1}, Z2xZ2, S3 and D4 two generators. The trivial group has an
+    empty generating set and uses S = {e}, so that rho(e) is still checked.
+    """
+    table, e = group.mult_table, group.identity_index
+
+    def element_order(g):
+        k, x = 1, g
+        while x != e:
+            x, k = int(table[x, g]), k + 1
+        return k
+
+    gens, span = [], {e}
+    for g in sorted(range(group.order), key=lambda g: (-element_order(g), g)):
+        if len(span) == group.order:
+            break
+        if g not in span:
+            gens.append(g)
+            span = _forward_words(table, gens)[0]
+    gens = gens or [e]
+    depth, edges = _forward_words(table, gens)
+    return GeneratorTree(generators=tuple(gens), edges=tuple(edges), depth=max(depth.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +441,15 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
     """Report homomorphism/unitarity residuals; exhaustive pairs for small groups.
 
     Larger groups check _SAMPLED_PAIRS pairs drawn from a fixed Philox seed.
+    Each kind of residual is one stacked spectral norm over its matrices.
     """
     group = rho.group
     n = group.order
-    unit_res = max(opcore.unitarity_residual(rho[i]) for i in range(n))
-    ident_res = opcore.operator_norm(rho[group.identity_index] - np.eye(rho.dim))
+    mats = rho.matrices
+    eye = np.eye(rho.dim)
+    unit_res = _max_spectral_norm(
+        lambda sl: mats[sl].conj().swapaxes(-1, -2) @ mats[sl] - eye, n, rho.dim)
+    ident_res = opcore.operator_norm(rho[group.identity_index] - eye)
 
     if n <= _EXHAUSTIVE_PAIRS_MAX_ORDER:
         pairs = [(g, h) for g in range(n) for h in range(n)]
@@ -390,10 +458,10 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
         rng = _philox(0)
         pairs = [(int(g), int(h)) for g, h in rng.integers(0, n, size=(_SAMPLED_PAIRS, 2))]
         exhaustive = False
-    hom_res = 0.0
-    for g, h in pairs:
-        gh = int(group.mult_table[g, h])
-        hom_res = max(hom_res, opcore.operator_norm(rho[g] @ rho[h] - rho[gh]))
+    gs, hs = np.array(pairs).T
+    ghs = group.mult_table[gs, hs]
+    hom_res = _max_spectral_norm(
+        lambda sl: mats[gs[sl]] @ mats[hs[sl]] - mats[ghs[sl]], len(pairs), rho.dim)
 
     passed = (hom_res <= HOMOMORPHISM_TOL
               and unit_res <= opcore.UNITARY_TOL * rho.dim
@@ -406,6 +474,17 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
         exhaustive=exhaustive,
         passed=passed,
     )
+
+
+def _max_spectral_norm(stack, count: int, dim: int) -> float:
+    """Largest spectral norm among ``stack(slice)`` over indices 0..count-1.
+
+    The matrices are built and factored in batches of at most _STACK_ENTRIES
+    entries, so memory stays bounded for large groups or dimensions.
+    """
+    step = max(1, _STACK_ENTRIES // (dim * dim))
+    return max(float(np.max(np.linalg.norm(stack(slice(i, i + step)), 2, axis=(1, 2))))
+               for i in range(0, count, step))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +636,43 @@ def equivariance_residual(rho: Representation, t) -> float:
                for g in range(rho.group.order))
 
 
+def _equivariance_bound(t: np.ndarray, factors: tuple, tree: GeneratorTree) -> tuple:
+    """(r_S, B): the exact max ||[J(s), T]|| over s in S, and B >= max over all g.
+
+    J(g) is ``factors[0][g]``, or the Kronecker product ``A_g (x) B_g`` of two
+    factor stacks, built as tensor_representation builds it. For h = p*s,
+    [T, J(p)J(s)] = [T, J(p)]J(s) + J(p)[T, J(s)], so along the tree
+    R_h = nu (R_p + r_s) + 2 ||T||_F eta_h with R_s = r_s, where
+    nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
+    and eta_h >= ||J(h) - J(p)J(s)||, with A_h (x) B_h - X (x) Y =
+    (A_h - X) (x) B_h + X (x) (B_h - Y) for X = A_p A_s, Y = B_p B_s. Both are
+    Frobenius norms of factor-size matrices; a permutation representation
+    has nu = 1 and eta = 0.
+    """
+    def joint(g):
+        return factors[0][g] if len(factors) == 1 else np.kron(factors[0][g], factors[1][g])
+
+    r = {s: opcore.operator_norm(opcore.commutator(joint(s), t)) for s in tree.generators}
+    r_s = max(r.values())
+    if not tree.edges:
+        return r_s, r_s
+    hs, ps, ss = (list(c) for c in zip(*tree.edges))
+    def fro(stack):
+        return np.linalg.norm(stack, axis=(1, 2))
+
+    nu, eta, lead = 1.0, 0.0, 1.0
+    for m in factors:
+        nu *= np.sqrt(1.0 + np.max(fro(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[1]))))
+        x = m[ps] @ m[ss]
+        eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
+        lead = lead * fro(x)
+    slack = 2.0 * np.linalg.norm(t) * eta
+    bound = dict(r)
+    for (h, p, s), extra in zip(tree.edges, slack):
+        bound[h] = nu * (bound[p] + r[s]) + extra
+    return r_s, float(max(bound.values()))
+
+
 @dataclass(frozen=True, eq=False)
 class SchurEntry:
     irrep: str
@@ -624,7 +740,7 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
         if values[ci] != values[inv_class]:
             raise ValueError(
                 f"class function must agree on inverse classes: classes {ci} and "
-                f"{inv_class} carry {values[ci]!r} vs {values[inv_class]!r}")
+                f"{inv_class} carry {float(values[ci])!r} vs {float(values[inv_class])!r}")
     per_element = np.empty(group.order)
     for ci, cls in enumerate(group.conjugacy_classes):
         per_element[list(cls)] = values[ci]
@@ -632,9 +748,11 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
     herm = opcore.hermiticity_residual(t)
     if herm > 1e-10:
         raise NumericalError(f"class-function observable is not Hermitian ({herm:.3e})")
-    eq = equivariance_residual(rho, t)
-    if eq > 1e-10:
-        raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
+    # The generator bound settles the usual case; the message keeps the full max.
+    if _equivariance_bound(t, (rho.matrices,), generator_tree(group))[1] > 1e-10:
+        eq = equivariance_residual(rho, t)
+        if eq > 1e-10:
+            raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
     return t
 
 
@@ -642,28 +760,52 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
 class HsyncVerdict:
     """Membership in the synchronization-preserving algebra.
 
-    Member iff H commutes with the whole group action and with K.
+    Member iff H commutes with the whole joint action and with K. Equivariance
+    is checked on the generating set S: ``generator_residual`` is
+    r_S = max_{s in S} ||[J(s), H]||, and ``equivariance_bound`` is the tree
+    bound B >= max_g ||[J(g), H]||, or that exact max when neither r_S nor B
+    settled the verdict.
     """
 
-    equivariance_residual: float
+    generators: tuple
+    word_length: int
+    generator_residual: float
+    equivariance_bound: float
     kernel_commutation_residual: float
     member: bool
 
 
-def hsync_membership(h, rho: Representation, k,
+def hsync_membership(h, rho_a: Representation, rho_b: Representation, k,
                      equivar_tol: float = EQUIVAR_TOL,
                      compat_tol: float = 1e-10) -> HsyncVerdict:
+    """Whether H lies in the commutant of g -> rho_A(g) (x) rho_B(g) and commutes with K.
+
+    B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
+    (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
+    computed from the joint matrices.
+    """
+    _require_same_group(rho_a.group, rho_b.group)
     h = opcore.as_complex_matrix(h)
     k = opcore.as_complex_matrix(k)
-    eq_res = equivariance_residual(rho, h)
+    dim = rho_a.dim * rho_b.dim
+    if h.shape[0] != dim:
+        raise ValueError(f"operator dim {h.shape[0]} does not match representation dim {dim}")
+    group = rho_a.group
+    tree = generator_tree(group)
+    r_s, bound = _equivariance_bound(h, (rho_a.matrices, rho_b.matrices), tree)
+    if r_s <= equivar_tol < bound:
+        bound = equivariance_residual(tensor_representation(rho_a, rho_b), h)
     kern_res = opcore.operator_norm(opcore.commutator(h, k))
     # ||H|| and ||K|| only decide the verdict when kern_res exceeds compat_tol
     # (compat_tol * max(1, m) >= compat_tol), so their SVDs run only then.
-    member = eq_res <= equivar_tol and (
+    member = bound <= equivar_tol and (
         kern_res <= compat_tol
         or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k)))
     return HsyncVerdict(
-        equivariance_residual=eq_res,
+        generators=tuple(group.elements[g] for g in tree.generators),
+        word_length=tree.depth,
+        generator_residual=r_s,
+        equivariance_bound=bound,
         kernel_commutation_residual=kern_res,
         member=bool(member),
     )

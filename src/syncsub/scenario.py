@@ -459,12 +459,14 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
             if s.hamiltonian is not None:
                 h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
                                             seed_override, s.seed)
-                joint = grouprep.tensor_representation(s.rep_a, s.rep_b)
-                verdict = grouprep.hsync_membership(h, joint, k,
+                verdict = grouprep.hsync_membership(h, s.rep_a, s.rep_b, k,
                                                     equivar_tol=tol["equivar_tol"],
                                                     compat_tol=tol["compat_tol"])
                 payload["membership"] = {
-                    "equivariance_residual": verdict.equivariance_residual,
+                    "generators": list(verdict.generators),
+                    "word_length": verdict.word_length,
+                    "generator_residual": verdict.generator_residual,
+                    "equivariance_bound": verdict.equivariance_bound,
                     "kernel_commutation_residual": verdict.kernel_commutation_residual,
                     "member": verdict.member,
                 }

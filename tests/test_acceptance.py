@@ -75,8 +75,7 @@ def test_criterion_02_pauli_z_kernel_and_membership():
 
     group, _ = grouprep.builtin_group("Z2xZ2")
     rho = grouprep.representation_from_generators(group, {"a": SIGMA_Z, "b": SIGMA_Z})
-    joint = grouprep.tensor_representation(rho, rho)
-    if grouprep.hsync_membership(np.kron(SIGMA_X, eye), joint, k).member:
+    if grouprep.hsync_membership(np.kron(SIGMA_X, eye), rho, rho, k).member:
         failures.append("X(x)I passed membership")
     _criterion(2, "Pauli-Z qubits: kernel span{|00>,|11>}, Z-type members, X(x)I rejected",
                failures)

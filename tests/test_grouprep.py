@@ -172,6 +172,44 @@ class TestValidateRepresentation:
                 grouprep.regular_representation(group)).passed
 
 
+def per_pair_residuals(rho):
+    """Oracle: (homomorphism, unitarity) residual maxima, one SVD per matrix."""
+    group = rho.group
+    n = group.order
+    unit_res = max(opcore.unitarity_residual(rho[i]) for i in range(n))
+    if n <= grouprep._EXHAUSTIVE_PAIRS_MAX_ORDER:
+        pairs = [(g, h) for g in range(n) for h in range(n)]
+    else:
+        rng = clocks._philox(0)
+        pairs = [(int(g), int(h))
+                 for g, h in rng.integers(0, n, size=(grouprep._SAMPLED_PAIRS, 2))]
+    hom_res = 0.0
+    for g, h in pairs:
+        gh = int(group.mult_table[g, h])
+        hom_res = max(hom_res, opcore.operator_norm(rho[g] @ rho[h] - rho[gh]))
+    return hom_res, unit_res
+
+
+class TestStackedValidation:
+    @pytest.mark.parametrize("stack_entries", [grouprep._STACK_ENTRIES, 64])
+    def test_stacked_residuals_equal_per_pair_loop(self, monkeypatch, stack_entries):
+        """Bit-identical maxima, also when the stack is split into batches."""
+        monkeypatch.setattr(grouprep, "_STACK_ENTRIES", stack_entries)
+        rng = np.random.default_rng(16)
+        cases = []
+        for name in ("Z16", "S3", "D4", "Z2xZ2", "Z7", "Z25"):
+            group, _ = grouprep.builtin_group(name)
+            reg = grouprep.regular_representation(group)
+            cases += [reg, conjugated(reg, random_unitary(rng, reg.dim))]
+        group, _ = grouprep.builtin_group("Z2")
+        cases.append(grouprep.Representation(
+            group=group, matrices=np.stack([np.eye(2), np.diag([1.0, 1j])])))
+        for rho in cases:
+            report = grouprep.validate_representation(rho)
+            got = (report.max_homomorphism_residual, report.max_unitarity_residual)
+            assert got == per_pair_residuals(rho), rho.group.name
+
+
 class TestMultiplicities:
     def test_regular_rep_of_s3(self, s3):
         group, chars = s3
@@ -376,6 +414,25 @@ class TestObservableFromClassFunction:
             report = grouprep.schur_scalars(t, rho, dec)
             assert all(e.residual <= 1e-9 for e in report.entries)
 
+    def test_generator_bound_settles_central_observable(self, monkeypatch):
+        group, _ = grouprep.builtin_group("Z8")
+        rho = grouprep.regular_representation(group)
+        calls = []
+        monkeypatch.setattr(grouprep, "equivariance_residual", lambda *a: calls.append(a))
+        grouprep.observable_from_class_function([0.5, 0.2, -0.1, 0.3, 0.7, 0.3, -0.1, 0.2], rho)
+        assert calls == []
+
+    def test_non_equivariant_message_keeps_full_max(self):
+        # unitary, not a homomorphism: rho(g^2) = X does not commute with rho(g)
+        group, _ = grouprep.builtin_group("Z4")
+        a = np.diag([1.0, 1j])
+        rho = grouprep.Representation(group=group,
+                                      matrices=np.stack([np.eye(2), a, SIGMA_X, a.conj().T]))
+        t = 0.5 * np.eye(2) + 0.3 * (a + a.conj().T) + 0.7 * SIGMA_X
+        full = max(opcore.operator_norm(opcore.commutator(rho[g], t)) for g in range(4))
+        with pytest.raises(grouprep.NumericalError, match=f"not equivariant \\({full:.3e}\\)"):
+            grouprep.observable_from_class_function([0.5, 0.3, 0.7, 0.3], rho)
+
     def test_inverse_class_mismatch_rejected(self):
         group, _ = grouprep.builtin_group("Z3")
         rho = grouprep.regular_representation(group)
@@ -387,39 +444,35 @@ class TestObservableFromClassFunction:
 class TestHsyncMembership:
     def test_local_z_hamiltonians_are_members(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        joint = grouprep.tensor_representation(rho, rho)
         k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
         for h in (np.kron(SIGMA_Z, np.eye(2)), np.kron(np.eye(2), SIGMA_Z),
                   0.3 * np.kron(SIGMA_Z, np.eye(2)) - 1.7 * np.kron(np.eye(2), SIGMA_Z)):
-            verdict = grouprep.hsync_membership(h, joint, k)
+            verdict = grouprep.hsync_membership(h, rho, rho, k)
             assert verdict.member
             assert verdict.kernel_commutation_residual <= 1e-12
 
     def test_xx_fails_kernel_commutation(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        joint = grouprep.tensor_representation(rho, rho)
         k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
-        verdict = grouprep.hsync_membership(np.kron(SIGMA_X, SIGMA_X), joint, k)
+        verdict = grouprep.hsync_membership(np.kron(SIGMA_X, SIGMA_X), rho, rho, k)
         assert not verdict.member
         assert verdict.kernel_commutation_residual > 1.0
-        assert verdict.equivariance_residual <= 1e-12  # X(x)X does commute with Z(x)Z
+        assert verdict.equivariance_bound <= 1e-12  # X(x)X does commute with Z(x)Z
 
     def test_identity_is_member(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        joint = grouprep.tensor_representation(rho, rho)
         k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
-        verdict = grouprep.hsync_membership(np.eye(4), joint, k)
+        verdict = grouprep.hsync_membership(np.eye(4), rho, rho, k)
         assert verdict.member
-        assert verdict.equivariance_residual == 0.0
+        assert verdict.equivariance_bound == 0.0
         assert verdict.kernel_commutation_residual == 0.0
 
     def test_scaled_threshold_admits_large_hamiltonian(self, pauli_z_pair):
         # ||[H,K]|| = 4e-8 exceeds compat_tol = 1e-10 but not compat_tol * ||H|| ||K||
         _, _, rho = pauli_z_pair
-        joint = grouprep.tensor_representation(rho, rho)
         k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
         h = 1e4 * np.kron(SIGMA_Z, np.eye(2)) + 1e-8 * np.kron(SIGMA_X, SIGMA_X)
-        verdict = grouprep.hsync_membership(h, joint, k)
+        verdict = grouprep.hsync_membership(h, rho, rho, k)
         assert verdict.kernel_commutation_residual == pytest.approx(4e-8, rel=1e-6)
         assert verdict.member
 
@@ -436,8 +489,7 @@ class TestHsyncMembership:
             t_obs = grouprep.observable_from_class_function(f, rho)
             h = np.kron(t_obs, np.eye(4)) + np.kron(np.eye(4), t_obs)
             k = np.kron(t_obs, np.eye(4)) - np.kron(np.eye(4), t_obs)
-            joint = grouprep.tensor_representation(rho, rho)
-            assert grouprep.hsync_membership(h, joint, k).member
+            assert grouprep.hsync_membership(h, rho, rho, k).member
             for t in (0.1, 1.0, 10.0):
                 u = opcore.evolve(h, t)
                 assert opcore.operator_norm((eye - pi) @ u @ pi) <= 1e-9

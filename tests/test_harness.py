@@ -332,6 +332,24 @@ class TestCli:
         assert code == 2
         assert "validation error" in capsys.readouterr().err
 
+    def test_error_messages_print_plain_floats(self, tmp_path, capsys):
+        """Values in messages read as Python floats, never as np.float64(...)."""
+        asymmetric = write_scenario(tmp_path, {
+            "name": "cos-input", "kind": "group", "group": "Z3",
+            "rep": {"generators": {"g1": {"diag": [1, 1, 1]}}},
+            "class_function_a": [1.0, 0.5, 0.25],
+        }, name="group.json")
+        unnormalized = write_scenario(tmp_path, drift_payload(
+            initial_state={"vector": [[1, 0], [0, 0], [0, 0], [0.5, 0]]}), name="drift.json")
+        assert cli.main(["run", str(asymmetric)]) == 2
+        assert capsys.readouterr().err == (
+            "syncsub: validation error: class function must agree on inverse classes: "
+            "classes 1 and 2 carry 0.5 vs 0.25\n")
+        assert cli.main(["run", str(unnormalized)]) == 2
+        assert capsys.readouterr().err == (
+            "syncsub: validation error: initial state is not normalized: "
+            "||psi0|| = 1.118033988749895\n")
+
     def test_log_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SYNCSUB_LOG", "info")
         assert cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json")]) == 0
@@ -408,6 +426,47 @@ def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
     assert scenario.run_scenario(s).passed
     assert shapes["require_hermitian"].count((n, n)) == 1
     assert shapes["operator_norm"].count((n, n)) == 5
+
+
+def z8_regular_payload(member):
+    """Z8 regular (x) regular with symmetric class functions; the Hamiltonian is
+    local and circulant on both sides (a member) or diagonal on side A (not
+    equivariant, since a diagonal matrix does not commute with the shift)."""
+    n = 8
+    shift = np.zeros((n, n))
+    shift[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    f = [0.5, 0.2, -0.1, 0.3, 0.7, 0.3, -0.1, 0.2]     # f(k) = f(8 - k)
+    circulant = np.asarray(f)[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    h_a = circulant if member else np.diag(np.linspace(-1.0, 1.0, n))
+    return {
+        "name": f"z8-{'member' if member else 'non-member'}",
+        "kind": "group",
+        "group": "Z8",
+        "rep": {"generators": {"g1": matrix_to_literal(shift)}},
+        "class_function_a": f,
+        "class_function_b": [x + 0.25 * (k % 2) for k, x in enumerate(f)],
+        "hamiltonian": {"local": {"a": matrix_to_literal(h_a),
+                                  "b": matrix_to_literal(0.5 * circulant)}},
+    }
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
+    """Membership checks equivariance on the generating set {g1} of Z8: the joint
+    64 x 64 spectral norms of a group scenario are r_S and ||[H,K]|| (the full
+    group would need one per element, 8, plus ||[H,K]||)."""
+    s = scenario.parse_scenario(write_scenario(tmp_path, z8_regular_payload(member)))
+    shapes = []
+
+    def counted(m, _fn=opcore.operator_norm):
+        shapes.append(np.shape(m))
+        return _fn(m)
+
+    monkeypatch.setattr(opcore, "operator_norm", counted)
+    membership = scenario.run_scenario(s).payload["membership"]
+    assert membership["member"] is member
+    assert shapes.count((64, 64)) <= 2
+    assert (membership["generators"], membership["word_length"]) == (["g1"], 7)
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):

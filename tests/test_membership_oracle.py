@@ -1,0 +1,239 @@
+"""Generator-set membership of ``grouprep.hsync_membership`` against the
+full-group test it replaced: one joint matrix, one commutator and one SVD per
+group element, which lives on here as the oracle.
+
+The cases cover every builtin group with regular, trivial and
+generator-built representations, their random unitary conjugates (so that
+nu > 1 and eta > 0), element lists perturbed off the generating set to about
+0.9 * UNITARY_TOL * d, and similarity conjugates that are far from unitary,
+where the bound's nu term carries weight. Hamiltonians are members,
+non-members and near-threshold perturbations with r_S between 0.3 and 0.9 of
+the tolerance, where the exact fallback has to decide.
+"""
+
+import numpy as np
+import pytest
+
+from syncsub import clocks, grouprep, opcore
+from test_sync_oracle import random_unitary
+
+GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "S3", "D4")
+TOL = grouprep.EQUIVAR_TOL
+NEAR = (0.3, 0.6, 0.9)   # r_S / TOL of the near-threshold Hamiltonians
+
+
+def oracle_membership(h, rho_a, rho_b, k, equivar_tol=TOL, compat_tol=1e-10):
+    """(max_g ||[J(g), H]||, member) from every joint matrix."""
+    joint = grouprep.tensor_representation(rho_a, rho_b)
+    eq_res = max(opcore.operator_norm(opcore.commutator(joint[g], h))
+                 for g in range(joint.group.order))
+    kern_res = opcore.operator_norm(opcore.commutator(h, k))
+    member = eq_res <= equivar_tol and (
+        kern_res <= compat_tol
+        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k)))
+    return eq_res, member
+
+
+def generator_built(group):
+    """A 3-dim representation from generator matrices on every builtin group."""
+    c, s = np.cos(2 * np.pi / 3), np.sin(2 * np.pi / 3)
+    if group.name == "Z2xZ2":
+        gens = {"a": np.diag([1.0, -1.0, 1.0]), "b": np.diag([1.0, 1.0, -1.0])}
+    elif group.name == "S3":
+        gens = {"r": np.array([[1, 0, 0], [0, c, -s], [0, s, c]]),
+                "s": np.diag([1.0, 1.0, -1.0])}
+    elif group.name == "D4":
+        gens = {"r": np.array([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
+                "s": np.diag([-1.0, 1.0, -1.0])}
+    elif group.order == 1:
+        gens = {"g0": np.eye(3)}
+    else:
+        gens = {"g1": np.diag(np.exp(2j * np.pi * np.arange(3) / group.order))}
+    rho = grouprep.representation_from_generators(group, gens)
+    assert grouprep.validate_representation(rho).passed
+    return rho
+
+
+def perturbed_off_generators(rho, rng):
+    """Element list with every matrix outside S moved to ~0.9 * UNITARY_TOL * d."""
+    d = rho.dim
+    gens = set(grouprep.generator_tree(rho.group).generators)
+    mats = []
+    for g in range(rho.group.order):
+        m = rho[g]
+        if g not in gens:
+            h = clocks._random_hermitian(rng, d)
+            c = 0.45 * opcore.UNITARY_TOL * d * rng.uniform(0.9, 1.0) / opcore.operator_norm(h)
+            m = m @ (np.eye(d) + c * h)
+        mats.append(m)
+    return grouprep.make_representation(rho.group, mats)
+
+
+def representation_pairs(name, rng):
+    """(label, rho_a, rho_b) for one builtin group."""
+    group, _ = grouprep.builtin_group(name)
+    reg = grouprep.regular_representation(group)
+    triv = grouprep.trivial_representation(group, 2)
+    gen = generator_built(group)
+    pairs = [("reg(x)reg", reg, reg), ("reg(x)triv", reg, triv), ("gen(x)gen", gen, gen),
+             ("triv(x)triv", triv, triv), ("gen(x)reg", gen, reg)]
+    out = []
+    for label, a, b in pairs:
+        out.append((label, a, b))
+        conj = [grouprep.make_representation(r.group, v @ r.matrices @ v.conj().T)
+                for r, v in ((a, random_unitary(rng, a.dim)), (b, random_unitary(rng, b.dim)))]
+        out.append((label + " conjugated", *conj))
+        out.append((label + " perturbed", perturbed_off_generators(a, rng),
+                    perturbed_off_generators(b, rng)))
+    return out
+
+
+def generator_residual(h, rho_a, rho_b):
+    tree = grouprep.generator_tree(rho_a.group)
+    return max(opcore.operator_norm(opcore.commutator(np.kron(rho_a[s], rho_b[s]), h))
+               for s in tree.generators)
+
+
+def real_class_function(group, rng):
+    """Random class function with f(c) = f(c^-1), so that sum_g f(g) rho(g) is Hermitian."""
+    values = rng.uniform(-1, 1, len(group.conjugacy_classes))
+    for ci, cls in enumerate(group.conjugacy_classes):
+        values[ci] = values[min(ci, group.class_of(int(group.inverse_table[cls[0]])))]
+    return values
+
+
+def hamiltonians(rho_a, rho_b, rng):
+    """(kind, H, K, compat_tol): a member, a non-member and near-threshold H.
+
+    The member is local and central, so it commutes with the joint action and
+    with K. Near-threshold H adds a random direction scaled to r_S = x * TOL and
+    uses a loose compat_tol, so that equivariance alone decides membership.
+    """
+    t = [grouprep.observable_from_class_function(real_class_function(r.group, rng), r)
+         for r in (rho_a, rho_b, rho_a, rho_b)]
+    eye_a, eye_b = np.eye(rho_a.dim), np.eye(rho_b.dim)
+    k = np.kron(t[0], eye_b) - np.kron(eye_a, t[1])
+    h0 = np.kron(t[2], eye_b) + np.kron(eye_a, t[3])
+    v = clocks._random_hermitian(rng, rho_a.dim * rho_b.dim)
+    v /= opcore.operator_norm(v)
+    cases = [("member", h0, k, 1e-10), ("non-member", h0 + v, k, 1e-10)]
+    r_v = generator_residual(v, rho_a, rho_b)
+    if r_v > 1e-6:   # a trivial joint action commutes with every H
+        cases += [(f"near {x}", h0 + (x * TOL / r_v) * v, k, 1.0) for x in NEAR]
+    return cases
+
+
+def tree_bound(h, rho_a, rho_b):
+    tree = grouprep.generator_tree(rho_a.group)
+    return grouprep._equivariance_bound(h, (rho_a.matrices, rho_b.matrices), tree)[1]
+
+
+def check_against_oracle(h, rho_a, rho_b, k, compat_tol, monkeypatch, where):
+    """Verdict equals the oracle's, r_S <= exact max <= B, and the exact max
+    is computed exactly when r_S <= TOL < B. Returns the verdict and whether it was."""
+    exact_calls = []
+    real = grouprep.equivariance_residual
+
+    def counted(*args):
+        exact_calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(grouprep, "equivariance_residual", counted)
+    verdict = grouprep.hsync_membership(h, rho_a, rho_b, k, compat_tol=compat_tol)
+    monkeypatch.setattr(grouprep, "equivariance_residual", real)
+    exact, member = oracle_membership(h, rho_a, rho_b, k, compat_tol=compat_tol)
+    bound = tree_bound(h, rho_a, rho_b)
+    r_s = verdict.generator_residual
+    assert verdict.member == member, where
+    assert r_s == generator_residual(h, rho_a, rho_b), where
+    assert r_s <= exact <= bound, where
+    fallback = r_s <= TOL < bound
+    assert len(exact_calls) == int(fallback), where
+    assert verdict.equivariance_bound == (exact if fallback else bound), where
+    return verdict, fallback
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_membership_matches_full_group_oracle(name, monkeypatch):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    verdicts, fallbacks = [], 0
+    for label, rho_a, rho_b in representation_pairs(name, rng):
+        for kind, h, k, compat_tol in hamiltonians(rho_a, rho_b, rng):
+            where = (name, label, kind)
+            verdict, fallback = check_against_oracle(h, rho_a, rho_b, k, compat_tol,
+                                                     monkeypatch, where)
+            verdicts.append(verdict.member)
+            fallbacks += fallback
+    assert any(verdicts), name
+    if name != "Z1":   # the one element of Z1 acts as I: every H is a member
+        assert fallbacks and not all(verdicts), name
+
+
+def test_fallback_decides_both_ways(monkeypatch):
+    """Near-threshold H on Z8 reg(x)reg, where r_S <= TOL < B: the exact max
+    admits x = 0.3 and rejects x = 0.6 and 0.9. H = c * diag(cos(2 pi j / 8)) (x) I
+    has ||[H, J(g^k)]|| = max_j c |cos(2 pi j / 8) - cos(2 pi (j - k) / 8)|: 0.71c at
+    k = 1 and 2c at k = 4, 2.8 times r_S."""
+    group, _ = grouprep.builtin_group("Z8")
+    reg = grouprep.regular_representation(group)
+    v = np.kron(np.diag(np.cos(2 * np.pi * np.arange(8) / 8)), np.eye(8))
+    k = np.zeros((64, 64))
+    r_v = generator_residual(v, reg, reg)
+    verdicts = []
+    for x in NEAR:
+        h = (x * TOL / r_v) * v
+        verdict, fallback = check_against_oracle(h, reg, reg, k, 1e-10, monkeypatch, x)
+        assert fallback
+        verdicts.append(verdict.member)
+    assert verdicts == [True, False, False]
+
+
+def similarity_conjugate(rho, rng, cond):
+    """g -> V rho(g) V^-1 with ||V|| ||V^-1|| = cond: a homomorphism, far from unitary."""
+    d = rho.dim
+    v = random_unitary(rng, d) @ np.diag(np.geomspace(1.0, cond, d)) @ random_unitary(rng, d)
+    return grouprep.Representation(group=rho.group, matrices=v @ rho.matrices @ np.linalg.inv(v))
+
+
+@pytest.mark.parametrize("name", ("Z3", "Z5", "Z8", "S3", "D4"))
+def test_bound_holds_without_unitarity(name):
+    """r_S <= max_g ||[J(g), H]|| <= B holds for any matrices. With ||J(g)|| up
+    to 10^4, the nu factor carries the bound: without it B falls below the
+    exact max for most of these groups."""
+    rng = np.random.default_rng(len(name))
+    group, _ = grouprep.builtin_group(name)
+    rho = generator_built(group)
+    for _ in range(10):
+        a = similarity_conjugate(rho, rng, 100.0)
+        b = similarity_conjugate(rho, rng, 100.0)
+        h = clocks._random_hermitian(rng, a.dim * b.dim)
+        exact, _ = oracle_membership(h, a, b, np.zeros_like(h))
+        assert generator_residual(h, a, b) <= exact <= tree_bound(h, a, b), name
+
+
+class TestGeneratorTree:
+    @pytest.mark.parametrize("name, gens", [
+        ("Z1", ("g0",)), ("Z2", ("g1",)), ("Z8", ("g1",)), ("Z16", ("g1",)),
+        ("Z2xZ2", ("a", "b")), ("S3", ("r", "s")), ("D4", ("r", "s")),
+    ])
+    def test_generators(self, name, gens):
+        group, _ = grouprep.builtin_group(name)
+        tree = grouprep.generator_tree(group)
+        assert tuple(group.elements[g] for g in tree.generators) == gens
+
+    @pytest.mark.parametrize("name", GROUPS + ("Z16",))
+    def test_tree_reaches_every_element_by_forward_products(self, name):
+        group, _ = grouprep.builtin_group(name)
+        tree = grouprep.generator_tree(group)
+        depth = dict.fromkeys(tree.generators, 0)
+        for h, p, s in tree.edges:
+            assert s in tree.generators and p in depth and h not in depth
+            assert group.mult_table[p, s] == h
+            depth[h] = depth[p] + 1
+        assert sorted(depth) == list(range(group.order))
+        assert tree.depth == max(depth.values())
+
+    def test_cyclic_depth(self):
+        for n in (2, 8, 16):
+            group, _ = grouprep.builtin_group(f"Z{n}")
+            assert grouprep.generator_tree(group).depth == n - 1
