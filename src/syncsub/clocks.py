@@ -154,11 +154,9 @@ def classify_compatibility(h, t: ClockObservable,
         kind = "incompatible"
     else:
         h_in_basis = t.basis.conj().T @ h @ t.basis
-        off_diag = opcore.operator_norm(h_in_basis - np.diag(np.diag(h_in_basis)))
-        if off_diag <= compat_tol * max(1.0, h_norm):
-            kind = "diagonal"
-        else:
-            kind = "block_diagonal"
+        limit = compat_tol * max(1.0, h_norm)
+        off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), limit)
+        kind = "diagonal" if off_diag <= limit else "block_diagonal"
     return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)
 
 
@@ -194,8 +192,9 @@ def clock_from_hamiltonian(h, gap_tol: float) -> ClockObservable:
             cluster += 1
         labels[i] = float(cluster)
     clock = ClockObservable(labels=labels, basis=spec.eigenvectors)
-    res = compatibility_residual(h, clock)
-    bound = 1e-10 * float(np.max(np.abs(spec.eigenvalues))) * cluster   # ||H|| * ||T||
-    if res > max(bound, 1e-14):
+    bound = max(1e-10 * float(np.max(np.abs(spec.eigenvalues))) * cluster,   # ||H|| * ||T||
+                1e-14)
+    res = opcore.screened_norm(opcore.commutator(h, clock.matrix()), bound)
+    if res > bound:
         raise NumericalError(f"constructed clock fails to commute: residual {res:.3e}")
     return clock

@@ -348,12 +348,14 @@ def make_representation(group: FiniteGroup, matrices) -> Representation:
     if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"expected {group.order} square matrices, got shape {mats.shape}")
     dim = mats.shape[1]
-    ident_res = opcore.operator_norm(mats[group.identity_index] - np.eye(dim))
+    eye = np.eye(dim)
+    ident_res = opcore.screened_norm(mats[group.identity_index] - eye, 1e-12 * dim)
     if ident_res > 1e-12 * dim:
         raise ValueError(f"identity element must map to I (residual {ident_res:.3e})")
+    limit = opcore.UNITARY_TOL * dim
     for i in range(group.order):
-        res = opcore.unitarity_residual(mats[i])
-        if res > opcore.UNITARY_TOL * dim:
+        res = opcore.screened_norm(mats[i].conj().T @ mats[i] - eye, limit)
+        if res > limit:
             raise ValueError(
                 f"matrix for element {group.elements[i]!r} is not unitary (residual {res:.3e})")
     return Representation(group=group, matrices=mats)
@@ -561,7 +563,7 @@ def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicD
     for irrep, (_, m) in zip(chars, mults):
         weights = _element_characters(group, irrep).conj() * (irrep.dim / group.order)
         p = np.einsum("g,gij->ij", weights, rho.matrices)
-        idem = opcore.operator_norm(p @ p - p)
+        idem = opcore.screened_norm(p @ p - p, _IDEMPOTENT_TOL)
         if idem > _IDEMPOTENT_TOL:
             raise NumericalError(
                 f"isotypic projector for {irrep.name!r} fails idempotence ({idem:.3e}); "
@@ -617,7 +619,7 @@ def diagonal_isotypic_subspace(rho_a: Representation, rho_b: Representation,
         eye = np.eye(ambient)
         joint = tensor_representation(rho_a, rho_b)
         for g in range(joint.group.order):
-            leak = opcore.operator_norm((eye - pi) @ joint[g] @ pi)
+            leak = opcore.screened_norm((eye - pi) @ joint[g] @ pi, 1e-10)
             if leak > 1e-10:
                 raise NumericalError(
                     f"diagonal isotypic subspace is not invariant under "
@@ -745,7 +747,7 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
     for ci, cls in enumerate(group.conjugacy_classes):
         per_element[list(cls)] = values[ci]
     t = np.einsum("g,gij->ij", per_element.astype(np.complex128), rho.matrices)
-    herm = opcore.hermiticity_residual(t)
+    herm = opcore.screened_norm(t - t.conj().T, 1e-10)
     if herm > 1e-10:
         raise NumericalError(f"class-function observable is not Hermitian ({herm:.3e})")
     # The generator bound settles the usual case; the message keeps the full max.

@@ -45,6 +45,18 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def screened_norm(r, limit: float) -> float:
+    """Spectral norm of ``r`` as far as the check ``||R|| <= limit`` needs it.
+
+    Returns ||R||_F when that is at most ``limit``, which settles the check
+    because ||R|| <= ||R||_F, and the exact ||R|| otherwise, so a failing
+    check reports the spectral norm. For residuals that are only compared
+    with a tolerance; a reported value takes operator_norm.
+    """
+    fro = float(np.linalg.norm(r))
+    return fro if fro <= limit else operator_norm(r)
+
+
 def hermiticity_residual(m) -> float:
     m = np.asarray(m, dtype=np.complex128)
     return operator_norm(m - m.conj().T)
@@ -53,11 +65,13 @@ def hermiticity_residual(m) -> float:
 def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex matrix, raising if it is not Hermitian.
 
-    The test is ||M - M^dag|| <= HERM_TOL * max(1, ||M||).
+    The test is ||M - M^dag|| <= HERM_TOL * max(1, ||M||). The residual is
+    screened against HERM_TOL, the smallest that limit can be, so ||M|| is
+    taken only when the exact residual exceeds HERM_TOL.
     """
     m = as_complex_matrix(m)
-    res = hermiticity_residual(m)
-    if res > HERM_TOL * max(1.0, operator_norm(m)):
+    res = screened_norm(m - m.conj().T, HERM_TOL)
+    if res > HERM_TOL and res > HERM_TOL * max(1.0, operator_norm(m)):
         raise ValueError(f"matrix is not Hermitian: residual {res:.3e} exceeds tolerance")
     return m
 
@@ -70,8 +84,9 @@ def unitarity_residual(u) -> float:
 def require_unitary(u) -> np.ndarray:
     """Return ``u`` as a complex matrix, raising unless ||U^dag U - I|| <= UNITARY_TOL * dim."""
     u = as_complex_matrix(u)
-    res = unitarity_residual(u)
-    if res > UNITARY_TOL * u.shape[0]:
+    limit = UNITARY_TOL * u.shape[0]
+    res = screened_norm(u.conj().T @ u - np.eye(u.shape[0]), limit)
+    if res > limit:
         raise ValueError(f"matrix is not unitary: residual {res:.3e} exceeds tolerance")
     return u
 
@@ -131,12 +146,14 @@ def spectrum(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a complex matrix that has passed require_hermitian.
 
     The reconstruction error is checked against RECON_TOL * max(1, max|lambda|),
-    where max|lambda| is ||M|| read off the computed spectrum.
+    where max|lambda| is ||M|| read off the computed spectrum; its Frobenius
+    norm settles a pass, and the SVD runs only above that limit.
     """
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     v = _fix_phases(v)
-    err = operator_norm((v * w) @ v.conj().T - m)
-    if err > RECON_TOL * max(1.0, float(np.max(np.abs(w)))):
+    limit = RECON_TOL * max(1.0, float(np.max(np.abs(w))))
+    err = screened_norm((v * w) @ v.conj().T - m, limit)
+    if err > limit:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
@@ -154,8 +171,9 @@ def evolve(h, t: float) -> np.ndarray:
     spec = hermitian_eig(h)
     phases = np.exp(-1j * spec.eigenvalues * float(t))
     u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
-    res = unitarity_residual(u)
-    if res > UNITARY_TOL * u.shape[0]:
+    limit = UNITARY_TOL * u.shape[0]
+    res = screened_norm(u.conj().T @ u - np.eye(u.shape[0]), limit)
+    if res > limit:
         raise NumericalError(f"evolution lost unitarity: residual {res:.3e}")
     return u
 
@@ -178,7 +196,7 @@ class Subspace:
             raise ValueError(f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}")
         k = b.shape[1]
         if k:
-            res = operator_norm(b.conj().T @ b - np.eye(k))
+            res = screened_norm(b.conj().T @ b - np.eye(k), ORTHO_TOL)
             if res > ORTHO_TOL:
                 raise ValueError(f"basis columns not orthonormal: residual {res:.3e}")
         object.__setattr__(self, "basis", b)
@@ -198,16 +216,16 @@ def kernel_cutoff(sigma_max: float, tol: float) -> float:
 def null_space(a, tol: float = KERNEL_TOL) -> Subspace:
     """Kernel of a 2-d array via SVD.
 
-    Keeps right-singular vectors with singular value <= tol * sigma_max; when
-    the matrix is numerically zero the absolute floor applies and the full
-    space is returned.
+    Keeps right-singular vectors with singular value <= tol * sigma_max, and
+    counts every singular value at or below KERNEL_ABS_FLOOR as zero, so a
+    matrix that is zero up to roundoff has the full space as its kernel.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
     n = a.shape[1]
     _, s, vh = np.linalg.svd(a)
-    cutoff = kernel_cutoff(float(s[0]) if s.size else 0.0, tol)
+    cutoff = max(kernel_cutoff(float(s[0]) if s.size else 0.0, tol), KERNEL_ABS_FLOOR)
     rank = int(np.count_nonzero(s > cutoff))
     basis = _fix_phases(vh[rank:].conj().T)
     return Subspace(ambient_dim=n, basis=basis, tol_used=cutoff)

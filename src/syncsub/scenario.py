@@ -282,14 +282,20 @@ class Report:
 
 def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
                          seed_override: int | None, fallback_seed: int | None):
-    """Concrete Hermitian matrix on the product space, plus the seed used."""
+    """Concrete matrix on the product space, plus the seed used.
+
+    A top-level matrix literal comes back unchecked, because each caller
+    checks the result once (make_system, classify_compatibility, or the group
+    branch). Local terms and a perturbation's matrix base and direction are
+    checked here.
+    """
     dim = dim_a * dim_b
     if spec.matrix is not None:
         h = spec.matrix
         if h.shape[0] != dim:
             raise ScenarioError("hamiltonian", f"dimension {h.shape[0]} does not match "
                                                f"{dim_a}x{dim_b} product space")
-        return opcore.require_hermitian(h), None
+        return h, None
     if spec.local is not None:
         h_a, h_b = spec.local
         if h_a.shape[0] != dim_a or h_b.shape[0] != dim_b:
@@ -299,6 +305,8 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
         return h, None
     pert = spec.perturbation
     base, _ = _resolve_hamiltonian(pert.base, dim_a, dim_b, seed_override, fallback_seed)
+    if pert.base.matrix is not None:
+        base = opcore.require_hermitian(base)
     if pert.direction is not None:
         direction = opcore.require_hermitian(pert.direction)
         if direction.shape[0] != dim:
@@ -459,6 +467,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
             if s.hamiltonian is not None:
                 h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
                                             seed_override, s.seed)
+                h = opcore.require_hermitian(h)   # hsync_membership does not check it
                 verdict = grouprep.hsync_membership(h, s.rep_a, s.rep_b, k,
                                                     equivar_tol=tol["equivar_tol"],
                                                     compat_tol=tol["compat_tol"])

@@ -104,8 +104,9 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
     k = sync_operator(system.clock_a, system.clock_b)
     if kernel.dim:
-        res = opcore.operator_norm(k @ kernel.basis)
-        if res > 10.0 * kernel_tol * max(1.0, k_norm):
+        limit = 10.0 * kernel_tol * max(1.0, k_norm)
+        res = opcore.screened_norm(k @ kernel.basis, limit)
+        if res > limit:
             raise NumericalError(f"kernel basis residual {res:.3e} exceeds tolerance")
     epsilon = opcore.operator_norm(opcore.commutator(system.hamiltonian, k))
     return SyncOperatorBundle(

@@ -408,9 +408,10 @@ class TestGolden:
 
 
 def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
-    """A drift scenario checks its n x n Hamiltonian once and takes five n x n
-    spectral norms: the random direction's scale, make_system's Hermiticity
-    residual and ||H||, epsilon, and the eigendecomposition's reconstruction."""
+    """A drift scenario checks its n x n Hamiltonian once and takes two n x n
+    spectral norms, the random direction's scale and epsilon: make_system's
+    Hermiticity residual and the eigendecomposition's reconstruction pass on
+    their Frobenius norms, and ||H|| is never needed."""
     s = scenario.parse_scenario(write_scenario(tmp_path, drift_payload(
         clock_a={"labels": [1, -1, 0]},
         hamiltonian={"base": {"local": {"a": {"diag": [0.5, -0.5, 0.1]},
@@ -425,7 +426,51 @@ def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
         monkeypatch.setattr(opcore, name, counted)
     assert scenario.run_scenario(s).passed
     assert shapes["require_hermitian"].count((n, n)) == 1
-    assert shapes["operator_norm"].count((n, n)) == 5
+    assert shapes["operator_norm"].count((n, n)) == 2
+
+
+def literal_payload(kind, hamiltonian):
+    """A scenario of ``kind`` whose Hamiltonian is a top-level 4 x 4 matrix literal."""
+    if kind == "compat":
+        return {"name": "literal", "kind": kind, "clock": {"labels": [0, 1, 2, 3]},
+                "hamiltonians": [{"name": "H", **hamiltonian}]}
+    if kind == "group":
+        return {"name": "literal", "kind": kind, "group": "Z2",
+                "rep": {"generators": {"g1": {"diag": [1, -1]}}},
+                "class_function_a": [0.4, 0.9], "hamiltonian": hamiltonian}
+    payload = {"name": "literal", "kind": kind, "clock_a": {"labels": [1, -1]},
+               "clock_b": {"labels": [1, -1]}, "hamiltonian": hamiltonian}
+    if kind == "drift":
+        payload["times"] = [0.0, 1.0]
+    return payload
+
+
+@pytest.mark.parametrize("kind", ["compat", "drift", "kernel", "group"])
+def test_matrix_literal_hamiltonian_checked_once(tmp_path, monkeypatch, capsys, kind):
+    """A Hermitian literal goes through require_hermitian once; a non-Hermitian
+    one exits 2 with the exact spectral norm of M - M^dag in the message."""
+    s = scenario.parse_scenario(write_scenario(
+        tmp_path, literal_payload(kind, {"diag": [0.1, 0.2, 0.3, 0.4]})))
+    literal = (s.hamiltonians[0][1] if kind == "compat" else s.hamiltonian).matrix
+    checked = []
+
+    def counted(m, _fn=opcore.require_hermitian):
+        checked.append(m is literal)
+        return _fn(m)
+
+    monkeypatch.setattr(opcore, "require_hermitian", counted)
+    assert scenario.run_scenario(s).passed
+    assert checked.count(True) == 1
+
+    entries = [[0.0, 0.0]] * 16
+    entries[0] = entries[5] = [0.5, 0.0]
+    entries[3] = [1e-9, 0.0]          # M - M^dag has singular values 1e-9, 1e-9
+    path = write_scenario(tmp_path, literal_payload(kind, {"dim": 4, "entries": entries}),
+                          name="non_hermitian.json")
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "syncsub: validation error: matrix is not Hermitian: residual 1.000e-09 "
+        "exceeds tolerance\n")
 
 
 def z8_regular_payload(member):
@@ -467,6 +512,28 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
     assert membership["member"] is member
     assert shapes.count((64, 64)) <= 2
     assert (membership["generators"], membership["word_length"]) == (["g1"], 7)
+
+
+def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypatch):
+    """A passing Z8 regular scenario settles the identity, unitarity and
+    idempotence checks of make_representation and isotypic_projectors on their
+    Frobenius norms: no operator_norm call runs inside either."""
+    callers = []
+
+    def counted(m, _fn=opcore.operator_norm):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return _fn(m)
+
+    monkeypatch.setattr(opcore, "operator_norm", counted)
+    s = scenario.parse_scenario(write_scenario(tmp_path, z8_regular_payload(True)))
+    assert scenario.run_scenario(s).passed
+    assert callers     # the reported residuals stay exact spectral norms
+    assert not [names for names in callers
+                if names & {"make_representation", "isotypic_projectors"}]
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):

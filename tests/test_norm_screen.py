@@ -1,0 +1,259 @@
+"""The Frobenius screen of opcore.screened_norm against the exact rule it replaced.
+
+Every pass/fail check routed through the screen must give the verdict and the
+error text that the plain spectral norm gives. The exact rule is the screen
+with its shortcut removed: opcore.screened_norm replaced by operator_norm.
+The two can only disagree for a numerically rank-1 residual whose norm lies
+within roundoff of the limit (there ||R||_F and the computed ||R||_2 round
+differently), so the probes below build residuals with exactly known norms:
+diagonal, where both norms are exact.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from syncsub import clocks, grouprep, opcore, sync
+from syncsub.opcore import NumericalError
+
+RATIOS = st.floats(min_value=0.05, max_value=20.0)
+RANKS = st.sampled_from(["one", "full"])
+DIMS = st.integers(min_value=2, max_value=6)
+SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+
+
+def diagonal_residual(n, c, rank):
+    """Diagonal entries of a residual with spectral norm exactly c: one entry
+    (rank 1, ||R||_F = ||R||_2) or n entries of modulus c (||R||_F = sqrt(n) c)."""
+    values = SIGNS[:n] * c
+    if rank == "one":
+        values[1:] = 0.0
+    return values
+
+
+@contextlib.contextmanager
+def patched(owner, name, value):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def outcome(run):
+    try:
+        return "ok", run()
+    except (ValueError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_as_exact_rule(run):
+    """Verdict and error text of ``run`` with the screen and with the exact rule."""
+    screened = outcome(run)
+    with patched(opcore, "screened_norm", lambda r, limit: opcore.operator_norm(r)):
+        exact = outcome(run)
+    assert screened == exact
+    return screened
+
+
+# ---------------------------------------------------------------------------
+# the helper itself
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=DIMS, rank=RANKS, ratio=RATIOS, seed=st.integers(0, 2**32 - 1))
+@example(n=4, rank="one", ratio=1.0, seed=0)       # rank 1 at the limit
+@example(n=4, rank="full", ratio=0.9, seed=0)      # ||R|| <= limit < ||R||_F
+@example(n=4, rank="full", ratio=10.0, seed=0)     # clear failure
+def test_screened_norm_decides_like_the_spectral_norm(n, rank, ratio, seed):
+    limit = 1e-10
+    values = diagonal_residual(n, ratio * limit, rank)
+    r = np.diag(values.astype(np.complex128))
+    exact = opcore.operator_norm(r)
+    got = opcore.screened_norm(r, limit)
+    assert (got > limit) == (exact > limit)
+    if got > limit or np.linalg.norm(r) > limit:
+        assert got == exact                    # failures and fallbacks report ||R||_2
+    # the same residual in a random basis, away from the limit by more than roundoff
+    if abs(ratio - 1.0) > 1e-9:
+        u = random_unitary(np.random.default_rng(seed), n)
+        rotated = u @ r @ u.conj().T
+        got = opcore.screened_norm(rotated, limit)
+        assert (got > limit) == (ratio > 1.0)
+        if got > limit:
+            assert got == opcore.operator_norm(rotated)
+
+
+def test_screened_norm_takes_no_svd_below_the_limit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(opcore, "operator_norm", lambda a: calls.append(a) or 0.0)
+    assert opcore.screened_norm(np.diag([1e-13, -1e-13]), 1e-12) == pytest.approx(np.sqrt(2) * 1e-13)
+    assert calls == []
+    opcore.screened_norm(np.diag([1e-12, -1e-12]), 1e-12)   # ||R||_F above the limit
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# every screened site, against the exact rule
+
+def probe_require_hermitian(n, c_ratio, rank):
+    def run():
+        for scale in (0.5, 4.0):       # the limit is HERM_TOL * max(1, ||M||)
+            b = np.diag(np.linspace(-scale, scale, n))
+            limit = opcore.HERM_TOL * max(1.0, scale)
+            s = diagonal_residual(n, c_ratio * limit, rank)
+            opcore.require_hermitian(b + 0.5j * np.diag(s))     # M - M^dag = i diag(s)
+        return True
+    return run
+
+
+def probe_spectrum(n, c_ratio, rank):
+    # spectrum decomposes (M + M^dag)/2, so an anti-Hermitian part of M is
+    # exactly its reconstruction error
+    b = np.diag(np.linspace(-0.5, 0.5, n))
+    s = diagonal_residual(n, c_ratio * opcore.RECON_TOL, rank)
+    return lambda: opcore.spectrum(b + 1j * np.diag(s)).dim
+
+
+def probe_require_unitary(n, c_ratio, rank):
+    e = diagonal_residual(n, c_ratio * opcore.UNITARY_TOL * n, rank)
+    return lambda: opcore.require_unitary(np.diag(np.sqrt(1.0 + e))).shape
+
+
+def probe_evolve(n, c_ratio, rank):
+    # eigenvectors scaled by d give U^dag U - I = diag(|d|^4 - 1)
+    e = diagonal_residual(n, c_ratio * opcore.UNITARY_TOL * n, rank)
+    spec = opcore.Spectrum(eigenvalues=np.linspace(-1.0, 1.0, n),
+                           eigenvectors=np.diag((1.0 + e) ** 0.25).astype(np.complex128))
+
+    def run():
+        with patched(opcore, "hermitian_eig", lambda h: spec):
+            return opcore.evolve(np.eye(n), 0.7).shape
+    return run
+
+
+def probe_subspace(n, c_ratio, rank):
+    e = diagonal_residual(n, c_ratio * opcore.ORTHO_TOL, rank)
+    basis = np.diag(np.sqrt(1.0 + e))
+    return lambda: opcore.Subspace(ambient_dim=n, basis=basis, tol_used=0.0).dim
+
+
+def probe_sync_kernel_residual(n, c_ratio, rank):
+    # labels 0 (n times) and 3 against delta (1 or n times): every matched
+    # column of K B is delta times a standard basis vector. The cutoff is
+    # widened to delta so that the check can also fail.
+    limit = 10.0 * opcore.KERNEL_TOL * 3.0
+    delta = c_ratio * limit
+    ta = clocks.make_clock([0.0] * n + [3.0])
+    tb = clocks.make_clock([delta] * (1 if rank == "one" else n))
+    system = sync.make_system(ta, tb, np.zeros((ta.dim * tb.dim,) * 2))
+
+    def run():
+        with patched(opcore, "kernel_cutoff", lambda sigma_max, tol: delta):
+            return sync.sync_bundle(system).kernel.dim
+    return run
+
+
+def probe_make_representation_identity(n, c_ratio, rank):
+    # rho(e) = I + i diag(e) is unitary to O(e^2), far inside its own check
+    group, _ = grouprep.builtin_group("Z2")
+    e = diagonal_residual(n, c_ratio * 1e-12 * n, rank)
+    mats = np.stack([np.eye(n) + 1j * np.diag(e), np.eye(n)])
+    return lambda: grouprep.make_representation(group, mats).dim
+
+
+def probe_make_representation_unitarity(n, c_ratio, rank):
+    group, _ = grouprep.builtin_group("Z2")
+    e = diagonal_residual(n, c_ratio * opcore.UNITARY_TOL * n, rank)
+    mats = np.stack([np.eye(n), -np.diag(np.sqrt(1.0 + e))]).astype(np.complex128)
+    return lambda: grouprep.make_representation(group, mats).dim
+
+
+def probe_isotypic_idempotence(n, c_ratio, rank):
+    # rho(g1) = -I + diag(delta): the trivial projector is diag(delta / 2), so
+    # P^2 - P = diag(delta^2 / 4 - delta / 2); the alternating signs of delta
+    # keep the multiplicities integral
+    group, chars = grouprep.builtin_group("Z2")
+    delta = diagonal_residual(n, 2.0 * c_ratio * grouprep._IDEMPOTENT_TOL, rank)
+    rho = grouprep.Representation(group, np.stack([np.eye(n), -np.eye(n) + np.diag(delta)])
+                                  .astype(np.complex128))
+    return lambda: len(grouprep.isotypic_projectors(rho, chars).components)
+
+
+def probe_diagonal_isotypic_leakage(n, c_ratio, rank):
+    # rho(g2) of the Z3 regular representation moved off rho(g1)^2 by diag(c),
+    # which leaks the diagonal subspace out of itself: the leakage of J(g2) is
+    # 1.6 c (||R||_F 1.9 c) for c on the full diagonal, half that for rank one
+    group, chars = grouprep.builtin_group("Z3")
+    mats = grouprep.regular_representation(group).matrices.copy()
+    mats[2] = mats[2] + np.diag(diagonal_residual(3, c_ratio * 1e-10 / 1.6, rank))
+    rho = grouprep.Representation(group, mats)
+    return lambda: grouprep.diagonal_isotypic_subspace(rho, rho, chars).dim
+
+
+def probe_class_function_hermiticity(n, c_ratio, rank):
+    # T = 0.3 I + 0.5 rho(g1) with rho(g1) = diag(+-1) + 2i diag(s): T - T^dag = 2i diag(s)
+    group, _ = grouprep.builtin_group("Z2")
+    s = diagonal_residual(n, 0.5 * c_ratio * 1e-10, rank)
+    g1 = np.diag(SIGNS[:n] + 2j * s)
+    rho = grouprep.Representation(group, np.stack([np.eye(n), g1]).astype(np.complex128))
+    return lambda: grouprep.observable_from_class_function([0.3, 0.5], rho).shape
+
+
+def probe_classify_off_diagonal(n, c_ratio, rank):
+    # labels in pairs, H couples the members of one pair (rank two, equal
+    # singular values) or of every pair by c; [H, T] = 0 either way
+    pairs = max(1, n // 2)
+    labels = np.repeat(np.arange(pairs, dtype=float), 2)
+    h = np.diag(np.linspace(-0.5, 0.5, 2 * pairs))
+    c = c_ratio * clocks.COMPAT_TOL
+    for p in range(1 if rank == "one" else pairs):
+        h[2 * p, 2 * p + 1] = h[2 * p + 1, 2 * p] = c
+    return lambda: clocks.classify_compatibility(h, clocks.make_clock(labels)).kind
+
+
+def probe_clock_from_hamiltonian(n, c_ratio, rank):
+    # eigenvectors I + delta E_01 make [H, T] for H = diag(w) two entries of
+    # modulus delta, whatever the rank asked for
+    w = np.arange(n, dtype=float)
+    v = np.eye(n, dtype=np.complex128)
+    v[0, 1] = c_ratio * 1e-10 * (n - 1) ** 2     # the limit is 1e-10 ||H|| ||T||
+    spec = opcore.Spectrum(eigenvalues=w, eigenvectors=v)
+
+    def run():
+        with patched(opcore, "hermitian_eig", lambda h: spec):
+            return clocks.clock_from_hamiltonian(np.diag(w), gap_tol=0.5).dim
+    return run
+
+
+PROBES = [probe_require_hermitian, probe_spectrum, probe_require_unitary, probe_evolve,
+          probe_subspace, probe_sync_kernel_residual, probe_make_representation_identity,
+          probe_make_representation_unitarity, probe_isotypic_idempotence,
+          probe_diagonal_isotypic_leakage, probe_class_function_hermiticity,
+          probe_classify_off_diagonal, probe_clock_from_hamiltonian]
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=lambda p: p.__name__[len("probe_"):])
+@settings(max_examples=40, deadline=None)
+@given(n=DIMS, rank=RANKS, ratio=RATIOS)
+@example(n=4, rank="one", ratio=1.0)
+@example(n=4, rank="full", ratio=0.9)
+@example(n=4, rank="full", ratio=10.0)
+def test_site_matches_exact_rule(probe, n, rank, ratio):
+    assert_same_as_exact_rule(probe(n, ratio, rank))
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=lambda p: p.__name__[len("probe_"):])
+def test_site_passes_in_the_gap_and_fails_clearly(probe):
+    """The fallback passes ||R|| <= limit < ||R||_F; a clear failure still raises."""
+    passed = assert_same_as_exact_rule(probe(4, 0.9, "full"))
+    assert passed[0] == "ok"
+    assert assert_same_as_exact_rule(probe(4, 50.0, "full")) != passed

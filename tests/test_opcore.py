@@ -323,6 +323,13 @@ class TestNullSpace:
         assert sub.tol_used == pytest.approx(1e-10, rel=1e-12)
         assert sub.dim == 1
 
+    def test_roundoff_sized_matrix_gives_full_space(self):
+        # sigma_max = 2e-16 is above the zero-matrix test, so the relative
+        # cutoff alone would keep it as rank; the absolute floor drops it
+        sub = opcore.null_space(np.full((2, 2), 1e-16))
+        assert sub.dim == 2
+        assert sub.tol_used == opcore.KERNEL_ABS_FLOOR
+
 
 class TestProjector:
     def test_full_space(self):

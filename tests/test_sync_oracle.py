@@ -14,13 +14,9 @@ TOL = 1e-10   # every compared quantity agrees with the oracle to this, absolute
 def dense_projector(system, kernel_tol=opcore.KERNEL_TOL):
     """Kernel projector of K from the SVD rank rule of opcore.null_space.
 
-    When every label agrees K is exactly zero, but its dense form in a rotated
-    basis keeps roundoff that the relative SVD cutoff counts as rank; the
-    exact kernel there is the whole space.
+    When every label agrees K is exactly zero, and its dense form in a rotated
+    basis keeps only roundoff, which null_space's absolute floor counts as zero.
     """
-    labels = np.concatenate([system.clock_a.labels, system.clock_b.labels])
-    if np.ptp(labels) == 0.0:
-        return np.eye(system.dim)
     k = sync.sync_operator(system.clock_a, system.clock_b)
     return opcore.projector(opcore.null_space(k, tol=kernel_tol))
 
