@@ -143,20 +143,23 @@ def classify_compatibility(h, t: ClockObservable,
                            compat_tol: float = COMPAT_TOL) -> CompatibilityVerdict:
     h = opcore.require_hermitian(h)
     residual = compatibility_residual(h, t)
-    h_norm = opcore.operator_norm(h)
 
     blocks = block_structure(t)
     h_block = sum(b.projector @ h @ b.projector for b in blocks.blocks)
     off_block_mass = opcore.operator_norm(h - h_block)
 
+    # Both limits are compat_tol * max(1, .) >= compat_tol, so ||H|| is taken
+    # only for a value above compat_tol, as in opcore.require_hermitian.
     t_norm = float(np.max(np.abs(t.labels)))   # ||T||, read off its spectrum
-    if residual > compat_tol * max(1.0, h_norm * t_norm):
+    if residual > compat_tol and residual > compat_tol * max(
+            1.0, opcore.operator_norm(h) * t_norm):
         kind = "incompatible"
     else:
         h_in_basis = t.basis.conj().T @ h @ t.basis
-        limit = compat_tol * max(1.0, h_norm)
-        off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), limit)
-        kind = "diagonal" if off_diag <= limit else "block_diagonal"
+        off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), compat_tol)
+        diagonal = off_diag <= compat_tol or off_diag <= compat_tol * max(
+            1.0, opcore.operator_norm(h))
+        kind = "diagonal" if diagonal else "block_diagonal"
     return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)
 
 

@@ -769,7 +769,7 @@ class HsyncVerdict:
     settled the verdict.
     """
 
-    generators: tuple
+    generators: list
     word_length: int
     generator_residual: float
     equivariance_bound: float
@@ -804,7 +804,7 @@ def hsync_membership(h, rho_a: Representation, rho_b: Representation, k,
         kern_res <= compat_tol
         or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k)))
     return HsyncVerdict(
-        generators=tuple(group.elements[g] for g in tree.generators),
+        generators=[group.elements[g] for g in tree.generators],
         word_length=tree.depth,
         generator_residual=r_s,
         equivariance_bound=bound,
@@ -833,7 +833,7 @@ class ContainmentReport:
     refers to the matched part only.
     """
 
-    entries: tuple
+    entries: list
     contained: bool
     all_matched: bool
     passed: bool
@@ -866,7 +866,7 @@ def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, k,
             max_kernel_norm=float(np.max(norms)), max_deviation=deviation, ok=ok))
     contained = all(e.ok for e in entries if e.matched)
     return ContainmentReport(
-        entries=tuple(entries),
+        entries=entries,
         contained=contained,
         all_matched=all(e.matched for e in entries),
         passed=all(e.ok for e in entries),

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -322,31 +322,11 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
     return base + pert.strength * direction, seed_used
 
 
-def _verdict_payload(name: str, verdict: clocks.CompatibilityVerdict) -> dict:
-    return {
-        "name": name,
-        "class": verdict.kind,
-        "residual": verdict.residual,
-        "off_block_mass": verdict.off_block_mass,
-    }
-
-
 def _subspace_payload(sub: opcore.Subspace) -> dict:
     vectors = [[[float(v.real), float(v.imag)] for v in sub.basis[:, j]]
                for j in range(sub.dim)]
     return {"ambient_dim": sub.ambient_dim, "dim": sub.dim,
             "tol_used": sub.tol_used, "vectors": vectors}
-
-
-def _validation_payload(v: grouprep.RepresentationValidation) -> dict:
-    return {
-        "max_homomorphism_residual": v.max_homomorphism_residual,
-        "max_unitarity_residual": v.max_unitarity_residual,
-        "identity_residual": v.identity_residual,
-        "pairs_checked": v.pairs_checked,
-        "exhaustive": v.exhaustive,
-        "passed": v.passed,
-    }
 
 
 def _schur_payload(report: grouprep.SchurReport) -> dict:
@@ -360,130 +340,124 @@ def _schur_payload(report: grouprep.SchurReport) -> dict:
     return {"equivariance_residual": report.equivariance_residual, "entries": entries}
 
 
+def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
+    verdicts = []
+    for h_name, spec in s.hamiltonians:
+        h, _ = _resolve_hamiltonian(spec, s.clock.dim, 1, seed_override, s.seed)
+        verdict = clocks.classify_compatibility(h, s.clock, compat_tol=tol["compat_tol"])
+        verdicts.append({"name": h_name, "class": verdict.kind, "residual": verdict.residual,
+                         "off_block_mass": verdict.off_block_mass})
+    return {"clock_labels": [float(x) for x in s.clock.labels], "verdicts": verdicts}, True
+
+
+def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
+    """Kernel and series kinds: one system and bundle, then the kernel or the trace."""
+    dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
+    h, pert_seed = np.zeros((dim_a * dim_b,) * 2), None
+    if s.hamiltonian is not None:
+        h, pert_seed = _resolve_hamiltonian(s.hamiltonian, dim_a, dim_b, seed_override, s.seed)
+    system = sync.make_system(s.clock_a, s.clock_b, h)
+    bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
+    if s.kind == "kernel":
+        fields = {"kernel": _subspace_payload(bundle.kernel),
+                  "projector": matrix_to_literal(bundle.projector)}
+        if s.hamiltonian is not None:
+            fields["epsilon"] = bundle.epsilon
+        return fields, True
+
+    if "vector" in s.initial_state:
+        psi0 = s.initial_state["vector"]
+        if psi0.shape[0] != system.dim:
+            raise ScenarioError("initial_state.vector",
+                                f"dimension {psi0.shape[0]} does not match {system.dim}")
+        state_seed = None
+    else:
+        state_seed = s.initial_state["kernel_seed"] if seed_override is None else seed_override
+        psi0 = sync.sample_kernel_state(bundle, state_seed)
+    report = sync.drift_trace(system, psi0, s.times, bundle=bundle,
+                              bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
+    fields = {
+        "seeds": {"perturbation": pert_seed, "initial_state": state_seed},
+        "epsilon": report.epsilon,
+        "kernel_dim": bundle.kernel.dim,
+        "times": report.times.tolist(),
+        "drift": report.drift.tolist(),
+        "fidelity": report.fidelity.tolist(),
+        "bound_drift": report.drift_bound().tolist(),
+        "bound_fidelity": report.fidelity_bound().tolist(),
+        "drift_bound_ok": report.drift_bound_ok,
+        "fidelity_bound_ok": report.fidelity_bound_ok,
+        "max_bound_slack": report.max_bound_slack,
+    }
+    return fields, report.drift_bound_ok and report.fidelity_bound_ok
+
+
+def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
+    """Validation, multiplicities, Schur scalars, containment and membership.
+
+    A scenario with one ``rep`` has ``rep_b is rep_a``; that representation is
+    validated, counted and decomposed once and side B reuses the results.
+    """
+    def per_side(fn, *args):
+        a = fn(s.rep_a, *args)
+        return a, (a if s.rep_b is s.rep_a else fn(s.rep_b, *args))
+
+    fields = {"group": {"name": s.group.name, "order": s.group.order,
+                        "elements": list(s.group.elements)}}
+    val_a, val_b = per_side(grouprep.validate_representation)
+    fields["validation"] = {"rep_a": asdict(val_a), "rep_b": asdict(val_b)}
+    mult_a, mult_b = per_side(grouprep.multiplicities, s.characters)
+    fields["multiplicities"] = {"rep_a": [[n, m] for n, m in mult_a],
+                                "rep_b": [[n, m] for n, m in mult_b]}
+    passed = val_a.passed and val_b.passed
+    if s.class_function_a is None:
+        return fields, passed
+
+    t_a = grouprep.observable_from_class_function(s.class_function_a, s.rep_a)
+    t_b = grouprep.observable_from_class_function(s.class_function_b, s.rep_b)
+    dec_a, dec_b = per_side(grouprep.isotypic_projectors, s.characters)
+    schur_a = grouprep.schur_scalars(t_a, s.rep_a, dec_a, equivar_tol=tol["equivar_tol"])
+    schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
+    fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
+    schur_ok = not any(e.residual is not None and e.residual > tol["schur_tol"]
+                       for e in schur_a.entries + schur_b.entries)
+    k = opcore.kron_difference(t_a, t_b)
+    containment = grouprep.verify_kernel_containment(
+        schur_a, schur_b, k, match_tol=tol["match_tol"])
+    fields["containment"] = asdict(containment)
+    passed = passed and schur_ok and containment.passed
+    if s.hamiltonian is not None:
+        h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
+                                    seed_override, s.seed)
+        h = opcore.require_hermitian(h)   # hsync_membership does not check it
+        fields["membership"] = asdict(grouprep.hsync_membership(
+            h, s.rep_a, s.rep_b, k,
+            equivar_tol=tol["equivar_tol"], compat_tol=tol["compat_tol"]))
+    return fields, passed
+
+
+_RUNNERS = {"compat": _run_compat, "kernel": _run_sync, "drift": _run_sync,
+            "fidelity": _run_sync, "group": _run_group}
+
+
 def run_scenario(s: Scenario, seed_override: int | None = None,
                  tol_overrides: dict | None = None) -> Report:
-    """Dispatch a parsed scenario and assemble its deterministic report."""
+    """Run a parsed scenario through its kind's runner and assemble the report."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(s.tolerances)
     tol.update(_parse_tolerances(tol_overrides or {}, "tol"))
-
-    payload: dict = {
+    fields, passed = _RUNNERS[s.kind](s, tol, seed_override)
+    payload = {
         "scenario": s.name,
         "kind": s.kind,
         "library_version": __version__,
         "input_digest": s.digest,
         "generator": GENERATOR_NAME,
         "tolerances": tol,
+        **fields,
+        "seed_override": seed_override,
+        "passed": passed,
     }
-    if s.kind in ("kernel",) + SERIES_KINDS:
-        dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
-        h, pert_seed = np.zeros((dim_a * dim_b,) * 2), None
-        if s.hamiltonian is not None:
-            h, pert_seed = _resolve_hamiltonian(s.hamiltonian, dim_a, dim_b, seed_override, s.seed)
-        system = sync.make_system(s.clock_a, s.clock_b, h)
-        bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
-
-    if s.kind == "compat":
-        verdicts = []
-        for h_name, spec in s.hamiltonians:
-            h, _ = _resolve_hamiltonian(spec, s.clock.dim, 1, seed_override, s.seed)
-            verdict = clocks.classify_compatibility(h, s.clock, compat_tol=tol["compat_tol"])
-            verdicts.append(_verdict_payload(h_name, verdict))
-        payload["clock_labels"] = [float(x) for x in s.clock.labels]
-        payload["verdicts"] = verdicts
-        passed = True
-
-    elif s.kind == "kernel":
-        payload["kernel"] = _subspace_payload(bundle.kernel)
-        payload["projector"] = matrix_to_literal(bundle.projector)
-        if s.hamiltonian is not None:
-            payload["epsilon"] = bundle.epsilon
-        passed = True
-
-    elif s.kind in SERIES_KINDS:
-        if "vector" in s.initial_state:
-            psi0 = s.initial_state["vector"]
-            if psi0.shape[0] != system.dim:
-                raise ScenarioError("initial_state.vector",
-                                    f"dimension {psi0.shape[0]} does not match {system.dim}")
-            state_seed = None
-        else:
-            state_seed = s.initial_state["kernel_seed"] if seed_override is None else seed_override
-            psi0 = sync.sample_kernel_state(bundle, state_seed)
-        report = sync.drift_trace(system, psi0, s.times, bundle=bundle,
-                                  bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
-        payload["seeds"] = {"perturbation": pert_seed, "initial_state": state_seed}
-        payload["epsilon"] = report.epsilon
-        payload["kernel_dim"] = bundle.kernel.dim
-        payload["times"] = [float(x) for x in report.times]
-        payload["drift"] = [float(x) for x in report.drift]
-        payload["fidelity"] = [float(x) for x in report.fidelity]
-        payload["bound_drift"] = [float(x) for x in report.drift_bound()]
-        payload["bound_fidelity"] = [float(x) for x in report.fidelity_bound()]
-        payload["drift_bound_ok"] = report.drift_bound_ok
-        payload["fidelity_bound_ok"] = report.fidelity_bound_ok
-        payload["max_bound_slack"] = report.max_bound_slack
-        passed = report.drift_bound_ok and report.fidelity_bound_ok
-
-    elif s.kind == "group":
-        payload["group"] = {"name": s.group.name, "order": s.group.order,
-                            "elements": list(s.group.elements)}
-        val_a = grouprep.validate_representation(s.rep_a)
-        val_b = grouprep.validate_representation(s.rep_b)
-        payload["validation"] = {"rep_a": _validation_payload(val_a),
-                                 "rep_b": _validation_payload(val_b)}
-        mult_a = grouprep.multiplicities(s.rep_a, s.characters)
-        mult_b = grouprep.multiplicities(s.rep_b, s.characters)
-        payload["multiplicities"] = {"rep_a": [[n, m] for n, m in mult_a],
-                                     "rep_b": [[n, m] for n, m in mult_b]}
-        passed = val_a.passed and val_b.passed
-        schur_ok = True
-        if s.class_function_a is not None:
-            t_a = grouprep.observable_from_class_function(s.class_function_a, s.rep_a)
-            t_b = grouprep.observable_from_class_function(s.class_function_b, s.rep_b)
-            dec_a = grouprep.isotypic_projectors(s.rep_a, s.characters)
-            dec_b = grouprep.isotypic_projectors(s.rep_b, s.characters)
-            schur_a = grouprep.schur_scalars(t_a, s.rep_a, dec_a, equivar_tol=tol["equivar_tol"])
-            schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
-            payload["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
-            for rep_schur in (schur_a, schur_b):
-                for e in rep_schur.entries:
-                    if e.residual is not None and e.residual > tol["schur_tol"]:
-                        schur_ok = False
-            k = opcore.kron_difference(t_a, t_b)
-            containment = grouprep.verify_kernel_containment(
-                schur_a, schur_b, k, match_tol=tol["match_tol"])
-            payload["containment"] = {
-                "entries": [{
-                    "irrep": e.irrep, "alpha": e.alpha, "beta": e.beta,
-                    "matched": e.matched, "max_kernel_norm": e.max_kernel_norm,
-                    "max_deviation": e.max_deviation, "ok": e.ok,
-                } for e in containment.entries],
-                "contained": containment.contained,
-                "all_matched": containment.all_matched,
-                "passed": containment.passed,
-            }
-            passed = passed and schur_ok and containment.passed
-            if s.hamiltonian is not None:
-                h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
-                                            seed_override, s.seed)
-                h = opcore.require_hermitian(h)   # hsync_membership does not check it
-                verdict = grouprep.hsync_membership(h, s.rep_a, s.rep_b, k,
-                                                    equivar_tol=tol["equivar_tol"],
-                                                    compat_tol=tol["compat_tol"])
-                payload["membership"] = {
-                    "generators": list(verdict.generators),
-                    "word_length": verdict.word_length,
-                    "generator_residual": verdict.generator_residual,
-                    "equivariance_bound": verdict.equivariance_bound,
-                    "kernel_commutation_residual": verdict.kernel_commutation_residual,
-                    "member": verdict.member,
-                }
-    else:  # pragma: no cover - parse_scenario rejects unknown kinds
-        raise ScenarioError("kind", f"unknown kind {s.kind!r}")
-
-    payload["seed_override"] = seed_override
-    payload["passed"] = passed
     return Report(scenario=s.name, kind=s.kind, passed=passed, payload=payload)
 
 

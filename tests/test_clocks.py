@@ -112,6 +112,16 @@ class TestClassifyCompatibility:
         assert v.kind == "block_diagonal"
         assert v.residual <= 1e-12
 
+    @pytest.mark.parametrize("coupling, kind", [(1e-8, "diagonal"), (1e-3, "block_diagonal")])
+    def test_off_diagonal_limit_scales_with_norm(self, coupling, kind):
+        # the coupling stays inside the degenerate block, so [H, T] = 0; its
+        # norm is compared with compat_tol * ||H|| = 1e-4, not with compat_tol
+        h = np.diag([1e6, 0.0, 0.5])
+        h[0, 1] = h[1, 0] = coupling
+        v = clocks.classify_compatibility(h, clocks.make_clock([0, 0, 1]))
+        assert v.kind == kind
+        assert v.residual <= 1e-12 and v.off_block_mass <= 1e-12
+
     def test_commutant_closure(self):
         # functions of T commute with each other and classify as diagonal
         rng = np.random.default_rng(2)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncsub import cli, opcore, scenario
+from syncsub import cli, grouprep, opcore, scenario
 from syncsub.literals import (
     ScenarioError,
     clock_from_literal,
@@ -156,6 +156,18 @@ class TestRunScenario:
         assert report.payload["multiplicities"]["rep_a"] == [["chi0", 1], ["chi1", 1]]
         assert report.payload["containment"]["all_matched"]
 
+    def test_group_scenario_without_class_functions(self, tmp_path):
+        path = write_scenario(tmp_path, {
+            "name": "z2-rep-only",
+            "kind": "group",
+            "group": "Z2",
+            "rep": {"generators": {"g1": {"diag": [1, -1]}}},
+        })
+        report = scenario.run_scenario(scenario.parse_scenario(path))
+        assert report.passed
+        assert report.payload["multiplicities"]["rep_b"] == [["chi0", 1], ["chi1", 1]]
+        assert not {"schur", "containment", "membership"} & report.payload.keys()
+
     def test_group_membership(self, tmp_path):
         path = write_scenario(tmp_path, {
             "name": "z2-membership",
@@ -167,6 +179,25 @@ class TestRunScenario:
         })
         report = scenario.run_scenario(scenario.parse_scenario(path))
         assert report.payload["membership"]["member"]
+
+    def test_explicit_direction_on_matrix_base(self, tmp_path):
+        """base + strength * direction from literals reports like that sum given
+        as one literal, and records no perturbation seed."""
+        base = np.diag([0.9, 0.2, -0.3, -0.8]).astype(np.complex128)
+        direction = np.zeros((4, 4), dtype=np.complex128)
+        direction[0, 3] = direction[3, 0] = 1.0
+        direction[1, 2], direction[2, 1] = 0.5j, -0.5j
+        perturbed = write_scenario(tmp_path, drift_payload(hamiltonian={
+            "base": matrix_to_literal(base), "direction": matrix_to_literal(direction),
+            "strength": 0.05}), name="perturbed.json")
+        summed = write_scenario(tmp_path, drift_payload(
+            hamiltonian=matrix_to_literal(base + 0.05 * direction)), name="summed.json")
+        got = scenario.run_scenario(scenario.parse_scenario(perturbed)).payload
+        want = scenario.run_scenario(scenario.parse_scenario(summed)).payload
+        assert got["seeds"] == {"perturbation": None, "initial_state": 3}
+        assert got["epsilon"] > 0
+        for key in ("epsilon", "drift", "fidelity", "kernel_dim", "passed"):
+            assert got[key] == want[key], key
 
 
 class TestEmitReport:
@@ -200,6 +231,41 @@ class TestEmitReport:
         assert "incompatible" in text
         assert "H4" in text
 
+    @pytest.mark.parametrize("source", ["ex74_kernel.json", "drift_perturbed.json",
+                                        "fidelity", "ex_group_s3.json"])
+    def test_text_numbers_match_json(self, tmp_path, source):
+        if source == "fidelity":
+            path = write_scenario(tmp_path, drift_payload(kind="fidelity"))
+        else:
+            path = SCENARIO_DIR / source
+        report = scenario.run_scenario(scenario.parse_scenario(path))
+        p = json.loads(scenario.emit_report(report, "json"))
+        lines = scenario.emit_report(report, "text").decode().splitlines()
+        assert lines[:2] == [f"scenario: {p['scenario']}  (kind: {p['kind']})",
+                             f"passed: {p['passed']}"]
+        body = lines[2:]
+        if p["kind"] == "kernel":
+            assert body[0] == f"kernel dimension: {p['kernel']['dim']}"
+            label, value = body[1].split(": ")
+            assert (label, float(value)) == ("epsilon", p["epsilon"])
+            assert len(body) == 2
+        elif p["kind"] == "group":
+            c = p["containment"]
+            assert body == [
+                f"group: {p['group']['name']} (order {p['group']['order']})",
+                f"rep_a multiplicities: {p['multiplicities']['rep_a']}",
+                f"rep_b multiplicities: {p['multiplicities']['rep_b']}",
+                f"containment (matched part): {c['contained']}  "
+                f"all matched: {c['all_matched']}"]
+        else:
+            label, value = body[0].split(": ")
+            assert (label, float(value)) == ("epsilon", p["epsilon"])
+            assert body[1] == (f"drift_bound_ok: {p['drift_bound_ok']}  "
+                               f"fidelity_bound_ok: {p['fidelity_bound_ok']}")
+            assert body[2].split() == ["t", "drift", "fidelity"]
+            rows = [[float(x) for x in line.split()] for line in body[3:]]
+            assert rows == [list(row) for row in zip(p["times"], p["drift"], p["fidelity"])]
+
 
 class TestCli:
     def test_run_exit_zero(self, capsys):
@@ -221,6 +287,30 @@ class TestCli:
         code = cli.main(["drift", str(SCENARIO_DIR / "drift_perturbed.json"),
                          "--tol", "bound_slack=-1"])
         assert code == 1
+
+    def test_schur_residual_above_tolerance_exit_one(self, capsys):
+        code = cli.main(["run", str(SCENARIO_DIR / "ex_group_s3.json"),
+                         "--tol", "schur_tol=1e-300"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["containment"]["passed"] and report["validation"]["rep_a"]["passed"]
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"hamiltonian": {"diag": [1, 2, 3]}},
+         "hamiltonian: dimension 3 does not match 2x2 product space"),
+        ({"hamiltonian": {"local": {"a": {"diag": [1, 2, 3]}, "b": {"diag": [1, 2]}}}},
+         "hamiltonian.local: local term dimensions do not match clocks"),
+        ({"hamiltonian": {"base": {"diag": [1, 2, 3, 4]}, "direction": {"diag": [1, 2, 3]},
+                          "strength": 0.1}},
+         "hamiltonian.direction: dimension 3 does not match product space"),
+        ({"initial_state": {"vector": [[1, 0], [0, 0]]}},
+         "initial_state.vector: dimension 2 does not match 4"),
+    ])
+    def test_dimension_mismatch_exit_two(self, tmp_path, capsys, overrides, message):
+        path = write_scenario(tmp_path, drift_payload(**overrides))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
 
     def test_out_file_and_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -534,6 +624,50 @@ def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypat
     assert callers     # the reported residuals stay exact spectral norms
     assert not [names for names in callers
                 if names & {"make_representation", "isotypic_projectors"}]
+
+
+@pytest.mark.parametrize("two_sides", [False, True])
+def test_one_rep_group_scenario_analyses_it_once(tmp_path, monkeypatch, two_sides):
+    """ex_group_s3 gives one ``rep``: it is validated, decomposed and counted
+    once (one multiplicities call is isotypic_projectors' own). Giving the same
+    literal again as rep_b makes two representations, analysed once each, and
+    the same report."""
+    doc = json.loads((SCENARIO_DIR / "ex_group_s3.json").read_text())
+    if two_sides:
+        doc["rep_b"] = doc["rep_a"]
+    s = scenario.parse_scenario(write_scenario(tmp_path, doc))
+    assert (s.rep_b is s.rep_a) is not two_sides
+    calls = dict.fromkeys(("validate_representation", "isotypic_projectors",
+                           "multiplicities"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(grouprep, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(grouprep, name, counted)
+    payload = scenario.run_scenario(s).payload
+    sides = 2 if two_sides else 1
+    assert calls == {"validate_representation": sides, "isotypic_projectors": sides,
+                     "multiplicities": 2 * sides}
+    monkeypatch.undo()
+    want = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex_group_s3.json"))
+    assert {**payload, "input_digest": None} == {**want.payload, "input_digest": None}
+
+
+def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
+    """ex55's diagonal H1-H3 pass both compatibility checks at compat_tol, so
+    only the incompatible H4 needs ||H||: classify_compatibility takes that and
+    the four off_block_mass norms, compatibility_residual the four residuals."""
+    callers = []
+
+    def counted(m, _fn=opcore.operator_norm):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _fn(m)
+
+    monkeypatch.setattr(opcore, "operator_norm", counted)
+    report = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json"))
+    assert [v["class"] for v in report.payload["verdicts"]] == ["diagonal"] * 3 + ["incompatible"]
+    assert callers.count("classify_compatibility") == 5
+    assert len(callers) == 9
 
 
 def test_benchmark_traced_names_resolve(monkeypatch):
