@@ -24,6 +24,7 @@ from .opcore import NumericalError
 from .scenario import SERIES_KINDS, emit_report, parse_scenario, run_scenario
 
 log = logging.getLogger("syncsub")
+log.addHandler(logging.NullHandler())   # at import, so repeated main() calls add none
 
 _KIND_FOR_COMMAND = {
     "check-compat": ("compat",),
@@ -40,8 +41,6 @@ def _configure_logging() -> None:
         logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
     elif level == "debug":
         logging.basicConfig(level=logging.DEBUG, format="%(name)s: %(message)s")
-    else:
-        logging.getLogger("syncsub").addHandler(logging.NullHandler())
 
 
 def _parse_tol(pairs) -> dict:

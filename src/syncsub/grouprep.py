@@ -31,6 +31,13 @@ _ASSOC_CHECK_MAX_ORDER = 64
 _EXHAUSTIVE_PAIRS_MAX_ORDER = 24
 _SAMPLED_PAIRS = 500
 _STACK_ENTRIES = 1 << 20   # matrix entries per stacked batch (16 MB complex)
+# ||A||_2 <= ||A||_F. The computed Frobenius norm undershoots by a relative
+# N*u at most (N entries, u = 2^-53; under 1e-6 for any N below 9e9), plus
+# an absolute sqrt(N) * 2^-537 where squares underflow; the computed spectral
+# norm overshoots by a relative p(n)*u far below 1e-6. So a computed spectral
+# norm never exceeds computed ||A||_F * _FRO_MARGIN + _FRO_FLOOR.
+_FRO_MARGIN = 1.0 + 1e-6
+_FRO_FLOOR = 1e-150
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +250,14 @@ def make_character_table(group: FiniteGroup, rows) -> CharacterTable:
     if sum(ir.dim ** 2 for ir in irreps) != group.order:
         raise ValueError("sum of squared irrep dimensions must equal the group order")
     sizes = np.asarray(group.class_sizes, dtype=np.float64)
-    for i, a in enumerate(irreps):
-        for j, b in enumerate(irreps):
-            inner = np.sum(sizes * a.characters * b.characters.conj()) / group.order
-            if abs(inner - (1.0 if i == j else 0.0)) > 1e-10:
-                raise ValueError(
-                    f"character rows {a.name!r}, {b.name!r} violate orthogonality "
-                    f"(inner product {inner:.3e})")
+    chars = np.array([ir.characters for ir in irreps]).reshape(len(irreps), n_classes)
+    gram = np.sum((sizes * chars)[:, None, :] * chars.conj()[None, :, :], axis=-1) / group.order
+    bad = np.argwhere(np.abs(gram - np.eye(len(irreps))) > 1e-10)
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"character rows {irreps[i].name!r}, {irreps[j].name!r} violate orthogonality "
+            f"(inner product {gram[i, j]:.3e})")
     return CharacterTable(irreps=tuple(irreps))
 
 
@@ -481,12 +489,32 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
 def _max_spectral_norm(stack, count: int, dim: int) -> float:
     """Largest spectral norm among ``stack(slice)`` over indices 0..count-1.
 
-    The matrices are built and factored in batches of at most _STACK_ENTRIES
-    entries, so memory stays bounded for large groups or dimensions.
+    The matrices are built in batches of at most _STACK_ENTRIES entries, so
+    memory stays bounded for large groups or dimensions. An exactly zero
+    matrix has norm 0 and takes no SVD. Of the rest, the one with the largest
+    Frobenius norm is factored first, then, in one stacked SVD, every matrix
+    whose ||A||_F * _FRO_MARGIN + _FRO_FLOOR exceeds the best norm so far; no
+    other matrix can exceed it, so the result equals the exhaustive max bit
+    for bit.
     """
+    def exact(x):
+        return float(np.max(np.linalg.norm(x, 2, axis=(1, 2))))
+
     step = max(1, _STACK_ENTRIES // (dim * dim))
-    return max(float(np.max(np.linalg.norm(stack(slice(i, i + step)), 2, axis=(1, 2))))
-               for i in range(0, count, step))
+    best = 0.0
+    for i in range(0, count, step):
+        mats = stack(slice(i, i + step))
+        bound = np.linalg.norm(mats, axis=(1, 2)) * _FRO_MARGIN + _FRO_FLOOR
+        bound[~mats.any(axis=(1, 2))] = 0.0
+        top = int(np.argmax(bound))
+        if bound[top] <= best:
+            continue
+        best = max(best, exact(mats[[top]]))
+        bound[top] = 0.0
+        rest = np.flatnonzero(bound > best)
+        if rest.size:
+            best = max(best, exact(mats[rest]))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -631,11 +659,12 @@ def diagonal_isotypic_subspace(rho_a: Representation, rho_b: Representation,
 # Schur scalars and synchronization structure
 
 def equivariance_residual(rho: Representation, t) -> float:
+    """Exact max_g ||rho(g) T - T rho(g)|| from one stacked commutator."""
     t = opcore.as_complex_matrix(t)
     if t.shape[0] != rho.dim:
         raise ValueError(f"operator dim {t.shape[0]} does not match representation dim {rho.dim}")
-    return max(opcore.operator_norm(opcore.commutator(rho[g], t))
-               for g in range(rho.group.order))
+    mats = rho.matrices
+    return _max_spectral_norm(lambda sl: mats[sl] @ t - t @ mats[sl], rho.group.order, rho.dim)
 
 
 def _equivariance_bound(t: np.ndarray, factors: tuple, tree: GeneratorTree) -> tuple:
@@ -777,18 +806,29 @@ class HsyncVerdict:
     member: bool
 
 
-def hsync_membership(h, rho_a: Representation, rho_b: Representation, k,
+def _k_norm(t_a: np.ndarray, t_b: np.ndarray) -> float:
+    """||T_A (x) I - I (x) T_B|| = max |a_i - b_j| over the eigenvalues of the
+    Hermitian parts of T_A and T_B (the exact norm when both are Hermitian)."""
+    a, b = (np.linalg.eigvalsh((t + t.conj().T) / 2.0) for t in (t_a, t_b))
+    return float(np.max(np.abs(np.subtract.outer(a, b))))
+
+
+def hsync_membership(h, rho_a: Representation, rho_b: Representation, t_a, t_b,
                      equivar_tol: float = EQUIVAR_TOL,
                      compat_tol: float = 1e-10) -> HsyncVerdict:
-    """Whether H lies in the commutant of g -> rho_A(g) (x) rho_B(g) and commutes with K.
+    """Whether H lies in the commutant of g -> rho_A(g) (x) rho_B(g) and commutes
+    with K = T_A (x) I - I (x) T_B.
 
     B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
     (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
-    computed from the joint matrices.
+    computed from the joint matrices. [H, K] is applied through K's factors.
     """
     _require_same_group(rho_a.group, rho_b.group)
     h = opcore.as_complex_matrix(h)
-    k = opcore.as_complex_matrix(k)
+    t_a, t_b = opcore.as_complex_matrix(t_a), opcore.as_complex_matrix(t_b)
+    if (t_a.shape[0], t_b.shape[0]) != (rho_a.dim, rho_b.dim):
+        raise ValueError(f"clock dims {t_a.shape[0]}x{t_b.shape[0]} do not match "
+                         f"representation dims {rho_a.dim}x{rho_b.dim}")
     dim = rho_a.dim * rho_b.dim
     if h.shape[0] != dim:
         raise ValueError(f"operator dim {h.shape[0]} does not match representation dim {dim}")
@@ -797,12 +837,14 @@ def hsync_membership(h, rho_a: Representation, rho_b: Representation, k,
     r_s, bound = _equivariance_bound(h, (rho_a.matrices, rho_b.matrices), tree)
     if r_s <= equivar_tol < bound:
         bound = equivariance_residual(tensor_representation(rho_a, rho_b), h)
-    kern_res = opcore.operator_norm(opcore.commutator(h, k))
+    comm = opcore.kron_difference_apply(t_a.T, t_b.T, h.T).T   # H K = (K^T H^T)^T
+    comm -= opcore.kron_difference_apply(t_a, t_b, h)
+    kern_res = opcore.operator_norm(comm)
     # ||H|| and ||K|| only decide the verdict when kern_res exceeds compat_tol
-    # (compat_tol * max(1, m) >= compat_tol), so their SVDs run only then.
+    # (compat_tol * max(1, m) >= compat_tol), so they are taken only then.
     member = bound <= equivar_tol and (
         kern_res <= compat_tol
-        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k)))
+        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * _k_norm(t_a, t_b)))
     return HsyncVerdict(
         generators=[group.elements[g] for g in tree.generators],
         word_length=tree.depth,
@@ -839,21 +881,27 @@ class ContainmentReport:
     passed: bool
 
 
-def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, k,
+def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, t_a, t_b,
                               match_tol: float = MATCH_TOL) -> ContainmentReport:
     """Fate of each diagonal block under K = T_A (x) I - I (x) T_B.
 
     ``schur_a`` and ``schur_b`` are the Schur reports of T_A and T_B, each
-    carrying the decomposition it was computed on.
+    carrying the decomposition it was computed on; K is applied through its
+    factors.
     """
     dec_a, dec_b = schur_a.decomposition, schur_b.decomposition
     _require_same_group(dec_a.group, dec_b.group)
+    blocks = _diagonal_blocks(dec_a, dec_b)
+    block_norms = []
+    if blocks:   # K applied once to every block's columns
+        columns = np.hstack([basis for _, _, basis in blocks])
+        norms = np.linalg.norm(opcore.kron_difference_apply(t_a, t_b, columns), axis=0)
+        block_norms = np.split(norms, np.cumsum([b.shape[1] for _, _, b in blocks])[:-1])
     entries = []
-    for comp_a, comp_b, basis in _diagonal_blocks(dec_a, dec_b):
+    for (comp_a, comp_b, _), norms in zip(blocks, block_norms):
         alpha = schur_a.scalar(comp_a.irrep).real
         beta = schur_b.scalar(comp_b.irrep).real
         gap = abs(alpha - beta)
-        norms = np.linalg.norm(k @ basis, axis=0)
         matched = gap <= match_tol
         if matched:
             ok = bool(np.max(norms) <= KERNEL_RESIDUAL_TOL)

@@ -47,6 +47,18 @@ def _real_list(obj, path: str) -> list:
     return out
 
 
+def _first_non_pair(entries) -> int:
+    """Index of the first entry that is not an [re, im] pair of numbers, else len(entries)."""
+    for i, pair in enumerate(entries):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            return i
+        re, im = pair
+        if (isinstance(re, bool) or isinstance(im, bool)
+                or not isinstance(re, (int, float)) or not isinstance(im, (int, float))):
+            return i
+    return len(entries)
+
+
 def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
     obj = _expect_mapping(obj, path)
     if "diag" in obj:
@@ -60,16 +72,16 @@ def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         _fail(f"{path}.entries", f"expected {dim * dim} [re, im] pairs (row-major)")
-    values = np.empty(dim * dim, dtype=np.complex128)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair)):
-            _fail(f"{path}.entries[{i}]", "expected an [re, im] pair")
-        if not (np.isfinite(pair[0]) and np.isfinite(pair[1])):
-            _fail(f"{path}.entries[{i}]", "entries must be finite")
-        values[i] = complex(pair[0], pair[1])
+    # The first bad entry is reported, whether its type or its finiteness is bad.
+    bad_type = _first_non_pair(entries)
+    parts = np.array(entries[:bad_type], dtype=np.float64).reshape(bad_type, 2)
+    finite = np.isfinite(parts).all(axis=1)
+    if not finite.all():
+        _fail(f"{path}.entries[{int(np.argmin(finite))}]", "entries must be finite")
+    if bad_type < len(entries):
+        _fail(f"{path}.entries[{bad_type}]", "expected an [re, im] pair")
     try:
-        return opcore.as_complex_matrix(values.reshape(dim, dim))
+        return opcore.as_complex_matrix(parts.view(np.complex128).reshape(dim, dim))
     except ValueError as exc:
         _fail(path, str(exc))
 

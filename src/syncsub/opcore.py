@@ -38,9 +38,12 @@ def as_complex_matrix(entries) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
+    """Spectral norm (largest singular value); 0.0 without an SVD when every entry is 0.
+
+    LAPACK returns exactly 0 for a zero matrix, so the shortcut changes no value.
+    """
     a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -99,9 +102,44 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def kron_difference(a, b) -> np.ndarray:
-    """A (x) I - I (x) B, the shape of every synchronization operator K."""
+    """A (x) I - I (x) B, the shape of every synchronization operator K, as a dense matrix.
+
+    The library never forms K; it applies K through kron_difference_apply, or
+    in the product basis where K is diagonal. This dense form is the reference
+    the tests compare against.
+    """
     a, b = as_complex_matrix(a), as_complex_matrix(b)
     return np.kron(a, np.eye(b.shape[0])) - np.kron(np.eye(a.shape[0]), b)
+
+
+def _factor_indices(x: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """X (d_A * d_B rows, or one such vector) as (d_A, d_B, m): row r = i_a * d_B + i_b."""
+    if x.ndim not in (1, 2) or x.shape[0] != d_a * d_b:
+        raise ValueError(f"operand shape {x.shape} does not match the {d_a * d_b}-dim product space")
+    return x.reshape(d_a, d_b, x.size // (d_a * d_b))
+
+
+def kron_apply(a, b, x) -> np.ndarray:
+    """(A (x) B) X without forming the Kronecker product.
+
+    A acts on the first factor index of X's rows and B on the second:
+    n^2 (d_A + d_B) products for an n x n X instead of n^3. Right products
+    follow from transposes: X M = (M^T X^T)^T.
+    """
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    x = np.asarray(x, dtype=np.complex128)
+    y = _factor_indices(x, a.shape[0], b.shape[0])
+    return (b @ np.tensordot(a, y, axes=1)).reshape(x.shape)
+
+
+def kron_difference_apply(a, b, x) -> np.ndarray:
+    """(A (x) I - I (x) B) X without forming the Kronecker product, as kron_apply does."""
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    x = np.asarray(x, dtype=np.complex128)
+    y = _factor_indices(x, a.shape[0], b.shape[0])
+    out = np.tensordot(a, y, axes=1)
+    out -= b @ y
+    return out.reshape(x.shape)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -114,14 +152,17 @@ def commutator(a, b) -> np.ndarray:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry (the first, on ties) is real positive.
+
+    All-zero columns are left as they are. The pivot's modulus is taken with
+    np.hypot, which rounds as scalar abs does; np.abs on an array may differ in
+    the last bit.
+    """
     v = np.array(v, dtype=np.complex128, copy=True)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        k = int(np.argmax(np.abs(col)))
-        piv = col[k]
-        if abs(piv) > 0.0:
-            v[:, j] = col * (piv.conjugate() / abs(piv))
+    piv = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mag = np.hypot(piv.real, piv.imag)
+    live = mag > 0.0
+    v[:, live] *= piv[live].conj() / mag[live]
     return v
 
 

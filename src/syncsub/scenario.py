@@ -280,38 +280,43 @@ class Report:
     payload: dict
 
 
-def _resolve_hamiltonian(spec: HamiltonianSpec, dim_a: int, dim_b: int,
+def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
                          seed_override: int | None, fallback_seed: int | None):
-    """Concrete matrix on the product space, plus the seed used.
+    """Concrete matrix on the scenario's space, plus the seed used.
 
-    A top-level matrix literal comes back unchecked, because each caller
-    checks the result once (make_system, classify_compatibility, or the group
+    ``path`` is the spec's field path, used in error messages. ``dims`` is
+    (d_A, d_B) for a product space or (d,) for a compat scenario's clock. A
+    top-level matrix literal comes back unchecked, because each caller checks
+    the result once (make_system, classify_compatibility, or the group
     branch). Local terms and a perturbation's matrix base and direction are
     checked here.
     """
+    product = len(dims) == 2
+    dim_a, dim_b = dims if product else (dims[0], 1)
     dim = dim_a * dim_b
+    space = "product space" if product else "clock space"
     if spec.matrix is not None:
         h = spec.matrix
         if h.shape[0] != dim:
-            raise ScenarioError("hamiltonian", f"dimension {h.shape[0]} does not match "
-                                               f"{dim_a}x{dim_b} product space")
+            size = f"{dim_a}x{dim_b}" if product else f"{dim}-dim"
+            raise ScenarioError(path, f"dimension {h.shape[0]} does not match {size} {space}")
         return h, None
     if spec.local is not None:
         h_a, h_b = spec.local
         if h_a.shape[0] != dim_a or h_b.shape[0] != dim_b:
-            raise ScenarioError("hamiltonian.local", "local term dimensions do not match clocks")
+            raise ScenarioError(f"{path}.local", "local term dimensions do not match clocks")
         h = np.kron(opcore.require_hermitian(h_a), np.eye(dim_b)) \
             + np.kron(np.eye(dim_a), opcore.require_hermitian(h_b))
         return h, None
     pert = spec.perturbation
-    base, _ = _resolve_hamiltonian(pert.base, dim_a, dim_b, seed_override, fallback_seed)
+    base, _ = _resolve_hamiltonian(pert.base, f"{path}.base", dims, seed_override, fallback_seed)
     if pert.base.matrix is not None:
         base = opcore.require_hermitian(base)
     if pert.direction is not None:
         direction = opcore.require_hermitian(pert.direction)
         if direction.shape[0] != dim:
-            raise ScenarioError("hamiltonian.direction",
-                                f"dimension {direction.shape[0]} does not match product space")
+            raise ScenarioError(f"{path}.direction",
+                                f"dimension {direction.shape[0]} does not match {space}")
         seed_used = None
     else:
         seed_used = seed_override
@@ -342,8 +347,9 @@ def _schur_payload(report: grouprep.SchurReport) -> dict:
 
 def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     verdicts = []
-    for h_name, spec in s.hamiltonians:
-        h, _ = _resolve_hamiltonian(spec, s.clock.dim, 1, seed_override, s.seed)
+    for i, (h_name, spec) in enumerate(s.hamiltonians):
+        h, _ = _resolve_hamiltonian(spec, f"hamiltonians[{i}]", (s.clock.dim,),
+                                    seed_override, s.seed)
         verdict = clocks.classify_compatibility(h, s.clock, compat_tol=tol["compat_tol"])
         verdicts.append({"name": h_name, "class": verdict.kind, "residual": verdict.residual,
                          "off_block_mass": verdict.off_block_mass})
@@ -355,7 +361,8 @@ def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
     h, pert_seed = np.zeros((dim_a * dim_b,) * 2), None
     if s.hamiltonian is not None:
-        h, pert_seed = _resolve_hamiltonian(s.hamiltonian, dim_a, dim_b, seed_override, s.seed)
+        h, pert_seed = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (dim_a, dim_b),
+                                            seed_override, s.seed)
     system = sync.make_system(s.clock_a, s.clock_b, h)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     if s.kind == "kernel":
@@ -421,17 +428,16 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
     schur_ok = not any(e.residual is not None and e.residual > tol["schur_tol"]
                        for e in schur_a.entries + schur_b.entries)
-    k = opcore.kron_difference(t_a, t_b)
     containment = grouprep.verify_kernel_containment(
-        schur_a, schur_b, k, match_tol=tol["match_tol"])
+        schur_a, schur_b, t_a, t_b, match_tol=tol["match_tol"])
     fields["containment"] = asdict(containment)
     passed = passed and schur_ok and containment.passed
     if s.hamiltonian is not None:
-        h, _ = _resolve_hamiltonian(s.hamiltonian, s.rep_a.dim, s.rep_b.dim,
+        h, _ = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (s.rep_a.dim, s.rep_b.dim),
                                     seed_override, s.seed)
         h = opcore.require_hermitian(h)   # hsync_membership does not check it
         fields["membership"] = asdict(grouprep.hsync_membership(
-            h, s.rep_a, s.rep_b, k,
+            h, s.rep_a, s.rep_b, t_a, t_b,
             equivar_tol=tol["equivar_tol"], compat_tol=tol["compat_tol"]))
     return fields, passed
 

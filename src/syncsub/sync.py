@@ -73,47 +73,65 @@ def local_system(clock_a: ClockObservable, clock_b: ClockObservable, h_a, h_b) -
 
 
 def sync_operator(clock_a: ClockObservable, clock_b: ClockObservable) -> np.ndarray:
-    """K = T_A (x) I - I (x) T_B on the dim_a * dim_b product space."""
+    """K = T_A (x) I - I (x) T_B on the dim_a * dim_b product space, as a dense matrix.
+
+    The library never forms K: it works in the product clock basis, where K is
+    diagonal. This dense form is the reference the tests compare against.
+    """
     return opcore.kron_difference(clock_a.matrix(), clock_b.matrix())
+
+
+def _k_diagonal(system: SyncSystem) -> np.ndarray:
+    """K's diagonal a_i - b_j in the product clock basis, in product-index order."""
+    return np.subtract.outer(system.clock_a.labels, system.clock_b.labels).reshape(-1)
+
+
+def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
+    """U^dag X for the product clock basis U = B_A (x) B_B, applied through its factors."""
+    return opcore.kron_apply(system.clock_a.basis.conj().T, system.clock_b.basis.conj().T, x)
 
 
 @dataclass(frozen=True, eq=False)
 class SyncOperatorBundle:
-    """K together with its kernel, the kernel projector, and epsilon = ||[H,K]||."""
+    """The kernel of K, the kernel projector, and epsilon = ||[H,K]||."""
 
-    operator: np.ndarray
     kernel: Subspace
     projector: np.ndarray
     epsilon: float
 
 
 def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> SyncOperatorBundle:
-    """K, its kernel, the kernel projector, and epsilon = ||[H,K]||.
+    """K's kernel, the kernel projector, and epsilon = ||[H,K]||.
 
-    K = diag(a_i - b_j) in the product clock basis, so null_space's rank rule on K
-    keeps b_A,i (x) b_B,j for the label gaps within its cutoff, in product-index order.
+    K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j), so null_space's
+    rank rule on K keeps b_A,i (x) b_B,j for the label gaps within its cutoff,
+    in product-index order, and ||[H,K]|| = ||[H', G]|| with H' = U^dag H U,
+    whose entries are h'_rs g_s - g_r h'_rs. In the standard basis these are
+    the dense products' own roundings.
     """
     with np.errstate(over="ignore"):
-        gaps = np.abs(np.subtract.outer(system.clock_a.labels, system.clock_b.labels))
+        g = _k_diagonal(system)
+    gaps = np.abs(g)
     if not np.all(np.isfinite(gaps)):
         raise NumericalError("clock label differences overflow")
     k_norm = float(gaps.max())   # ||K||, its largest singular value
     cutoff = opcore.kernel_cutoff(k_norm, kernel_tol)
-    i, j = np.nonzero(gaps <= cutoff)
+    i, j = np.divmod(np.flatnonzero(gaps <= cutoff), system.dim_b)
     basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
     kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
-    k = sync_operator(system.clock_a, system.clock_b)
     if kernel.dim:
         limit = 10.0 * kernel_tol * max(1.0, k_norm)
-        res = opcore.screened_norm(k @ kernel.basis, limit)
+        res = opcore.screened_norm(g[:, None] * _to_clock_basis(system, kernel.basis), limit)
         if res > limit:
             raise NumericalError(f"kernel basis residual {res:.3e} exceeds tolerance")
-    epsilon = opcore.operator_norm(opcore.commutator(system.hamiltonian, k))
+    h = _to_clock_basis(system, system.hamiltonian)                              # U^dag H
+    h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
+    comm = h * g
+    comm -= g[:, None] * h
     return SyncOperatorBundle(
-        operator=k,
         kernel=kernel,
         projector=opcore.projector(kernel),
-        epsilon=epsilon,
+        epsilon=opcore.operator_norm(comm),
     )
 
 
@@ -172,7 +190,8 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"initial state is not normalized: ||psi0|| = {norm!r}")
-    k_res = float(np.linalg.norm(bundle.operator @ psi0))
+    g = _k_diagonal(system)   # ||K x|| = ||G U^dag x||
+    k_res = float(np.linalg.norm(g * _to_clock_basis(system, psi0)))
     if k_res > init_tol:
         raise ValueError(
             f"initial state lies outside the kernel: ||K psi0|| = {k_res:.3e} > {init_tol:.1e}")
@@ -184,7 +203,7 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     spec = opcore.spectrum(system.hamiltonian)
     v = spec.eigenvectors
     phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) * (v.conj().T @ psi0)[:, None]
-    drift = np.linalg.norm((bundle.operator @ v) @ phi, axis=0)
+    drift = np.linalg.norm((g[:, None] * _to_clock_basis(system, v)) @ phi, axis=0)
     fidelity = np.linalg.norm((bundle.kernel.basis.conj().T @ v) @ phi, axis=0) ** 2
     eps = bundle.epsilon
     drift_excess = drift - eps * np.abs(times)

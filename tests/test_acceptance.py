@@ -75,7 +75,7 @@ def test_criterion_02_pauli_z_kernel_and_membership():
 
     group, _ = grouprep.builtin_group("Z2xZ2")
     rho = grouprep.representation_from_generators(group, {"a": SIGMA_Z, "b": SIGMA_Z})
-    if grouprep.hsync_membership(np.kron(SIGMA_X, eye), rho, rho, k).member:
+    if grouprep.hsync_membership(np.kron(SIGMA_X, eye), rho, rho, SIGMA_Z, SIGMA_Z).member:
         failures.append("X(x)I passed membership")
     _criterion(2, "Pauli-Z qubits: kernel span{|00>,|11>}, Z-type members, X(x)I rejected",
                failures)
@@ -250,7 +250,7 @@ def test_criterion_08_s3_kernel_containment():
         f = rng.uniform(-1, 1, size=3)
         t = grouprep.observable_from_class_function(f, rho)
         schur = grouprep.schur_scalars(t, rho, dec)
-        report = grouprep.verify_kernel_containment(schur, schur, opcore.kron_difference(t, t))
+        report = grouprep.verify_kernel_containment(schur, schur, t, t)
         if not report.all_matched:
             failures.append(f"trial {trial}: scalars diverged on equal inputs")
         for entry in report.entries:
@@ -262,7 +262,7 @@ def test_criterion_08_s3_kernel_containment():
         g[trial % 3] += rng.uniform(0.1, 1.0)
         t_b = grouprep.observable_from_class_function(g, rho)
         perturbed = grouprep.verify_kernel_containment(
-            schur, grouprep.schur_scalars(t_b, rho, dec), opcore.kron_difference(t, t_b))
+            schur, grouprep.schur_scalars(t_b, rho, dec), t, t_b)
         for entry in perturbed.entries:
             gap = abs(entry.alpha - entry.beta)
             left = entry.max_kernel_norm > 1e-6

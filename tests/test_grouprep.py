@@ -210,6 +210,135 @@ class TestStackedValidation:
             assert got == per_pair_residuals(rho), rho.group.name
 
 
+def exhaustive_max_norm(mats):
+    """Oracle for _max_spectral_norm: every matrix factored, as one stacked norm."""
+    return float(np.max(np.linalg.norm(mats, 2, axis=(1, 2))))
+
+
+def random_stack(rng, trial):
+    """Matrices of mixed scale with exact zeros, exact duplicates (ties), and
+    rank-one members, whose spectral and Frobenius norms agree. Every fifth
+    stack holds row and column permutations of one rank-one matrix: their
+    computed norms differ in the last bits, so pruning on ||A||_F alone,
+    without _FRO_MARGIN, would miss the largest."""
+    count, dim = int(rng.integers(1, 30)), int(rng.integers(1, 7))
+    if trial % 5 == 1:
+        u, v = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        a = np.outer(u, v.conj())
+        return np.stack([a[rng.permutation(dim)][:, rng.permutation(dim)]
+                         for _ in range(count)])
+    mats = (rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))) \
+        * 10.0 ** rng.uniform(-3, 3, size=(count, 1, 1))
+    for k in rng.integers(0, count, size=count // 3):
+        u, v = rng.normal(size=dim) + 1j * rng.normal(size=dim), rng.normal(size=dim)
+        mats[k] = np.outer(u, v)
+    if trial % 3 == 0:
+        mats[rng.integers(0, count, size=count // 2)] = 0.0
+    if trial % 4 == 0 and count > 1:
+        mats[rng.integers(0, count, size=count // 2)] = mats[int(np.argmax(
+            np.linalg.norm(mats, axis=(1, 2))))]
+    if trial % 10 == 0:
+        mats[:] = 0.0
+    return mats
+
+
+class TestPrunedMaxNorm:
+    @pytest.mark.parametrize("stack_entries", [grouprep._STACK_ENTRIES, 40, 1])
+    def test_bit_identical_to_exhaustive(self, monkeypatch, stack_entries):
+        """Also when _STACK_ENTRIES splits the stack into several batches."""
+        monkeypatch.setattr(grouprep, "_STACK_ENTRIES", stack_entries)
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            mats = random_stack(rng, trial)
+            got = grouprep._max_spectral_norm(lambda sl: mats[sl], mats.shape[0], mats.shape[1])
+            assert got == exhaustive_max_norm(mats), trial
+
+    @staticmethod
+    def factored_counts(monkeypatch):
+        """Matrices passed to each spectral-norm call of np.linalg.norm."""
+        counts, real = [], np.linalg.norm
+
+        def counted(x, ord=None, axis=None, keepdims=False):
+            if ord == 2:
+                counts.append(1 if np.ndim(x) == 2 else len(x))
+            return real(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        return counts
+
+    def test_zero_stack_takes_no_svd(self, monkeypatch):
+        counts = self.factored_counts(monkeypatch)
+        mats = np.zeros((50, 4, 4), dtype=complex)
+        assert grouprep._max_spectral_norm(lambda sl: mats[sl], 50, 4) == 0.0
+        assert counts == []
+
+    def test_dominant_matrix_settles_the_rest(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        mats = 1e-3 * (rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
+        mats[17] = 10.0 * np.eye(4)
+        counts = self.factored_counts(monkeypatch)
+        assert grouprep._max_spectral_norm(lambda sl: mats[sl], 50, 4) == 10.0
+        assert counts == [1]
+
+    def test_equivariance_residual_equals_per_element_loop(self):
+        rng = np.random.default_rng(9)
+        for name in ("Z5", "S3", "D4"):
+            group, _ = grouprep.builtin_group(name)
+            reg = grouprep.regular_representation(group)
+            for rho in (reg, conjugated(reg, random_unitary(rng, reg.dim))):
+                ts = [rng.normal(size=(rho.dim,) * 2) + 1j * rng.normal(size=(rho.dim,) * 2)
+                      for _ in range(8)]
+                for t in ts + [np.eye(rho.dim)]:
+                    want = max(opcore.operator_norm(opcore.commutator(rho[g], t))
+                               for g in range(group.order))
+                    assert grouprep.equivariance_residual(rho, t) == want, name
+
+
+def orthogonality_message_loop(group, rows):
+    """The per-pair loop make_character_table replaced: its first error message, or None."""
+    sizes = np.asarray(group.class_sizes, dtype=np.float64)
+    irreps = [(str(name), np.asarray(chars, dtype=np.complex128)) for name, _, chars in rows]
+    for i, (name_a, a) in enumerate(irreps):
+        for j, (name_b, b) in enumerate(irreps):
+            inner = np.sum(sizes * a * b.conj()) / group.order
+            if abs(inner - (1.0 if i == j else 0.0)) > 1e-10:
+                return (f"character rows {name_a!r}, {name_b!r} violate orthogonality "
+                        f"(inner product {inner:.3e})")
+    return None
+
+
+class TestCharacterTableOrthogonality:
+    def test_first_violating_pair_in_row_major_order(self):
+        # (0, 2) and (2, 0) break orthogonality and (1, 1) normalisation:
+        # row-major order meets (0, 2) first, column-major would meet (2, 0)
+        group, chars = grouprep.builtin_group("Z3")
+        c0, c1, c2 = (ir.characters for ir in chars)
+        rows = [("c0", 1, c0), ("c1", 1, 2 * c1), ("c2", 1, c2 + 0.5 * c0)]
+        with pytest.raises(ValueError, match="rows 'c0', 'c2' violate") as err:
+            grouprep.make_character_table(group, rows)
+        assert str(err.value) == orthogonality_message_loop(group, rows)
+
+    def test_messages_equal_pair_loop(self):
+        rng = np.random.default_rng(6)
+        seen = 0
+        for name in ("Z2", "Z5", "Z2xZ2", "S3", "D4"):
+            group, chars = grouprep.builtin_group(name)
+            for _ in range(40):
+                rows = [(ir.name, ir.dim, ir.characters.copy()) for ir in chars]
+                for k in rng.integers(0, len(rows), size=int(rng.integers(0, 3))):
+                    rows[k][2][rng.integers(0, len(rows[k][2]))] += \
+                        10.0 ** rng.uniform(-12, 0) * (rng.normal() + 1j * rng.normal())
+                want = orthogonality_message_loop(group, rows)
+                if want is None:
+                    grouprep.make_character_table(group, rows)
+                    continue
+                seen += 1
+                with pytest.raises(ValueError) as err:
+                    grouprep.make_character_table(group, rows)
+                assert str(err.value) == want
+        assert seen > 50
+
+
 class TestMultiplicities:
     def test_regular_rep_of_s3(self, s3):
         group, chars = s3
@@ -444,25 +573,22 @@ class TestObservableFromClassFunction:
 class TestHsyncMembership:
     def test_local_z_hamiltonians_are_members(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
         for h in (np.kron(SIGMA_Z, np.eye(2)), np.kron(np.eye(2), SIGMA_Z),
                   0.3 * np.kron(SIGMA_Z, np.eye(2)) - 1.7 * np.kron(np.eye(2), SIGMA_Z)):
-            verdict = grouprep.hsync_membership(h, rho, rho, k)
+            verdict = grouprep.hsync_membership(h, rho, rho, SIGMA_Z, SIGMA_Z)
             assert verdict.member
             assert verdict.kernel_commutation_residual <= 1e-12
 
     def test_xx_fails_kernel_commutation(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
-        verdict = grouprep.hsync_membership(np.kron(SIGMA_X, SIGMA_X), rho, rho, k)
+        verdict = grouprep.hsync_membership(np.kron(SIGMA_X, SIGMA_X), rho, rho, SIGMA_Z, SIGMA_Z)
         assert not verdict.member
         assert verdict.kernel_commutation_residual > 1.0
         assert verdict.equivariance_bound <= 1e-12  # X(x)X does commute with Z(x)Z
 
     def test_identity_is_member(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
-        verdict = grouprep.hsync_membership(np.eye(4), rho, rho, k)
+        verdict = grouprep.hsync_membership(np.eye(4), rho, rho, SIGMA_Z, SIGMA_Z)
         assert verdict.member
         assert verdict.equivariance_bound == 0.0
         assert verdict.kernel_commutation_residual == 0.0
@@ -470,11 +596,20 @@ class TestHsyncMembership:
     def test_scaled_threshold_admits_large_hamiltonian(self, pauli_z_pair):
         # ||[H,K]|| = 4e-8 exceeds compat_tol = 1e-10 but not compat_tol * ||H|| ||K||
         _, _, rho = pauli_z_pair
-        k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
         h = 1e4 * np.kron(SIGMA_Z, np.eye(2)) + 1e-8 * np.kron(SIGMA_X, SIGMA_X)
-        verdict = grouprep.hsync_membership(h, rho, rho, k)
+        verdict = grouprep.hsync_membership(h, rho, rho, SIGMA_Z, SIGMA_Z)
         assert verdict.kernel_commutation_residual == pytest.approx(4e-8, rel=1e-6)
         assert verdict.member
+
+    def test_k_norm_from_factor_spectra_matches_dense(self):
+        """||K|| for the scaled threshold, from the eigenvalues of T_A and T_B."""
+        rng = np.random.default_rng(12)
+        for d_a, d_b in ((1, 3), (4, 2), (5, 5)):
+            for _ in range(10):
+                t_a, t_b = (clocks._random_hermitian(rng, d) * 10.0 ** rng.uniform(-2, 2)
+                            for d in (d_a, d_b))
+                dense = opcore.operator_norm(opcore.kron_difference(t_a, t_b))
+                assert grouprep._k_norm(t_a, t_b) == pytest.approx(dense, rel=1e-13)
 
     def test_members_preserve_diagonal_subspace(self, s3, s3_multiplicity_free):
         # dynamics preservation: e^{-iHt} keeps the diagonal isotypic subspace
@@ -488,8 +623,7 @@ class TestHsyncMembership:
             f = rng.uniform(-1, 1, size=3)
             t_obs = grouprep.observable_from_class_function(f, rho)
             h = np.kron(t_obs, np.eye(4)) + np.kron(np.eye(4), t_obs)
-            k = np.kron(t_obs, np.eye(4)) - np.kron(np.eye(4), t_obs)
-            assert grouprep.hsync_membership(h, rho, rho, k).member
+            assert grouprep.hsync_membership(h, rho, rho, t_obs, t_obs).member
             for t in (0.1, 1.0, 10.0):
                 u = opcore.evolve(h, t)
                 assert opcore.operator_norm((eye - pi) @ u @ pi) <= 1e-9
@@ -505,8 +639,7 @@ class TestKernelContainment:
             f = rng.uniform(-1, 1, size=3)
             t = grouprep.observable_from_class_function(f, rho)
             schur = grouprep.schur_scalars(t, rho, dec)
-            report = grouprep.verify_kernel_containment(schur, schur,
-                                                        opcore.kron_difference(t, t))
+            report = grouprep.verify_kernel_containment(schur, schur, t, t)
             assert report.all_matched and report.contained and report.passed
 
     def test_perturbed_class_function(self, s3, s3_multiplicity_free):
@@ -521,7 +654,7 @@ class TestKernelContainment:
         dec = grouprep.isotypic_projectors(rho, chars)
         report = grouprep.verify_kernel_containment(
             grouprep.schur_scalars(t_a, rho, dec), grouprep.schur_scalars(t_b, rho, dec),
-            opcore.kron_difference(t_a, t_b))
+            t_a, t_b)
         by_name = {e.irrep: e for e in report.entries}
         assert by_name["std"].matched and by_name["std"].ok
         for name in ("triv", "sign"):
@@ -535,7 +668,7 @@ class TestKernelContainment:
         rho = s3_multiplicity_free
         t = grouprep.observable_from_class_function([0.0, 0.0, 0.0], rho)
         schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
-        report = grouprep.verify_kernel_containment(schur, schur, opcore.kron_difference(t, t))
+        report = grouprep.verify_kernel_containment(schur, schur, t, t)
         assert report.all_matched and report.contained
 
 

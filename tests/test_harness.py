@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncsub import cli, grouprep, opcore, scenario
+from syncsub import cli, grouprep, opcore, scenario, sync
 from syncsub.literals import (
     ScenarioError,
     clock_from_literal,
@@ -59,6 +60,28 @@ class TestLiterals:
     def test_entry_count_checked(self):
         with pytest.raises(ScenarioError, match="entries"):
             matrix_from_literal({"dim": 2, "entries": [[1, 0]]})
+
+    @pytest.mark.parametrize("bad, where, message", [
+        ({3: [float("nan"), 0.0], 5: [True, 0.0]}, 3, "entries must be finite"),
+        ({3: [True, 0.0], 5: [0.0, float("inf")]}, 3, "expected an [re, im] pair"),
+        ({5: [0.0, float("-inf")], 7: "1"}, 5, "entries must be finite"),
+        ({2: [1.0], 6: [float("nan"), 0.0]}, 2, "expected an [re, im] pair"),
+        ({8: [0.0, "1"]}, 8, "expected an [re, im] pair"),
+    ])
+    def test_first_bad_entry_is_named(self, bad, where, message):
+        entries = [[0.5 * i, -0.25 * i] for i in range(9)]
+        for i, pair in bad.items():
+            entries[i] = pair
+        with pytest.raises(ScenarioError) as err:
+            matrix_from_literal({"dim": 3, "entries": entries}, "m")
+        assert str(err.value) == f"m.entries[{where}]: {message}"
+
+    def test_entries_parse_as_complex_pairs(self):
+        pairs = [[1, -0.0], [-0.0, 2], [2**53 + 1, 1e-320], [1e308, -3], [0.1, 0.2],
+                 [-7, 0], [2.5, -2.5], [3, 4], [0.0, 0.0]]
+        got = matrix_from_literal({"dim": 3, "entries": pairs}).reshape(-1)
+        want = np.array([complex(re, im) for re, im in pairs])
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_clock_literal_with_basis(self):
         h = (np.array([[1, 1], [1, -1]]) / np.sqrt(2)).tolist()
@@ -312,6 +335,37 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "compat", "clock": {"labels": [0, 1, 2]},
+          "hamiltonians": [{"name": "H1", "diag": [1, 1]}]},
+         "hamiltonians[0]: dimension 2 does not match 3-dim clock space"),
+        ({"kind": "compat", "clock": {"labels": [0, 1, 2]},
+          "hamiltonians": [{"diag": [1, 2, 3]}, {"base": {"diag": [1, 1]}, "strength": 0.1}]},
+         "hamiltonians[1].base: dimension 2 does not match 3-dim clock space"),
+        ({"kind": "compat", "clock": {"labels": [0, 1, 2]},
+          "hamiltonians": [{"base": {"diag": [1, 2, 3]}, "direction": {"diag": [1, 2]},
+                            "strength": 0.1}]},
+         "hamiltonians[0].direction: dimension 2 does not match clock space"),
+        ({"kind": "compat", "clock": {"labels": [0, 1, 2]},
+          "hamiltonians": [{"local": {"a": {"diag": [1, 2]}, "b": {"diag": [1]}}}]},
+         "hamiltonians[0].local: local term dimensions do not match clocks"),
+        (drift_payload(hamiltonian={"base": {"diag": [1, 2, 3]}, "strength": 0.1}),
+         "hamiltonian.base: dimension 3 does not match 2x2 product space"),
+        (drift_payload(hamiltonian={"base": {"base": {"local": {"a": {"diag": [1]},
+                                                               "b": {"diag": [1, 2]}}},
+                                             "strength": 0.1}, "strength": 0.1}),
+         "hamiltonian.base.base.local: local term dimensions do not match clocks"),
+        ({"kind": "group", "group": "Z2", "rep": {"generators": {"g1": {"diag": [1, -1]}}},
+          "class_function_a": [0.4, 0.9],
+          "hamiltonian": {"base": {"diag": [1, 2, 3, 4]}, "direction": {"diag": [1, 2]},
+                          "strength": 0.1}},
+         "hamiltonian.direction: dimension 2 does not match product space"),
+    ])
+    def test_hamiltonian_errors_name_their_field(self, tmp_path, capsys, payload, message):
+        path = write_scenario(tmp_path, {"name": "paths", **payload})
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
+
     def test_out_file_and_format(self, tmp_path):
         out = tmp_path / "report.csv"
         code = cli.main(["drift", str(SCENARIO_DIR / "drift_perturbed.json"),
@@ -443,6 +497,16 @@ class TestCli:
     def test_log_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SYNCSUB_LOG", "info")
         assert cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json")]) == 0
+
+
+    def test_main_adds_no_handler_per_call(self, monkeypatch, capsys):
+        monkeypatch.delenv("SYNCSUB_LOG", raising=False)
+        logger = logging.getLogger("syncsub")
+        before = list(logger.handlers)
+        for _ in range(3):
+            assert cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json")]) == 0
+        assert logger.handlers == before
+        assert any(isinstance(h, logging.NullHandler) for h in before)
 
 
 class TestDeterminism:
@@ -602,6 +666,24 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
     assert membership["member"] is member
     assert shapes.count((64, 64)) <= 2
     assert (membership["generators"], membership["word_length"]) == (["g1"], 7)
+
+
+@pytest.mark.parametrize("payload", [
+    drift_payload(clock_a={"labels": [1, -1, 0]}, times=[0.0, 1.0, 2.0],
+                  hamiltonian={"base": {"local": {"a": {"diag": [0.5, -0.5, 0.1]},
+                                                  "b": {"diag": [0.5, -0.5]}}},
+                               "direction": "random", "strength": 0.05, "seed": 7}),
+    z8_regular_payload(True),
+], ids=["drift", "z8_regular"])
+def test_scenarios_never_build_dense_k(tmp_path, monkeypatch, payload):
+    """K is applied through its factors: no dense K is built by a drift
+    scenario or a Z8 regular (x) regular group scenario with membership."""
+    calls = []
+    for owner, name in ((opcore, "kron_difference"), (sync, "sync_operator")):
+        monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
+    report = scenario.run_scenario(scenario.parse_scenario(write_scenario(tmp_path, payload)))
+    assert report.passed
+    assert calls == []
 
 
 def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypatch):

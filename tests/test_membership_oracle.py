@@ -22,9 +22,10 @@ TOL = grouprep.EQUIVAR_TOL
 NEAR = (0.3, 0.6, 0.9)   # r_S / TOL of the near-threshold Hamiltonians
 
 
-def oracle_membership(h, rho_a, rho_b, k, equivar_tol=TOL, compat_tol=1e-10):
-    """(max_g ||[J(g), H]||, member) from every joint matrix."""
+def oracle_membership(h, rho_a, rho_b, t_a, t_b, equivar_tol=TOL, compat_tol=1e-10):
+    """(max_g ||[J(g), H]||, member) from every joint matrix and the dense K."""
     joint = grouprep.tensor_representation(rho_a, rho_b)
+    k = opcore.kron_difference(t_a, t_b)
     eq_res = max(opcore.operator_norm(opcore.commutator(joint[g], h))
                  for g in range(joint.group.order))
     kern_res = opcore.operator_norm(opcore.commutator(h, k))
@@ -103,7 +104,7 @@ def real_class_function(group, rng):
 
 
 def hamiltonians(rho_a, rho_b, rng):
-    """(kind, H, K, compat_tol): a member, a non-member and near-threshold H.
+    """(kind, H, (T_A, T_B), compat_tol): a member, a non-member and near-threshold H.
 
     The member is local and central, so it commutes with the joint action and
     with K. Near-threshold H adds a random direction scaled to r_S = x * TOL and
@@ -112,14 +113,14 @@ def hamiltonians(rho_a, rho_b, rng):
     t = [grouprep.observable_from_class_function(real_class_function(r.group, rng), r)
          for r in (rho_a, rho_b, rho_a, rho_b)]
     eye_a, eye_b = np.eye(rho_a.dim), np.eye(rho_b.dim)
-    k = np.kron(t[0], eye_b) - np.kron(eye_a, t[1])
+    factors = (t[0], t[1])
     h0 = np.kron(t[2], eye_b) + np.kron(eye_a, t[3])
     v = clocks._random_hermitian(rng, rho_a.dim * rho_b.dim)
     v /= opcore.operator_norm(v)
-    cases = [("member", h0, k, 1e-10), ("non-member", h0 + v, k, 1e-10)]
+    cases = [("member", h0, factors, 1e-10), ("non-member", h0 + v, factors, 1e-10)]
     r_v = generator_residual(v, rho_a, rho_b)
     if r_v > 1e-6:   # a trivial joint action commutes with every H
-        cases += [(f"near {x}", h0 + (x * TOL / r_v) * v, k, 1.0) for x in NEAR]
+        cases += [(f"near {x}", h0 + (x * TOL / r_v) * v, factors, 1.0) for x in NEAR]
     return cases
 
 
@@ -128,9 +129,10 @@ def tree_bound(h, rho_a, rho_b):
     return grouprep._equivariance_bound(h, (rho_a.matrices, rho_b.matrices), tree)[1]
 
 
-def check_against_oracle(h, rho_a, rho_b, k, compat_tol, monkeypatch, where):
+def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, where):
     """Verdict equals the oracle's, r_S <= exact max <= B, and the exact max
-    is computed exactly when r_S <= TOL < B. Returns the verdict and whether it was."""
+    is computed exactly when r_S <= TOL < B. ``factors`` is (T_A, T_B). Returns
+    the verdict and whether it was."""
     exact_calls = []
     real = grouprep.equivariance_residual
 
@@ -139,9 +141,9 @@ def check_against_oracle(h, rho_a, rho_b, k, compat_tol, monkeypatch, where):
         return real(*args)
 
     monkeypatch.setattr(grouprep, "equivariance_residual", counted)
-    verdict = grouprep.hsync_membership(h, rho_a, rho_b, k, compat_tol=compat_tol)
+    verdict = grouprep.hsync_membership(h, rho_a, rho_b, *factors, compat_tol=compat_tol)
     monkeypatch.setattr(grouprep, "equivariance_residual", real)
-    exact, member = oracle_membership(h, rho_a, rho_b, k, compat_tol=compat_tol)
+    exact, member = oracle_membership(h, rho_a, rho_b, *factors, compat_tol=compat_tol)
     bound = tree_bound(h, rho_a, rho_b)
     r_s = verdict.generator_residual
     assert verdict.member == member, where
@@ -158,9 +160,9 @@ def test_membership_matches_full_group_oracle(name, monkeypatch):
     rng = np.random.default_rng(sum(map(ord, name)))
     verdicts, fallbacks = [], 0
     for label, rho_a, rho_b in representation_pairs(name, rng):
-        for kind, h, k, compat_tol in hamiltonians(rho_a, rho_b, rng):
+        for kind, h, factors, compat_tol in hamiltonians(rho_a, rho_b, rng):
             where = (name, label, kind)
-            verdict, fallback = check_against_oracle(h, rho_a, rho_b, k, compat_tol,
+            verdict, fallback = check_against_oracle(h, rho_a, rho_b, factors, compat_tol,
                                                      monkeypatch, where)
             verdicts.append(verdict.member)
             fallbacks += fallback
@@ -177,12 +179,12 @@ def test_fallback_decides_both_ways(monkeypatch):
     group, _ = grouprep.builtin_group("Z8")
     reg = grouprep.regular_representation(group)
     v = np.kron(np.diag(np.cos(2 * np.pi * np.arange(8) / 8)), np.eye(8))
-    k = np.zeros((64, 64))
+    factors = (np.zeros((8, 8)), np.zeros((8, 8)))
     r_v = generator_residual(v, reg, reg)
     verdicts = []
     for x in NEAR:
         h = (x * TOL / r_v) * v
-        verdict, fallback = check_against_oracle(h, reg, reg, k, 1e-10, monkeypatch, x)
+        verdict, fallback = check_against_oracle(h, reg, reg, factors, 1e-10, monkeypatch, x)
         assert fallback
         verdicts.append(verdict.member)
     assert verdicts == [True, False, False]
@@ -207,7 +209,7 @@ def test_bound_holds_without_unitarity(name):
         a = similarity_conjugate(rho, rng, 100.0)
         b = similarity_conjugate(rho, rng, 100.0)
         h = clocks._random_hermitian(rng, a.dim * b.dim)
-        exact, _ = oracle_membership(h, a, b, np.zeros_like(h))
+        exact, _ = oracle_membership(h, a, b, np.zeros((a.dim, a.dim)), np.zeros((b.dim, b.dim)))
         assert generator_residual(h, a, b) <= exact <= tree_bound(h, a, b), name
 
 

@@ -106,6 +106,86 @@ class TestKronDifference:
         np.testing.assert_array_equal(opcore.kron_difference(a, b), expected)
 
 
+class TestKronApply:
+    """kron_apply and kron_difference_apply against the dense Kronecker products."""
+
+    @pytest.mark.parametrize("d_a, d_b, m", [(3, 5, 4), (5, 3, 15), (1, 4, 2), (4, 1, 3),
+                                             (1, 1, 1), (2, 3, 0), (3, 2, None)])
+    def test_matches_dense_kron(self, d_a, d_b, m):
+        rng = np.random.default_rng(d_a * 10 + d_b)
+        a, b = random_complex(rng, (d_a, d_a)), random_complex(rng, (d_b, d_b))
+        x = random_complex(rng, (d_a * d_b,) if m is None else (d_a * d_b, m))
+        got = opcore.kron_apply(a, b, x)
+        want = np.kron(a, b) @ x
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max(initial=0)))
+
+    @pytest.mark.parametrize("d_a, d_b, m", [(3, 5, 6), (5, 2, 10), (1, 4, 3), (4, 1, 2),
+                                             (3, 3, 0), (2, 3, None)])
+    def test_difference_matches_kron_difference(self, d_a, d_b, m):
+        # T_A, T_B Hermitian in random bases, as rotated clocks' matrices are
+        rng = np.random.default_rng(d_a + 7 * d_b)
+        t_a, t_b = random_hermitian(rng, d_a), random_hermitian(rng, d_b)
+        x = random_complex(rng, (d_a * d_b,) if m is None else (d_a * d_b, m))
+        got = opcore.kron_difference_apply(t_a, t_b, x)
+        want = opcore.kron_difference(t_a, t_b) @ x
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(want).max(initial=0)))
+
+    def test_right_product_through_transposes(self):
+        rng = np.random.default_rng(4)
+        a, b, x = random_complex(rng, (3, 3)), random_complex(rng, (2, 2)), random_complex(rng, (6, 6))
+        np.testing.assert_allclose(opcore.kron_apply(a.T, b.T, x.T).T, x @ np.kron(a, b),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("apply", [opcore.kron_apply, opcore.kron_difference_apply])
+    def test_shape_mismatch_rejected(self, apply):
+        with pytest.raises(ValueError, match="does not match the 6-dim product space"):
+            apply(np.eye(2), np.eye(3), np.ones((5, 2)))
+
+
+def fix_phases_loop(v):
+    """The per-column loop _fix_phases replaced, kept as its oracle."""
+    v = np.array(v, dtype=np.complex128, copy=True)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        k = int(np.argmax(np.abs(col)))
+        piv = col[k]
+        if abs(piv) > 0.0:
+            v[:, j] = col * (piv.conjugate() / abs(piv))
+    return v
+
+
+class TestFixPhases:
+    def test_bit_identical_to_column_loop(self):
+        """Columns with tied moduli (first index wins), all-zero columns, and
+        scales from 1e-300 to 1e300. One-row inputs are left out: numpy's
+        complex multiply on a length-1 array may round its last bit otherwise,
+        and a one-row eigenvector or range basis is exactly 1 anyway."""
+        rng = np.random.default_rng(21)
+        ties = zeros = 0
+        for trial in range(400):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(0, 12))
+            v = random_complex(rng, (n, m)) * 10.0 ** rng.uniform(-300, 300)
+            if m:
+                v[:, int(rng.integers(0, m))] = 0.0
+                zeros += 1
+            if m > 1:
+                v[0, 1] *= 1e3
+                v[n - 1, 1] = 1j * v[0, 1]            # ties the top entry's modulus
+                ties += 1
+            got, want = opcore._fix_phases(v), fix_phases_loop(v)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), trial
+        assert ties > 100 and zeros > 100
+
+    def test_tie_takes_first_index_and_zero_column_is_kept(self):
+        v = np.array([[1j, 0.0], [-1.0, 0.0], [1j, 0.0]])
+        got = opcore._fix_phases(v)
+        np.testing.assert_array_equal(got[:, 0], [1.0, 1j, 1.0])
+        np.testing.assert_array_equal(got[:, 1], [0.0, 0.0, 0.0])
+
+
 class TestCommutator:
     def test_self_commutator_is_zero(self):
         t = np.diag([0.0, 1.0, 2.0]).astype(complex)
@@ -145,6 +225,14 @@ class TestOperatorNorm:
         # singular values 1
         t = np.diag([0.0, 1.0, 2.0]).astype(complex)
         assert opcore.operator_norm(opcore.commutator(H4, t)) == pytest.approx(1.0, abs=1e-14)
+
+    def test_zero_matrix_takes_no_svd(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "norm", None)   # any SVD call would fail
+        assert opcore.operator_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+        assert opcore.operator_norm(np.zeros((0, 0))) == 0.0
+
+    def test_zero_shortcut_matches_lapack(self):
+        assert float(np.linalg.norm(np.zeros((4, 4), dtype=complex), 2)) == 0.0
 
     def test_submultiplicative(self):
         rng = np.random.default_rng(3)

@@ -126,3 +126,30 @@ def test_gaps_around_the_cutoff(rotated):
     assert bundle.kernel.tol_used == pytest.approx(kernel.tol_used, rel=1e-12)
     if not rotated:
         assert opcore.operator_norm(bundle.projector - opcore.projector(kernel)) <= TOL
+
+
+def test_standard_basis_reproduces_dense_k_bit_for_bit():
+    """In the standard basis U = I, K = diag(a_i - b_j) applied in the clock
+    basis rounds each entry as the dense product with K does: epsilon and the
+    drift series equal the dense K's values exactly, not just to roundoff."""
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        d_a, d_b = (int(d) for d in rng.integers(1, 7, size=2))
+        pool = rng.normal(size=3) * 10.0 ** rng.uniform(-1, 1)
+        ta = clocks.make_clock(rng.choice(pool, size=d_a))
+        tb = clocks.make_clock(rng.choice(pool, size=d_b))
+        g = rng.normal(size=(d_a * d_b,) * 2) + 1j * rng.normal(size=(d_a * d_b,) * 2)
+        system = sync.make_system(ta, tb, (g + g.conj().T) / 2.0)
+        bundle = sync.sync_bundle(system)
+        k = sync.sync_operator(ta, tb)
+        assert bundle.epsilon == opcore.operator_norm(
+            opcore.commutator(system.hamiltonian, k)), trial
+        if bundle.kernel.dim:
+            psi0 = sync.sample_kernel_state(bundle, trial)
+            times = np.linspace(0.0, 10.0, 5)
+            spec = opcore.spectrum(system.hamiltonian)
+            phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) \
+                * (spec.eigenvectors.conj().T @ psi0)[:, None]
+            dense = np.linalg.norm((k @ spec.eigenvectors) @ phi, axis=0)
+            report = sync.drift_trace(system, psi0, times, bundle=bundle)
+            assert np.array_equal(report.drift, dense), trial
