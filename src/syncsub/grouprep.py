@@ -26,18 +26,12 @@ MULT_ROUND_TOL = 1e-6
 SCHUR_TOL = 1e-9
 KERNEL_RESIDUAL_TOL = 1e-9  # ||K b|| allowance on matched components
 HOMOMORPHISM_TOL = 1e-10
+OBSERVABLE_HERM_TOL = 1e-10  # ||T - T^dag|| allowance for a clock observable
 _IDEMPOTENT_TOL = 1e-8
 _ASSOC_CHECK_MAX_ORDER = 64
 _EXHAUSTIVE_PAIRS_MAX_ORDER = 24
 _SAMPLED_PAIRS = 500
 _STACK_ENTRIES = 1 << 20   # matrix entries per stacked batch (16 MB complex)
-# ||A||_2 <= ||A||_F. The computed Frobenius norm undershoots by a relative
-# N*u at most (N entries, u = 2^-53; under 1e-6 for any N below 9e9), plus
-# an absolute sqrt(N) * 2^-537 where squares underflow; the computed spectral
-# norm overshoots by a relative p(n)*u far below 1e-6. So a computed spectral
-# norm never exceeds computed ||A||_F * _FRO_MARGIN + _FRO_FLOOR.
-_FRO_MARGIN = 1.0 + 1e-6
-_FRO_FLOOR = 1e-150
 
 
 # ---------------------------------------------------------------------------
@@ -489,32 +483,16 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
 def _max_spectral_norm(stack, count: int, dim: int) -> float:
     """Largest spectral norm among ``stack(slice)`` over indices 0..count-1.
 
-    The matrices are built in batches of at most _STACK_ENTRIES entries, so
-    memory stays bounded for large groups or dimensions. An exactly zero
-    matrix has norm 0 and takes no SVD. Of the rest, the one with the largest
-    Frobenius norm is factored first, then, in one stacked SVD, every matrix
-    whose ||A||_F * _FRO_MARGIN + _FRO_FLOOR exceeds the best norm so far; no
-    other matrix can exceed it, so the result equals the exhaustive max bit
-    for bit.
+    The matrices are built and factored in batches of at most _STACK_ENTRIES
+    entries, so memory stays bounded for large groups or dimensions. An
+    exactly zero matrix has norm 0 and takes no SVD.
     """
-    def exact(x):
-        return float(np.max(np.linalg.norm(x, 2, axis=(1, 2))))
+    def batch_max(mats):
+        live = mats[mats.any(axis=(1, 2))]
+        return float(np.max(np.linalg.norm(live, 2, axis=(1, 2)))) if len(live) else 0.0
 
     step = max(1, _STACK_ENTRIES // (dim * dim))
-    best = 0.0
-    for i in range(0, count, step):
-        mats = stack(slice(i, i + step))
-        bound = np.linalg.norm(mats, axis=(1, 2)) * _FRO_MARGIN + _FRO_FLOOR
-        bound[~mats.any(axis=(1, 2))] = 0.0
-        top = int(np.argmax(bound))
-        if bound[top] <= best:
-            continue
-        best = max(best, exact(mats[[top]]))
-        bound[top] = 0.0
-        rest = np.flatnonzero(bound > best)
-        if rest.size:
-            best = max(best, exact(mats[rest]))
-    return best
+    return max(batch_max(stack(slice(i, i + step))) for i in range(0, count, step))
 
 
 # ---------------------------------------------------------------------------
@@ -776,8 +754,8 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
     for ci, cls in enumerate(group.conjugacy_classes):
         per_element[list(cls)] = values[ci]
     t = np.einsum("g,gij->ij", per_element.astype(np.complex128), rho.matrices)
-    herm = opcore.screened_norm(t - t.conj().T, 1e-10)
-    if herm > 1e-10:
+    herm = opcore.screened_norm(t - t.conj().T, OBSERVABLE_HERM_TOL)
+    if herm > OBSERVABLE_HERM_TOL:
         raise NumericalError(f"class-function observable is not Hermitian ({herm:.3e})")
     # The generator bound settles the usual case; the message keeps the full max.
     if _equivariance_bound(t, (rho.matrices,), generator_tree(group))[1] > 1e-10:
@@ -808,7 +786,8 @@ class HsyncVerdict:
 
 def _k_norm(t_a: np.ndarray, t_b: np.ndarray) -> float:
     """||T_A (x) I - I (x) T_B|| = max |a_i - b_j| over the eigenvalues of the
-    Hermitian parts of T_A and T_B (the exact norm when both are Hermitian)."""
+    Hermitian parts of T_A and T_B: exact for Hermitian factors, and within
+    (||T_A - T_A^dag|| + ||T_B - T_B^dag||) / 2 of the norm otherwise."""
     a, b = (np.linalg.eigvalsh((t + t.conj().T) / 2.0) for t in (t_a, t_b))
     return float(np.max(np.abs(np.subtract.outer(a, b))))
 
@@ -822,10 +801,17 @@ def hsync_membership(h, rho_a: Representation, rho_b: Representation, t_a, t_b,
     B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
     (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
     computed from the joint matrices. [H, K] is applied through K's factors.
+    T_A and T_B must be Hermitian to OBSERVABLE_HERM_TOL, as
+    observable_from_class_function builds them; a ValueError names a factor
+    that is not.
     """
     _require_same_group(rho_a.group, rho_b.group)
     h = opcore.as_complex_matrix(h)
     t_a, t_b = opcore.as_complex_matrix(t_a), opcore.as_complex_matrix(t_b)
+    for name, t in (("T_A", t_a), ("T_B", t_b)):
+        herm = opcore.screened_norm(t - t.conj().T, OBSERVABLE_HERM_TOL)
+        if herm > OBSERVABLE_HERM_TOL:
+            raise ValueError(f"clock observable {name} is not Hermitian ({herm:.3e})")
     if (t_a.shape[0], t_b.shape[0]) != (rho_a.dim, rho_b.dim):
         raise ValueError(f"clock dims {t_a.shape[0]}x{t_b.shape[0]} do not match "
                          f"representation dims {rho_a.dim}x{rho_b.dim}")

@@ -10,6 +10,8 @@ optional}. Representation literal: {"generators": {label: matrix}} or
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import grouprep, opcore
@@ -34,6 +36,14 @@ def _expect_mapping(obj, path: str) -> dict:
     return obj
 
 
+def _to_float(x) -> float:
+    """float(x), with an integer too large for a float read as inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _real_list(obj, path: str) -> list:
     if not isinstance(obj, list) or not obj:
         _fail(path, "expected a nonempty list of numbers")
@@ -41,9 +51,10 @@ def _real_list(obj, path: str) -> list:
     for i, x in enumerate(obj):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             _fail(f"{path}[{i}]", "expected a number")
-        if not np.isfinite(x):
+        x = _to_float(x)
+        if not math.isfinite(x):
             _fail(f"{path}[{i}]", "number must be finite")
-        out.append(float(x))
+        out.append(x)
     return out
 
 
@@ -74,7 +85,11 @@ def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
         _fail(f"{path}.entries", f"expected {dim * dim} [re, im] pairs (row-major)")
     # The first bad entry is reported, whether its type or its finiteness is bad.
     bad_type = _first_non_pair(entries)
-    parts = np.array(entries[:bad_type], dtype=np.float64).reshape(bad_type, 2)
+    try:
+        parts = np.array(entries[:bad_type], dtype=np.float64).reshape(bad_type, 2)
+    except OverflowError:   # an integer too large for a float counts as not finite
+        parts = np.array([[_to_float(x) for x in pair] for pair in entries[:bad_type]],
+                         dtype=np.float64).reshape(bad_type, 2)
     finite = np.isfinite(parts).all(axis=1)
     if not finite.all():
         _fail(f"{path}.entries[{int(np.argmin(finite))}]", "entries must be finite")

@@ -210,49 +210,7 @@ class TestStackedValidation:
             assert got == per_pair_residuals(rho), rho.group.name
 
 
-def exhaustive_max_norm(mats):
-    """Oracle for _max_spectral_norm: every matrix factored, as one stacked norm."""
-    return float(np.max(np.linalg.norm(mats, 2, axis=(1, 2))))
-
-
-def random_stack(rng, trial):
-    """Matrices of mixed scale with exact zeros, exact duplicates (ties), and
-    rank-one members, whose spectral and Frobenius norms agree. Every fifth
-    stack holds row and column permutations of one rank-one matrix: their
-    computed norms differ in the last bits, so pruning on ||A||_F alone,
-    without _FRO_MARGIN, would miss the largest."""
-    count, dim = int(rng.integers(1, 30)), int(rng.integers(1, 7))
-    if trial % 5 == 1:
-        u, v = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
-        a = np.outer(u, v.conj())
-        return np.stack([a[rng.permutation(dim)][:, rng.permutation(dim)]
-                         for _ in range(count)])
-    mats = (rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))) \
-        * 10.0 ** rng.uniform(-3, 3, size=(count, 1, 1))
-    for k in rng.integers(0, count, size=count // 3):
-        u, v = rng.normal(size=dim) + 1j * rng.normal(size=dim), rng.normal(size=dim)
-        mats[k] = np.outer(u, v)
-    if trial % 3 == 0:
-        mats[rng.integers(0, count, size=count // 2)] = 0.0
-    if trial % 4 == 0 and count > 1:
-        mats[rng.integers(0, count, size=count // 2)] = mats[int(np.argmax(
-            np.linalg.norm(mats, axis=(1, 2))))]
-    if trial % 10 == 0:
-        mats[:] = 0.0
-    return mats
-
-
-class TestPrunedMaxNorm:
-    @pytest.mark.parametrize("stack_entries", [grouprep._STACK_ENTRIES, 40, 1])
-    def test_bit_identical_to_exhaustive(self, monkeypatch, stack_entries):
-        """Also when _STACK_ENTRIES splits the stack into several batches."""
-        monkeypatch.setattr(grouprep, "_STACK_ENTRIES", stack_entries)
-        rng = np.random.default_rng(31)
-        for trial in range(300):
-            mats = random_stack(rng, trial)
-            got = grouprep._max_spectral_norm(lambda sl: mats[sl], mats.shape[0], mats.shape[1])
-            assert got == exhaustive_max_norm(mats), trial
-
+class TestMaxSpectralNorm:
     @staticmethod
     def factored_counts(monkeypatch):
         """Matrices passed to each spectral-norm call of np.linalg.norm."""
@@ -272,13 +230,17 @@ class TestPrunedMaxNorm:
         assert grouprep._max_spectral_norm(lambda sl: mats[sl], 50, 4) == 0.0
         assert counts == []
 
-    def test_dominant_matrix_settles_the_rest(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        mats = 1e-3 * (rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4)))
-        mats[17] = 10.0 * np.eye(4)
+    @pytest.mark.parametrize("stack_entries", [grouprep._STACK_ENTRIES, 40, 1])
+    def test_only_nonzero_matrices_are_factored(self, monkeypatch, stack_entries):
+        """The max over every batch, with the zero matrices left out of the SVDs."""
+        monkeypatch.setattr(grouprep, "_STACK_ENTRIES", stack_entries)
+        rng = np.random.default_rng(31)
+        mats = rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4))
+        mats[::3] = 0.0
+        want = float(np.max(np.linalg.norm(mats, 2, axis=(1, 2))))
         counts = self.factored_counts(monkeypatch)
-        assert grouprep._max_spectral_norm(lambda sl: mats[sl], 50, 4) == 10.0
-        assert counts == [1]
+        assert grouprep._max_spectral_norm(lambda sl: mats[sl], 30, 4) == want
+        assert sum(counts) == 20
 
     def test_equivariance_residual_equals_per_element_loop(self):
         rng = np.random.default_rng(9)
@@ -610,6 +572,14 @@ class TestHsyncMembership:
                             for d in (d_a, d_b))
                 dense = opcore.operator_norm(opcore.kron_difference(t_a, t_b))
                 assert grouprep._k_norm(t_a, t_b) == pytest.approx(dense, rel=1e-13)
+
+    def test_non_hermitian_factor_is_rejected(self, pauli_z_pair):
+        _, _, rho = pauli_z_pair
+        skewed = SIGMA_Z + 1e-9 * np.array([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match="T_B is not Hermitian"):
+            grouprep.hsync_membership(np.eye(4), rho, rho, SIGMA_Z, skewed)
+        tolerated = SIGMA_Z + 1e-11 * np.array([[0, 1], [0, 0]])
+        assert grouprep.hsync_membership(np.eye(4), rho, rho, tolerated, SIGMA_Z).member
 
     def test_members_preserve_diagonal_subspace(self, s3, s3_multiplicity_free):
         # dynamics preservation: e^{-iHt} keeps the diagonal isotypic subspace

@@ -67,6 +67,9 @@ class TestLiterals:
         ({5: [0.0, float("-inf")], 7: "1"}, 5, "entries must be finite"),
         ({2: [1.0], 6: [float("nan"), 0.0]}, 2, "expected an [re, im] pair"),
         ({8: [0.0, "1"]}, 8, "expected an [re, im] pair"),
+        ({3: [float("nan"), 0.0], 5: [10 ** 400, 0.0]}, 3, "entries must be finite"),
+        ({4: [0.0, -10 ** 400], 7: [float("nan"), 0.0]}, 4, "entries must be finite"),
+        ({2: [1.0], 6: [10 ** 400, 0.0]}, 2, "expected an [re, im] pair"),
     ])
     def test_first_bad_entry_is_named(self, bad, where, message):
         entries = [[0.5 * i, -0.25 * i] for i in range(9)]
@@ -365,6 +368,22 @@ class TestCli:
         path = write_scenario(tmp_path, {"name": "paths", **payload})
         assert cli.main(["run", str(path)]) == 2
         assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
+
+    @pytest.mark.parametrize("clock, message", [
+        ({"labels": [0, 1, 10 ** 400]}, "clock.labels[2]: number must be finite"),
+        ({"labels": [0, 1], "basis": {"dim": 2, "entries": [[1, 0], [0, 0], [0, -10 ** 400],
+                                                            [1, 0]]}},
+         "clock.basis.entries[2]: entries must be finite"),
+    ])
+    def test_integer_too_large_for_a_float_exit_two(self, tmp_path, capsys, clock, message):
+        path = write_scenario(tmp_path, {"name": "big", "kind": "compat", "clock": clock,
+                                         "hamiltonians": [{"diag": [1, 2]}]})
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
+
+    def test_integer_beyond_int64_reads_as_float(self):
+        clock = clock_from_literal({"labels": [0, 2 ** 70]})
+        np.testing.assert_array_equal(np.diag(clock.matrix()).real, [0.0, float(2 ** 70)])
 
     def test_out_file_and_format(self, tmp_path):
         out = tmp_path / "report.csv"
