@@ -47,6 +47,7 @@ class FiniteGroup:
     identity_index: int
     inverse_table: np.ndarray
     conjugacy_classes: tuple
+    class_index: np.ndarray   # conjugacy-class index of each element index
 
     @property
     def order(self) -> int:
@@ -58,10 +59,9 @@ class FiniteGroup:
 
     def class_of(self, index: int) -> int:
         """Conjugacy-class index of an element index."""
-        for ci, cls in enumerate(self.conjugacy_classes):
-            if index in cls:
-                return ci
-        raise ValueError(f"element index {index} out of range")
+        if not 0 <= index < self.order:
+            raise ValueError(f"element index {index} out of range")
+        return int(self.class_index[index])
 
     def index_of(self, label) -> int:
         try:
@@ -132,9 +132,12 @@ def make_group(elements, mult_table, classes=None, name: str = "group") -> Finit
         if set(supplied) != set(computed):
             raise ValueError("supplied conjugacy classes are not closed under conjugation")
         # keep the canonical deterministic order regardless of input order
+    class_index = np.empty(n, dtype=np.int64)
+    for ci, cls in enumerate(computed):
+        class_index[list(cls)] = ci
     return FiniteGroup(name=name, elements=elements, mult_table=table,
                        identity_index=identity, inverse_table=inverse,
-                       conjugacy_classes=computed)
+                       conjugacy_classes=computed, class_index=class_index)
 
 
 def _perm_group(name: str, labels, perms) -> FiniteGroup:
@@ -162,14 +165,14 @@ class GeneratorTree:
     depth: int
 
 
-def _forward_words(table: np.ndarray, gens) -> tuple:
-    """BFS over h = p*s from ``gens``: ({element: depth}, edges in BFS order).
+def _forward_words(table: np.ndarray, gens, start) -> tuple:
+    """BFS over h = p*s, s in ``gens``, from ``start``: ({element: depth}, edges in BFS order).
 
     In a finite group the forward words over a set reach exactly the subgroup
-    it generates, identity included.
+    it generates, identity included, from the set itself or from {e}.
     """
-    depth = dict.fromkeys(gens, 0)
-    edges, frontier = [], list(gens)
+    depth = dict.fromkeys(start, 0)
+    edges, frontier = [], list(start)
     while frontier:
         nxt = []
         for p in frontier:
@@ -205,9 +208,9 @@ def generator_tree(group: FiniteGroup) -> GeneratorTree:
             break
         if g not in span:
             gens.append(g)
-            span = _forward_words(table, gens)[0]
+            span = _forward_words(table, gens, gens)[0]
     gens = gens or [e]
-    depth, edges = _forward_words(table, gens)
+    depth, edges = _forward_words(table, gens, gens)
     return GeneratorTree(generators=tuple(gens), edges=tuple(edges), depth=max(depth.values()))
 
 
@@ -381,22 +384,13 @@ def representation_from_generators(group: FiniteGroup, generators: dict) -> Repr
     """Expand generator matrices to all elements via the multiplication table."""
     if not generators:
         raise ValueError("at least one generator is required")
-    gen_items = [(group.index_of(label), opcore.as_complex_matrix(m))
-                 for label, m in generators.items()]
-    dim = gen_items[0][1].shape[0]
-    if any(m.shape[0] != dim for _, m in gen_items):
+    gens = {group.index_of(k): opcore.as_complex_matrix(m) for k, m in generators.items()}
+    dim = next(iter(gens.values())).shape[0]
+    if any(m.shape[0] != dim for m in gens.values()):
         raise ValueError("generator matrices must share one dimension")
-    known: dict = {group.identity_index: np.eye(dim, dtype=np.complex128)}
-    frontier = [group.identity_index]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for gi, gm in gen_items:
-                h = int(group.mult_table[g, gi])
-                if h not in known:
-                    known[h] = known[g] @ gm
-                    nxt.append(h)
-        frontier = nxt
+    known = {group.identity_index: np.eye(dim, dtype=np.complex128)}
+    for h, p, s in _forward_words(group.mult_table, list(gens), [group.identity_index])[1]:
+        known[h] = known[p] @ gens[s]
     if len(known) != group.order:
         missing = [group.elements[i] for i in range(group.order) if i not in known]
         raise ValueError(f"generators do not generate the group; missing {missing}")
@@ -504,10 +498,7 @@ def _element_characters(group: FiniteGroup, irrep: Irrep) -> np.ndarray:
         raise ValueError(
             f"irrep {irrep.name!r} carries {irrep.characters.shape[0]} character values "
             f"but the group has {len(group.conjugacy_classes)} conjugacy classes")
-    chars = np.empty(group.order, dtype=np.complex128)
-    for ci, cls in enumerate(group.conjugacy_classes):
-        chars[list(cls)] = irrep.characters[ci]
-    return chars
+    return irrep.characters[group.class_index]
 
 
 def multiplicities(rho: Representation, chars: CharacterTable) -> list:
@@ -648,8 +639,8 @@ def equivariance_residual(rho: Representation, t) -> float:
 def _equivariance_bound(t: np.ndarray, factors: tuple, tree: GeneratorTree) -> tuple:
     """(r_S, B): the exact max ||[J(s), T]|| over s in S, and B >= max over all g.
 
-    J(g) is ``factors[0][g]``, or the Kronecker product ``A_g (x) B_g`` of two
-    factor stacks, built as tensor_representation builds it. For h = p*s,
+    J(g) is the Kronecker product ``A_g (x) B_g`` of the factor stacks
+    ``factors = (A, B)``, built as tensor_representation builds it. For h = p*s,
     [T, J(p)J(s)] = [T, J(p)]J(s) + J(p)[T, J(s)], so along the tree
     R_h = nu (R_p + r_s) + 2 ||T||_F eta_h with R_s = r_s, where
     nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
@@ -658,10 +649,9 @@ def _equivariance_bound(t: np.ndarray, factors: tuple, tree: GeneratorTree) -> t
     Frobenius norms of factor-size matrices; a permutation representation
     has nu = 1 and eta = 0.
     """
-    def joint(g):
-        return factors[0][g] if len(factors) == 1 else np.kron(factors[0][g], factors[1][g])
-
-    r = {s: opcore.operator_norm(opcore.commutator(joint(s), t)) for s in tree.generators}
+    a, b = factors
+    r = {s: opcore.operator_norm(opcore.commutator(np.kron(a[s], b[s]), t))
+         for s in tree.generators}
     r_s = max(r.values())
     if not tree.edges:
         return r_s, r_s
@@ -744,24 +734,21 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
             f"need one value per conjugacy class ({len(group.conjugacy_classes)})")
     if not np.all(np.isfinite(values)):
         raise ValueError("class function values must be finite")
-    for ci, cls in enumerate(group.conjugacy_classes):
-        inv_class = group.class_of(int(group.inverse_table[cls[0]]))
-        if values[ci] != values[inv_class]:
-            raise ValueError(
-                f"class function must agree on inverse classes: classes {ci} and "
-                f"{inv_class} carry {float(values[ci])!r} vs {float(values[inv_class])!r}")
-    per_element = np.empty(group.order)
-    for ci, cls in enumerate(group.conjugacy_classes):
-        per_element[list(cls)] = values[ci]
+    inverse_class = group.class_index[group.inverse_table[[c[0] for c in group.conjugacy_classes]]]
+    bad = np.flatnonzero(values != values[inverse_class])
+    if bad.size:
+        ci, cj = int(bad[0]), int(inverse_class[bad[0]])
+        raise ValueError(
+            f"class function must agree on inverse classes: classes {ci} and "
+            f"{cj} carry {float(values[ci])!r} vs {float(values[cj])!r}")
+    per_element = values[group.class_index]
     t = np.einsum("g,gij->ij", per_element.astype(np.complex128), rho.matrices)
     herm = opcore.screened_norm(t - t.conj().T, OBSERVABLE_HERM_TOL)
     if herm > OBSERVABLE_HERM_TOL:
         raise NumericalError(f"class-function observable is not Hermitian ({herm:.3e})")
-    # The generator bound settles the usual case; the message keeps the full max.
-    if _equivariance_bound(t, (rho.matrices,), generator_tree(group))[1] > 1e-10:
-        eq = equivariance_residual(rho, t)
-        if eq > 1e-10:
-            raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
+    eq = equivariance_residual(rho, t)
+    if eq > 1e-10:
+        raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
     return t
 
 

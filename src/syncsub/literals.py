@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 
-from . import grouprep, opcore
+from . import grouprep
 from .clocks import ClockObservable, make_clock
+
+SEED_LIMIT = 2 ** 128   # Philox keys are 128-bit: seeds lie in [0, SEED_LIMIT)
 
 
 class ScenarioError(ValueError):
@@ -26,8 +28,9 @@ class ScenarioError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def _fail(path: str, message: str):
-    raise ScenarioError(path, message)
+def _fail(path: str, message: str, *index):
+    """Raise for the field ``path[index]...``, a path built only here, on failure."""
+    raise ScenarioError(path + "".join(f"[{i}]" for i in index), message)
 
 
 def _expect_mapping(obj, path: str) -> dict:
@@ -36,38 +39,65 @@ def _expect_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _to_float(x) -> float:
-    """float(x), with an integer too large for a float read as inf."""
+def _float(x):
+    """x as a float if it is a number (not a bool), else None; a huge integer reads as inf."""
+    if type(x) is float:   # the common case, decided first
+        return x
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
     try:
         return float(x)
     except OverflowError:
         return math.inf
 
 
+def _number(x, path: str, *index, message: str | None = None) -> float:
+    """A finite number (not a bool) as a float; an integer too large for a float
+    is not finite. ``message`` replaces both failure messages."""
+    value = _float(x)
+    if value is None:
+        _fail(path, message or "expected a number", *index)
+    if not math.isfinite(value):
+        _fail(path, message or "number must be finite", *index)
+    return value
+
+
+def _integer(x, path: str, *index, low: int = 0, high: float = math.inf) -> int:
+    """An int (not a bool) with low <= x < high."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        _fail(path, "expected an integer", *index)
+    if not low <= x < high:
+        _fail(path, f"expected an integer in [{low}, {high})", *index)
+    return x
+
+
+def _pairs(obj, path: str) -> np.ndarray:
+    """Complex vector from a nonempty list of finite [re, im] pairs; the first
+    bad entry is named, whether its shape, its type or its finiteness is bad."""
+    if not isinstance(obj, list) or not obj:
+        _fail(path, "expected a nonempty list of [re, im] pairs")
+    parts = []
+    for i, pair in enumerate(obj):
+        ok = isinstance(pair, list) and len(pair) == 2
+        re, im = (_float(pair[0]), _float(pair[1])) if ok else (None, None)
+        if re is None or im is None:
+            _fail(path, "expected an [re, im] pair", i)
+        if not (math.isfinite(re) and math.isfinite(im)):
+            _fail(path, "entries must be finite", i)
+        parts += (re, im)
+    return np.array(parts).view(np.complex128)
+
+
+def _list(obj, path: str, *index) -> list:
+    if not isinstance(obj, list):
+        _fail(path, "expected a list", *index)
+    return obj
+
+
 def _real_list(obj, path: str) -> list:
     if not isinstance(obj, list) or not obj:
         _fail(path, "expected a nonempty list of numbers")
-    out = []
-    for i, x in enumerate(obj):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            _fail(f"{path}[{i}]", "expected a number")
-        x = _to_float(x)
-        if not math.isfinite(x):
-            _fail(f"{path}[{i}]", "number must be finite")
-        out.append(x)
-    return out
-
-
-def _first_non_pair(entries) -> int:
-    """Index of the first entry that is not an [re, im] pair of numbers, else len(entries)."""
-    for i, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            return i
-        re, im = pair
-        if (isinstance(re, bool) or isinstance(im, bool)
-                or not isinstance(re, (int, float)) or not isinstance(im, (int, float))):
-            return i
-    return len(entries)
+    return [_number(x, path, i) for i, x in enumerate(obj)]
 
 
 def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
@@ -77,28 +107,11 @@ def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
         return np.diag(np.asarray(diag, dtype=np.complex128))
     if "entries" not in obj or "dim" not in obj:
         _fail(path, 'matrix literal needs "dim" and "entries", or "diag"')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        _fail(f"{path}.dim", "expected a positive integer")
+    dim = _integer(obj["dim"], f"{path}.dim", low=1)
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         _fail(f"{path}.entries", f"expected {dim * dim} [re, im] pairs (row-major)")
-    # The first bad entry is reported, whether its type or its finiteness is bad.
-    bad_type = _first_non_pair(entries)
-    try:
-        parts = np.array(entries[:bad_type], dtype=np.float64).reshape(bad_type, 2)
-    except OverflowError:   # an integer too large for a float counts as not finite
-        parts = np.array([[_to_float(x) for x in pair] for pair in entries[:bad_type]],
-                         dtype=np.float64).reshape(bad_type, 2)
-    finite = np.isfinite(parts).all(axis=1)
-    if not finite.all():
-        _fail(f"{path}.entries[{int(np.argmin(finite))}]", "entries must be finite")
-    if bad_type < len(entries):
-        _fail(f"{path}.entries[{bad_type}]", "expected an [re, im] pair")
-    try:
-        return opcore.as_complex_matrix(parts.view(np.complex128).reshape(dim, dim))
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _pairs(entries, f"{path}.entries").reshape(dim, dim)
 
 
 def matrix_to_literal(m: np.ndarray) -> dict:
@@ -133,12 +146,16 @@ def group_from_literal(obj, path: str = "group"):
     obj = _expect_mapping(obj, path)
     if "mult_table" not in obj:
         _fail(path, 'group literal needs "mult_table" (or use a builtin name)')
-    table = obj["mult_table"]
-    if not isinstance(table, list):
-        _fail(f"{path}.mult_table", "expected a list of rows")
-    n = len(table)
+    where = f"{path}.mult_table"
+    n = len(_list(obj["mult_table"], where))
+    table = [[_integer(x, where, i, j, high=n) for j, x in enumerate(_list(row, where, i))]
+             for i, row in enumerate(obj["mult_table"])]
     elements = obj.get("elements", [f"g{i}" for i in range(n)])
     classes = obj.get("classes")
+    if classes is not None:
+        where = f"{path}.classes"
+        classes = [[_integer(x, where, i, j, high=n) for j, x in enumerate(_list(c, where, i))]
+                   for i, c in enumerate(_list(classes, where))]
     try:
         group = grouprep.make_group(elements, table, classes=classes,
                                     name=str(obj.get("name", "group")))
@@ -148,27 +165,21 @@ def group_from_literal(obj, path: str = "group"):
 
 
 def character_table_from_literal(group, obj, path: str = "characters"):
+    """Irrep rows {"name", "dim", "chars"}; a character is a number c, read as
+    [c, 0], or an [re, im] pair."""
     obj = _expect_mapping(obj, path)
     if "irreps" not in obj or not isinstance(obj["irreps"], list):
         _fail(path, 'character table literal needs an "irreps" list')
     rows = []
     for i, row in enumerate(obj["irreps"]):
-        row = _expect_mapping(row, f"{path}.irreps[{i}]")
+        where = f"{path}.irreps[{i}]"
+        row = _expect_mapping(row, where)
         for key in ("name", "dim", "chars"):
             if key not in row:
-                _fail(f"{path}.irreps[{i}]", f'missing "{key}"')
-        chars = row["chars"]
-        if not isinstance(chars, list):
-            _fail(f"{path}.irreps[{i}].chars", "expected a list")
-        values = []
-        for j, c in enumerate(chars):
-            if isinstance(c, (int, float)) and not isinstance(c, bool):
-                values.append(complex(c))
-            elif isinstance(c, list) and len(c) == 2:
-                values.append(complex(c[0], c[1]))
-            else:
-                _fail(f"{path}.irreps[{i}].chars[{j}]", "expected a number or [re, im] pair")
-        rows.append((row["name"], row["dim"], values))
+                _fail(where, f'missing "{key}"')
+        chars = _list(row["chars"], f"{where}.chars")
+        values = _pairs([c if isinstance(c, list) else [c, 0] for c in chars], f"{where}.chars")
+        rows.append((row["name"], _integer(row["dim"], f"{where}.dim", low=1), values))
     try:
         return grouprep.make_character_table(group, rows)
     except ValueError as exc:

@@ -22,9 +22,13 @@ import numpy as np
 from . import __version__, clocks, grouprep, opcore, sync
 from .clocks import ClockObservable, _philox, _random_hermitian
 from .literals import (
+    SEED_LIMIT,
     ScenarioError,
     _expect_mapping,
     _fail,
+    _integer,
+    _number,
+    _pairs,
     _real_list,
     character_table_from_literal,
     clock_from_literal,
@@ -106,9 +110,7 @@ def _parse_hamiltonian_spec(obj, path: str) -> HamiltonianSpec:
             matrix_from_literal(local["b"], f"{path}.local.b"),
         ))
     if "base" in obj:
-        strength = obj.get("strength")
-        if isinstance(strength, bool) or not isinstance(strength, (int, float)):
-            _fail(f"{path}.strength", "perturbation strength must be a number")
+        strength = _number(obj.get("strength"), f"{path}.strength")
         if strength < 0:
             _fail(f"{path}.strength", f"strength must be >= 0, got {strength}")
         direction = obj.get("direction", "random")
@@ -117,11 +119,10 @@ def _parse_hamiltonian_spec(obj, path: str) -> HamiltonianSpec:
         else:
             parsed_dir = matrix_from_literal(direction, f"{path}.direction")
         seed = obj.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            _fail(f"{path}.seed", "seed must be an integer")
+        seed = None if seed is None else _integer(seed, f"{path}.seed", high=SEED_LIMIT)
         return HamiltonianSpec(perturbation=Perturbation(
             base=_parse_hamiltonian_spec(obj["base"], f"{path}.base"),
-            direction=parsed_dir, strength=float(strength), seed=seed))
+            direction=parsed_dir, strength=strength, seed=seed))
     if "diag" in obj or "entries" in obj:
         return HamiltonianSpec(matrix=matrix_from_literal(obj, path))
     _fail(path, 'Hamiltonian spec needs a matrix literal, "local", or a perturbation "base"')
@@ -133,29 +134,17 @@ def _parse_tolerances(obj, path: str) -> dict:
     for name, value in obj.items():
         if name not in DEFAULT_TOLERANCES:
             _fail(f"{path}.{name}", f"unknown tolerance (known: {sorted(DEFAULT_TOLERANCES)})")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-            _fail(f"{path}.{name}", "tolerance must be a finite number")
-        out[name] = float(value)
+        out[name] = _number(value, f"{path}.{name}", message="tolerance must be a finite number")
     return out
 
 
 def _parse_initial_state(obj, path: str) -> dict:
     obj = _expect_mapping(obj, path)
     if "kernel_seed" in obj:
-        seed = obj["kernel_seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            _fail(f"{path}.kernel_seed", "seed must be an integer")
+        seed = _integer(obj["kernel_seed"], f"{path}.kernel_seed", high=SEED_LIMIT)
         return {"kernel_seed": seed}
     if "vector" in obj:
-        vec = obj["vector"]
-        if not isinstance(vec, list) or not vec:
-            _fail(f"{path}.vector", "expected a nonempty list of [re, im] pairs")
-        values = []
-        for i, pair in enumerate(vec):
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"{path}.vector[{i}]", "expected an [re, im] pair")
-            values.append(complex(pair[0], pair[1]))
-        return {"vector": np.asarray(values, dtype=np.complex128)}
+        return {"vector": _pairs(obj["vector"], f"{path}.vector")}
     _fail(path, 'initial state needs "kernel_seed" or "vector"')
 
 
@@ -181,11 +170,8 @@ def parse_scenario(path) -> Scenario:
         _fail("kind", f"unknown kind {kind!r} (known: {', '.join(KINDS)})")
 
     s = Scenario(name=name, kind=kind, digest=digest)
-    seed = obj.get("seed")
-    if seed is not None:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            _fail("seed", "seed must be an integer")
-        s.seed = seed
+    if obj.get("seed") is not None:
+        s.seed = _integer(obj["seed"], "seed", high=SEED_LIMIT)
     if "tolerances" in obj:
         s.tolerances = _parse_tolerances(obj["tolerances"], "tolerances")
     out = obj.get("out")

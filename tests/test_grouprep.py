@@ -505,13 +505,29 @@ class TestObservableFromClassFunction:
             report = grouprep.schur_scalars(t, rho, dec)
             assert all(e.residual <= 1e-9 for e in report.entries)
 
-    def test_generator_bound_settles_central_observable(self, monkeypatch):
-        group, _ = grouprep.builtin_group("Z8")
-        rho = grouprep.regular_representation(group)
-        calls = []
-        monkeypatch.setattr(grouprep, "equivariance_residual", lambda *a: calls.append(a))
-        grouprep.observable_from_class_function([0.5, 0.2, -0.1, 0.3, 0.7, 0.3, -0.1, 0.2], rho)
-        assert calls == []
+    @pytest.mark.parametrize("name, values", [
+        ("Z8", [0.5, 0.2, -0.1, 0.3, 0.7, 0.3, -0.1, 0.2]),
+        ("S3", [0.4, -0.6, 0.9]),
+        ("D4", [0.1, -0.2, 0.3, -0.4, 0.5]),
+    ])
+    def test_equivariance_check_factors_no_matrix_on_permutation_rep(self, monkeypatch,
+                                                                      name, values):
+        # central T commutes exactly with permutation matrices, so every
+        # commutator is exactly zero and the exact max takes no SVD
+        rho = grouprep.regular_representation(grouprep.builtin_group(name)[0])
+        factored = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                factored.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factored.append("svd"))
+        t = grouprep.observable_from_class_function(values, rho)
+        assert factored == []
+        assert grouprep.equivariance_residual(rho, t) == 0.0
 
     def test_non_equivariant_message_keeps_full_max(self):
         # unitary, not a homomorphism: rho(g^2) = X does not commute with rho(g)

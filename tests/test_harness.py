@@ -1,14 +1,19 @@
+import contextlib
 import importlib.util
 import inspect
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syncsub import cli, grouprep, opcore, scenario, sync
 from syncsub.literals import (
@@ -526,6 +531,140 @@ class TestCli:
             assert cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json")]) == 0
         assert logger.handlers == before
         assert any(isinstance(h, logging.NullHandler) for h in before)
+
+
+def custom_z2_payload(edit):
+    """A Z2 group scenario given by its table, classes and characters, after ``edit``."""
+    payload = {
+        "name": "z2-table", "kind": "group",
+        "group": {"elements": ["e", "a"], "mult_table": [[0, 1], [1, 0]],
+                  "classes": [[0], [1]]},
+        "characters": {"irreps": [{"name": "triv", "dim": 1, "chars": [1, 1]},
+                                  {"name": "sign", "dim": 1, "chars": [1, -1]}]},
+        "rep": {"elements": [{"diag": [1, 1]}, {"diag": [1, -1]}]},
+    }
+    edit(payload)
+    return payload
+
+
+def vector_payload(first):
+    return drift_payload(initial_state={"vector": [first, [0, 0], [0, 0], [0, 0]]})
+
+
+def set_item(*keys):
+    """Edit that stores the last key's value at payload[keys[0]][keys[1]]..."""
+    *where, key, value = keys
+
+    def edit(payload):
+        for k in where:
+            payload = payload[k]
+        payload[key] = value
+    return edit
+
+
+class TestNumberFields:
+    """Every number in a scenario file goes through one checked reader, so a
+    malformed one exits 2 and names its field."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (vector_payload(["a", 0]), "initial_state.vector[0]: expected an [re, im] pair"),
+        (drift_payload(hamiltonian={"dim": True, "entries": [[1, 0]]}),
+         "hamiltonian.dim: expected an integer"),
+        (vector_payload([float("nan"), 0]), "initial_state.vector[0]: entries must be finite"),
+        (custom_z2_payload(set_item("group", "mult_table", 0, 1, 10 ** 29)),
+         "group.mult_table[0][1]: expected an integer in [0, 2)"),
+        (vector_payload([True, 0]), "initial_state.vector[0]: expected an [re, im] pair"),
+        (custom_z2_payload(set_item("group", "mult_table", 0, 1, 1.9)),
+         "group.mult_table[0][1]: expected an integer"),
+        (custom_z2_payload(set_item("group", "mult_table", 0, 1, True)),
+         "group.mult_table[0][1]: expected an integer"),
+        (custom_z2_payload(set_item("group", "classes", 0, 0, 0.4)),
+         "group.classes[0][0]: expected an integer"),
+        (custom_z2_payload(set_item("characters", "irreps", 1, "dim", "1")),
+         "characters.irreps[1].dim: expected an integer"),
+        (custom_z2_payload(set_item("characters", "irreps", 1, "chars", 1, float("nan"))),
+         "characters.irreps[1].chars[1]: entries must be finite"),
+        (drift_payload(hamiltonian={"base": {"diag": [1, 2, 3, 4]}, "direction": "random",
+                                    "strength": float("inf")}),
+         "hamiltonian.strength: number must be finite"),
+        (drift_payload(seed=-5, hamiltonian={"base": {"diag": [1, 2, 3, 4]},
+                                             "strength": 0.1}),
+         f"seed: expected an integer in [0, {2 ** 128})"),
+    ])
+    def test_malformed_number_exits_two_naming_its_field(self, tmp_path, capsys,
+                                                         payload, message):
+        assert cli.main(["run", str(write_scenario(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
+
+    def test_seed_range_is_philox_key_range(self, tmp_path, capsys):
+        top = drift_payload(hamiltonian={"base": {"diag": [1, 2, 3, 4]}, "strength": 0.1},
+                            seed=2 ** 128 - 1)
+        assert cli.main(["run", str(write_scenario(tmp_path, top))]) == 0
+        capsys.readouterr()
+        top["seed"] = 2 ** 128
+        assert cli.main(["run", str(write_scenario(tmp_path, top))]) == 2
+        assert capsys.readouterr().err.startswith("syncsub: scenario error: seed: ")
+
+    def test_vector_entries_convert_exactly(self, tmp_path):
+        state = scenario.parse_scenario(write_scenario(tmp_path, vector_payload([1, -0.0])))
+        got = state.initial_state["vector"]
+        assert np.array_equal(got.view(np.float64), np.array([1, -0.0, 0, 0, 0, 0, 0, 0.0]))
+        assert np.signbit(got[0].imag)
+
+
+def _numbers(obj, path=()):
+    """(key path, value) of every number (not a bool) in a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numbers(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _numbers(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path, obj
+
+
+def _field_path(doc, keys) -> str:
+    """The field path an error names for the number at ``keys``: generator
+    labels read as ['label'], and a component of an [re, im] pair (or of a
+    character pair) names its pair."""
+    parent = doc
+    for k in keys[:-1]:
+        parent = parent[k]
+    if isinstance(parent, list) and len(parent) == 2 and isinstance(keys[-2], int):
+        keys = keys[:-1]
+    out = ""
+    for prev, k in zip((None,) + keys, keys):
+        if isinstance(k, int):
+            out += f"[{k}]"
+        elif prev == "generators":
+            out += f"[{k!r}]"
+        else:
+            out += f".{k}" if out else k
+    return out
+
+
+BUNDLED = {p.name: json.loads(p.read_text()) for p in sorted(SCENARIO_DIR.glob("*.json"))}
+NUMBER_SITES = [(name, keys) for name, doc in BUNDLED.items() for keys, _ in _numbers(doc)]
+MALFORMED = [True, False, "0.5", float("nan"), float("inf"), float("-inf"), 10 ** 400,
+             -10 ** 400, [1, 0]]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(site=st.sampled_from(NUMBER_SITES), bad=st.sampled_from(MALFORMED))
+def test_any_malformed_number_in_a_bundled_scenario_exits_two(site, bad):
+    name, keys = site
+    doc = json.loads(json.dumps(BUNDLED[name]))
+    set_item(*keys, bad)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(path)])
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith(
+        f"syncsub: scenario error: {_field_path(BUNDLED[name], keys)}: "), err.getvalue()
 
 
 class TestDeterminism:
