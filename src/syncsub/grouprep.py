@@ -335,10 +335,17 @@ def builtin_group(name: str):
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Unitary representation given extensionally: one matrix per element."""
+    """Unitary representation given extensionally: one matrix per element.
+
+    ``perm`` is set when every matrix is a permutation matrix (entries exactly
+    0 or 1): rho(g) e_j = e_{perm[g, j]}. The checks that can read it decide
+    from index arithmetic what the dense matrices give exactly; ``None`` means
+    a general representation, checked densely.
+    """
 
     group: FiniteGroup
     matrices: np.ndarray   # (order, dim, dim)
+    perm: np.ndarray | None = None   # (order, dim) int, or None
 
     @property
     def dim(self) -> int:
@@ -357,13 +364,45 @@ def make_representation(group: FiniteGroup, matrices) -> Representation:
     ident_res = opcore.screened_norm(mats[group.identity_index] - eye, 1e-12 * dim)
     if ident_res > 1e-12 * dim:
         raise ValueError(f"identity element must map to I (residual {ident_res:.3e})")
-    limit = opcore.UNITARY_TOL * dim
-    for i in range(group.order):
-        res = opcore.screened_norm(mats[i].conj().T @ mats[i] - eye, limit)
-        if res > limit:
-            raise ValueError(
-                f"matrix for element {group.elements[i]!r} is not unitary (residual {res:.3e})")
-    return Representation(group=group, matrices=mats)
+    perm = _permutation_indices(mats)
+    if perm is None:   # a permutation matrix is exactly unitary
+        limit = opcore.UNITARY_TOL * dim
+        for i in range(group.order):
+            res = opcore.screened_norm(mats[i].conj().T @ mats[i] - eye, limit)
+            if res > limit:
+                raise ValueError(f"matrix for element {group.elements[i]!r} is not unitary "
+                                 f"(residual {res:.3e})")
+    return Representation(group=group, matrices=mats, perm=perm)
+
+
+def _permutation_indices(mats: np.ndarray) -> np.ndarray | None:
+    """perm[g, j] with mats[g] e_j = e_{perm[g, j]}, when every entry is exactly
+    0 or 1 (imaginary part exactly 0) and each row and column holds one 1; else None."""
+    ones = mats == 1.0
+    if not np.all(ones | (mats == 0.0)):
+        return None
+    if not (np.all(ones.sum(axis=1) == 1) and np.all(ones.sum(axis=2) == 1)):
+        return None
+    return np.argmax(ones, axis=1)
+
+
+def _permutation_commutators(t: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """[P_g, T] = T[perm_g^-1, :] - T[:, perm_g] for each row perm_g of ``perm``.
+
+    P_g T and T P_g have one term 1 * T per entry and exact zeros elsewhere,
+    so the gather equals the dense commutator bit for bit, up to the sign of zero.
+    """
+    inv = np.argsort(perm, axis=-1)
+    return t[inv] - np.moveaxis(t[:, perm], 0, -2)
+
+
+def _joint_perm(rho_a: Representation, rho_b: Representation) -> np.ndarray | None:
+    """Index array of g -> rho_A(g) (x) rho_B(g) when both factors permute:
+    pi(i d_B + j) = pi_A(i) d_B + pi_B(j)."""
+    if rho_a.perm is None or rho_b.perm is None:
+        return None
+    joint = rho_a.perm[:, :, None] * rho_b.dim + rho_b.perm[:, None, :]
+    return joint.reshape(rho_a.group.order, rho_a.dim * rho_b.dim)
 
 
 def trivial_representation(group: FiniteGroup, dim: int = 1) -> Representation:
@@ -408,7 +447,7 @@ def tensor_representation(rho_a: Representation, rho_b: Representation) -> Repre
     """
     _require_same_group(rho_a.group, rho_b.group)
     mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
-    return Representation(group=rho_a.group, matrices=mats)
+    return Representation(group=rho_a.group, matrices=mats, perm=_joint_perm(rho_a, rho_b))
 
 
 def random_equivariant_observable(rho: Representation, seed: int) -> np.ndarray:
@@ -439,27 +478,31 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
     """Report homomorphism/unitarity residuals; exhaustive pairs for small groups.
 
     Larger groups check _SAMPLED_PAIRS pairs drawn from a fixed Philox seed.
-    Each kind of residual is one stacked spectral norm over its matrices.
+    Each kind of residual is one stacked spectral norm over its matrices. On a
+    permutation representation both residuals are exactly 0 when the index
+    arrays compose as the table says, perm[g][perm[h]] == perm[gh]; otherwise
+    the homomorphism stack is factored as for any representation.
     """
     group = rho.group
     n = group.order
-    mats = rho.matrices
+    mats, perm = rho.matrices, rho.perm
     eye = np.eye(rho.dim)
-    unit_res = _max_spectral_norm(
+    unit_res = 0.0 if perm is not None else _max_spectral_norm(
         lambda sl: mats[sl].conj().swapaxes(-1, -2) @ mats[sl] - eye, n, rho.dim)
     ident_res = opcore.operator_norm(rho[group.identity_index] - eye)
 
-    if n <= _EXHAUSTIVE_PAIRS_MAX_ORDER:
-        pairs = [(g, h) for g in range(n) for h in range(n)]
-        exhaustive = True
+    exhaustive = n <= _EXHAUSTIVE_PAIRS_MAX_ORDER
+    if exhaustive:
+        gs, hs = np.divmod(np.arange(n * n), n)
     else:
-        rng = _philox(0)
-        pairs = [(int(g), int(h)) for g, h in rng.integers(0, n, size=(_SAMPLED_PAIRS, 2))]
-        exhaustive = False
-    gs, hs = np.array(pairs).T
+        gs, hs = _philox(0).integers(0, n, size=(_SAMPLED_PAIRS, 2)).T
     ghs = group.mult_table[gs, hs]
-    hom_res = _max_spectral_norm(
-        lambda sl: mats[gs[sl]] @ mats[hs[sl]] - mats[ghs[sl]], len(pairs), rho.dim)
+    if perm is not None and np.array_equal(
+            np.take_along_axis(perm[gs], perm[hs], axis=1), perm[ghs]):
+        hom_res = 0.0
+    else:
+        hom_res = _max_spectral_norm(
+            lambda sl: mats[gs[sl]] @ mats[hs[sl]] - mats[ghs[sl]], len(gs), rho.dim)
 
     passed = (hom_res <= HOMOMORPHISM_TOL
               and unit_res <= opcore.UNITARY_TOL * rho.dim
@@ -468,7 +511,7 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
         max_homomorphism_residual=hom_res,
         max_unitarity_residual=unit_res,
         identity_residual=ident_res,
-        pairs_checked=len(pairs),
+        pairs_checked=len(gs),
         exhaustive=exhaustive,
         passed=passed,
     )
@@ -628,44 +671,56 @@ def diagonal_isotypic_subspace(rho_a: Representation, rho_b: Representation,
 # Schur scalars and synchronization structure
 
 def equivariance_residual(rho: Representation, t) -> float:
-    """Exact max_g ||rho(g) T - T rho(g)|| from one stacked commutator."""
+    """Exact max_g ||rho(g) T - T rho(g)|| from one stacked commutator,
+    gathered from the index arrays on a permutation representation."""
     t = opcore.as_complex_matrix(t)
     if t.shape[0] != rho.dim:
         raise ValueError(f"operator dim {t.shape[0]} does not match representation dim {rho.dim}")
-    mats = rho.matrices
+    mats, perm = rho.matrices, rho.perm
+    if perm is not None:
+        return _max_spectral_norm(lambda sl: _permutation_commutators(t, perm[sl]),
+                                  rho.group.order, rho.dim)
     return _max_spectral_norm(lambda sl: mats[sl] @ t - t @ mats[sl], rho.group.order, rho.dim)
 
 
-def _equivariance_bound(t: np.ndarray, factors: tuple, tree: GeneratorTree) -> tuple:
+def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representation,
+                        tree: GeneratorTree) -> tuple:
     """(r_S, B): the exact max ||[J(s), T]|| over s in S, and B >= max over all g.
 
-    J(g) is the Kronecker product ``A_g (x) B_g`` of the factor stacks
-    ``factors = (A, B)``, built as tensor_representation builds it. For h = p*s,
+    J(g) = rho_A(g) (x) rho_B(g), as tensor_representation builds it; when
+    both factors permute, [J(s), T] is gathered from the joint index array and
+    no Kronecker product is formed. For h = p*s,
     [T, J(p)J(s)] = [T, J(p)]J(s) + J(p)[T, J(s)], so along the tree
     R_h = nu (R_p + r_s) + 2 ||T||_F eta_h with R_s = r_s, where
     nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
     and eta_h >= ||J(h) - J(p)J(s)||, with A_h (x) B_h - X (x) Y =
     (A_h - X) (x) B_h + X (x) (B_h - Y) for X = A_p A_s, Y = B_p B_s. Both are
     Frobenius norms of factor-size matrices; a permutation representation
-    has nu = 1 and eta = 0.
+    has nu = 1 and eta = 0 exactly, so its stacks are skipped.
     """
-    a, b = factors
-    r = {s: opcore.operator_norm(opcore.commutator(np.kron(a[s], b[s]), t))
-         for s in tree.generators}
+    gens = list(tree.generators)
+    perm = _joint_perm(rho_a, rho_b)
+    if perm is not None:
+        comms = _permutation_commutators(t, perm[gens])
+    else:
+        comms = [opcore.commutator(np.kron(rho_a[s], rho_b[s]), t) for s in gens]
+    r = {s: opcore.operator_norm(c) for s, c in zip(gens, comms)}
     r_s = max(r.values())
     if not tree.edges:
         return r_s, r_s
-    hs, ps, ss = (list(c) for c in zip(*tree.edges))
-    def fro(stack):
-        return np.linalg.norm(stack, axis=(1, 2))
+    nu, slack = 1.0, np.zeros(len(tree.edges))
+    if perm is None:
+        hs, ps, ss = (list(c) for c in zip(*tree.edges))
+        def fro(stack):
+            return np.linalg.norm(stack, axis=(1, 2))
 
-    nu, eta, lead = 1.0, 0.0, 1.0
-    for m in factors:
-        nu *= np.sqrt(1.0 + np.max(fro(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[1]))))
-        x = m[ps] @ m[ss]
-        eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
-        lead = lead * fro(x)
-    slack = 2.0 * np.linalg.norm(t) * eta
+        eta, lead = 0.0, 1.0
+        for m in (rho_a.matrices, rho_b.matrices):
+            nu *= np.sqrt(1.0 + np.max(fro(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[1]))))
+            x = m[ps] @ m[ss]
+            eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
+            lead = lead * fro(x)
+        slack = 2.0 * np.linalg.norm(t) * eta
     bound = dict(r)
     for (h, p, s), extra in zip(tree.edges, slack):
         bound[h] = nu * (bound[p] + r[s]) + extra
@@ -807,7 +862,7 @@ def hsync_membership(h, rho_a: Representation, rho_b: Representation, t_a, t_b,
         raise ValueError(f"operator dim {h.shape[0]} does not match representation dim {dim}")
     group = rho_a.group
     tree = generator_tree(group)
-    r_s, bound = _equivariance_bound(h, (rho_a.matrices, rho_b.matrices), tree)
+    r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree)
     if r_s <= equivar_tol < bound:
         bound = equivariance_residual(tensor_representation(rho_a, rho_b), h)
     comm = opcore.kron_difference_apply(t_a.T, t_b.T, h.T).T   # H K = (K^T H^T)^T

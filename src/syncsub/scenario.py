@@ -434,7 +434,13 @@ _RUNNERS = {"compat": _run_compat, "kernel": _run_sync, "drift": _run_sync,
 
 def run_scenario(s: Scenario, seed_override: int | None = None,
                  tol_overrides: dict | None = None) -> Report:
-    """Run a parsed scenario through its kind's runner and assemble the report."""
+    """Run a parsed scenario through its kind's runner and assemble the report.
+
+    ``seed_override`` replaces every seed the scenario samples with and is
+    checked as the scenario's own seeds are, under the field name ``--seed``.
+    """
+    if seed_override is not None:
+        seed_override = _integer(seed_override, "--seed", high=SEED_LIMIT)
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(s.tolerances)
     tol.update(_parse_tolerances(tol_overrides or {}, "tol"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,105 @@ class TestMaxSpectralNorm:
                     want = max(opcore.operator_norm(opcore.commutator(rho[g], t))
                                for g in range(group.order))
                     assert grouprep.equivariance_residual(rho, t) == want, name
+
+
+PERMUTATION_GROUPS = ("Z8", "Z16", "S3", "D4", "Z25")   # Z25 samples its pairs
+
+
+def dense_twin(rho):
+    """The same representation with no index array: every check runs densely."""
+    return dataclasses.replace(rho, perm=None)
+
+
+class TestPermutationPath:
+    """The index-array checks of a permutation representation against the dense
+    path on the same matrices, which stays on as their oracle."""
+
+    @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
+    def test_regular_representation_records_left_multiplication(self, name):
+        group, _ = grouprep.builtin_group(name)
+        reg = grouprep.regular_representation(group)
+        assert np.array_equal(reg.perm, group.mult_table)   # rho(g)|h> = |gh>
+        g, j = np.indices(reg.perm.shape)
+        assert np.all(reg.matrices[g, reg.perm, j] == 1.0)
+
+    @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
+    def test_validation_equals_dense_path(self, name):
+        reg = grouprep.regular_representation(grouprep.builtin_group(name)[0])
+        report = grouprep.validate_representation(reg)
+        assert report == grouprep.validate_representation(dense_twin(reg))
+        assert report.exhaustive == (name != "Z25") and report.passed
+
+    @pytest.mark.parametrize("name", PERMUTATION_GROUPS[:4])
+    def test_equivariance_residual_equals_dense_path(self, name):
+        group, _ = grouprep.builtin_group(name)
+        reg = grouprep.regular_representation(group)
+        rng = np.random.default_rng(len(name))
+        # a class and its inverse class have the same size, as Hermiticity needs
+        central = grouprep.observable_from_class_function(group.class_sizes, reg)
+        noise = rng.normal(size=(reg.dim,) * 2) + 1j * rng.normal(size=(reg.dim,) * 2)
+        for t in (central, noise, central + 1e-12 * noise):
+            got = grouprep.equivariance_residual(reg, t)
+            assert got == grouprep.equivariance_residual(dense_twin(reg), t), name
+            assert (got == 0.0) == (t is central), name
+
+    @pytest.mark.parametrize("edit", [lambda x: -x, lambda x: 1j * x,
+                                      lambda x: np.nextafter(x.real, 2.0)],
+                             ids=["signed", "phase", "one-ulp"])
+    def test_near_permutations_take_the_dense_path(self, edit):
+        """A signed permutation, a phase monomial and a matrix one ulp off a
+        permutation are unitary but carry no index array."""
+        group, _ = grouprep.builtin_group("Z4")
+        mats = grouprep.regular_representation(group).matrices.copy()
+        mats[1, 1, 0] = edit(mats[1, 1, 0])
+        rho = grouprep.make_representation(group, mats)
+        assert rho.perm is None
+        report = grouprep.validate_representation(rho)
+        assert (report.max_homomorphism_residual, report.max_unitarity_residual) == \
+            per_pair_residuals(rho)
+        assert report.max_homomorphism_residual > 0.0
+
+    def test_index_array_contradicting_the_table_reports_dense_residual(self):
+        """rho(g2) = rho(g1) on Z3: each matrix permutes, but rho(g1)^2 != rho(g2)."""
+        group, _ = grouprep.builtin_group("Z3")
+        mats = grouprep.regular_representation(group).matrices.copy()
+        mats[2] = mats[1]
+        rho = grouprep.make_representation(group, mats)
+        assert rho.perm is not None
+        report = grouprep.validate_representation(rho)
+        assert report == grouprep.validate_representation(dense_twin(rho))
+        assert report.max_homomorphism_residual == per_pair_residuals(rho)[0] > 1.0
+        assert not report.passed
+
+    def test_z16_membership_and_validation_form_no_dense_products(self, monkeypatch):
+        """Z16 reg (x) reg with a member H whose commutators with J(g1) and K are
+        exactly zero: membership forms no Kronecker product and takes no SVD, and
+        validation builds no (|G|^2, d, d) homomorphism stack."""
+        group, _ = grouprep.builtin_group("Z16")
+        reg = grouprep.regular_representation(group)
+        values = [0.9, 0.2, -0.1, 0.3, 0.7, -0.6, 0.15, 0.25, 0.4]
+        t_a, t_b = (grouprep.observable_from_class_function(
+            [c * values[min(k, 16 - k)] for k in range(16)], reg) for c in (1.0, 0.5))
+        h = np.kron(t_a, np.eye(16))
+        calls = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(("norm", np.shape(x)))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd"))
+        monkeypatch.setattr(np, "kron", lambda *a, **k: calls.append("kron"))
+        monkeypatch.setattr(grouprep, "_max_spectral_norm",
+                            lambda stack, count, dim: calls.append(("stack", count)))
+        verdict = grouprep.hsync_membership(h, reg, reg, t_a, t_b)
+        report = grouprep.validate_representation(reg)
+        assert calls == []
+        assert verdict.member and verdict.equivariance_bound == 0.0
+        assert verdict.kernel_commutation_residual == 0.0
+        assert report.passed and report.pairs_checked == 256
 
 
 def orthogonality_message_loop(group, rows):

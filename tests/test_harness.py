@@ -605,6 +605,21 @@ class TestNumberFields:
         assert cli.main(["run", str(write_scenario(tmp_path, top))]) == 2
         assert capsys.readouterr().err.startswith("syncsub: scenario error: seed: ")
 
+    @pytest.mark.parametrize("name, seed", [("ex55_compat.json", -5),
+                                            ("drift_perturbed.json", -5),
+                                            ("drift_perturbed.json", 2 ** 128)])
+    def test_seed_override_is_read_as_a_seed(self, tmp_path, capsys, name, seed):
+        """--seed takes the scenario seeds' range, also where nothing is sampled."""
+        out = tmp_path / "report.json"
+        assert cli.main(["run", str(SCENARIO_DIR / name), "--seed", str(seed),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"syncsub: scenario error: --seed: expected an integer in [0, {2 ** 128})\n")
+        assert not out.exists()
+        assert cli.main(["run", str(SCENARIO_DIR / name), "--seed", str(2 ** 128 - 1),
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["seed_override"] == 2 ** 128 - 1
+
     def test_vector_entries_convert_exactly(self, tmp_path):
         state = scenario.parse_scenario(write_scenario(tmp_path, vector_payload([1, -0.0])))
         got = state.initial_state["vector"]
@@ -685,6 +700,34 @@ class TestDeterminism:
         assert cli.main(["drift", str(src), "--out", str(out1), "--format", "csv"]) == 0
         assert cli.main(["drift", str(src), "--out", str(out2), "--format", "csv"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_blas_thread_count_moves_floats_only_in_the_last_bits(self, tmp_path):
+        """Byte identity holds for a fixed BLAS build and thread count. Another
+        thread count may reorder BLAS sums: exit codes, verdicts, flags, strings
+        and integers stay equal, and every float agrees to 1e-12 absolute.
+
+        A reordered sum of n terms moves by at most about n * eps times the size
+        of its terms; the bundled reports' values are below 10 in magnitude, and
+        the largest difference seen on the n = 256 benchmark pools is 5.3e-15.
+        1e-12 is ~200 times that and 100 times below the 1e-10 tolerances that
+        reported residuals are compared with; verdicts are compared exactly.
+        """
+        names = ["ex55_compat.json", "ex74_kernel.json", "drift_perturbed.json",
+                 "ex_group_s3.json"]
+        script = ("import sys\nfrom syncsub import cli\n"
+                  "for src, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+                  "    print(cli.main(['run', src, '--out', out, '--format', 'json']))\n")
+        runs = {}
+        for threads in ("1", "2"):
+            outs = [tmp_path / f"{threads}_{name}" for name in names]
+            args = [str(p) for name, out in zip(names, outs) for p in (SCENARIO_DIR / name, out)]
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            runs[threads] = (done.stdout.split(), [json.loads(o.read_bytes()) for o in outs])
+        assert runs["1"][0] == runs["2"][0] == ["0"] * len(names)
+        for name, got, want in zip(names, runs["2"][1], runs["1"][1]):
+            assert_report_close(got, want, name)
 
 
 def assert_report_close(got, want, path="report"):

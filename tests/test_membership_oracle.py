@@ -11,6 +11,8 @@ non-members and near-threshold perturbations with r_S between 0.3 and 0.9 of
 the tolerance, where the exact fallback has to decide.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,7 @@ def hamiltonians(rho_a, rho_b, rng):
 
 def tree_bound(h, rho_a, rho_b):
     tree = grouprep.generator_tree(rho_a.group)
-    return grouprep._equivariance_bound(h, (rho_a.matrices, rho_b.matrices), tree)[1]
+    return grouprep._equivariance_bound(h, rho_a, rho_b, tree)[1]
 
 
 def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, where):
@@ -188,6 +190,33 @@ def test_fallback_decides_both_ways(monkeypatch):
         assert fallback
         verdicts.append(verdict.member)
     assert verdicts == [True, False, False]
+
+
+@pytest.mark.parametrize("name", ("Z8", "Z16", "S3", "D4"))
+def test_permutation_path_equals_dense_path(name):
+    """reg (x) reg with and without the index arrays: the same verdict, value for
+    value, for a member, a non-member and a near-threshold H, whose exact
+    fallback runs, and the same exact maximum over the joint action."""
+    rng = np.random.default_rng(len(name) + 100)
+    group, _ = grouprep.builtin_group(name)
+    reg = grouprep.regular_representation(group)
+    dense = dataclasses.replace(reg, perm=None)
+    joint, dense_joint = (grouprep.tensor_representation(r, r) for r in (reg, dense))
+    assert joint.perm is not None and dense_joint.perm is None
+    fallbacks, verdicts = 0, set()
+    for kind, h, factors, compat_tol in hamiltonians(reg, reg, rng):
+        if kind not in ("member", "non-member", "near 0.6"):
+            continue
+        verdict = grouprep.hsync_membership(h, reg, reg, *factors, compat_tol=compat_tol)
+        assert verdict == grouprep.hsync_membership(h, dense, dense, *factors,
+                                                    compat_tol=compat_tol), kind
+        fallback = verdict.generator_residual <= TOL < tree_bound(h, dense, dense)
+        if not fallback:
+            exact = grouprep.equivariance_residual(joint, h)
+            assert exact == grouprep.equivariance_residual(dense_joint, h), kind
+        fallbacks += fallback
+        verdicts.add(verdict.member)
+    assert fallbacks and verdicts == {True, False}
 
 
 def similarity_conjugate(rho, rng, cond):
