@@ -364,15 +364,13 @@ def make_representation(group: FiniteGroup, matrices) -> Representation:
     ident_res = opcore.screened_norm(mats[group.identity_index] - eye, 1e-12 * dim)
     if ident_res > 1e-12 * dim:
         raise ValueError(f"identity element must map to I (residual {ident_res:.3e})")
-    perm = _permutation_indices(mats)
-    if perm is None:   # a permutation matrix is exactly unitary
-        limit = opcore.UNITARY_TOL * dim
-        for i in range(group.order):
-            res = opcore.screened_norm(mats[i].conj().T @ mats[i] - eye, limit)
-            if res > limit:
-                raise ValueError(f"matrix for element {group.elements[i]!r} is not unitary "
-                                 f"(residual {res:.3e})")
-    return Representation(group=group, matrices=mats, perm=perm)
+    limit = opcore.UNITARY_TOL * dim
+    for i in range(group.order):
+        res = opcore.screened_norm(mats[i].conj().T @ mats[i] - eye, limit)
+        if res > limit:
+            raise ValueError(
+                f"matrix for element {group.elements[i]!r} is not unitary (residual {res:.3e})")
+    return Representation(group=group, matrices=mats, perm=_permutation_indices(mats))
 
 
 def _permutation_indices(mats: np.ndarray) -> np.ndarray | None:
@@ -479,15 +477,15 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
 
     Larger groups check _SAMPLED_PAIRS pairs drawn from a fixed Philox seed.
     Each kind of residual is one stacked spectral norm over its matrices. On a
-    permutation representation both residuals are exactly 0 when the index
-    arrays compose as the table says, perm[g][perm[h]] == perm[gh]; otherwise
-    the homomorphism stack is factored as for any representation.
+    permutation representation the homomorphism residual is exactly 0 when the
+    index arrays compose as the table says, perm[g][perm[h]] == perm[gh];
+    otherwise its stack is factored as for any representation.
     """
     group = rho.group
     n = group.order
     mats, perm = rho.matrices, rho.perm
     eye = np.eye(rho.dim)
-    unit_res = 0.0 if perm is not None else _max_spectral_norm(
+    unit_res = _max_spectral_norm(
         lambda sl: mats[sl].conj().swapaxes(-1, -2) @ mats[sl] - eye, n, rho.dim)
     ident_res = opcore.operator_norm(rho[group.identity_index] - eye)
 
@@ -696,7 +694,7 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
     and eta_h >= ||J(h) - J(p)J(s)||, with A_h (x) B_h - X (x) Y =
     (A_h - X) (x) B_h + X (x) (B_h - Y) for X = A_p A_s, Y = B_p B_s. Both are
     Frobenius norms of factor-size matrices; a permutation representation
-    has nu = 1 and eta = 0 exactly, so its stacks are skipped.
+    has nu = 1 and eta = 0.
     """
     gens = list(tree.generators)
     perm = _joint_perm(rho_a, rho_b)
@@ -708,19 +706,17 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
     r_s = max(r.values())
     if not tree.edges:
         return r_s, r_s
-    nu, slack = 1.0, np.zeros(len(tree.edges))
-    if perm is None:
-        hs, ps, ss = (list(c) for c in zip(*tree.edges))
-        def fro(stack):
-            return np.linalg.norm(stack, axis=(1, 2))
+    hs, ps, ss = (list(c) for c in zip(*tree.edges))
+    def fro(stack):
+        return np.linalg.norm(stack, axis=(1, 2))
 
-        eta, lead = 0.0, 1.0
-        for m in (rho_a.matrices, rho_b.matrices):
-            nu *= np.sqrt(1.0 + np.max(fro(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[1]))))
-            x = m[ps] @ m[ss]
-            eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
-            lead = lead * fro(x)
-        slack = 2.0 * np.linalg.norm(t) * eta
+    nu, eta, lead = 1.0, 0.0, 1.0
+    for m in (rho_a.matrices, rho_b.matrices):
+        nu *= np.sqrt(1.0 + np.max(fro(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[1]))))
+        x = m[ps] @ m[ss]
+        eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
+        lead = lead * fro(x)
+    slack = 2.0 * np.linalg.norm(t) * eta
     bound = dict(r)
     for (h, p, s), extra in zip(tree.edges, slack):
         bound[h] = nu * (bound[p] + r[s]) + extra

@@ -329,7 +329,8 @@ class TestPermutationPath:
     def test_z16_membership_and_validation_form_no_dense_products(self, monkeypatch):
         """Z16 reg (x) reg with a member H whose commutators with J(g1) and K are
         exactly zero: membership forms no Kronecker product and takes no SVD, and
-        validation builds no (|G|^2, d, d) homomorphism stack."""
+        validation builds no (|G|^2, d, d) homomorphism stack; its unitarity
+        stack is exactly zero and takes no SVD either."""
         group, _ = grouprep.builtin_group("Z16")
         reg = grouprep.regular_representation(group)
         values = [0.9, 0.2, -0.1, 0.3, 0.7, -0.6, 0.15, 0.25, 0.4]
@@ -347,11 +348,16 @@ class TestPermutationPath:
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd"))
         monkeypatch.setattr(np, "kron", lambda *a, **k: calls.append("kron"))
-        monkeypatch.setattr(grouprep, "_max_spectral_norm",
-                            lambda stack, count, dim: calls.append(("stack", count)))
+        stacked = grouprep._max_spectral_norm
+
+        def counting_stack(stack, count, dim):
+            calls.append(("stack", count))
+            return stacked(stack, count, dim)
+
+        monkeypatch.setattr(grouprep, "_max_spectral_norm", counting_stack)
         verdict = grouprep.hsync_membership(h, reg, reg, t_a, t_b)
         report = grouprep.validate_representation(reg)
-        assert calls == []
+        assert calls == [("stack", 16)]   # unitarity only, exactly zero: no SVD
         assert verdict.member and verdict.equivariance_bound == 0.0
         assert verdict.kernel_commutation_residual == 0.0
         assert report.passed and report.pairs_checked == 256

@@ -219,6 +219,28 @@ def test_permutation_path_equals_dense_path(name):
     assert fallbacks and verdicts == {True, False}
 
 
+def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
+    """Z3 regular with rho(g2) replaced by the transposition (1 2): every matrix
+    permutes, but rho(g1)^2 != rho(g2), so eta > 0 on the tree edge to g2. With
+    H = C (x) I, C = I + iP - iP^2 for the cyclic shift P, [J(g1), H] = 0 while
+    [J(g2), H] != 0: r_S = 0 must not settle membership, and the verdict equals
+    the dense path's and the full-group oracle's."""
+    group, _ = grouprep.builtin_group("Z3")
+    mats = grouprep.regular_representation(group).matrices.copy()
+    mats[2] = np.eye(3)[:, [0, 2, 1]]
+    rho = grouprep.make_representation(group, mats)
+    assert rho.perm is not None
+    shift = mats[1]
+    c = np.eye(3) + 1j * shift - 1j * shift @ shift
+    h = np.kron(c, np.eye(3))
+    factors = (np.eye(3), np.eye(3))
+    verdict, fallback = check_against_oracle(h, rho, rho, factors, 1e-10, monkeypatch, "Z3")
+    assert fallback and verdict.generator_residual == 0.0
+    assert not verdict.member and verdict.equivariance_bound > TOL
+    dense = dataclasses.replace(rho, perm=None)
+    assert verdict == grouprep.hsync_membership(h, dense, dense, *factors)
+
+
 def similarity_conjugate(rho, rng, cond):
     """g -> V rho(g) V^-1 with ||V|| ||V^-1|| = cond: a homomorphism, far from unitary."""
     d = rho.dim
