@@ -6,12 +6,10 @@ from .opcore import (
     Subspace,
     as_complex_matrix,
     commutator,
-    evolve,
     hermitian_eig,
     null_space,
     operator_norm,
     projector,
-    tensor_product,
 )
 from .clocks import (
     BlockStructure,
@@ -19,23 +17,17 @@ from .clocks import (
     CompatibilityVerdict,
     block_structure,
     classify_compatibility,
-    clock_from_hamiltonian,
     compatibility_residual,
     make_clock,
-    random_compatible,
 )
 from .sync import (
     DriftReport,
     SyncOperatorBundle,
     SyncSystem,
     drift_trace,
-    local_system,
     make_system,
-    preservation_residual,
     sample_kernel_state,
-    stability_window,
     sync_bundle,
-    sync_operator,
 )
 from .grouprep import (
     CharacterTable,
@@ -47,19 +39,15 @@ from .grouprep import (
     SchurReport,
     builtin_group,
     commutant_dimension,
-    diagonal_isotypic_subspace,
     hsync_membership,
     isotypic_projectors,
     make_group,
     make_representation,
     multiplicities,
     observable_from_class_function,
-    random_equivariant_observable,
-    regular_representation,
     representation_from_generators,
     schur_scalars,
     tensor_representation,
-    trivial_representation,
     validate_representation,
     verify_kernel_containment,
 )

@@ -2,9 +2,8 @@
 
 A clock is a Hermitian operator whose eigenvalues are discrete time labels.
 This module builds clocks, measures how far a Hamiltonian is from commuting
-with one, classifies the commuting ones by their block structure on the
-clock's eigenspaces, samples from that commutant, and solves the inverse
-problem of reading a canonical clock off a Hamiltonian's spectrum.
+with one, and classifies the commuting ones by their block structure on the
+clock's eigenspaces.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .opcore import NumericalError
 
 LABEL_SEP = 1e-9       # absolute gap below which time labels merge
 COMPAT_TOL = 1e-10     # relative threshold for compatibility decisions
@@ -41,19 +39,6 @@ class ClockObservable:
     @property
     def dim(self) -> int:
         return int(self.labels.shape[0])
-
-    @property
-    def non_degenerate(self) -> bool:
-        """True when all labels are pairwise more than LABEL_SEP apart."""
-        if self.dim < 2:
-            return True
-        gaps = np.diff(np.sort(self.labels))
-        return bool(np.min(gaps) > LABEL_SEP)
-
-    @property
-    def is_trivial(self) -> bool:
-        """True when every label coincides (the clock resolves no time)."""
-        return bool(np.max(self.labels) - np.min(self.labels) <= LABEL_SEP)
 
     def matrix(self) -> np.ndarray:
         """Hermitian matrix form T = B diag(labels) B^dag."""
@@ -161,43 +146,3 @@ def classify_compatibility(h, t: ClockObservable,
             1.0, opcore.operator_norm(h))
         kind = "diagonal" if diagonal else "block_diagonal"
     return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)
-
-
-def random_compatible(t: ClockObservable, seed: int) -> np.ndarray:
-    """Random Hermitian drawn from the clock's commutant, one block at a time.
-
-    Deterministic per seed; the result commutes with T to roundoff because it
-    is assembled from independent Hermitian blocks on each eigenspace.
-    """
-    rng = _philox(seed)
-    h = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for block in block_structure(t).blocks:
-        r = _random_hermitian(rng, block.dim)
-        cols = t.basis[:, list(block.indices)]
-        h += cols @ r @ cols.conj().T
-    return (h + h.conj().T) / 2.0
-
-
-def clock_from_hamiltonian(h, gap_tol: float) -> ClockObservable:
-    """Canonical clock commuting with H, from clustering H's spectrum.
-
-    Eigenvalues with consecutive gaps <= gap_tol share a cluster; the k-th
-    cluster's eigenspace gets integer label k. A scalar H collapses to a
-    single cluster, yielding the trivial clock (see ClockObservable.is_trivial).
-    """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
-    spec = opcore.hermitian_eig(h)
-    labels = np.zeros(spec.dim, dtype=np.float64)
-    cluster = 0
-    for i in range(1, spec.dim):
-        if spec.eigenvalues[i] - spec.eigenvalues[i - 1] > gap_tol:
-            cluster += 1
-        labels[i] = float(cluster)
-    clock = ClockObservable(labels=labels, basis=spec.eigenvectors)
-    bound = max(1e-10 * float(np.max(np.abs(spec.eigenvalues))) * cluster,   # ||H|| * ||T||
-                1e-14)
-    res = opcore.screened_norm(opcore.commutator(h, clock.matrix()), bound)
-    if res > bound:
-        raise NumericalError(f"constructed clock fails to commute: residual {res:.3e}")
-    return clock

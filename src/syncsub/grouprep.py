@@ -2,8 +2,7 @@
 
 Covers: validated group tables and character tables for a few built-in
 groups, unitary representations given extensionally (one matrix per
-element), character-theoretic isotypic projectors and multiplicities, the
-diagonal isotypic subspace sitting inside a bipartite tensor product, Schur
+element), character-theoretic isotypic projectors and multiplicities, Schur
 scalars of equivariant observables, membership in the algebra of
 synchronization-preserving Hamiltonians, and the kernel-containment check
 that ties irrep-label alignment to the synchronization kernel.
@@ -17,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .clocks import _philox, _random_hermitian
-from .opcore import NumericalError, Subspace
+from .clocks import _philox
+from .opcore import NumericalError
 
 EQUIVAR_TOL = 1e-10
 MATCH_TOL = 1e-9            # scalar agreement |alpha - beta| for kernel membership
@@ -248,7 +247,9 @@ def make_character_table(group: FiniteGroup, rows) -> CharacterTable:
         raise ValueError("sum of squared irrep dimensions must equal the group order")
     sizes = np.asarray(group.class_sizes, dtype=np.float64)
     chars = np.array([ir.characters for ir in irreps]).reshape(len(irreps), n_classes)
-    gram = np.sum((sizes * chars)[:, None, :] * chars.conj()[None, :, :], axis=-1) / group.order
+    conj = chars.conj()
+    # One Gram row at a time: the full (r, r, c) product is O(|G|^3) memory for Zn.
+    gram = np.array([np.sum(row * conj, axis=-1) for row in sizes * chars]) / group.order
     bad = np.argwhere(np.abs(gram - np.eye(len(irreps))) > 1e-10)
     if bad.size:
         i, j = bad[0]
@@ -403,20 +404,6 @@ def _joint_perm(rho_a: Representation, rho_b: Representation) -> np.ndarray | No
     return joint.reshape(rho_a.group.order, rho_a.dim * rho_b.dim)
 
 
-def trivial_representation(group: FiniteGroup, dim: int = 1) -> Representation:
-    mats = np.broadcast_to(np.eye(dim, dtype=np.complex128), (group.order, dim, dim)).copy()
-    return make_representation(group, mats)
-
-
-def regular_representation(group: FiniteGroup) -> Representation:
-    """Left regular representation: rho(g)|h> = |gh> as permutation matrices."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    for g in range(n):
-        mats[g, group.mult_table[g, :], np.arange(n)] = 1.0
-    return make_representation(group, mats)
-
-
 def representation_from_generators(group: FiniteGroup, generators: dict) -> Representation:
     """Expand generator matrices to all elements via the multiplication table."""
     if not generators:
@@ -446,13 +433,6 @@ def tensor_representation(rho_a: Representation, rho_b: Representation) -> Repre
     _require_same_group(rho_a.group, rho_b.group)
     mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
     return Representation(group=rho_a.group, matrices=mats, perm=_joint_perm(rho_a, rho_b))
-
-
-def random_equivariant_observable(rho: Representation, seed: int) -> np.ndarray:
-    """Hermitian observable commuting with the whole group action (group twirl)."""
-    r = _random_hermitian(_philox(seed), rho.dim)
-    avg = sum(rho[i] @ r @ rho[i].conj().T for i in range(rho.group.order)) / rho.group.order
-    return (avg + avg.conj().T) / 2.0
 
 
 def _require_same_group(group_a: FiniteGroup, group_b: FiniteGroup) -> None:
@@ -634,37 +614,6 @@ def _diagonal_blocks(dec_a: IsotypicDecomposition, dec_b: IsotypicDecomposition)
             if comp_a.multiplicity == 1 and comp_b.multiplicity == 1]
 
 
-def diagonal_isotypic_subspace(rho_a: Representation, rho_b: Representation,
-                               chars: CharacterTable) -> Subspace:
-    """Direct sum over shared irreps of V_l^A (x) V_l^B inside the product space.
-
-    Requires multiplicity-free content on both sides; the returned subspace is
-    invariant under the joint action (verified before returning).
-    """
-    _require_same_group(rho_a.group, rho_b.group)
-    blocks = _diagonal_blocks(isotypic_projectors(rho_a, chars),
-                              isotypic_projectors(rho_b, chars))
-    pieces = [basis for _, _, basis in blocks]
-    ambient = rho_a.dim * rho_b.dim
-    if pieces:
-        basis = np.hstack(pieces)
-    else:
-        basis = np.zeros((ambient, 0), dtype=np.complex128)
-    subspace = Subspace(ambient_dim=ambient, basis=basis, tol_used=0.0)
-
-    if subspace.dim:
-        pi = opcore.projector(subspace)
-        eye = np.eye(ambient)
-        joint = tensor_representation(rho_a, rho_b)
-        for g in range(joint.group.order):
-            leak = opcore.screened_norm((eye - pi) @ joint[g] @ pi, 1e-10)
-            if leak > 1e-10:
-                raise NumericalError(
-                    f"diagonal isotypic subspace is not invariant under "
-                    f"{joint.group.elements[g]!r} (leakage {leak:.3e})")
-    return subspace
-
-
 # ---------------------------------------------------------------------------
 # Schur scalars and synchronization structure
 
@@ -729,7 +678,6 @@ class SchurEntry:
     multiplicity: int
     scalar: complex | None
     residual: float | None
-    block: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -750,8 +698,7 @@ def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
     """Per-irrep scalars of an equivariant observable.
 
     Multiplicity-one components carry a scalar and the residual
-    ||T P - scalar P||; higher-multiplicity components report the compressed
-    block P T P without a scalar claim.
+    ||T P - scalar P||; higher-multiplicity components carry neither.
     """
     t = opcore.as_complex_matrix(t)
     eq_res = equivariance_residual(rho, t)
@@ -766,9 +713,9 @@ def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
         if comp.multiplicity == 1:
             scalar = complex(np.trace(t @ p) / comp.isotypic_dim)
             residual = opcore.operator_norm(t @ p - scalar * p)
-            entries.append(SchurEntry(comp.irrep, 1, scalar, residual, None))
+            entries.append(SchurEntry(comp.irrep, 1, scalar, residual))
         else:
-            entries.append(SchurEntry(comp.irrep, comp.multiplicity, None, None, p @ t @ p))
+            entries.append(SchurEntry(comp.irrep, comp.multiplicity, None, None))
     return SchurReport(entries=tuple(entries), equivariance_residual=eq_res,
                        decomposition=decomp)
 

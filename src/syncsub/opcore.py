@@ -60,11 +60,6 @@ def screened_norm(r, limit: float) -> float:
     return fro if fro <= limit else operator_norm(r)
 
 
-def hermiticity_residual(m) -> float:
-    m = np.asarray(m, dtype=np.complex128)
-    return operator_norm(m - m.conj().T)
-
-
 def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex matrix, raising if it is not Hermitian.
 
@@ -79,11 +74,6 @@ def require_hermitian(m) -> np.ndarray:
     return m
 
 
-def unitarity_residual(u) -> float:
-    u = np.asarray(u, dtype=np.complex128)
-    return operator_norm(u.conj().T @ u - np.eye(u.shape[1]))
-
-
 def require_unitary(u) -> np.ndarray:
     """Return ``u`` as a complex matrix, raising unless ||U^dag U - I|| <= UNITARY_TOL * dim."""
     u = as_complex_matrix(u)
@@ -92,24 +82,6 @@ def require_unitary(u) -> np.ndarray:
     if res > limit:
         raise ValueError(f"matrix is not unitary: residual {res:.3e} exceeds tolerance")
     return u
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; row index convention r = i_a * dim(b) + i_b."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    return np.kron(a, b)
-
-
-def kron_difference(a, b) -> np.ndarray:
-    """A (x) I - I (x) B, the shape of every synchronization operator K, as a dense matrix.
-
-    The library never forms K; it applies K through kron_difference_apply, or
-    in the product basis where K is diagonal. This dense form is the reference
-    the tests compare against.
-    """
-    a, b = as_complex_matrix(a), as_complex_matrix(b)
-    return np.kron(a, np.eye(b.shape[0])) - np.kron(np.eye(a.shape[0]), b)
 
 
 def _factor_indices(x: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -202,21 +174,6 @@ def spectrum(m: np.ndarray) -> Spectrum:
 def hermitian_eig(m) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with deterministic output."""
     return spectrum(require_hermitian(m))
-
-
-def evolve(h, t: float) -> np.ndarray:
-    """Unitary e^{-iHt} computed through the eigendecomposition of H.
-
-    Exactly unitary up to roundoff for Hermitian H; no series truncation.
-    """
-    spec = hermitian_eig(h)
-    phases = np.exp(-1j * spec.eigenvalues * float(t))
-    u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
-    limit = UNITARY_TOL * u.shape[0]
-    res = screened_norm(u.conj().T @ u - np.eye(u.shape[0]), limit)
-    if res > limit:
-        raise NumericalError(f"evolution lost unitarity: residual {res:.3e}")
-    return u
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,17 @@ from .literals import (
     representation_from_literal,
 )
 
-KINDS = ("compat", "drift", "fidelity", "kernel", "group")
+COMMON_FIELDS = ("name", "kind", "seed", "tolerances", "out", "format")
+_SERIES_FIELDS = ("clock_a", "clock_b", "hamiltonian", "times", "initial_state")
+KIND_FIELDS = {   # the top-level keys each kind reads besides COMMON_FIELDS
+    "compat": ("clock", "hamiltonians"),
+    "drift": _SERIES_FIELDS,
+    "fidelity": _SERIES_FIELDS,
+    "kernel": ("clock_a", "clock_b", "hamiltonian"),
+    "group": ("group", "characters", "rep", "rep_a", "rep_b", "class_function_a",
+              "class_function_b", "hamiltonian"),
+}
+KINDS = tuple(KIND_FIELDS)
 SERIES_KINDS = ("drift", "fidelity")
 GENERATOR_NAME = "philox"
 
@@ -168,6 +178,9 @@ def parse_scenario(path) -> Scenario:
     kind = obj.get("kind")
     if kind not in KINDS:
         _fail("kind", f"unknown kind {kind!r} (known: {', '.join(KINDS)})")
+    for key in obj:
+        if key not in COMMON_FIELDS and key not in KIND_FIELDS[kind]:
+            _fail(key, f"unknown field for kind {kind}")
 
     s = Scenario(name=name, kind=kind, digest=digest)
     if obj.get("seed") is not None:
@@ -227,12 +240,12 @@ def parse_scenario(path) -> Scenario:
             s.characters = builtin_chars
         else:
             _fail("characters", "custom groups need an explicit character table")
-        if "rep" in obj and "rep_a" not in obj:
-            obj = dict(obj)
-            obj["rep_a"] = obj.pop("rep")
-        if "rep_a" not in obj:
+        if "rep" in obj and "rep_a" in obj:
+            _fail("rep", "rep is an alias of rep_a; give one of them")
+        rep_key = "rep" if "rep" in obj else "rep_a"
+        if rep_key not in obj:
             _fail("rep_a", "group scenario needs rep_a (or rep)")
-        s.rep_a = representation_from_literal(s.group, obj["rep_a"], "rep_a")
+        s.rep_a = representation_from_literal(s.group, obj[rep_key], "rep_a")
         if "rep_b" in obj:
             s.rep_b = representation_from_literal(s.group, obj["rep_b"], "rep_b")
         else:
@@ -353,7 +366,7 @@ def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     if s.kind == "kernel":
         fields = {"kernel": _subspace_payload(bundle.kernel),
-                  "projector": matrix_to_literal(bundle.projector)}
+                  "projector": matrix_to_literal(opcore.projector(bundle.kernel))}
         if s.hamiltonian is not None:
             fields["epsilon"] = bundle.epsilon
         return fields, True

@@ -20,15 +20,14 @@ from .opcore import NumericalError, Subspace
 
 BOUND_SLACK = 1e-9   # absolute roundoff allowance on top of the proven bounds
 INIT_TOL = 1e-8      # how far psi(0) may sit from ker(K)
-_EPS_FLOOR = 1e-15   # below this, epsilon counts as exactly compatible
 
 
 @dataclass(frozen=True, eq=False)
 class SyncSystem:
     """Two local clocks plus a joint Hamiltonian on the tensor product space.
 
-    Built by make_system (local_system goes through it), so ``hamiltonian`` has
-    passed opcore.require_hermitian; nothing downstream checks it again.
+    Built by make_system, so ``hamiltonian`` has passed
+    opcore.require_hermitian; nothing downstream checks it again.
     """
 
     clock_a: ClockObservable
@@ -57,30 +56,6 @@ def make_system(clock_a: ClockObservable, clock_b: ClockObservable, hamiltonian)
     return SyncSystem(clock_a=clock_a, clock_b=clock_b, hamiltonian=h)
 
 
-def local_system(clock_a: ClockObservable, clock_b: ClockObservable, h_a, h_b) -> SyncSystem:
-    """System with H = H_A (x) I + I (x) H_B assembled from local pieces.
-
-    The two terms commute by construction: each entry of either product is the
-    one product a_ij * b_kl (every other term is an exact zero), so their
-    commutator is roundoff and is not checked.
-    """
-    h_a = opcore.require_hermitian(h_a)
-    h_b = opcore.require_hermitian(h_b)
-    if h_a.shape[0] != clock_a.dim or h_b.shape[0] != clock_b.dim:
-        raise ValueError("local Hamiltonian dims do not match the clocks")
-    h = np.kron(h_a, np.eye(clock_b.dim)) + np.kron(np.eye(clock_a.dim), h_b)
-    return make_system(clock_a, clock_b, h)
-
-
-def sync_operator(clock_a: ClockObservable, clock_b: ClockObservable) -> np.ndarray:
-    """K = T_A (x) I - I (x) T_B on the dim_a * dim_b product space, as a dense matrix.
-
-    The library never forms K: it works in the product clock basis, where K is
-    diagonal. This dense form is the reference the tests compare against.
-    """
-    return opcore.kron_difference(clock_a.matrix(), clock_b.matrix())
-
-
 def _k_diagonal(system: SyncSystem) -> np.ndarray:
     """K's diagonal a_i - b_j in the product clock basis, in product-index order."""
     return np.subtract.outer(system.clock_a.labels, system.clock_b.labels).reshape(-1)
@@ -93,15 +68,14 @@ def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SyncOperatorBundle:
-    """The kernel of K, the kernel projector, and epsilon = ||[H,K]||."""
+    """The kernel of K and epsilon = ||[H,K]||."""
 
     kernel: Subspace
-    projector: np.ndarray
     epsilon: float
 
 
 def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> SyncOperatorBundle:
-    """K's kernel, the kernel projector, and epsilon = ||[H,K]||.
+    """K's kernel and epsilon = ||[H,K]||.
 
     K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j), so null_space's
     rank rule on K keeps b_A,i (x) b_B,j for the label gaps within its cutoff,
@@ -128,26 +102,7 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
     comm = h * g
     comm -= g[:, None] * h
-    return SyncOperatorBundle(
-        kernel=kernel,
-        projector=opcore.projector(kernel),
-        epsilon=opcore.operator_norm(comm),
-    )
-
-
-def preservation_residual(system: SyncSystem, bundle: SyncOperatorBundle, times) -> float:
-    """Worst leakage ||(I - Pi) U(t) Pi|| = ||(I - Pi) U(t) B||, B the kernel basis."""
-    times = np.asarray(times, dtype=np.float64)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("evolution times must be finite")
-    spec = opcore.spectrum(system.hamiltonian)
-    basis = bundle.kernel.basis
-    coeffs = spec.eigenvectors.conj().T @ basis
-    worst = 0.0
-    for phases in np.exp(-1j * np.outer(spec.eigenvalues, times)).T:
-        moved = spec.eigenvectors @ (phases[:, None] * coeffs)
-        worst = max(worst, opcore.operator_norm(moved - basis @ (basis.conj().T @ moved)))
-    return worst
+    return SyncOperatorBundle(kernel=kernel, epsilon=opcore.operator_norm(comm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,15 +173,6 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
         max_bound_slack=float(max(np.max(drift_excess), np.max(fid_excess))),
         bound_slack=bound_slack,
     )
-
-
-def stability_window(bundle: SyncOperatorBundle, delta: float) -> float:
-    """Largest |t| with guaranteed drift <= delta; infinite when epsilon ~ 0."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if bundle.epsilon <= _EPS_FLOOR:
-        return float("inf")
-    return delta / bundle.epsilon
 
 
 def sample_kernel_state(bundle: SyncOperatorBundle, seed: int) -> np.ndarray:

