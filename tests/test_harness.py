@@ -137,6 +137,17 @@ class TestParseScenario:
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (1, 4), (4, 1)])
+    def test_local_terms_match_local_hamiltonian(self, d_a, d_b):
+        # the local branch is the library's only H_A (x) I + I (x) H_B builder
+        rng = np.random.default_rng(10 * d_a + d_b)
+        g_a, g_b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (d_a, d_b))
+        h_a, h_b = (g_a + g_a.conj().T) / 2, (g_b + g_b.conj().T) / 2
+        spec = scenario.HamiltonianSpec(local=(h_a, h_b))
+        h, seed = scenario._resolve_hamiltonian(spec, "hamiltonian", (d_a, d_b), None, None)
+        assert seed is None
+        np.testing.assert_array_equal(h, oracles.local_hamiltonian(h_a, h_b))
+
     def test_compat_verdicts(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json")
         report = scenario.run_scenario(s)
@@ -388,7 +399,11 @@ class TestCli:
          "times: unknown field for kind kernel"),
         ("ex55_compat.json", lambda doc: doc.update(clock_a=doc["clock"]),
          "clock_a: unknown field for kind compat"),
-    ], ids=["misspelt_field", "rep_and_rep_a", "drift", "kernel", "compat"])
+        ("drift_perturbed.json", lambda doc: doc.update(kind="fidelity", clock={"labels": [0, 1]}),
+         "clock: unknown field for kind fidelity"),
+        ("ex_group_s3.json", lambda doc: doc.update(times=[0, 1]),
+         "times: unknown field for kind group"),
+    ], ids=["misspelt_field", "rep_and_rep_a", "drift", "kernel", "compat", "fidelity", "group"])
     def test_unknown_or_duplicate_top_level_field_exit_two(self, tmp_path, capsys, name, edit,
                                                           message):
         doc = json.loads((SCENARIO_DIR / name).read_text(encoding="utf-8"))

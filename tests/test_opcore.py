@@ -48,6 +48,63 @@ class TestValidation:
             opcore.require_unitary(np.diag([1.0, 0.999]))
 
 
+class TestTensorProduct:
+    """The Kronecker convention of kron_apply, the library's one tensor product."""
+
+    def test_identity(self):
+        np.testing.assert_array_equal(opcore.kron_apply(np.eye(2), np.eye(2), np.eye(4)), np.eye(4))
+
+    def test_sigma_z_with_identity(self):
+        np.testing.assert_allclose(opcore.kron_apply(SIGMA_Z, np.eye(2), np.eye(4)),
+                                   np.diag([1.0, 1.0, -1.0, -1.0]), atol=0)
+
+    def test_action_on_product_vectors(self):
+        # oracle: direct matrix-vector multiplication on each factor
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = random_complex(rng, (2, 2))
+            b = random_complex(rng, (3, 3))
+            u = random_complex(rng, 2)
+            v = random_complex(rng, 3)
+            lhs = opcore.kron_apply(a, b, np.kron(u, v))
+            rhs = np.kron(a @ u, b @ v)
+            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    def test_index_convention(self):
+        # block (i, j) of A (x) B equals A[i, j] * B
+        rng = np.random.default_rng(1)
+        a = random_complex(rng, (3, 3))
+        b = random_complex(rng, (2, 2))
+        t = opcore.kron_apply(a, b, np.eye(6))
+        for i in range(3):
+            for j in range(3):
+                np.testing.assert_allclose(t[2 * i:2 * i + 2, 2 * j:2 * j + 2], a[i, j] * b,
+                                           rtol=0, atol=1e-14)
+
+    def test_associativity(self):
+        # (A (x) B) (x) C and A (x) (B (x) C) split the same rows differently;
+        # integer entries make every product exact, floats regroup within ulps
+        rng = np.random.default_rng(2)
+        a, b, c = (rng.integers(-5, 6, size=(2, 2)).astype(complex) for _ in range(3))
+        x = rng.integers(-5, 6, size=(8, 3)).astype(complex)
+        left = opcore.kron_apply(np.kron(a, b), c, x)
+        right = opcore.kron_apply(a, np.kron(b, c), x)
+        assert np.array_equal(left, right)
+        a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
+        x = random_complex(rng, (8, 3))
+        left = opcore.kron_apply(np.kron(a, b), c, x)
+        right = opcore.kron_apply(a, np.kron(b, c), x)
+        assert opcore.operator_norm(left - right) <= 1e-14 * 8 * opcore.operator_norm(left)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=matrices(2), b=matrices(2), c=matrices(2), x=finite_entries, y=finite_entries)
+    def test_bilinearity(self, a, b, c, x, y):
+        v = np.arange(4.0) + 1j * np.arange(4.0)[::-1]
+        lhs = opcore.kron_apply(x * a + y * b, c, v)
+        rhs = x * opcore.kron_apply(a, c, v) + y * opcore.kron_apply(b, c, v)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
 class TestKronDifference:
     def test_matches_tensor_products(self):
         rng = np.random.default_rng(12)
