@@ -6,8 +6,6 @@ from .opcore import (
     Subspace,
     as_complex_matrix,
     commutator,
-    hermitian_eig,
-    null_space,
     operator_norm,
     projector,
 )
@@ -40,6 +38,7 @@ from .grouprep import (
     builtin_group,
     commutant_dimension,
     hsync_membership,
+    isotypic_clock,
     isotypic_projectors,
     make_group,
     make_representation,
@@ -47,7 +46,6 @@ from .grouprep import (
     observable_from_class_function,
     representation_from_generators,
     schur_scalars,
-    tensor_representation,
     validate_representation,
     verify_kernel_containment,
 )

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .clocks import _philox
+from .clocks import ClockObservable, _philox, make_clock
 from .opcore import NumericalError
+from .sync import SyncOperatorBundle, SyncSystem
 
 EQUIVAR_TOL = 1e-10
-MATCH_TOL = 1e-9            # scalar agreement |alpha - beta| for kernel membership
 MULT_ROUND_TOL = 1e-6
 SCHUR_TOL = 1e-9
-KERNEL_RESIDUAL_TOL = 1e-9  # ||K b|| allowance on matched components
+KERNEL_RESIDUAL_TOL = 1e-9  # allowance on ||K|_block - (alpha - beta) I||
 HOMOMORPHISM_TOL = 1e-10
 OBSERVABLE_HERM_TOL = 1e-10  # ||T - T^dag|| allowance for a clock observable
 _IDEMPOTENT_TOL = 1e-8
@@ -55,12 +55,6 @@ class FiniteGroup:
     @property
     def class_sizes(self) -> tuple:
         return tuple(len(c) for c in self.conjugacy_classes)
-
-    def class_of(self, index: int) -> int:
-        """Conjugacy-class index of an element index."""
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range")
-        return int(self.class_index[index])
 
     def index_of(self, label) -> int:
         try:
@@ -422,19 +416,6 @@ def representation_from_generators(group: FiniteGroup, generators: dict) -> Repr
     return make_representation(group, mats)
 
 
-def tensor_representation(rho_a: Representation, rho_b: Representation) -> Representation:
-    """Joint diagonal action g -> rho_A(g) (x) rho_B(g), built from the factors.
-
-    The factors were validated, so the joint matrices are not checked again:
-    (A (x) B)^dag (A (x) B) - I = A^dag A (x) B^dag B - I has norm at most
-    delta_A + delta_B + delta_A * delta_B, which fits under
-    UNITARY_TOL * d_A * d_B whenever both dims are >= 2 and not both 2.
-    """
-    _require_same_group(rho_a.group, rho_b.group)
-    mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
-    return Representation(group=rho_a.group, matrices=mats, perm=_joint_perm(rho_a, rho_b))
-
-
 def _require_same_group(group_a: FiniteGroup, group_b: FiniteGroup) -> None:
     if group_a is group_b:
         return
@@ -563,12 +544,6 @@ class IsotypicDecomposition:
     components: tuple
     group: FiniteGroup
 
-    def component(self, name: str) -> IsotypicComponent:
-        for c in self.components:
-            if c.irrep == name:
-                return c
-        raise KeyError(name)
-
 
 def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicDecomposition:
     """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one per irrep.
@@ -599,21 +574,6 @@ def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicD
     return IsotypicDecomposition(components=tuple(components), group=group)
 
 
-def _diagonal_blocks(dec_a: IsotypicDecomposition, dec_b: IsotypicDecomposition) -> list:
-    """(component A, component B, basis of V_l^A (x) V_l^B) per shared irrep l.
-
-    The diagonal blocks are only defined for multiplicity-free content on
-    both sides; anything else raises.
-    """
-    for dec, side in ((dec_a, "A"), (dec_b, "B")):
-        bad = [c.irrep for c in dec.components if c.multiplicity > 1]
-        if bad:
-            raise ValueError(f"representation {side} is not multiplicity-free ({bad})")
-    return [(comp_a, comp_b, np.kron(comp_a.basis, comp_b.basis))
-            for comp_a, comp_b in zip(dec_a.components, dec_b.components)
-            if comp_a.multiplicity == 1 and comp_b.multiplicity == 1]
-
-
 # ---------------------------------------------------------------------------
 # Schur scalars and synchronization structure
 
@@ -630,13 +590,26 @@ def equivariance_residual(rho: Representation, t) -> float:
     return _max_spectral_norm(lambda sl: mats[sl] @ t - t @ mats[sl], rho.group.order, rho.dim)
 
 
+def _joint_commutators(t: np.ndarray, rho_a: Representation, rho_b: Representation,
+                       gs) -> np.ndarray:
+    """Stack of [J(g), T] for g in ``gs``, J(g) = rho_A(g) (x) rho_B(g).
+
+    Gathered from the joint index array when both factors permute, so that no
+    Kronecker product is formed; otherwise J(g) = np.kron(rho_A(g), rho_B(g))
+    for the elements of ``gs`` only.
+    """
+    perm = _joint_perm(rho_a, rho_b)
+    if perm is not None:
+        return _permutation_commutators(t, perm[gs])
+    joint = np.stack([np.kron(rho_a[g], rho_b[g]) for g in gs])
+    return joint @ t - t @ joint
+
+
 def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representation,
                         tree: GeneratorTree) -> tuple:
     """(r_S, B): the exact max ||[J(s), T]|| over s in S, and B >= max over all g.
 
-    J(g) = rho_A(g) (x) rho_B(g), as tensor_representation builds it; when
-    both factors permute, [J(s), T] is gathered from the joint index array and
-    no Kronecker product is formed. For h = p*s,
+    [J(s), T] comes from _joint_commutators. For h = p*s,
     [T, J(p)J(s)] = [T, J(p)]J(s) + J(p)[T, J(s)], so along the tree
     R_h = nu (R_p + r_s) + 2 ||T||_F eta_h with R_s = r_s, where
     nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
@@ -646,11 +619,7 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
     has nu = 1 and eta = 0.
     """
     gens = list(tree.generators)
-    perm = _joint_perm(rho_a, rho_b)
-    if perm is not None:
-        comms = _permutation_commutators(t, perm[gens])
-    else:
-        comms = [opcore.commutator(np.kron(rho_a[s], rho_b[s]), t) for s in gens]
+    comms = _joint_commutators(t, rho_a, rho_b, gens)
     r = {s: opcore.operator_norm(c) for s, c in zip(gens, comms)}
     r_s = max(r.values())
     if not tree.edges:
@@ -676,8 +645,8 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
 class SchurEntry:
     irrep: str
     multiplicity: int
-    scalar: complex | None
-    residual: float | None
+    scalar: complex
+    residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -686,19 +655,16 @@ class SchurReport:
     equivariance_residual: float
     decomposition: IsotypicDecomposition
 
-    def scalar(self, name: str) -> complex:
-        for e in self.entries:
-            if e.irrep == name and e.scalar is not None:
-                return e.scalar
-        raise KeyError(name)
-
 
 def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
                   equivar_tol: float = EQUIVAR_TOL) -> SchurReport:
     """Per-irrep scalars of an equivariant observable.
 
-    Multiplicity-one components carry a scalar and the residual
-    ||T P - scalar P||; higher-multiplicity components carry neither.
+    Each component present carries alpha = tr(T P) / k, k = isotypic_dim, and
+    the residual ||T B - alpha B|| on its orthonormal basis B. A central T is
+    alpha I on every isotypic component, whatever the multiplicity; a T that is
+    only equivariant is so on the multiplicity-one components, and the
+    residual measures how far it is elsewhere.
     """
     t = opcore.as_complex_matrix(t)
     eq_res = equivariance_residual(rho, t)
@@ -707,17 +673,29 @@ def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
             f"operator is not equivariant: max ||[rho(g), T]|| = {eq_res:.3e} > {equivar_tol:g}")
     entries = []
     for comp in decomp.components:
-        if comp.multiplicity == 0:
-            continue
-        p = comp.projector
-        if comp.multiplicity == 1:
-            scalar = complex(np.trace(t @ p) / comp.isotypic_dim)
-            residual = opcore.operator_norm(t @ p - scalar * p)
-            entries.append(SchurEntry(comp.irrep, 1, scalar, residual))
-        else:
-            entries.append(SchurEntry(comp.irrep, comp.multiplicity, None, None))
+        if comp.multiplicity:
+            scalar = complex(np.trace(t @ comp.projector) / comp.isotypic_dim)
+            residual = opcore.operator_norm(t @ comp.basis - scalar * comp.basis)
+            entries.append(SchurEntry(comp.irrep, comp.multiplicity, scalar, residual))
     return SchurReport(entries=tuple(entries), equivariance_residual=eq_res,
                        decomposition=decomp)
+
+
+def _present(schur: SchurReport):
+    """(component, Schur entry) for each isotypic component present."""
+    return zip((c for c in schur.decomposition.components if c.multiplicity), schur.entries)
+
+
+def isotypic_clock(schur: SchurReport) -> ClockObservable:
+    """The clock of T in its isotypic basis: label Re(alpha_l) on each of the
+    isotypic_dim basis columns of every component l present.
+
+    make_clock checks that the stacked component bases form a unitary and
+    that the clock is Hermitian.
+    """
+    pairs = list(_present(schur))
+    labels = np.repeat([e.scalar.real for _, e in pairs], [c.isotypic_dim for c, _ in pairs])
+    return make_clock(labels, np.hstack([c.basis for c, _ in pairs]))
 
 
 def observable_from_class_function(values, rho: Representation) -> np.ndarray:
@@ -769,53 +747,35 @@ class HsyncVerdict:
     member: bool
 
 
-def _k_norm(t_a: np.ndarray, t_b: np.ndarray) -> float:
-    """||T_A (x) I - I (x) T_B|| = max |a_i - b_j| over the eigenvalues of the
-    Hermitian parts of T_A and T_B: exact for Hermitian factors, and within
-    (||T_A - T_A^dag|| + ||T_B - T_B^dag||) / 2 of the norm otherwise."""
-    a, b = (np.linalg.eigvalsh((t + t.conj().T) / 2.0) for t in (t_a, t_b))
-    return float(np.max(np.abs(np.subtract.outer(a, b))))
-
-
-def hsync_membership(h, rho_a: Representation, rho_b: Representation, t_a, t_b,
+def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
+                     rho_a: Representation, rho_b: Representation,
                      equivar_tol: float = EQUIVAR_TOL,
                      compat_tol: float = 1e-10) -> HsyncVerdict:
-    """Whether H lies in the commutant of g -> rho_A(g) (x) rho_B(g) and commutes
-    with K = T_A (x) I - I (x) T_B.
+    """Whether the system's H lies in the commutant of g -> rho_A(g) (x) rho_B(g)
+    and commutes with the system's K.
 
     B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
     (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
-    computed from the joint matrices. [H, K] is applied through K's factors.
-    T_A and T_B must be Hermitian to OBSERVABLE_HERM_TOL, as
-    observable_from_class_function builds them; a ValueError names a factor
-    that is not.
+    taken from the joint commutators. ||[H, K]|| and ||K|| are the bundle's
+    epsilon and k_norm.
     """
     _require_same_group(rho_a.group, rho_b.group)
-    h = opcore.as_complex_matrix(h)
-    t_a, t_b = opcore.as_complex_matrix(t_a), opcore.as_complex_matrix(t_b)
-    for name, t in (("T_A", t_a), ("T_B", t_b)):
-        herm = opcore.screened_norm(t - t.conj().T, OBSERVABLE_HERM_TOL)
-        if herm > OBSERVABLE_HERM_TOL:
-            raise ValueError(f"clock observable {name} is not Hermitian ({herm:.3e})")
-    if (t_a.shape[0], t_b.shape[0]) != (rho_a.dim, rho_b.dim):
-        raise ValueError(f"clock dims {t_a.shape[0]}x{t_b.shape[0]} do not match "
+    if (system.dim_a, system.dim_b) != (rho_a.dim, rho_b.dim):
+        raise ValueError(f"clock dims {system.dim_a}x{system.dim_b} do not match "
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
-    dim = rho_a.dim * rho_b.dim
-    if h.shape[0] != dim:
-        raise ValueError(f"operator dim {h.shape[0]} does not match representation dim {dim}")
-    group = rho_a.group
+    h, group = system.hamiltonian, rho_a.group
     tree = generator_tree(group)
     r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree)
     if r_s <= equivar_tol < bound:
-        bound = equivariance_residual(tensor_representation(rho_a, rho_b), h)
-    comm = opcore.kron_difference_apply(t_a.T, t_b.T, h.T).T   # H K = (K^T H^T)^T
-    comm -= opcore.kron_difference_apply(t_a, t_b, h)
-    kern_res = opcore.operator_norm(comm)
-    # ||H|| and ||K|| only decide the verdict when kern_res exceeds compat_tol
-    # (compat_tol * max(1, m) >= compat_tol), so they are taken only then.
+        gs = np.arange(group.order)
+        bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),
+                                   group.order, system.dim)
+    kern_res = bundle.epsilon
+    # ||H|| only decides the verdict when kern_res exceeds compat_tol
+    # (compat_tol * max(1, m) >= compat_tol), so it is taken only then.
     member = bound <= equivar_tol and (
         kern_res <= compat_tol
-        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * _k_norm(t_a, t_b)))
+        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * bundle.k_norm))
     return HsyncVerdict(
         generators=[group.elements[g] for g in tree.generators],
         word_length=tree.depth,
@@ -832,7 +792,6 @@ class ContainmentEntry:
     alpha: float
     beta: float
     matched: bool
-    max_kernel_norm: float
     max_deviation: float
     ok: bool
 
@@ -841,53 +800,64 @@ class ContainmentEntry:
 class ContainmentReport:
     """Per-irrep fate of the diagonal isotypic subspace under K.
 
-    Matched irreps (|alpha - beta| <= match_tol) must be annihilated by K;
-    mismatched ones must be scaled by exactly |alpha - beta|. ``contained``
-    refers to the matched part only.
+    Irrep l is matched when |alpha_l - beta_l| is within the kernel's cutoff,
+    the rule that puts a label pair in ker K, and ``max_deviation`` bounds
+    ||K|_block - (alpha_l - beta_l) I|| on its block. ``contained`` refers to
+    the matched part only. ``kernel_dim`` is dim ker K and ``diagonal_dim``
+    the dimension of the matched blocks, which ker K contains; it is larger
+    when labels of different irreps agree. Neither gates ``passed``.
     """
 
     entries: list
     contained: bool
     all_matched: bool
+    kernel_dim: int
+    diagonal_dim: int
     passed: bool
 
 
-def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport, t_a, t_b,
-                              match_tol: float = MATCH_TOL) -> ContainmentReport:
-    """Fate of each diagonal block under K = T_A (x) I - I (x) T_B.
+def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport,
+                              bundle: SyncOperatorBundle) -> ContainmentReport:
+    """Fate of each diagonal block V_l^A (x) V_l^B under K = T_A (x) I - I (x) T_B.
 
     ``schur_a`` and ``schur_b`` are the Schur reports of T_A and T_B, each
-    carrying the decomposition it was computed on; K is applied through its
-    factors.
+    carrying the decomposition it was computed on, and ``bundle`` is
+    sync_bundle's for their isotypic clocks. Let B_A, B_B be the orthonormal
+    bases of irrep l's components, alpha and beta the Schur scalars (the
+    entry reports their real parts, the clock labels) and R = T B - alpha B,
+    so ||R|| is the Schur residual. Then
+
+        K (B_A (x) B_B) = (T_A B_A) (x) B_B - B_A (x) (T_B B_B)
+                        = (alpha - beta) B_A (x) B_B + R_A (x) B_B - B_A (x) R_B,
+
+    and ||X (x) Y|| = ||X|| ||Y|| with ||B_A|| = ||B_B|| = 1, so
+    ||K (B_A (x) B_B) - (alpha - beta) B_A (x) B_B|| <= res_A + res_B, the
+    entry's ``max_deviation``. So for every unit vector b of the block,
+    ||K b|| lies within max_deviation + |Im(alpha - beta)| (roundoff for
+    Hermitian T) of |Re(alpha - beta)|, the label gap, which is within the
+    kernel cutoff on a matched block. This holds for any multiplicities.
     """
-    dec_a, dec_b = schur_a.decomposition, schur_b.decomposition
-    _require_same_group(dec_a.group, dec_b.group)
-    blocks = _diagonal_blocks(dec_a, dec_b)
-    block_norms = []
-    if blocks:   # K applied once to every block's columns
-        columns = np.hstack([basis for _, _, basis in blocks])
-        norms = np.linalg.norm(opcore.kron_difference_apply(t_a, t_b, columns), axis=0)
-        block_norms = np.split(norms, np.cumsum([b.shape[1] for _, _, b in blocks])[:-1])
-    entries = []
-    for (comp_a, comp_b, _), norms in zip(blocks, block_norms):
-        alpha = schur_a.scalar(comp_a.irrep).real
-        beta = schur_b.scalar(comp_b.irrep).real
-        gap = abs(alpha - beta)
-        matched = gap <= match_tol
+    _require_same_group(schur_a.decomposition.group, schur_b.decomposition.group)
+    side_b = {comp.irrep: (comp, e) for comp, e in _present(schur_b)}
+    entries, diagonal_dim = [], 0
+    for comp_a, e_a in _present(schur_a):
+        if comp_a.irrep not in side_b:
+            continue
+        comp_b, e_b = side_b[comp_a.irrep]
+        alpha, beta = e_a.scalar.real, e_b.scalar.real
+        matched = abs(alpha - beta) <= bundle.kernel.tol_used
         if matched:
-            ok = bool(np.max(norms) <= KERNEL_RESIDUAL_TOL)
-            deviation = float(np.max(norms))
-        else:
-            deviation = float(np.max(np.abs(norms - gap)))
-            ok = deviation <= KERNEL_RESIDUAL_TOL
+            diagonal_dim += comp_a.isotypic_dim * comp_b.isotypic_dim
+        deviation = e_a.residual + e_b.residual
         entries.append(ContainmentEntry(
             irrep=comp_a.irrep, alpha=alpha, beta=beta, matched=matched,
-            max_kernel_norm=float(np.max(norms)), max_deviation=deviation, ok=ok))
-    contained = all(e.ok for e in entries if e.matched)
+            max_deviation=deviation, ok=deviation <= KERNEL_RESIDUAL_TOL))
     return ContainmentReport(
         entries=entries,
-        contained=contained,
+        contained=all(e.ok for e in entries if e.matched),
         all_matched=all(e.matched for e in entries),
+        kernel_dim=bundle.kernel.dim,
+        diagonal_dim=diagonal_dim,
         passed=all(e.ok for e in entries),
     )
 

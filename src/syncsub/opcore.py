@@ -20,7 +20,6 @@ RECON_TOL = 1e-12       # eigendecomposition reconstruction, relative
 ORTHO_TOL = 1e-10       # subspace basis orthonormality
 KERNEL_TOL = 1e-10      # kernel cutoff, relative to the largest singular value
 KERNEL_ABS_FLOOR = 1e-12   # absolute cutoff for numerically zero matrices
-_SIGMA_ZERO = 1e-300
 
 
 class NumericalError(RuntimeError):
@@ -104,16 +103,6 @@ def kron_apply(a, b, x) -> np.ndarray:
     return (b @ np.tensordot(a, y, axes=1)).reshape(x.shape)
 
 
-def kron_difference_apply(a, b, x) -> np.ndarray:
-    """(A (x) I - I (x) B) X without forming the Kronecker product, as kron_apply does."""
-    a, b = as_complex_matrix(a), as_complex_matrix(b)
-    x = np.asarray(x, dtype=np.complex128)
-    y = _factor_indices(x, a.shape[0], b.shape[0])
-    out = np.tensordot(a, y, axes=1)
-    out -= b @ y
-    return out.reshape(x.shape)
-
-
 def commutator(a, b) -> np.ndarray:
     """AB - BA; raises on dimension mismatch."""
     a = as_complex_matrix(a)
@@ -150,10 +139,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 def spectrum(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a complex matrix that has passed require_hermitian.
@@ -169,11 +154,6 @@ def spectrum(m: np.ndarray) -> Spectrum:
     if err > limit:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
     return Spectrum(eigenvalues=w, eigenvectors=v)
-
-
-def hermitian_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic output."""
-    return spectrum(require_hermitian(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,28 +185,11 @@ class Subspace:
 
 
 def kernel_cutoff(sigma_max: float, tol: float) -> float:
-    """Absolute singular-value cutoff: tol * sigma_max, or the floor for a zero matrix."""
+    """Absolute singular-value cutoff: tol * sigma_max, floored at KERNEL_ABS_FLOOR,
+    so that a matrix that is zero up to roundoff has the full space as its kernel."""
     if tol <= 0:
         raise ValueError("kernel tolerance must be positive")
-    return KERNEL_ABS_FLOOR if sigma_max < _SIGMA_ZERO else tol * sigma_max
-
-
-def null_space(a, tol: float = KERNEL_TOL) -> Subspace:
-    """Kernel of a 2-d array via SVD.
-
-    Keeps right-singular vectors with singular value <= tol * sigma_max, and
-    counts every singular value at or below KERNEL_ABS_FLOOR as zero, so a
-    matrix that is zero up to roundoff has the full space as its kernel.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    n = a.shape[1]
-    _, s, vh = np.linalg.svd(a)
-    cutoff = max(kernel_cutoff(float(s[0]) if s.size else 0.0, tol), KERNEL_ABS_FLOOR)
-    rank = int(np.count_nonzero(s > cutoff))
-    basis = _fix_phases(vh[rank:].conj().T)
-    return Subspace(ambient_dim=n, basis=basis, tol_used=cutoff)
+    return max(tol * sigma_max, KERNEL_ABS_FLOOR)
 
 
 def projector(s: Subspace) -> np.ndarray:

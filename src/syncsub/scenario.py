@@ -58,7 +58,6 @@ DEFAULT_TOLERANCES = {
     "bound_slack": sync.BOUND_SLACK,
     "init_tol": sync.INIT_TOL,
     "equivar_tol": grouprep.EQUIVAR_TOL,
-    "match_tol": grouprep.MATCH_TOL,
     "schur_tol": grouprep.SCHUR_TOL,
 }
 
@@ -286,9 +285,8 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
     ``path`` is the spec's field path, used in error messages. ``dims`` is
     (d_A, d_B) for a product space or (d,) for a compat scenario's clock. A
     top-level matrix literal comes back unchecked, because each caller checks
-    the result once (make_system, classify_compatibility, or the group
-    branch). Local terms and a perturbation's matrix base and direction are
-    checked here.
+    the result once (make_system or classify_compatibility). Local terms and a
+    perturbation's matrix base and direction are checked here.
     """
     product = len(dims) == 2
     dim_a, dim_b = dims if product else (dims[0], 1)
@@ -334,13 +332,9 @@ def _subspace_payload(sub: opcore.Subspace) -> dict:
 
 
 def _schur_payload(report: grouprep.SchurReport) -> dict:
-    entries = []
-    for e in report.entries:
-        entry = {"irrep": e.irrep, "multiplicity": e.multiplicity}
-        if e.scalar is not None:
-            entry["scalar"] = [e.scalar.real, e.scalar.imag]
-            entry["residual"] = e.residual
-        entries.append(entry)
+    entries = [{"irrep": e.irrep, "multiplicity": e.multiplicity,
+                "scalar": [e.scalar.real, e.scalar.imag], "residual": e.residual}
+               for e in report.entries]
     return {"equivariance_residual": report.equivariance_residual, "entries": entries}
 
 
@@ -403,6 +397,8 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 
     A scenario with one ``rep`` has ``rep_b is rep_a``; that representation is
     validated, counted and decomposed once and side B reuses the results.
+    Each side's clock is its observable in the isotypic basis, so kernel,
+    ||K|| and ||[H, K]|| come from one sync bundle.
     """
     def per_side(fn, *args):
         a = fn(s.rep_a, *args)
@@ -425,18 +421,19 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     schur_a = grouprep.schur_scalars(t_a, s.rep_a, dec_a, equivar_tol=tol["equivar_tol"])
     schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
     fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
-    schur_ok = not any(e.residual is not None and e.residual > tol["schur_tol"]
-                       for e in schur_a.entries + schur_b.entries)
-    containment = grouprep.verify_kernel_containment(
-        schur_a, schur_b, t_a, t_b, match_tol=tol["match_tol"])
-    fields["containment"] = asdict(containment)
-    passed = passed and schur_ok and containment.passed
+    schur_ok = all(e.residual <= tol["schur_tol"] for e in schur_a.entries + schur_b.entries)
+    h = np.zeros((s.rep_a.dim * s.rep_b.dim,) * 2)
     if s.hamiltonian is not None:
         h, _ = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (s.rep_a.dim, s.rep_b.dim),
                                     seed_override, s.seed)
-        h = opcore.require_hermitian(h)   # hsync_membership does not check it
+    system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b), h)
+    bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
+    containment = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
+    fields["containment"] = asdict(containment)
+    passed = passed and schur_ok and containment.passed
+    if s.hamiltonian is not None:
         fields["membership"] = asdict(grouprep.hsync_membership(
-            h, s.rep_a, s.rep_b, t_a, t_b,
+            system, bundle, s.rep_a, s.rep_b,
             equivar_tol=tol["equivar_tol"], compat_tol=tol["compat_tol"]))
     return fields, passed
 

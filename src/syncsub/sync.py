@@ -68,20 +68,23 @@ def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SyncOperatorBundle:
-    """The kernel of K and epsilon = ||[H,K]||."""
+    """The kernel of K, epsilon = ||[H,K]|| and ||K|| = max |a_i - b_j|."""
 
     kernel: Subspace
     epsilon: float
+    k_norm: float
 
 
 def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> SyncOperatorBundle:
-    """K's kernel and epsilon = ||[H,K]||.
+    """K's kernel, epsilon = ||[H,K]|| and ||K||.
 
-    K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j), so null_space's
-    rank rule on K keeps b_A,i (x) b_B,j for the label gaps within its cutoff,
-    in product-index order, and ||[H,K]|| = ||[H', G]|| with H' = U^dag H U,
-    whose entries are h'_rs g_s - g_r h'_rs. In the standard basis these are
-    the dense products' own roundings.
+    K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j), whose singular
+    values are the label gaps |a_i - b_j|. The kernel keeps b_A,i (x) b_B,j for
+    the gaps within opcore.kernel_cutoff(||K||, kernel_tol), the SVD rank rule
+    with its absolute floor, in product-index order; ``kernel.tol_used`` is that
+    cutoff. ||[H,K]|| = ||[H', G]|| with H' = U^dag H U, whose entries are
+    h'_rs g_s - g_r h'_rs. In the standard basis these are the dense products'
+    own roundings.
     """
     with np.errstate(over="ignore"):
         g = _k_diagonal(system)
@@ -102,7 +105,7 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
     comm = h * g
     comm -= g[:, None] * h
-    return SyncOperatorBundle(kernel=kernel, epsilon=opcore.operator_norm(comm))
+    return SyncOperatorBundle(kernel=kernel, epsilon=opcore.operator_norm(comm), k_norm=k_norm)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Dense references and fixtures the tests compare the library against.
 
-The library never forms K = T_A (x) I - I (x) T_B, never builds a unitary per
+The library never forms K = T_A (x) I - I (x) T_B or the joint action
+g -> rho_A(g) (x) rho_B(g), never factors K by SVD, never builds a unitary per
 time sample and never samples Hamiltonians; these functions do, the plain
 dense way, so that the tests can check the structured paths against them.
 None of them is reached from a scenario.
@@ -10,7 +11,7 @@ import numpy as np
 
 from syncsub import grouprep, opcore
 from syncsub.clocks import ClockObservable, _philox, _random_hermitian, block_structure
-from syncsub.opcore import NumericalError, Subspace
+from syncsub.opcore import NumericalError, Spectrum, Subspace
 
 # ---------------------------------------------------------------------------
 # operators
@@ -29,12 +30,34 @@ def unitarity_residual(u) -> float:
 def kron_difference(a, b) -> np.ndarray:
     """A (x) I - I (x) B, the shape of every synchronization operator K, as a dense matrix.
 
-    The library never forms K; it applies K through kron_difference_apply, or
-    in the product basis where K is diagonal. This dense form is the reference
-    the tests compare against.
+    The library never forms K; it works in the product clock basis, where K is
+    diagonal. This dense form is the reference the tests compare against.
     """
     a, b = opcore.as_complex_matrix(a), opcore.as_complex_matrix(b)
     return np.kron(a, np.eye(b.shape[0])) - np.kron(np.eye(a.shape[0]), b)
+
+
+def hermitian_eig(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix with deterministic output."""
+    return opcore.spectrum(opcore.require_hermitian(m))
+
+
+def null_space(a, tol: float = opcore.KERNEL_TOL) -> Subspace:
+    """Kernel of a 2-d array via SVD.
+
+    Keeps right-singular vectors with singular value <= tol * sigma_max, and
+    counts every singular value at or below KERNEL_ABS_FLOOR as zero, so a
+    matrix that is zero up to roundoff has the full space as its kernel.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    n = a.shape[1]
+    _, s, vh = np.linalg.svd(a)
+    cutoff = opcore.kernel_cutoff(float(s[0]) if s.size else 0.0, tol)
+    rank = int(np.count_nonzero(s > cutoff))
+    basis = opcore._fix_phases(vh[rank:].conj().T)
+    return Subspace(ambient_dim=n, basis=basis, tol_used=cutoff)
 
 
 def evolve(h, t: float) -> np.ndarray:
@@ -42,7 +65,7 @@ def evolve(h, t: float) -> np.ndarray:
 
     Exactly unitary up to roundoff for Hermitian H; no series truncation.
     """
-    spec = opcore.hermitian_eig(h)
+    spec = hermitian_eig(h)
     phases = np.exp(-1j * spec.eigenvalues * float(t))
     u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
     limit = opcore.UNITARY_TOL * u.shape[0]
@@ -126,16 +149,31 @@ def random_equivariant_observable(rho, seed: int) -> np.ndarray:
     return (avg + avg.conj().T) / 2.0
 
 
-def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
-    """Direct sum over shared irreps of V_l^A (x) V_l^B inside the product space.
+def tensor_representation(rho_a, rho_b):
+    """Joint diagonal action g -> rho_A(g) (x) rho_B(g), built from the factors.
 
-    Requires multiplicity-free content on both sides; the returned subspace is
-    invariant under the joint action (verified before returning).
+    The factors were validated, so the joint matrices are not checked again:
+    (A (x) B)^dag (A (x) B) - I = A^dag A (x) B^dag B - I has norm at most
+    delta_A + delta_B + delta_A * delta_B, which fits under
+    UNITARY_TOL * d_A * d_B whenever both dims are >= 2 and not both 2.
     """
     grouprep._require_same_group(rho_a.group, rho_b.group)
-    blocks = grouprep._diagonal_blocks(grouprep.isotypic_projectors(rho_a, chars),
-                                       grouprep.isotypic_projectors(rho_b, chars))
-    pieces = [basis for _, _, basis in blocks]
+    mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
+    return grouprep.Representation(group=rho_a.group, matrices=mats,
+                                   perm=grouprep._joint_perm(rho_a, rho_b))
+
+
+def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
+    """Direct sum over shared irreps of V_l^A (x) V_l^B inside the product space,
+    for any multiplicities; the returned subspace is invariant under the joint
+    action (verified before returning).
+    """
+    grouprep._require_same_group(rho_a.group, rho_b.group)
+    dec_a = grouprep.isotypic_projectors(rho_a, chars)
+    dec_b = grouprep.isotypic_projectors(rho_b, chars)
+    pieces = [np.kron(comp_a.basis, comp_b.basis)
+              for comp_a, comp_b in zip(dec_a.components, dec_b.components)
+              if comp_a.multiplicity and comp_b.multiplicity]
     ambient = rho_a.dim * rho_b.dim
     if pieces:
         basis = np.hstack(pieces)
@@ -146,7 +184,7 @@ def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
     if subspace.dim:
         pi = opcore.projector(subspace)
         eye = np.eye(ambient)
-        joint = grouprep.tensor_representation(rho_a, rho_b)
+        joint = tensor_representation(rho_a, rho_b)
         for g in range(joint.group.order):
             leak = opcore.screened_norm((eye - pi) @ joint[g] @ pi, 1e-10)
             if leak > 1e-10:

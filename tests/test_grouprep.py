@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import oracles
-from syncsub import clocks, grouprep, opcore
+from syncsub import clocks, grouprep, opcore, sync
+from test_membership_oracle import generator_built, membership, real_class_function
 from test_sync_oracle import random_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+Z_CLOCK = clocks.make_clock([1.0, -1.0])   # the clock whose matrix is SIGMA_Z
 
 
 def block_diag(*blocks):
@@ -28,6 +30,25 @@ def rotation(theta):
 
 
 BUILTIN_NAMES = ("Z1", "Z2", "Z3", "Z5", "Z2xZ2", "S3", "D4")
+
+
+def containment(schur_a, schur_b):
+    """verify_kernel_containment with the bundle of the two isotypic clocks."""
+    clock_a, clock_b = grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b)
+    system = sync.make_system(clock_a, clock_b, np.zeros((clock_a.dim * clock_b.dim,) * 2))
+    return grouprep.verify_kernel_containment(schur_a, schur_b, sync.sync_bundle(system))
+
+
+def class_clock(f, rho, chars):
+    """(T, its isotypic clock) for the class function ``f`` on ``rho``."""
+    t = grouprep.observable_from_class_function(f, rho)
+    schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
+    return t, grouprep.isotypic_clock(schur)
+
+
+def components(dec):
+    """The decomposition's components by irrep name."""
+    return {c.irrep: c for c in dec.components}
 
 
 def conjugated(rho, v):
@@ -329,16 +350,18 @@ class TestPermutationPath:
         assert not report.passed
 
     def test_z16_membership_and_validation_form_no_dense_products(self, monkeypatch):
-        """Z16 reg (x) reg with a member H whose commutators with J(g1) and K are
-        exactly zero: membership forms no Kronecker product and takes no SVD, and
+        """Z16 reg (x) reg with a member H whose commutators with J(g1) is exactly
+        zero: membership forms no Kronecker product and takes no SVD, and
         validation builds no (|G|^2, d, d) homomorphism stack; its unitarity
-        stack is exactly zero and takes no SVD either."""
-        group, _ = grouprep.builtin_group("Z16")
+        stack is exactly zero and takes no SVD either. ||[H, K]|| is the
+        bundle's, taken in the isotypic clock basis, whose change of basis rounds."""
+        group, chars = grouprep.builtin_group("Z16")
         reg = oracles.regular_representation(group)
         values = [0.9, 0.2, -0.1, 0.3, 0.7, -0.6, 0.15, 0.25, 0.4]
-        t_a, t_b = (grouprep.observable_from_class_function(
-            [c * values[min(k, 16 - k)] for k in range(16)], reg) for c in (1.0, 0.5))
-        h = np.kron(t_a, np.eye(16))
+        (t_a, clock_a), (_, clock_b) = (class_clock(
+            [c * values[min(k, 16 - k)] for k in range(16)], reg, chars) for c in (1.0, 0.5))
+        system = sync.make_system(clock_a, clock_b, np.kron(t_a, np.eye(16)))
+        bundle = sync.sync_bundle(system)
         calls = []
         norm = np.linalg.norm
 
@@ -357,11 +380,11 @@ class TestPermutationPath:
             return stacked(stack, count, dim)
 
         monkeypatch.setattr(grouprep, "_max_spectral_norm", counting_stack)
-        verdict = grouprep.hsync_membership(h, reg, reg, t_a, t_b)
+        verdict = grouprep.hsync_membership(system, bundle, reg, reg)
         report = grouprep.validate_representation(reg)
         assert calls == [("stack", 16)]   # unitarity only, exactly zero: no SVD
         assert verdict.member and verdict.equivariance_bound == 0.0
-        assert verdict.kernel_commutation_residual == 0.0
+        assert verdict.kernel_commutation_residual == bundle.epsilon <= 1e-12
         assert report.passed and report.pairs_checked == 256
 
 
@@ -453,17 +476,17 @@ class TestIsotypicProjectors:
     def test_trivial_rep_projects_fully(self, s3):
         group, chars = s3
         dec = grouprep.isotypic_projectors(oracles.trivial_representation(group, 3), chars)
-        np.testing.assert_allclose(dec.component("triv").projector, np.eye(3), atol=1e-12)
-        assert dec.component("std").multiplicity == 0
+        np.testing.assert_allclose(components(dec)["triv"].projector, np.eye(3), atol=1e-12)
+        assert components(dec)["std"].multiplicity == 0
 
     def test_sigma_x_on_z2(self, z2):
         group, chars = z2
         rho = grouprep.representation_from_generators(group, {"g1": SIGMA_X})
         dec = grouprep.isotypic_projectors(rho, chars)
         # oracle: (1/2)(I +- sigma_x)
-        np.testing.assert_allclose(dec.component("chi0").projector,
+        np.testing.assert_allclose(components(dec)["chi0"].projector,
                                    np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
-        np.testing.assert_allclose(dec.component("chi1").projector,
+        np.testing.assert_allclose(components(dec)["chi1"].projector,
                                    np.array([[0.5, -0.5], [-0.5, 0.5]]), atol=1e-12)
 
     def test_s3_regular_ranks(self, s3):
@@ -524,7 +547,7 @@ class TestDiagonalIsotypicSubspace:
         sub = oracles.diagonal_isotypic_subspace(rho_a, rho_b, chars)
         assert sub.dim == 1
         # invariance under the joint action
-        joint = grouprep.tensor_representation(rho_a, rho_b)
+        joint = oracles.tensor_representation(rho_a, rho_b)
         pi = opcore.projector(sub)
         for g in range(group.order):
             assert opcore.operator_norm((np.eye(2) - pi) @ joint[g] @ pi) <= 1e-10
@@ -534,17 +557,18 @@ class TestDiagonalIsotypicSubspace:
         sub = oracles.diagonal_isotypic_subspace(
             s3_multiplicity_free, s3_multiplicity_free, chars)
         assert sub.dim == 1 + 1 + 4
-        joint = grouprep.tensor_representation(s3_multiplicity_free, s3_multiplicity_free)
+        joint = oracles.tensor_representation(s3_multiplicity_free, s3_multiplicity_free)
         pi = opcore.projector(sub)
         eye = np.eye(16)
         for g in range(group.order):
             assert opcore.operator_norm((eye - pi) @ joint[g] @ pi) <= 1e-10
 
-    def test_multiplicity_above_one_rejected(self, s3):
+    def test_regular_rep_with_multiplicity_two(self, s3):
+        # std appears twice in the regular representation: its block is 4 x 4
         group, chars = s3
         reg = oracles.regular_representation(group)
-        with pytest.raises(ValueError, match="multiplicity"):
-            oracles.diagonal_isotypic_subspace(reg, reg, chars)
+        sub = oracles.diagonal_isotypic_subspace(reg, reg, chars)
+        assert sub.dim == 1 + 1 + 16
 
 
 class TestSchurScalars:
@@ -572,15 +596,22 @@ class TestSchurScalars:
         with pytest.raises(ValueError, match="equivariant"):
             grouprep.schur_scalars(SIGMA_Z, rho, dec)
 
-    def test_multiplicity_blocks_reported_without_scalar(self, s3):
+    def test_multiplicity_blocks_carry_scalar_and_residual(self, s3):
+        # on std, multiplicity 2, an equivariant T need not be a scalar and a
+        # central one is: the residual ||T B - alpha B|| tells them apart
         group, chars = s3
         reg = oracles.regular_representation(group)
         dec = grouprep.isotypic_projectors(reg, chars)
         t = oracles.random_equivariant_observable(reg, 0)
-        report = grouprep.schur_scalars(t, reg, dec)
-        by_name = {e.irrep: e for e in report.entries}
-        assert by_name["std"].scalar is None
+        by_name = {e.irrep: e for e in grouprep.schur_scalars(t, reg, dec).entries}
+        assert by_name["std"].multiplicity == 2
+        assert by_name["std"].residual > 1e-3
         assert by_name["triv"].residual <= 1e-9
+        central = grouprep.observable_from_class_function([0.4, -0.6, 0.9], reg)
+        entries = grouprep.schur_scalars(central, reg, dec).entries
+        assert all(e.residual <= 1e-9 for e in entries)
+        # tr(T P) / k on std: chi_std(e) * 0.4 + chi_std(r) * 2 * (-0.6) over dim 2
+        assert entries[2].scalar == pytest.approx((2 * 0.4 - 1 * 2 * -0.6) / 2, abs=1e-12)
 
     def test_schur_dichotomy(self, s3, s3_multiplicity_free):
         _, chars = s3
@@ -607,7 +638,7 @@ class TestObservableFromClassFunction:
         t = grouprep.observable_from_class_function([1.0, 1.0, 1.0], rho)
         dec = grouprep.isotypic_projectors(rho, chars)
         # oracle: averaging operator equals |G| times the trivial projector
-        np.testing.assert_allclose(t, 6.0 * dec.component("triv").projector, atol=1e-10)
+        np.testing.assert_allclose(t, 6.0 * components(dec)["triv"].projector, atol=1e-10)
 
     def test_identity_indicator_gives_identity(self, s3, s3_multiplicity_free):
         t = grouprep.observable_from_class_function([1.0, 0.0, 0.0], s3_multiplicity_free)
@@ -672,20 +703,20 @@ class TestHsyncMembership:
         _, _, rho = pauli_z_pair
         for h in (np.kron(SIGMA_Z, np.eye(2)), np.kron(np.eye(2), SIGMA_Z),
                   0.3 * np.kron(SIGMA_Z, np.eye(2)) - 1.7 * np.kron(np.eye(2), SIGMA_Z)):
-            verdict = grouprep.hsync_membership(h, rho, rho, SIGMA_Z, SIGMA_Z)
+            verdict = membership(h, rho, rho, Z_CLOCK, Z_CLOCK)
             assert verdict.member
             assert verdict.kernel_commutation_residual <= 1e-12
 
     def test_xx_fails_kernel_commutation(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        verdict = grouprep.hsync_membership(np.kron(SIGMA_X, SIGMA_X), rho, rho, SIGMA_Z, SIGMA_Z)
+        verdict = membership(np.kron(SIGMA_X, SIGMA_X), rho, rho, Z_CLOCK, Z_CLOCK)
         assert not verdict.member
         assert verdict.kernel_commutation_residual > 1.0
         assert verdict.equivariance_bound <= 1e-12  # X(x)X does commute with Z(x)Z
 
     def test_identity_is_member(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        verdict = grouprep.hsync_membership(np.eye(4), rho, rho, SIGMA_Z, SIGMA_Z)
+        verdict = membership(np.eye(4), rho, rho, Z_CLOCK, Z_CLOCK)
         assert verdict.member
         assert verdict.equivariance_bound == 0.0
         assert verdict.kernel_commutation_residual == 0.0
@@ -694,27 +725,15 @@ class TestHsyncMembership:
         # ||[H,K]|| = 4e-8 exceeds compat_tol = 1e-10 but not compat_tol * ||H|| ||K||
         _, _, rho = pauli_z_pair
         h = 1e4 * np.kron(SIGMA_Z, np.eye(2)) + 1e-8 * np.kron(SIGMA_X, SIGMA_X)
-        verdict = grouprep.hsync_membership(h, rho, rho, SIGMA_Z, SIGMA_Z)
+        verdict = membership(h, rho, rho, Z_CLOCK, Z_CLOCK)
         assert verdict.kernel_commutation_residual == pytest.approx(4e-8, rel=1e-6)
         assert verdict.member
 
-    def test_k_norm_from_factor_spectra_matches_dense(self):
-        """||K|| for the scaled threshold, from the eigenvalues of T_A and T_B."""
-        rng = np.random.default_rng(12)
-        for d_a, d_b in ((1, 3), (4, 2), (5, 5)):
-            for _ in range(10):
-                t_a, t_b = (clocks._random_hermitian(rng, d) * 10.0 ** rng.uniform(-2, 2)
-                            for d in (d_a, d_b))
-                dense = opcore.operator_norm(oracles.kron_difference(t_a, t_b))
-                assert grouprep._k_norm(t_a, t_b) == pytest.approx(dense, rel=1e-13)
-
-    def test_non_hermitian_factor_is_rejected(self, pauli_z_pair):
+    def test_clock_dims_must_match_representations(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
-        skewed = SIGMA_Z + 1e-9 * np.array([[0, 1], [0, 0]])
-        with pytest.raises(ValueError, match="T_B is not Hermitian"):
-            grouprep.hsync_membership(np.eye(4), rho, rho, SIGMA_Z, skewed)
-        tolerated = SIGMA_Z + 1e-11 * np.array([[0, 1], [0, 0]])
-        assert grouprep.hsync_membership(np.eye(4), rho, rho, tolerated, SIGMA_Z).member
+        three = clocks.make_clock([1.0, 0.0, -1.0])
+        with pytest.raises(ValueError, match="clock dims 3x2 do not match representation dims 2x2"):
+            membership(np.eye(6), rho, rho, three, Z_CLOCK)
 
     def test_members_preserve_diagonal_subspace(self, s3, s3_multiplicity_free):
         # dynamics preservation: e^{-iHt} keeps the diagonal isotypic subspace
@@ -726,12 +745,21 @@ class TestHsyncMembership:
         rng = np.random.default_rng(2)
         for _ in range(5):
             f = rng.uniform(-1, 1, size=3)
-            t_obs = grouprep.observable_from_class_function(f, rho)
+            t_obs, clock = class_clock(f, rho, chars)
             h = np.kron(t_obs, np.eye(4)) + np.kron(np.eye(4), t_obs)
-            assert grouprep.hsync_membership(h, rho, rho, t_obs, t_obs).member
+            assert membership(h, rho, rho, clock, clock).member
             for t in (0.1, 1.0, 10.0):
                 u = oracles.evolve(h, t)
                 assert opcore.operator_norm((eye - pi) @ u @ pi) <= 1e-9
+
+
+def block_kernel_norms(rho_a, rho_b, t_a, t_b, chars):
+    """{irrep: ||K b|| for every column b of V_l^A (x) V_l^B}, K the dense oracle."""
+    k = oracles.kron_difference(t_a, t_b)
+    dec_a, dec_b = (grouprep.isotypic_projectors(r, chars) for r in (rho_a, rho_b))
+    return {ca.irrep: np.linalg.norm(k @ np.kron(ca.basis, cb.basis), axis=0)
+            for ca, cb in zip(dec_a.components, dec_b.components)
+            if ca.multiplicity and cb.multiplicity}
 
 
 class TestKernelContainment:
@@ -744,8 +772,9 @@ class TestKernelContainment:
             f = rng.uniform(-1, 1, size=3)
             t = grouprep.observable_from_class_function(f, rho)
             schur = grouprep.schur_scalars(t, rho, dec)
-            report = grouprep.verify_kernel_containment(schur, schur, t, t)
+            report = containment(schur, schur)
             assert report.all_matched and report.contained and report.passed
+            assert report.kernel_dim >= report.diagonal_dim == 1 + 1 + 4
 
     def test_perturbed_class_function(self, s3, s3_multiplicity_free):
         group, chars = s3
@@ -757,24 +786,45 @@ class TestKernelContainment:
         g[2] += 0.5
         t_b = grouprep.observable_from_class_function(g, rho)
         dec = grouprep.isotypic_projectors(rho, chars)
-        report = grouprep.verify_kernel_containment(
-            grouprep.schur_scalars(t_a, rho, dec), grouprep.schur_scalars(t_b, rho, dec),
-            t_a, t_b)
+        report = containment(grouprep.schur_scalars(t_a, rho, dec),
+                             grouprep.schur_scalars(t_b, rho, dec))
         by_name = {e.irrep: e for e in report.entries}
+        norms = block_kernel_norms(rho, rho, t_a, t_b, chars)
         assert by_name["std"].matched and by_name["std"].ok
         for name in ("triv", "sign"):
             entry = by_name[name]
             assert not entry.matched
-            assert abs(entry.max_kernel_norm - abs(entry.alpha - entry.beta)) <= 1e-9
+            assert np.max(np.abs(norms[name] - abs(entry.alpha - entry.beta))) <= 1e-9
         assert report.passed and report.contained and not report.all_matched
+        assert (report.kernel_dim, report.diagonal_dim) == (4, 4)
 
     def test_zero_observables_trivially_contained(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
         t = grouprep.observable_from_class_function([0.0, 0.0, 0.0], rho)
         schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
-        report = grouprep.verify_kernel_containment(schur, schur, t, t)
+        report = containment(schur, schur)
         assert report.all_matched and report.contained
+        assert (report.kernel_dim, report.diagonal_dim) == (16, 1 + 1 + 4)
+
+    def test_roundoff_label_gaps_match(self):
+        """T = rho(e) on S3's regular representation and on a unitary conjugate
+        of it: every Schur scalar is 1 up to roundoff, so ||K|| is roundoff
+        too. The kernel cutoff, floored at KERNEL_ABS_FLOOR as null_space's is,
+        matches every label pair; tol * ||K|| alone would match almost none."""
+        rng = np.random.default_rng(14)
+        group, chars = grouprep.builtin_group("S3")
+        reg = oracles.regular_representation(group)
+        conj = conjugated(reg, random_unitary(rng, reg.dim))
+        schur_a, schur_b = (grouprep.schur_scalars(
+            grouprep.observable_from_class_function([1.0, 0.0, 0.0], r), r,
+            grouprep.isotypic_projectors(r, chars)) for r in (reg, conj))
+        gaps = [abs(a.scalar.real - b.scalar.real)
+                for a in schur_a.entries for b in schur_b.entries]
+        assert 0.0 < max(gaps) <= 1e-14
+        report = containment(schur_a, schur_b)
+        assert report.all_matched and report.passed
+        assert (report.kernel_dim, report.diagonal_dim) == (36, 1 + 1 + 16)
 
 
 def stacked_commutant_dimension(rho):
@@ -797,9 +847,9 @@ class TestCommutantDimension:
             group, _ = grouprep.builtin_group(name)
             reg = oracles.regular_representation(group)
             triv = oracles.trivial_representation(group, 2)
-            cases = [reg, triv, grouprep.tensor_representation(reg, triv)]
+            cases = [reg, triv, oracles.tensor_representation(reg, triv)]
             if group.order <= 4:
-                cases.append(grouprep.tensor_representation(reg, reg))
+                cases.append(oracles.tensor_representation(reg, reg))
             cases += [conjugated(rho, random_unitary(rng, rho.dim)) for rho in list(cases)]
             for rho in cases:
                 assert grouprep.commutant_dimension(rho) == stacked_commutant_dimension(rho), name
@@ -848,7 +898,7 @@ class TestTensorRepresentation:
                 for fa, fb in ((conjugated(rho_a, random_unitary(rng, rho_a.dim)),
                                 conjugated(rho_b, random_unitary(rng, rho_b.dim))),
                                (near_limit(rho_a), near_limit(rho_b))):
-                    joint = grouprep.tensor_representation(fa, fb)
+                    joint = oracles.tensor_representation(fa, fb)
                     n = joint.dim
                     for g in range(group.order):
                         da = oracles.unitarity_residual(fa[g])
@@ -857,3 +907,76 @@ class TestTensorRepresentation:
                         assert res <= da + db + da * db + 64 * n * eps, (name, g)
                         if min(fa.dim, fb.dim) >= 2 and (fa.dim, fb.dim) != (2, 2):
                             assert res <= opcore.UNITARY_TOL * n, (name, g)
+
+
+def class_function_pairs(group, rng):
+    """(f_A, f_B): equal, then f_B redrawn on a random set of classes closed under inverses."""
+    inverse = group.class_index[group.inverse_table[[c[0] for c in group.conjugacy_classes]]]
+    pairs = []
+    for _ in range(3):
+        f = real_class_function(group, rng)
+        redraw = rng.random(f.size) < 0.4
+        redraw |= redraw[inverse]
+        pairs += [(f, f), (f, np.where(redraw, real_class_function(group, rng), f))]
+    return pairs
+
+
+class TestIsotypicClock:
+    """The group kind's K is the sync core's K of the two isotypic clocks,
+    checked against the dense oracles on every builtin group."""
+
+    @pytest.mark.parametrize("name", ("Z1", "Z2", "Z3", "Z5", "Z8", "Z2xZ2", "S3", "D4"))
+    def test_containment_and_kernel_match_dense_oracles(self, name):
+        """Regular (multiplicity 2 for S3's std and D4's E) and generator-built
+        representations with random class functions: on each diagonal block,
+        ||K b|| from the dense K = T_A (x) I - I (x) T_B lies within
+        max_deviation + 8 eps d (||T_A|| + ||T_B||) of |alpha - beta|, the
+        second term covering the rounding of the dense products; the bundle's
+        kernel is null_space of the dense clock K, and it holds every matched block."""
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(sum(map(ord, name)) + 13)
+        group, chars = grouprep.builtin_group(name)
+        multiplicities = set()
+        for rho in (oracles.regular_representation(group), generator_built(group)):
+            dec = grouprep.isotypic_projectors(rho, chars)
+            multiplicities.update(c.multiplicity for c in dec.components)
+            comps = components(dec)
+            for f_a, f_b in class_function_pairs(group, rng):
+                t_a, t_b = (grouprep.observable_from_class_function(f, rho) for f in (f_a, f_b))
+                schur_a, schur_b = (grouprep.schur_scalars(t, rho, dec) for t in (t_a, t_b))
+                clock_a, clock_b = (grouprep.isotypic_clock(s) for s in (schur_a, schur_b))
+                system = sync.make_system(clock_a, clock_b, np.zeros((rho.dim ** 2,) * 2))
+                bundle = sync.sync_bundle(system)
+                report = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
+
+                k = oracles.kron_difference(t_a, t_b)
+                norms = opcore.operator_norm(t_a) + opcore.operator_norm(t_b)
+                roundoff = 8 * eps * rho.dim * norms
+                kernel = bundle.kernel.basis
+                for entry in report.entries:
+                    block = np.kron(comps[entry.irrep].basis, comps[entry.irrep].basis)
+                    kb = np.linalg.norm(k @ block, axis=0)
+                    assert np.max(np.abs(kb - abs(entry.alpha - entry.beta))) \
+                        <= entry.max_deviation + roundoff, (name, entry.irrep)
+                    if entry.matched:
+                        leak = block - kernel @ (kernel.conj().T @ block)
+                        assert opcore.operator_norm(leak) <= 1e-10, (name, entry.irrep)
+
+                dense = oracles.null_space(
+                    oracles.kron_difference(clock_a.matrix(), clock_b.matrix()))
+                assert dense.dim == bundle.kernel.dim >= report.diagonal_dim, name
+                assert opcore.operator_norm(opcore.projector(dense)
+                                            - opcore.projector(bundle.kernel)) <= 1e-10, name
+        if name in ("S3", "D4"):
+            assert 2 in multiplicities
+
+    def test_labels_and_basis(self, s3):
+        # S3 regular: labels triv, sign, then std's scalar on its 4 columns
+        group, chars = s3
+        reg = oracles.regular_representation(group)
+        t = grouprep.observable_from_class_function([0.4, -0.6, 0.9], reg)
+        schur = grouprep.schur_scalars(t, reg, grouprep.isotypic_projectors(reg, chars))
+        clock = grouprep.isotypic_clock(schur)
+        alpha = [e.scalar.real for e in schur.entries]
+        np.testing.assert_array_equal(clock.labels, [alpha[0], alpha[1]] + [alpha[2]] * 4)
+        assert opcore.operator_norm(clock.matrix() - t) <= 1e-12

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from syncsub import clocks, grouprep, opcore
+from syncsub import clocks, grouprep, opcore, sync
 from test_sync_oracle import random_unitary
 
 GROUPS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "S3", "D4")
@@ -27,7 +27,7 @@ NEAR = (0.3, 0.6, 0.9)   # r_S / TOL of the near-threshold Hamiltonians
 
 def oracle_membership(h, rho_a, rho_b, t_a, t_b, equivar_tol=TOL, compat_tol=1e-10):
     """(max_g ||[J(g), H]||, member) from every joint matrix and the dense K."""
-    joint = grouprep.tensor_representation(rho_a, rho_b)
+    joint = oracles.tensor_representation(rho_a, rho_b)
     k = oracles.kron_difference(t_a, t_b)
     eq_res = max(opcore.operator_norm(opcore.commutator(joint[g], h))
                  for g in range(joint.group.order))
@@ -98,26 +98,43 @@ def generator_residual(h, rho_a, rho_b):
                for s in tree.generators)
 
 
+def membership(h, rho_a, rho_b, clock_a, clock_b, **kwargs):
+    """hsync_membership on the system of the two clocks and H, with its bundle."""
+    system = sync.make_system(clock_a, clock_b, h)
+    return grouprep.hsync_membership(system, sync.sync_bundle(system), rho_a, rho_b, **kwargs)
+
+
+def class_clock(rho, rng):
+    """The isotypic clock of a random central observable on ``rho``, as the group kind builds it."""
+    _, chars = grouprep.builtin_group(rho.group.name)
+    t = grouprep.observable_from_class_function(real_class_function(rho.group, rng), rho)
+    schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
+    return grouprep.isotypic_clock(schur)
+
+
 def real_class_function(group, rng):
     """Random class function with f(c) = f(c^-1), so that sum_g f(g) rho(g) is Hermitian."""
     values = rng.uniform(-1, 1, len(group.conjugacy_classes))
     for ci, cls in enumerate(group.conjugacy_classes):
-        values[ci] = values[min(ci, group.class_of(int(group.inverse_table[cls[0]])))]
+        values[ci] = values[min(ci, int(group.class_index[group.inverse_table[cls[0]]]))]
     return values
 
 
 def hamiltonians(rho_a, rho_b, rng):
-    """(kind, H, (T_A, T_B), compat_tol): a member, a non-member and near-threshold H.
+    """(kind, H, (clock_A, clock_B), compat_tol): a member, a non-member and near-threshold H.
 
-    The member is local and central, so it commutes with the joint action and
-    with K. Near-threshold H adds a random direction scaled to r_S = x * TOL and
-    uses a loose compat_tol, so that equivariance alone decides membership.
+    The clocks are isotypic clocks of central observables. The member is local
+    and central, so it commutes with the joint action and with K. Near-threshold
+    H adds a random direction scaled to r_S = x * TOL and uses a loose
+    compat_tol, so that equivariance alone decides membership.
     """
+    factors = (class_clock(rho_a, rng), class_clock(rho_b, rng))
     t = [grouprep.observable_from_class_function(real_class_function(r.group, rng), r)
-         for r in (rho_a, rho_b, rho_a, rho_b)]
+         for r in (rho_a, rho_b)]
     eye_a, eye_b = np.eye(rho_a.dim), np.eye(rho_b.dim)
-    factors = (t[0], t[1])
-    h0 = np.kron(t[2], eye_b) + np.kron(eye_a, t[3])
+    h0 = np.kron(t[0], eye_b) + np.kron(eye_a, t[1])
+    # t is Hermitian to OBSERVABLE_HERM_TOL; make_system checks H to HERM_TOL
+    h0 = (h0 + h0.conj().T) / 2.0
     v = clocks._random_hermitian(rng, rho_a.dim * rho_b.dim)
     v /= opcore.operator_norm(v)
     cases = [("member", h0, factors, 1e-10), ("non-member", h0 + v, factors, 1e-10)]
@@ -134,19 +151,22 @@ def tree_bound(h, rho_a, rho_b):
 
 def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, where):
     """Verdict equals the oracle's, r_S <= exact max <= B, and the exact max
-    is computed exactly when r_S <= TOL < B. ``factors`` is (T_A, T_B). Returns
-    the verdict and whether it was."""
+    over the group is computed exactly when r_S <= TOL < B. ``factors`` is
+    (clock_A, clock_B). Returns the verdict and whether it was."""
+    system = sync.make_system(*factors, h)
+    bundle = sync.sync_bundle(system)
     exact_calls = []
-    real = grouprep.equivariance_residual
+    real = grouprep._max_spectral_norm
 
     def counted(*args):
         exact_calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(grouprep, "equivariance_residual", counted)
-    verdict = grouprep.hsync_membership(h, rho_a, rho_b, *factors, compat_tol=compat_tol)
-    monkeypatch.setattr(grouprep, "equivariance_residual", real)
-    exact, member = oracle_membership(h, rho_a, rho_b, *factors, compat_tol=compat_tol)
+    monkeypatch.setattr(grouprep, "_max_spectral_norm", counted)
+    verdict = grouprep.hsync_membership(system, bundle, rho_a, rho_b, compat_tol=compat_tol)
+    monkeypatch.setattr(grouprep, "_max_spectral_norm", real)
+    exact, member = oracle_membership(h, rho_a, rho_b, *(c.matrix() for c in factors),
+                                      compat_tol=compat_tol)
     bound = tree_bound(h, rho_a, rho_b)
     r_s = verdict.generator_residual
     assert verdict.member == member, where
@@ -182,7 +202,7 @@ def test_fallback_decides_both_ways(monkeypatch):
     group, _ = grouprep.builtin_group("Z8")
     reg = oracles.regular_representation(group)
     v = np.kron(np.diag(np.cos(2 * np.pi * np.arange(8) / 8)), np.eye(8))
-    factors = (np.zeros((8, 8)), np.zeros((8, 8)))
+    factors = (clocks.make_clock(np.zeros(8)), clocks.make_clock(np.zeros(8)))
     r_v = generator_residual(v, reg, reg)
     verdicts = []
     for x in NEAR:
@@ -202,15 +222,14 @@ def test_permutation_path_equals_dense_path(name):
     group, _ = grouprep.builtin_group(name)
     reg = oracles.regular_representation(group)
     dense = dataclasses.replace(reg, perm=None)
-    joint, dense_joint = (grouprep.tensor_representation(r, r) for r in (reg, dense))
+    joint, dense_joint = (oracles.tensor_representation(r, r) for r in (reg, dense))
     assert joint.perm is not None and dense_joint.perm is None
     fallbacks, verdicts = 0, set()
     for kind, h, factors, compat_tol in hamiltonians(reg, reg, rng):
         if kind not in ("member", "non-member", "near 0.6"):
             continue
-        verdict = grouprep.hsync_membership(h, reg, reg, *factors, compat_tol=compat_tol)
-        assert verdict == grouprep.hsync_membership(h, dense, dense, *factors,
-                                                    compat_tol=compat_tol), kind
+        verdict = membership(h, reg, reg, *factors, compat_tol=compat_tol)
+        assert verdict == membership(h, dense, dense, *factors, compat_tol=compat_tol), kind
         fallback = verdict.generator_residual <= TOL < tree_bound(h, dense, dense)
         if not fallback:
             exact = grouprep.equivariance_residual(joint, h)
@@ -234,12 +253,52 @@ def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
     shift = mats[1]
     c = np.eye(3) + 1j * shift - 1j * shift @ shift
     h = np.kron(c, np.eye(3))
-    factors = (np.eye(3), np.eye(3))
+    factors = (clocks.make_clock(np.ones(3)), clocks.make_clock(np.ones(3)))
     verdict, fallback = check_against_oracle(h, rho, rho, factors, 1e-10, monkeypatch, "Z3")
     assert fallback and verdict.generator_residual == 0.0
     assert not verdict.member and verdict.equivariance_bound > TOL
     dense = dataclasses.replace(rho, perm=None)
-    assert verdict == grouprep.hsync_membership(h, dense, dense, *factors)
+    assert verdict == membership(h, dense, dense, *factors)
+
+
+def test_fallback_gathers_on_permutation_pairs(monkeypatch):
+    """Z16 reg (x) reg with near-threshold H, where r_S <= TOL < B: the exact
+    fallback gathers every joint commutator from the index array and forms no
+    Kronecker product (the dense joint action is a 16 x 256 x 256 stack), and
+    its maximum equals the full-group oracle's bit for bit."""
+    rng = np.random.default_rng(16)
+    group, _ = grouprep.builtin_group("Z16")
+    reg = oracles.regular_representation(group)
+    near = [case for case in hamiltonians(reg, reg, rng) if case[0].startswith("near")]
+    assert len(near) == len(NEAR)
+    for kind, h, factors, compat_tol in near:
+        exact, _ = oracle_membership(h, reg, reg, *(c.matrix() for c in factors),
+                                     compat_tol=compat_tol)
+        system = sync.make_system(*factors, h)
+        bundle = sync.sync_bundle(system)
+        with monkeypatch.context() as m:
+            m.setattr(np, "kron", lambda *args: pytest.fail("Kronecker product formed"))
+            verdict = grouprep.hsync_membership(system, bundle, reg, reg, compat_tol=compat_tol)
+        assert verdict.generator_residual <= TOL < tree_bound(h, reg, reg), kind
+        assert verdict.equivariance_bound == exact, kind
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_perturbed_isotypic_bases_pass_make_clock(name):
+    """Element lists moved off the generating set to ~0.9 * UNITARY_TOL * d
+    still give isotypic bases whose stack passes make_clock's unitarity check,
+    ||B^dag B - I|| <= UNITARY_TOL * d, with no further allowance: the largest
+    ratio over these groups is ~0.36 of that limit."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    group, chars = grouprep.builtin_group(name)
+    for rho in (oracles.regular_representation(group), generator_built(group)):
+        perturbed = perturbed_off_generators(rho, rng)
+        t = grouprep.observable_from_class_function(real_class_function(group, rng), perturbed)
+        dec = grouprep.isotypic_projectors(perturbed, chars)
+        clock = grouprep.isotypic_clock(grouprep.schur_scalars(t, perturbed, dec))
+        b = clock.basis
+        assert opcore.operator_norm(b.conj().T @ b - np.eye(b.shape[0])) \
+            <= 0.5 * opcore.UNITARY_TOL * perturbed.dim, name
 
 
 def similarity_conjugate(rho, rng, cond):

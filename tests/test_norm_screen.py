@@ -121,7 +121,7 @@ def probe_spectrum(n, c_ratio, rank):
     # exactly its reconstruction error
     b = np.diag(np.linspace(-0.5, 0.5, n))
     s = diagonal_residual(n, c_ratio * opcore.RECON_TOL, rank)
-    return lambda: opcore.spectrum(b + 1j * np.diag(s)).dim
+    return lambda: opcore.spectrum(b + 1j * np.diag(s)).eigenvalues.shape
 
 
 def probe_require_unitary(n, c_ratio, rank):
@@ -136,7 +136,7 @@ def probe_evolve(n, c_ratio, rank):
                            eigenvectors=np.diag((1.0 + e) ** 0.25).astype(np.complex128))
 
     def run():
-        with patched(opcore, "hermitian_eig", lambda h: spec):
+        with patched(oracles, "hermitian_eig", lambda h: spec):
             return oracles.evolve(np.eye(n), 0.7).shape
     return run
 

@@ -114,7 +114,7 @@ class TestKronDifference:
 
 
 class TestKronApply:
-    """kron_apply and kron_difference_apply against the dense Kronecker products."""
+    """kron_apply against the dense Kronecker product."""
 
     @pytest.mark.parametrize("d_a, d_b, m", [(3, 5, 4), (5, 3, 15), (1, 4, 2), (4, 1, 3),
                                              (1, 1, 1), (2, 3, 0), (3, 2, None)])
@@ -127,29 +127,15 @@ class TestKronApply:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max(initial=0)))
 
-    @pytest.mark.parametrize("d_a, d_b, m", [(3, 5, 6), (5, 2, 10), (1, 4, 3), (4, 1, 2),
-                                             (3, 3, 0), (2, 3, None)])
-    def test_difference_matches_kron_difference(self, d_a, d_b, m):
-        # T_A, T_B Hermitian in random bases, as rotated clocks' matrices are
-        rng = np.random.default_rng(d_a + 7 * d_b)
-        t_a, t_b = random_hermitian(rng, d_a), random_hermitian(rng, d_b)
-        x = random_complex(rng, (d_a * d_b,) if m is None else (d_a * d_b, m))
-        got = opcore.kron_difference_apply(t_a, t_b, x)
-        want = oracles.kron_difference(t_a, t_b) @ x
-        assert got.shape == want.shape
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-13 * max(1.0, np.abs(want).max(initial=0)))
-
     def test_right_product_through_transposes(self):
         rng = np.random.default_rng(4)
         a, b, x = random_complex(rng, (3, 3)), random_complex(rng, (2, 2)), random_complex(rng, (6, 6))
         np.testing.assert_allclose(opcore.kron_apply(a.T, b.T, x.T).T, x @ np.kron(a, b),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("apply", [opcore.kron_apply, opcore.kron_difference_apply])
-    def test_shape_mismatch_rejected(self, apply):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match the 6-dim product space"):
-            apply(np.eye(2), np.eye(3), np.ones((5, 2)))
+            opcore.kron_apply(np.eye(2), np.eye(3), np.ones((5, 2)))
 
 
 def fix_phases_loop(v):
@@ -249,20 +235,20 @@ class TestOperatorNorm:
 
 class TestHermitianEig:
     def test_diagonal(self):
-        spec = opcore.hermitian_eig(np.diag([0.0, 1.0, 2.0]))
+        spec = oracles.hermitian_eig(np.diag([0.0, 1.0, 2.0]))
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 1.0, 2.0], atol=1e-14)
         np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(3), atol=1e-14)
 
     def test_sigma_x(self):
         # oracle: characteristic polynomial lambda^2 - 1 = 0
-        spec = opcore.hermitian_eig(SIGMA_X)
+        spec = oracles.hermitian_eig(SIGMA_X)
         np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             m = random_hermitian(rng, 5)
-            spec = opcore.hermitian_eig(m)
+            spec = oracles.hermitian_eig(m)
             recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
             assert opcore.operator_norm(recon - m) <= 1e-12 * opcore.operator_norm(m)
             assert np.all(np.diff(spec.eigenvalues) >= 0)
@@ -271,8 +257,8 @@ class TestHermitianEig:
     def test_phase_is_deterministic(self):
         rng = np.random.default_rng(5)
         m = random_hermitian(rng, 4)
-        a = opcore.hermitian_eig(m)
-        b = opcore.hermitian_eig(m.copy())
+        a = oracles.hermitian_eig(m)
+        b = oracles.hermitian_eig(m.copy())
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         for j in range(4):
             col = a.eigenvectors[:, j]
@@ -282,7 +268,7 @@ class TestHermitianEig:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            opcore.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+            oracles.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
     @pytest.mark.parametrize("factor, raises", [(1.01, True), (0.99, False)])
     def test_reconstruction_threshold_scales_with_spectrum(self, monkeypatch, factor, raises):
@@ -304,9 +290,9 @@ class TestHermitianEig:
         monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
         if raises:
             with pytest.raises(opcore.NumericalError, match="reconstruction"):
-                opcore.hermitian_eig(m)
+                oracles.hermitian_eig(m)
         else:
-            opcore.hermitian_eig(m)
+            oracles.hermitian_eig(m)
 
 
 class TestEvolve:
@@ -376,13 +362,13 @@ def max_principal_angle_sin(b1, b2):
 
 class TestNullSpace:
     def test_zero_matrix_gives_full_space(self):
-        sub = opcore.null_space(np.zeros((4, 4)))
+        sub = oracles.null_space(np.zeros((4, 4)))
         assert sub.dim == 4
         np.testing.assert_allclose(opcore.projector(sub), np.eye(4), atol=1e-14)
 
     def test_sync_operator_kernel(self):
         k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
-        sub = opcore.null_space(k)
+        sub = oracles.null_space(k)
         assert sub.dim == 2
         np.testing.assert_allclose(opcore.projector(sub),
                                    np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
@@ -391,7 +377,7 @@ class TestNullSpace:
         rng = np.random.default_rng(10)
         for _ in range(5):
             a = random_complex(rng, (6, 4)) @ random_complex(rng, (4, 6))
-            sub = opcore.null_space(a)
+            sub = oracles.null_space(a)
             assert sub.dim == 2
             assert opcore.operator_norm(a @ sub.basis) <= 1e-9
 
@@ -401,32 +387,32 @@ class TestNullSpace:
             n = int(rng.integers(2, 9))
             r = int(rng.integers(1, n + 1))
             a = random_complex(rng, (n, r)) @ random_complex(rng, (r, n))
-            sub = opcore.null_space(a)
+            sub = oracles.null_space(a)
             oracle = kernel_oracle(a)
             assert sub.dim == oracle.shape[1]
             assert max_principal_angle_sin(sub.basis, oracle) <= 1e-8
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            opcore.null_space(np.eye(2), tol=0.0)
+            oracles.null_space(np.eye(2), tol=0.0)
 
     def test_records_cutoff(self):
         a = np.diag([1.0, 1e-14])
-        sub = opcore.null_space(a, tol=1e-10)
+        sub = oracles.null_space(a, tol=1e-10)
         assert sub.tol_used == pytest.approx(1e-10, rel=1e-12)
         assert sub.dim == 1
 
     def test_roundoff_sized_matrix_gives_full_space(self):
         # sigma_max = 2e-16 is above the zero-matrix test, so the relative
         # cutoff alone would keep it as rank; the absolute floor drops it
-        sub = opcore.null_space(np.full((2, 2), 1e-16))
+        sub = oracles.null_space(np.full((2, 2), 1e-16))
         assert sub.dim == 2
         assert sub.tol_used == opcore.KERNEL_ABS_FLOOR
 
 
 class TestProjector:
     def test_full_space(self):
-        sub = opcore.null_space(np.zeros((3, 3)))
+        sub = oracles.null_space(np.zeros((3, 3)))
         np.testing.assert_allclose(opcore.projector(sub), np.eye(3), atol=1e-14)
 
     def test_idempotent_hermitian_trace(self):

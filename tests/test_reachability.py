@@ -2,9 +2,10 @@
 
 The bundled scenarios run through ``cli.main`` under a profile hook that
 records every Python function entered. A public module-level function of
-``syncsub`` that none of them reaches is either dead code or a test fixture,
-whose place is ``tests/oracles.py``. The few kept for another reason are
-listed in ALLOWED, each with that reason.
+``syncsub``, or a public method or property getter of one of its classes,
+that none of them reaches is either dead code or a test fixture, whose place
+is ``tests/oracles.py``. The few kept for another reason are listed in
+ALLOWED, each with that reason.
 """
 
 import inspect
@@ -17,25 +18,37 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 MODULES = (opcore, clocks, sync, grouprep, literals, scenario, cli)
 
 ALLOWED = {
-    "opcore.null_space": "perfbench/run.py traces it by name",
-    "opcore.hermitian_eig": "perfbench/run.py traces it by name",
-    "opcore.require_unitary": "checks a clock literal's basis; no bundled clock gives one",
     "grouprep.commutant_dimension": "to be reported by the group kind (ROADMAP item 1)",
-    "grouprep.tensor_representation": "hsync_membership's exact fallback, which runs only "
-                                      "when the tree bound cannot settle membership",
     "literals.character_table_from_literal": "reads a custom group's characters; the "
                                              "bundled group is builtin",
 }
 
 
+def _public(name, obj) -> dict:
+    """{name: function} for ``obj`` if it is a public function or property getter."""
+    if name.startswith("_"):
+        return {}
+    if isinstance(obj, property):
+        obj = obj.fget
+    return {name: obj} if inspect.isfunction(obj) else {}
+
+
 def public_functions() -> dict:
+    """Public module-level functions, and public methods and property getters
+    of the classes each module defines, as ``layer.name`` and ``layer.Class.name``."""
     found = {}
     for module in MODULES:
         layer = module.__name__.rsplit(".", 1)[1]
-        for name, fn in vars(module).items():
-            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
-                    and not name.startswith("_")):
-                found[f"{layer}.{name}"] = fn
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    for key, fn in _public(attr, member).items():
+                        found[f"{layer}.{name}.{key}"] = fn
+            else:
+                for key, fn in _public(name, obj).items():
+                    found[f"{layer}.{key}"] = fn
     return found
 
 

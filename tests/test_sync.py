@@ -43,12 +43,12 @@ class TestSyncOperator:
         k = oracles.sync_operator(t, t)
         diffs = sorted(set(np.round(np.diag(k).real, 12)))
         assert diffs == [-2.0, -1.0, 0.0, 1.0, 2.0]
-        assert opcore.null_space(k).dim == 3
+        assert oracles.null_space(k).dim == 3
 
     def test_unequal_dims_allowed(self):
         k = oracles.sync_operator(clocks.make_clock([0, 1]), clocks.make_clock([5, 6, 7]))
         assert k.shape == (6, 6)
-        assert opcore.null_space(k).dim == 0  # no shared labels
+        assert oracles.null_space(k).dim == 0  # no shared labels
 
 
 class TestSyncBundle:
@@ -69,6 +69,30 @@ class TestSyncBundle:
         h = np.kron(SIGMA_X, np.eye(2))
         bundle = sync.sync_bundle(pauli_z_system(h))
         assert bundle.epsilon == pytest.approx(2.0, abs=1e-12)
+
+    def test_roundoff_gap_kernel_keeps_the_absolute_floor(self):
+        """Clocks [0, 1e-13] and [0]: ||K|| = 1e-13, so tol * ||K|| = 1e-23 would
+        keep only the exact match, while null_space's rank rule counts the
+        1e-13 singular value as zero under its absolute floor."""
+        system = sync.make_system(clocks.make_clock([0.0, 1e-13]), clocks.make_clock([0.0]),
+                                  np.zeros((2, 2)))
+        bundle = sync.sync_bundle(system)
+        dense = oracles.null_space(oracles.sync_operator(system.clock_a, system.clock_b))
+        assert bundle.kernel.dim == dense.dim == 2
+        assert bundle.kernel.tol_used == dense.tol_used == opcore.KERNEL_ABS_FLOOR
+
+    def test_k_norm_matches_dense_operator_norm(self):
+        """||K|| = max |a_i - b_j| over the labels, for clocks in random bases."""
+        rng = np.random.default_rng(12)
+        for d_a, d_b in ((1, 3), (4, 2), (5, 5)):
+            for _ in range(10):
+                clock_a, clock_b = (clocks.make_clock(
+                    rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2),
+                    np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0])
+                    for d in (d_a, d_b))
+                system = sync.make_system(clock_a, clock_b, np.zeros((d_a * d_b,) * 2))
+                dense = opcore.operator_norm(oracles.sync_operator(clock_a, clock_b))
+                assert sync.sync_bundle(system).k_norm == pytest.approx(dense, rel=1e-13)
 
     def test_canonical_kernel_basis(self):
         # matching pairs (0,1), (1,0), (2,1) give e_1, e_2, e_5 in product-index order
@@ -194,7 +218,7 @@ class TestDriftTrace:
         psi0 = sync.sample_kernel_state(bundle, 3)
         eye = np.eye(system.dim)
         projector = opcore.projector(bundle.kernel)
-        spec = opcore.hermitian_eig(system.hamiltonian)
+        spec = oracles.hermitian_eig(system.hamiltonian)
         for t in (0.0, 0.7, 5.0, 19.0):
             u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * t)) @ \
                 spec.eigenvectors.conj().T

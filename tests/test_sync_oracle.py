@@ -13,13 +13,13 @@ TOL = 1e-10   # every compared quantity agrees with the oracle to this, absolute
 
 
 def dense_projector(system, kernel_tol=opcore.KERNEL_TOL):
-    """Kernel projector of K from the SVD rank rule of opcore.null_space.
+    """Kernel projector of K from the SVD rank rule of oracles.null_space.
 
     When every label agrees K is exactly zero, and its dense form in a rotated
     basis keeps only roundoff, which null_space's absolute floor counts as zero.
     """
     k = oracles.sync_operator(system.clock_a, system.clock_b)
-    return opcore.projector(opcore.null_space(k, tol=kernel_tol))
+    return opcore.projector(oracles.null_space(k, tol=kernel_tol))
 
 
 def dense_unitary(spec, t):
@@ -29,7 +29,7 @@ def dense_unitary(spec, t):
 def dense_series(system, psi0, times, projector):
     """Drift ||K psi(t)|| and fidelity ||Pi psi(t)||^2, one unitary per time."""
     k = oracles.sync_operator(system.clock_a, system.clock_b)
-    spec = opcore.hermitian_eig(system.hamiltonian)
+    spec = oracles.hermitian_eig(system.hamiltonian)
     drift, fidelity = [], []
     for t in times:
         psi_t = dense_unitary(spec, t) @ psi0
@@ -39,7 +39,7 @@ def dense_series(system, psi0, times, projector):
 
 
 def dense_preservation_residual(system, projector, times):
-    spec = opcore.hermitian_eig(system.hamiltonian)
+    spec = oracles.hermitian_eig(system.hamiltonian)
     eye = np.eye(system.dim)
     return max(opcore.operator_norm((eye - projector) @ dense_unitary(spec, t) @ projector)
                for t in times)
@@ -124,7 +124,7 @@ def test_gaps_around_the_cutoff(rotated):
     ta = clocks.make_clock([0.0, big], basis(2))
     tb = clocks.make_clock([gap_in, big + gap_out], basis(2))
     bundle = sync.sync_bundle(sync.make_system(ta, tb, np.zeros((4, 4))))
-    kernel = opcore.null_space(oracles.sync_operator(ta, tb))
+    kernel = oracles.null_space(oracles.sync_operator(ta, tb))
     assert bundle.kernel.dim == kernel.dim == 1
     assert bundle.kernel.tol_used == pytest.approx(kernel.tol_used, rel=1e-12)
     if not rotated:
