@@ -5,17 +5,13 @@ from .opcore import (
     Spectrum,
     Subspace,
     as_complex_matrix,
-    commutator,
     operator_norm,
     projector,
 )
 from .clocks import (
-    BlockStructure,
     ClockObservable,
     CompatibilityVerdict,
-    block_structure,
     classify_compatibility,
-    compatibility_residual,
     make_clock,
 )
 from .sync import (

@@ -3,7 +3,7 @@
 A clock is a Hermitian operator whose eigenvalues are discrete time labels.
 This module builds clocks, measures how far a Hamiltonian is from commuting
 with one, and classifies the commuting ones by their block structure on the
-clock's eigenspaces.
+clock's eigenspaces, all in the clock's own basis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import opcore
 
-LABEL_SEP = 1e-9       # absolute gap below which time labels merge
 COMPAT_TOL = 1e-10     # relative threshold for compatibility decisions
 
 
@@ -40,13 +39,13 @@ class ClockObservable:
     def dim(self) -> int:
         return int(self.labels.shape[0])
 
-    def matrix(self) -> np.ndarray:
-        """Hermitian matrix form T = B diag(labels) B^dag."""
-        return (self.basis * self.labels) @ self.basis.conj().T
-
 
 def make_clock(labels, basis=None) -> ClockObservable:
-    """Clock observable from real time labels, by default in the standard basis."""
+    """Clock observable from real time labels, by default in the standard basis.
+
+    T = B diag(labels) B^dag is Hermitian for any B when the labels are real,
+    so checking the labels and the basis checks the clock; T is never formed.
+    """
     arr = np.asarray(labels, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("clock labels must be a nonempty 1-d real sequence")
@@ -58,57 +57,7 @@ def make_clock(labels, basis=None) -> ClockObservable:
         b = opcore.require_unitary(basis)
         if b.shape[0] != arr.size:
             raise ValueError(f"basis dimension {b.shape[0]} does not match {arr.size} labels")
-    clock = ClockObservable(labels=arr, basis=b)
-    opcore.require_hermitian(clock.matrix())
-    return clock
-
-
-def compatibility_residual(h, t: ClockObservable) -> float:
-    """||[H, T]|| in spectral norm; zero exactly when H preserves the clock."""
-    h = opcore.as_complex_matrix(h)
-    if h.shape[0] != t.dim:
-        raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match clock dim {t.dim}")
-    return opcore.operator_norm(opcore.commutator(h, t.matrix()))
-
-
-@dataclass(frozen=True, eq=False)
-class Block:
-    eigenvalue: float
-    projector: np.ndarray
-    dim: int
-    indices: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class BlockStructure:
-    """Spectral blocks of a clock: one orthogonal projector per distinct label."""
-
-    blocks: tuple
-
-
-def _label_groups(labels: np.ndarray) -> list:
-    """Indices grouped by label, chain-merging gaps <= LABEL_SEP, ascending."""
-    order = np.argsort(labels, kind="stable")
-    groups = [[int(order[0])]]
-    for idx in order[1:]:
-        if labels[idx] - labels[groups[-1][-1]] <= LABEL_SEP:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
-
-
-def block_structure(t: ClockObservable) -> BlockStructure:
-    blocks = []
-    for group in _label_groups(t.labels):
-        cols = t.basis[:, group]
-        blocks.append(Block(
-            eigenvalue=float(np.mean(t.labels[group])),
-            projector=cols @ cols.conj().T,
-            dim=len(group),
-            indices=tuple(group),
-        ))
-    return BlockStructure(blocks=tuple(blocks))
+    return ClockObservable(labels=arr, basis=b)
 
 
 @dataclass(frozen=True)
@@ -116,7 +65,8 @@ class CompatibilityVerdict:
     """Outcome of testing a Hamiltonian against a clock.
 
     ``kind`` is "diagonal", "block_diagonal", or "incompatible"; ``residual``
-    is ||[H,T]|| and ``off_block_mass`` is ||H - sum_l P_l H P_l||.
+    is ||[H,T]|| and ``off_block_mass`` is ||H - sum_l P_l H P_l||, P_l the
+    projectors onto T's eigenspaces.
     """
 
     residual: float
@@ -124,14 +74,30 @@ class CompatibilityVerdict:
     off_block_mass: float
 
 
-def classify_compatibility(h, t: ClockObservable,
-                           compat_tol: float = COMPAT_TOL) -> CompatibilityVerdict:
-    h = opcore.require_hermitian(h)
-    residual = compatibility_residual(h, t)
+def classify_compatibility(h, t: ClockObservable, compat_tol: float = COMPAT_TOL,
+                           kernel_tol: float = opcore.KERNEL_TOL) -> CompatibilityVerdict:
+    """Classify H against T in the clock basis, where T = diag(l) and H' = B^dag H B.
 
-    blocks = block_structure(t)
-    h_block = sum(b.projector @ h @ b.projector for b in blocks.blocks)
-    off_block_mass = opcore.operator_norm(h - h_block)
+    ||[H, T]|| = ||[H', diag(l)]||, whose entries are h'_ij l_j - l_i h'_ij,
+    rounded as sync.sync_bundle rounds its [H', G]. Labels i and j share an
+    eigenspace when (i, j) is in the kernel of T (x) I - I (x) T, by the kernel
+    rule: |l_i - l_j| <= opcore.kernel_cutoff(max l - min l, kernel_tol). So
+    off_block_mass is the norm of H' on the other pairs, and no T, commutator
+    or projector is formed.
+    """
+    h = opcore.require_hermitian(h)
+    if h.shape[0] != t.dim:
+        raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match clock dim {t.dim}")
+    with np.errstate(over="ignore"):
+        gaps = np.abs(np.subtract.outer(t.labels, t.labels))
+    if not np.all(np.isfinite(gaps)):
+        raise opcore.NumericalError("clock label differences overflow")
+    h_in_basis = t.basis.conj().T @ h @ t.basis
+    comm = h_in_basis * t.labels
+    comm -= t.labels[:, None] * h_in_basis
+    residual = opcore.operator_norm(comm)
+    cutoff = opcore.kernel_cutoff(float(gaps.max()), kernel_tol)
+    off_block_mass = opcore.operator_norm(np.where(gaps > cutoff, h_in_basis, 0.0))
 
     # Both limits are compat_tol * max(1, .) >= compat_tol, so ||H|| is taken
     # only for a value above compat_tol, as in opcore.require_hermitian.
@@ -140,7 +106,6 @@ def classify_compatibility(h, t: ClockObservable,
             1.0, opcore.operator_norm(h) * t_norm):
         kind = "incompatible"
     else:
-        h_in_basis = t.basis.conj().T @ h @ t.basis
         off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), compat_tol)
         diagonal = off_diag <= compat_tol or off_diag <= compat_tol * max(
             1.0, opcore.operator_norm(h))

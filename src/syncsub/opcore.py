@@ -103,15 +103,6 @@ def kron_apply(a, b, x) -> np.ndarray:
     return (b @ np.tensordot(a, y, axes=1)).reshape(x.shape)
 
 
-def commutator(a, b) -> np.ndarray:
-    """AB - BA; raises on dimension mismatch."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"commutator dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b - b @ a
-
-
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry (the first, on ties) is real positive.
 

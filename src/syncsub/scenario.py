@@ -343,7 +343,8 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     for i, (h_name, spec) in enumerate(s.hamiltonians):
         h, _ = _resolve_hamiltonian(spec, f"hamiltonians[{i}]", (s.clock.dim,),
                                     seed_override, s.seed)
-        verdict = clocks.classify_compatibility(h, s.clock, compat_tol=tol["compat_tol"])
+        verdict = clocks.classify_compatibility(h, s.clock, compat_tol=tol["compat_tol"],
+                                                kernel_tol=tol["kernel_tol"])
         verdicts.append({"name": h_name, "class": verdict.kind, "residual": verdict.residual,
                          "off_block_mass": verdict.off_block_mass})
     return {"clock_labels": [float(x) for x in s.clock.labels], "verdicts": verdicts}, True

@@ -1,17 +1,27 @@
 """Dense references and fixtures the tests compare the library against.
 
-The library never forms K = T_A (x) I - I (x) T_B or the joint action
-g -> rho_A(g) (x) rho_B(g), never factors K by SVD, never builds a unitary per
-time sample and never samples Hamiltonians; these functions do, the plain
-dense way, so that the tests can check the structured paths against them.
-None of them is reached from a scenario.
+The library never forms a clock T = B diag(l) B^dag, K = T_A (x) I - I (x) T_B
+or the joint action g -> rho_A(g) (x) rho_B(g), never factors K by SVD, never
+builds a unitary per time sample and never samples Hamiltonians; these
+functions do, the plain dense way, so that the tests can check the structured
+paths against them. None of them is reached from a scenario.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from syncsub import grouprep, opcore
-from syncsub.clocks import ClockObservable, _philox, _random_hermitian, block_structure
+from syncsub.clocks import (
+    COMPAT_TOL,
+    ClockObservable,
+    CompatibilityVerdict,
+    _philox,
+    _random_hermitian,
+)
 from syncsub.opcore import NumericalError, Spectrum, Subspace
+
+LABEL_SEP = 1e-9       # absolute gap below which the dense classifier merges labels
 
 # ---------------------------------------------------------------------------
 # operators
@@ -35,6 +45,15 @@ def kron_difference(a, b) -> np.ndarray:
     """
     a, b = opcore.as_complex_matrix(a), opcore.as_complex_matrix(b)
     return np.kron(a, np.eye(b.shape[0])) - np.kron(np.eye(a.shape[0]), b)
+
+
+def commutator(a, b) -> np.ndarray:
+    """AB - BA; raises on dimension mismatch."""
+    a = opcore.as_complex_matrix(a)
+    b = opcore.as_complex_matrix(b)
+    if a.shape != b.shape:
+        raise ValueError(f"commutator dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return a @ b - b @ a
 
 
 def hermitian_eig(m) -> Spectrum:
@@ -79,6 +98,85 @@ def evolve(h, t: float) -> np.ndarray:
 # clocks and synchronization
 
 
+def clock_matrix(t: ClockObservable) -> np.ndarray:
+    """Hermitian matrix form T = B diag(labels) B^dag."""
+    return (t.basis * t.labels) @ t.basis.conj().T
+
+
+def compatibility_residual(h, t: ClockObservable) -> float:
+    """||[H, T]|| in spectral norm; zero exactly when H preserves the clock."""
+    h = opcore.as_complex_matrix(h)
+    if h.shape[0] != t.dim:
+        raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match clock dim {t.dim}")
+    return opcore.operator_norm(commutator(h, clock_matrix(t)))
+
+
+@dataclass(frozen=True, eq=False)
+class Block:
+    eigenvalue: float
+    projector: np.ndarray
+    dim: int
+    indices: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class BlockStructure:
+    """Spectral blocks of a clock: one orthogonal projector per distinct label."""
+
+    blocks: tuple
+
+
+def _label_groups(labels: np.ndarray) -> list:
+    """Indices grouped by label, chain-merging gaps <= LABEL_SEP, ascending."""
+    order = np.argsort(labels, kind="stable")
+    groups = [[int(order[0])]]
+    for idx in order[1:]:
+        if labels[idx] - labels[groups[-1][-1]] <= LABEL_SEP:
+            groups[-1].append(int(idx))
+        else:
+            groups.append([int(idx)])
+    return groups
+
+
+def block_structure(t: ClockObservable) -> BlockStructure:
+    blocks = []
+    for group in _label_groups(t.labels):
+        cols = t.basis[:, group]
+        blocks.append(Block(
+            eigenvalue=float(np.mean(t.labels[group])),
+            projector=cols @ cols.conj().T,
+            dim=len(group),
+            indices=tuple(group),
+        ))
+    return BlockStructure(blocks=tuple(blocks))
+
+
+def classify_compatibility(h, t: ClockObservable,
+                           compat_tol: float = COMPAT_TOL) -> CompatibilityVerdict:
+    """The dense classifier: ||[H, T]|| from T itself, the blocks from LABEL_SEP
+    and off_block_mass = ||H - sum_l P_l H P_l|| from one projector per block."""
+    h = opcore.require_hermitian(h)
+    residual = compatibility_residual(h, t)
+
+    blocks = block_structure(t)
+    h_block = sum(b.projector @ h @ b.projector for b in blocks.blocks)
+    off_block_mass = opcore.operator_norm(h - h_block)
+
+    # Both limits are compat_tol * max(1, .) >= compat_tol, so ||H|| is taken
+    # only for a value above compat_tol, as in opcore.require_hermitian.
+    t_norm = float(np.max(np.abs(t.labels)))   # ||T||, read off its spectrum
+    if residual > compat_tol and residual > compat_tol * max(
+            1.0, opcore.operator_norm(h) * t_norm):
+        kind = "incompatible"
+    else:
+        h_in_basis = t.basis.conj().T @ h @ t.basis
+        off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), compat_tol)
+        diagonal = off_diag <= compat_tol or off_diag <= compat_tol * max(
+            1.0, opcore.operator_norm(h))
+        kind = "diagonal" if diagonal else "block_diagonal"
+    return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)
+
+
 def random_compatible(t: ClockObservable, seed: int) -> np.ndarray:
     """Random Hermitian drawn from the clock's commutant, one block at a time.
 
@@ -106,7 +204,7 @@ def sync_operator(clock_a: ClockObservable, clock_b: ClockObservable) -> np.ndar
     The library never forms K: it works in the product clock basis, where K is
     diagonal. This dense form is the reference the tests compare against.
     """
-    return kron_difference(clock_a.matrix(), clock_b.matrix())
+    return kron_difference(clock_matrix(clock_a), clock_matrix(clock_b))
 
 
 def preservation_residual(system, bundle, times) -> float:

@@ -37,12 +37,12 @@ def test_criterion_01_three_level_clock_compatibility():
     for name, h in (("H1", np.diag([1.0, 1.0, 1.0])),
                     ("H2", np.diag([np.pi, -np.pi, 0.0])),
                     ("H3", np.diag([0.0, np.sqrt(2), -1.0]))):
-        res = clocks.compatibility_residual(h.astype(complex), t)
+        res = oracles.compatibility_residual(h.astype(complex), t)
         if res > 1e-12:
             failures.append(f"{name} residual {res:.3e}")
         if clocks.classify_compatibility(h.astype(complex), t).kind != "diagonal":
             failures.append(f"{name} not classified diagonal")
-    res4 = clocks.compatibility_residual(H4, t)
+    res4 = oracles.compatibility_residual(H4, t)
     verdict4 = clocks.classify_compatibility(H4, t)
     if abs(res4 - 1.0) > 1e-12:
         failures.append(f"H4 residual {res4!r} != 1")
@@ -70,7 +70,7 @@ def test_criterion_02_pauli_z_kernel_and_membership():
         a, b = rng.normal(size=2)
         hams.append(a * np.kron(SIGMA_Z, eye) + b * np.kron(eye, SIGMA_Z))
     for i, h in enumerate(hams):
-        res = opcore.operator_norm(opcore.commutator(h, k))
+        res = opcore.operator_norm(oracles.commutator(h, k))
         if res > 1e-12:
             failures.append(f"H[{i}] commutator {res:.3e}")
 
@@ -94,7 +94,7 @@ def test_criterion_03_compatible_systems_preserve_kernel_and_spectra():
         system = sync.make_system(ta, tb, oracles.local_hamiltonian(
             oracles.random_compatible(ta, 2 * trial), oracles.random_compatible(tb, 2 * trial + 1)))
         k = oracles.sync_operator(ta, tb)
-        comm = opcore.operator_norm(opcore.commutator(k, system.hamiltonian))
+        comm = opcore.operator_norm(oracles.commutator(k, system.hamiltonian))
         if comm > 1e-11:
             failures.append(f"trial {trial}: ||[K,H]|| = {comm:.3e}")
             continue
@@ -102,7 +102,7 @@ def test_criterion_03_compatible_systems_preserve_kernel_and_spectra():
         leak = oracles.preservation_residual(system, bundle, times)
         if leak > 1e-10:
             failures.append(f"trial {trial}: leakage {leak:.3e}")
-        ta_full = np.kron(ta.matrix(), np.eye(db))
+        ta_full = np.kron(oracles.clock_matrix(ta), np.eye(db))
         before = np.sort(np.linalg.eigvalsh(ta_full))
         spec = oracles.hermitian_eig(system.hamiltonian)
         for t in times:
@@ -132,7 +132,7 @@ def epsilon_sweep():
             rng = np.random.Generator(np.random.Philox(key=9000 + seed))
             g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
             v = (g + g.conj().T) / 2.0
-            scale = eps / opcore.operator_norm(opcore.commutator(v, k))
+            scale = eps / opcore.operator_norm(oracles.commutator(v, k))
             system = sync.make_system(ta, ta, base + scale * v)
             bundle = sync.sync_bundle(system)
             psi0 = sync.sample_kernel_state(bundle, seed)

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syncsub import cli, grouprep, opcore, scenario, sync
+import syncsub
+from syncsub import cli, clocks, grouprep, opcore, scenario, sync
 from syncsub.literals import (
     ScenarioError,
     clock_from_literal,
@@ -97,7 +98,7 @@ class TestLiterals:
         lit = {"labels": [1, -1],
                "basis": {"dim": 2, "entries": [[v, 0] for row in h for v in row]}}
         clock = clock_from_literal(lit)
-        np.testing.assert_allclose(clock.matrix(), [[0, 1], [1, 0]], atol=1e-14)
+        np.testing.assert_allclose(oracles.clock_matrix(clock), [[0, 1], [1, 0]], atol=1e-14)
 
 
 class TestParseScenario:
@@ -155,6 +156,17 @@ class TestRunScenario:
         assert verdicts == [("H1", "diagonal"), ("H2", "diagonal"),
                             ("H3", "diagonal"), ("H4", "incompatible")]
         assert report.passed
+
+    def test_compat_blocks_follow_the_kernel_rule(self, tmp_path):
+        """Labels 4e-10 apart are distinct, as in the kernel kind: H4 couples
+        labels 0 and 4e-10, off the blocks, and its off_block_mass is 1 (the
+        absolute LABEL_SEP = 1e-9 of the dense classifier merged all three)."""
+        doc = json.loads((SCENARIO_DIR / "ex55_compat.json").read_text())
+        doc["clock"] = {"labels": [0, 4e-10, 8e-10]}
+        report = scenario.run_scenario(scenario.parse_scenario(write_scenario(tmp_path, doc)))
+        h4 = report.payload["verdicts"][3]
+        assert (h4["class"], h4["off_block_mass"]) == ("incompatible", 1.0)
+        assert h4["residual"] == pytest.approx(4e-10, rel=1e-12)
 
     def test_kernel_scenario(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "ex74_kernel.json")
@@ -425,7 +437,8 @@ class TestCli:
 
     def test_integer_beyond_int64_reads_as_float(self):
         clock = clock_from_literal({"labels": [0, 2 ** 70]})
-        np.testing.assert_array_equal(np.diag(clock.matrix()).real, [0.0, float(2 ** 70)])
+        np.testing.assert_array_equal(np.diag(oracles.clock_matrix(clock)).real,
+                                      [0.0, float(2 ** 70)])
 
     def test_out_file_and_format(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -513,6 +526,22 @@ class TestCli:
         kernel = json.loads(capsys.readouterr().out)["kernel"]
         assert (kernel["dim"], kernel["tol_used"]) == (2, opcore.KERNEL_ABS_FLOOR)
 
+    def test_kernel_tol_below_the_floor_exits_zero(self, tmp_path, capsys):
+        # 1e-14 * ||K|| is far below KERNEL_ABS_FLOOR, so the 5e-13 gap is zero,
+        # as it is for null_space of the dense K at the same tolerance
+        labels_a, labels_b = [0, 5e-13], [0]
+        path = write_scenario(tmp_path, {"name": "floor-gap", "kind": "kernel",
+                                         "clock_a": {"labels": labels_a},
+                                         "clock_b": {"labels": labels_b}})
+        assert cli.main(["run", str(path), "--tol", "kernel_tol=1e-14"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        want = oracles.null_space(oracles.sync_operator(clocks.make_clock(labels_a),
+                                                        clocks.make_clock(labels_b)), tol=1e-14)
+        assert report["kernel"]["dim"] == want.dim == 2
+        assert report["kernel"]["tol_used"] == want.tol_used
+        np.testing.assert_allclose(matrix_from_literal(report["projector"]),
+                                   opcore.projector(want), atol=1e-15)
+
     def test_computed_nan_exit_three(self, monkeypatch, capsys):
         def nan_epsilon(*args, **kwargs):
             report = scenario.run_scenario(*args, **kwargs)
@@ -541,18 +570,22 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["kernel", "drift"])
+    @pytest.mark.parametrize("kind", ["kernel", "drift", "compat"])
     def test_label_difference_overflow_exit_three(self, tmp_path, capsys, kind):
-        # finite labels whose differences a_i - b_j overflow to +-inf
+        # finite labels whose differences a_i - b_j (or l_i - l_j) overflow to +-inf
         payload = {"name": "overflow", "kind": kind,
                    "clock_a": {"labels": [1e308, -1e308]},
                    "clock_b": {"labels": [-1e308, 1e308]},
                    "hamiltonian": {"diag": [0.0, 1.0, 2.0, 3.0]}}
         if kind == "drift":
             payload["times"] = [0.0, 1.0]
+        if kind == "compat":
+            payload = {"name": "overflow", "kind": kind,
+                       "clock": {"labels": [1e308, -1e308]},
+                       "hamiltonians": [{"diag": [1.0, 2.0]}]}
         code = cli.main(["run", str(write_scenario(tmp_path, payload))])
         assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: clock label differences overflow" in capsys.readouterr().err
 
     def test_library_validation_error_exit_two(self, tmp_path, capsys):
         # parses fine but multiplicities do not round to integers
@@ -959,6 +992,31 @@ def test_scenarios_never_build_dense_k(tmp_path, monkeypatch, payload):
     assert calls == []
 
 
+# The dense compat path: in the oracles only, none of it in the library.
+DENSE_CLOCK_NAMES = {
+    clocks: ("LABEL_SEP", "_label_groups", "Block", "BlockStructure", "block_structure",
+             "compatibility_residual"),
+    opcore: ("commutator",),
+}
+
+
+def test_compat_scenario_never_builds_a_dense_clock(monkeypatch):
+    """classify_compatibility works on H' = B^dag H B alone: the clock matrix T,
+    [H, T] and the per-block projectors, and the LABEL_SEP grouping, exist only
+    in the tests' oracles, and ex55 reaches none of them."""
+    for module, names in DENSE_CLOCK_NAMES.items():
+        for name in names:
+            assert not hasattr(module, name) and not hasattr(syncsub, name), name
+            assert hasattr(oracles, name), name
+    assert not hasattr(clocks.ClockObservable, "matrix")
+    calls = []
+    for name in ("clock_matrix", "commutator", "block_structure", "compatibility_residual",
+                 "classify_compatibility"):
+        monkeypatch.setattr(oracles, name, lambda *args, _name=name: calls.append(_name))
+    assert scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json")).passed
+    assert calls == []
+
+
 def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypatch):
     """A passing Z8 regular scenario settles the identity, unitarity and
     idempotence checks of make_representation and isotypic_projectors on their
@@ -1010,8 +1068,9 @@ def test_one_rep_group_scenario_analyses_it_once(tmp_path, monkeypatch, two_side
 
 def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
     """ex55's diagonal H1-H3 pass both compatibility checks at compat_tol, so
-    only the incompatible H4 needs ||H||: classify_compatibility takes that and
-    the four off_block_mass norms, compatibility_residual the four residuals."""
+    only the incompatible H4 needs ||H||: classify_compatibility takes that,
+    the four residuals and the four off_block_mass norms, and nothing else
+    takes a spectral norm."""
     callers = []
 
     def counted(m, _fn=opcore.operator_norm):
@@ -1021,8 +1080,7 @@ def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
     monkeypatch.setattr(opcore, "operator_norm", counted)
     report = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json"))
     assert [v["class"] for v in report.payload["verdicts"]] == ["diagonal"] * 3 + ["incompatible"]
-    assert callers.count("classify_compatibility") == 5
-    assert len(callers) == 9
+    assert callers == ["classify_compatibility"] * 9
 
 
 # Traced by name in perfbench/run.py but moved to tests/oracles.py, so their

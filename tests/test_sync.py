@@ -24,7 +24,7 @@ def perturbed_system(dim, target_eps, seed):
     rng = np.random.Generator(np.random.Philox(key=seed + 2))
     g = rng.normal(size=(dim * dim,) * 2) + 1j * rng.normal(size=(dim * dim,) * 2)
     v = (g + g.conj().T) / 2.0
-    scale = target_eps / opcore.operator_norm(opcore.commutator(v, k))
+    scale = target_eps / opcore.operator_norm(oracles.commutator(v, k))
     return sync.make_system(ta, tb, base + scale * v)
 
 
@@ -122,7 +122,7 @@ class TestLocalSystem:
             hb = oracles.random_compatible(tb, int(rng.integers(0, 1000)))
             system = sync.make_system(ta, tb, oracles.local_hamiltonian(ha, hb))
             k = oracles.sync_operator(ta, tb)
-            res = opcore.operator_norm(opcore.commutator(k, system.hamiltonian))
+            res = opcore.operator_norm(oracles.commutator(k, system.hamiltonian))
             assert res <= 1e-11 * max(1.0, opcore.operator_norm(k)
                                       * opcore.operator_norm(system.hamiltonian))
 
@@ -169,9 +169,9 @@ class TestPreservationResidual:
             tb = clocks.make_clock(rng.integers(0, 3, size=3).astype(float))
             system = sync.make_system(ta, tb, oracles.local_hamiltonian(
                 oracles.random_compatible(ta, trial), oracles.random_compatible(tb, trial + 77)))
-            ta_full = np.kron(ta.matrix(), np.eye(3))
+            ta_full = np.kron(oracles.clock_matrix(ta), np.eye(3))
             assert opcore.operator_norm(
-                opcore.commutator(system.hamiltonian, ta_full)) <= 1e-11
+                oracles.commutator(system.hamiltonian, ta_full)) <= 1e-11
             u = oracles.evolve(system.hamiltonian, 1.3)
             evolved = u.conj().T @ ta_full @ u
             before = np.sort(np.linalg.eigvalsh(ta_full))

@@ -82,14 +82,14 @@ def test_label_matching_matches_dense_oracle():
         seen["rotated"] += rotated
         seen["unequal"] += system.dim_a != system.dim_b
         seen["zero_kernel"] += kernel_dim == 0
-        seen["degenerate"] += any(len(clocks.block_structure(c).blocks) < c.dim
+        seen["degenerate"] += any(len(oracles.block_structure(c).blocks) < c.dim
                                   for c in (system.clock_a, system.clock_b))
         if bundle.kernel.dim != kernel_dim:
             failures.append(f"trial {trial}: kernel dim {bundle.kernel.dim} vs {kernel_dim}")
             continue
         gaps = {
             "projector": opcore.operator_norm(opcore.projector(bundle.kernel) - projector),
-            "epsilon": abs(bundle.epsilon - opcore.operator_norm(opcore.commutator(
+            "epsilon": abs(bundle.epsilon - opcore.operator_norm(oracles.commutator(
                 system.hamiltonian, oracles.sync_operator(system.clock_a, system.clock_b)))),
         }
         times = np.concatenate([[0.0], rng.uniform(-15.0, 15.0, size=6)])
@@ -147,7 +147,7 @@ def test_standard_basis_reproduces_dense_k_bit_for_bit():
         bundle = sync.sync_bundle(system)
         k = oracles.sync_operator(ta, tb)
         assert bundle.epsilon == opcore.operator_norm(
-            opcore.commutator(system.hamiltonian, k)), trial
+            oracles.commutator(system.hamiltonian, k)), trial
         if bundle.kernel.dim:
             psi0 = sync.sample_kernel_state(bundle, trial)
             times = np.linspace(0.0, 10.0, 5)
