@@ -74,40 +74,49 @@ class CompatibilityVerdict:
     off_block_mass: float
 
 
+def label_gaps(a, b, kernel_tol: float) -> tuple:
+    """The diagonal a_i - b_j of K = diag(a) (x) I - I (x) diag(b) in product-index
+    order, and opcore.kernel_cutoff(||K||, kernel_tol): pair (i, j) is in ker K,
+    its labels equal, when |a_i - b_j| is within that cutoff."""
+    with np.errstate(over="ignore"):
+        g = np.subtract.outer(a, b).reshape(-1)
+    if not np.all(np.isfinite(g)):
+        raise opcore.NumericalError("clock label differences overflow")
+    return g, opcore.kernel_cutoff(float(np.max(np.abs(g))), kernel_tol)
+
+
+def diagonal_commutator(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """[H, diag(d)], whose entries are h_ij d_j - d_i h_ij; raises when one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = h * d
+        comm -= d[:, None] * h
+    if not np.all(np.isfinite(comm)):
+        raise opcore.NumericalError("clock-basis commutator overflows")
+    return comm
+
+
 def classify_compatibility(h, t: ClockObservable, compat_tol: float = COMPAT_TOL,
                            kernel_tol: float = opcore.KERNEL_TOL) -> CompatibilityVerdict:
     """Classify H against T in the clock basis, where T = diag(l) and H' = B^dag H B.
 
-    ||[H, T]|| = ||[H', diag(l)]||, whose entries are h'_ij l_j - l_i h'_ij,
-    rounded as sync.sync_bundle rounds its [H', G]. Labels i and j share an
-    eigenspace when (i, j) is in the kernel of T (x) I - I (x) T, by the kernel
-    rule: |l_i - l_j| <= opcore.kernel_cutoff(max l - min l, kernel_tol). So
-    off_block_mass is the norm of H' on the other pairs, and no T, commutator
-    or projector is formed.
+    ||[H, T]|| = ||[H', diag(l)]||. Labels i and j share an eigenspace when
+    (i, j) is in the kernel of T (x) I - I (x) T, so off_block_mass is the norm
+    of H' on the other pairs, and no T or projector is formed.
     """
     h = opcore.require_hermitian(h)
     if h.shape[0] != t.dim:
         raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match clock dim {t.dim}")
-    with np.errstate(over="ignore"):
-        gaps = np.abs(np.subtract.outer(t.labels, t.labels))
-    if not np.all(np.isfinite(gaps)):
-        raise opcore.NumericalError("clock label differences overflow")
+    g, cutoff = label_gaps(t.labels, t.labels, kernel_tol)
     h_in_basis = t.basis.conj().T @ h @ t.basis
-    comm = h_in_basis * t.labels
-    comm -= t.labels[:, None] * h_in_basis
-    residual = opcore.operator_norm(comm)
-    cutoff = opcore.kernel_cutoff(float(gaps.max()), kernel_tol)
-    off_block_mass = opcore.operator_norm(np.where(gaps > cutoff, h_in_basis, 0.0))
+    residual = opcore.operator_norm(diagonal_commutator(h_in_basis, t.labels))
+    off_block = np.abs(g).reshape(t.dim, t.dim) > cutoff
+    off_block_mass = opcore.operator_norm(np.where(off_block, h_in_basis, 0.0))
 
-    # Both limits are compat_tol * max(1, .) >= compat_tol, so ||H|| is taken
-    # only for a value above compat_tol, as in opcore.require_hermitian.
     t_norm = float(np.max(np.abs(t.labels)))   # ||T||, read off its spectrum
-    if residual > compat_tol and residual > compat_tol * max(
-            1.0, opcore.operator_norm(h) * t_norm):
+    if not opcore.within(residual, compat_tol, lambda: opcore.operator_norm(h) * t_norm):
         kind = "incompatible"
     else:
         off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), compat_tol)
-        diagonal = off_diag <= compat_tol or off_diag <= compat_tol * max(
-            1.0, opcore.operator_norm(h))
+        diagonal = opcore.within(off_diag, compat_tol, lambda: opcore.operator_norm(h))
         kind = "diagonal" if diagonal else "block_diagonal"
     return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)

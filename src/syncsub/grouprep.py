@@ -27,7 +27,6 @@ KERNEL_RESIDUAL_TOL = 1e-9  # allowance on ||K|_block - (alpha - beta) I||
 HOMOMORPHISM_TOL = 1e-10
 OBSERVABLE_HERM_TOL = 1e-10  # ||T - T^dag|| allowance for a clock observable
 _IDEMPOTENT_TOL = 1e-8
-_ASSOC_CHECK_MAX_ORDER = 64
 _EXHAUSTIVE_PAIRS_MAX_ORDER = 24
 _SAMPLED_PAIRS = 500
 _STACK_ENTRIES = 1 << 20   # matrix entries per stacked batch (16 MB complex)
@@ -80,9 +79,10 @@ def _conjugacy_classes(table: np.ndarray, inverse: np.ndarray, identity: int) ->
 def make_group(elements, mult_table, classes=None, name: str = "group") -> FiniteGroup:
     """Validate a multiplication table into a FiniteGroup.
 
-    Checks: Latin square, unique identity, inverses, associativity on all
-    triples (orders <= 64), and that any supplied classes are closed under
-    conjugation and partition the elements.
+    Checks: Latin square, unique identity, inverses, associativity, and that
+    supplied classes partition the elements and are closed under conjugation.
+    They keep their order, in which characters and class functions are read;
+    without them the identity's class is first, the rest by least element.
     """
     elements = tuple(str(e) for e in elements)
     n = len(elements)
@@ -111,11 +111,11 @@ def make_group(elements, mult_table, classes=None, name: str = "group") -> Finit
             raise ValueError(f"element {elements[g]!r} lacks a two-sided inverse")
         inverse[g] = hits[0]
 
-    if n <= _ASSOC_CHECK_MAX_ORDER:
-        left = table[table, :]          # left[a,b,c] = (ab)c
-        right = table[:, table]         # right[a,b,c] = a(bc)
-        if not np.array_equal(left, right):
-            raise ValueError("multiplication table is not associative")
+    # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
+    # products, so checking every s in a generating set checks all triples.
+    gens = _generating_set(table, identity)
+    if not np.array_equal(table[table[:, gens]], table[:, table[gens]]):
+        raise ValueError("multiplication table is not associative")
 
     computed = _conjugacy_classes(table, inverse, identity)
     if classes is not None:
@@ -124,7 +124,7 @@ def make_group(elements, mult_table, classes=None, name: str = "group") -> Finit
             raise ValueError("conjugacy classes must partition the elements")
         if set(supplied) != set(computed):
             raise ValueError("supplied conjugacy classes are not closed under conjugation")
-        # keep the canonical deterministic order regardless of input order
+        computed = supplied
     class_index = np.empty(n, dtype=np.int64)
     for ci, cls in enumerate(computed):
         class_index[list(cls)] = ci
@@ -179,15 +179,17 @@ def _forward_words(table: np.ndarray, gens, start) -> tuple:
     return depth, edges
 
 
-def generator_tree(group: FiniteGroup) -> GeneratorTree:
-    """Greedy generating set S of ``group`` and its forward-word tree.
+def _generating_set(table: np.ndarray, e: int) -> list:
+    """Greedy generating set S of a Latin square with identity e.
 
     Elements are taken by descending element order, then index, each one not
-    yet in the subgroup generated so far, until S generates the group: Zn
-    gives {g1}, Z2xZ2, S3 and D4 two generators. The trivial group has an
-    empty generating set and uses S = {e}, so that rho(e) is still checked.
+    yet among the forward words over S, until those reach every element: Zn
+    gives {g1}, Z2xZ2, S3 and D4 two generators. The trivial group takes
+    S = {e}, so that rho(e) is still checked. Right multiplication by g
+    permutes the elements and takes e to g, so the powers of g return to e
+    even before associativity is known.
     """
-    table, e = group.mult_table, group.identity_index
+    n = table.shape[0]
 
     def element_order(g):
         k, x = 1, g
@@ -196,14 +198,19 @@ def generator_tree(group: FiniteGroup) -> GeneratorTree:
         return k
 
     gens, span = [], {e}
-    for g in sorted(range(group.order), key=lambda g: (-element_order(g), g)):
-        if len(span) == group.order:
+    for g in sorted(range(n), key=lambda g: (-element_order(g), g)):
+        if len(span) == n:
             break
         if g not in span:
             gens.append(g)
             span = _forward_words(table, gens, gens)[0]
-    gens = gens or [e]
-    depth, edges = _forward_words(table, gens, gens)
+    return gens or [e]
+
+
+def generator_tree(group: FiniteGroup) -> GeneratorTree:
+    """``group``'s generating set S (_generating_set) and its forward-word tree."""
+    gens = _generating_set(group.mult_table, group.identity_index)
+    depth, edges = _forward_words(group.mult_table, gens, gens)
     return GeneratorTree(generators=tuple(gens), edges=tuple(edges), depth=max(depth.values()))
 
 
@@ -771,11 +778,8 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
         bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),
                                    group.order, system.dim)
     kern_res = bundle.epsilon
-    # ||H|| only decides the verdict when kern_res exceeds compat_tol
-    # (compat_tol * max(1, m) >= compat_tol), so it is taken only then.
-    member = bound <= equivar_tol and (
-        kern_res <= compat_tol
-        or kern_res <= compat_tol * max(1.0, opcore.operator_norm(h) * bundle.k_norm))
+    member = bound <= equivar_tol and opcore.within(
+        kern_res, compat_tol, lambda: opcore.operator_norm(h) * bundle.k_norm)
     return HsyncVerdict(
         generators=[group.elements[g] for g in tree.generators],
         word_length=tree.depth,

@@ -59,16 +59,18 @@ def screened_norm(r, limit: float) -> float:
     return fro if fro <= limit else operator_norm(r)
 
 
-def require_hermitian(m) -> np.ndarray:
-    """Return ``m`` as a complex matrix, raising if it is not Hermitian.
+def within(res: float, tol: float, scale) -> bool:
+    """res <= tol * max(1, scale()), calling ``scale`` only when res > tol, the
+    smallest that limit can be: a norm it takes is skipped for a residual within tol."""
+    return res <= tol or res <= tol * max(1.0, scale())
 
-    The test is ||M - M^dag|| <= HERM_TOL * max(1, ||M||). The residual is
-    screened against HERM_TOL, the smallest that limit can be, so ||M|| is
-    taken only when the exact residual exceeds HERM_TOL.
-    """
+
+def require_hermitian(m) -> np.ndarray:
+    """Return ``m`` as a complex matrix, raising unless ||M - M^dag|| <= HERM_TOL *
+    max(1, ||M||) (``within``); the residual is screened against HERM_TOL."""
     m = as_complex_matrix(m)
     res = screened_norm(m - m.conj().T, HERM_TOL)
-    if res > HERM_TOL and res > HERM_TOL * max(1.0, operator_norm(m)):
+    if not within(res, HERM_TOL, lambda: operator_norm(m)):
         raise ValueError(f"matrix is not Hermitian: residual {res:.3e} exceeds tolerance")
     return m
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .clocks import ClockObservable, _philox
-from .opcore import NumericalError, Subspace
+from .clocks import ClockObservable, _philox, diagonal_commutator, label_gaps
+from .opcore import Subspace
 
 BOUND_SLACK = 1e-9   # absolute roundoff allowance on top of the proven bounds
 INIT_TOL = 1e-8      # how far psi(0) may sit from ker(K)
@@ -56,11 +56,6 @@ def make_system(clock_a: ClockObservable, clock_b: ClockObservable, hamiltonian)
     return SyncSystem(clock_a=clock_a, clock_b=clock_b, hamiltonian=h)
 
 
-def _k_diagonal(system: SyncSystem) -> np.ndarray:
-    """K's diagonal a_i - b_j in the product clock basis, in product-index order."""
-    return np.subtract.outer(system.clock_a.labels, system.clock_b.labels).reshape(-1)
-
-
 def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
     """U^dag X for the product clock basis U = B_A (x) B_B, applied through its factors."""
     return opcore.kron_apply(system.clock_a.basis.conj().T, system.clock_b.basis.conj().T, x)
@@ -68,41 +63,35 @@ def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SyncOperatorBundle:
-    """The kernel of K, epsilon = ||[H,K]|| and ||K|| = max |a_i - b_j|."""
+    """The kernel of K, epsilon = ||[H,K]||, ||K|| = max |a_i - b_j| and K's
+    diagonal a_i - b_j in the product clock basis."""
 
     kernel: Subspace
     epsilon: float
     k_norm: float
+    k_diagonal: np.ndarray
 
 
 def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> SyncOperatorBundle:
     """K's kernel, epsilon = ||[H,K]|| and ||K||.
 
-    K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j), whose singular
-    values are the label gaps |a_i - b_j|. The kernel keeps b_A,i (x) b_B,j for
-    the gaps within opcore.kernel_cutoff(||K||, kernel_tol), the SVD rank rule
-    with its absolute floor, in product-index order; ``kernel.tol_used`` is that
+    K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j) from
+    clocks.label_gaps. The kernel keeps b_A,i (x) b_B,j for the gaps within
+    label_gaps' cutoff, in product-index order; ``kernel.tol_used`` is that
     cutoff. Since K (b_A,i (x) b_B,j) = (a_i - b_j) b_A,i (x) b_B,j, a kept
     column's kernel residual is its gap, at most the cutoff by construction, so
-    the basis needs no residual check. ||[H,K]|| = ||[H', G]|| with
-    H' = U^dag H U, whose entries are h'_rs g_s - g_r h'_rs. In the standard
-    basis these are the dense products' own roundings.
+    the basis needs no residual check. ||[H,K]|| = ||[H', G]|| with H' = U^dag H U.
     """
-    with np.errstate(over="ignore"):
-        g = _k_diagonal(system)
+    g, cutoff = label_gaps(system.clock_a.labels, system.clock_b.labels, kernel_tol)
     gaps = np.abs(g)
-    if not np.all(np.isfinite(gaps)):
-        raise NumericalError("clock label differences overflow")
-    k_norm = float(gaps.max())   # ||K||, its largest singular value
-    cutoff = opcore.kernel_cutoff(k_norm, kernel_tol)
     i, j = np.divmod(np.flatnonzero(gaps <= cutoff), system.dim_b)
     basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
     kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
     h = _to_clock_basis(system, system.hamiltonian)                              # U^dag H
     h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
-    comm = h * g
-    comm -= g[:, None] * h
-    return SyncOperatorBundle(kernel=kernel, epsilon=opcore.operator_norm(comm), k_norm=k_norm)
+    epsilon = opcore.operator_norm(diagonal_commutator(h, g))
+    return SyncOperatorBundle(kernel=kernel, epsilon=epsilon, k_norm=float(gaps.max()),
+                              k_diagonal=g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +111,6 @@ class DriftReport:
     drift_bound_ok: bool
     fidelity_bound_ok: bool
     max_bound_slack: float
-    bound_slack: float
 
     def drift_bound(self) -> np.ndarray:
         return self.epsilon * np.abs(self.times)
@@ -145,7 +133,7 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"initial state is not normalized: ||psi0|| = {norm!r}")
-    g = _k_diagonal(system)   # ||K x|| = ||G U^dag x||
+    g = bundle.k_diagonal   # ||K x|| = ||G U^dag x||
     k_res = float(np.linalg.norm(g * _to_clock_basis(system, psi0)))
     if k_res > init_tol:
         raise ValueError(
@@ -171,7 +159,6 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
         drift_bound_ok=bool(np.all(drift_excess <= bound_slack)),
         fidelity_bound_ok=bool(np.all(fid_excess <= bound_slack)),
         max_bound_slack=float(max(np.max(drift_excess), np.max(fid_excess))),
-        bound_slack=bound_slack,
     )
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from syncsub import clocks, opcore
+from test_norm_screen import call_sites
 from test_sync_oracle import random_unitary
 
 H4 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
@@ -260,3 +261,9 @@ class TestRandomCompatible:
                 bound = 1e-11 * max(1.0, opcore.operator_norm(h)
                                     * opcore.operator_norm(oracles.clock_matrix(t)))
                 assert res <= bound
+
+
+def test_label_rules_live_in_label_gaps():
+    """Label differences and the equal-labels cutoff are computed in one
+    function, which the compat, kernel, drift and group kinds all call."""
+    assert call_sites("subtract.outer", "kernel_cutoff") == ["clocks.label_gaps"] * 2

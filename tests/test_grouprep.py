@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from syncsub import clocks, grouprep, opcore, sync
@@ -54,6 +56,28 @@ def components(dec):
 def conjugated(rho, v):
     """The representation g -> V rho(g) V^dag."""
     return grouprep.make_representation(rho.group, v @ rho.matrices @ v.conj().T)
+
+
+def random_loop(rng, n):
+    """A random Latin square on 0..n-1 with identity 0, filled cell by cell with backtracking."""
+    t = np.full((n, n), -1)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        for v in rng.permutation(n):
+            if v not in t[i] and v not in t[:, j]:
+                t[i, j] = v
+                if fill(k + 1):
+                    return True
+        t[i, j] = -1
+        return False
+
+    assert fill(0)
+    return t
 
 
 @pytest.fixture(scope="module")
@@ -137,15 +161,33 @@ class TestMakeGroup:
             grouprep.make_group(["e", "a"], [[0, 0], [1, 1]])
 
     def test_rejects_non_associative(self):
-        # Latin square with two-sided identity that is not a group (order 5
-        # loop): rows/cols are permutations but associativity fails
-        table = [[0, 1, 2, 3, 4],
-                 [1, 0, 3, 4, 2],
-                 [2, 4, 0, 1, 3],
-                 [3, 2, 4, 0, 1],
-                 [4, 3, 1, 2, 0]]
-        with pytest.raises(ValueError, match="associative"):
-            grouprep.make_group(list("eabcd"), table)
+        # Latin squares with two-sided identity that are not groups: an order-5
+        # loop, whose rows/cols are permutations but associativity fails, and
+        # its direct product with Z13, of order 65
+        loop = np.array([[0, 1, 2, 3, 4],
+                         [1, 0, 3, 4, 2],
+                         [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1],
+                         [4, 3, 1, 2, 0]])
+        z13 = (np.arange(13)[:, None] + np.arange(13)) % 13
+        product = np.add.outer(13 * loop, z13).transpose(0, 2, 1, 3).reshape(65, 65)
+        for table in (loop, product):
+            with pytest.raises(ValueError, match="associative"):
+                grouprep.make_group([f"g{i}" for i in range(len(table))], table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_accepts_exactly_the_associative_loops(self, n, seed):
+        """make_group checks associativity on a generating set only (Light's
+        test); it accepts a Latin square with identity iff all n^3 triples
+        associate. Random loops of order 5 to 7 are mostly not groups."""
+        t = random_loop(np.random.default_rng(seed), n)
+        try:
+            grouprep.make_group([f"g{i}" for i in range(n)], t)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == np.array_equal(t[t, :], t[:, t])
 
     def test_rejects_wrong_classes(self, s3):
         group, _ = s3

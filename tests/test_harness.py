@@ -587,6 +587,29 @@ class TestCli:
         assert code == 3
         assert "numerical failure: clock label differences overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["compat", "kernel"])
+    def test_commutator_overflow_exits_three_with_one_line(self, tmp_path, kind):
+        """Finite label gaps whose products with H overflow: one named line on
+        stderr, no numpy warnings. Run in a subprocess, so that warnings reach
+        stderr as they do from the command line."""
+        h = {"dim": 2, "entries": [[0, 0], [2, 0], [2, 0], [0, 0]]}
+        if kind == "compat":
+            payload = {"name": "overflow", "kind": kind,
+                       "clock": {"labels": [1e308, 1.5e308]}, "hamiltonians": [h]}
+        else:
+            payload = {"name": "overflow", "kind": kind,
+                       "clock_a": {"labels": [1e308, 1.5e308]},
+                       "clock_b": {"labels": [0]}, "hamiltonian": h}
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom syncsub import cli\n"
+                                   "raise SystemExit(cli.main(sys.argv[1:]))",
+             "run", str(write_scenario(tmp_path, payload))],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr == "syncsub: numerical failure: clock-basis commutator overflows\n"
+
     def test_library_validation_error_exit_two(self, tmp_path, capsys):
         # parses fine but multiplicities do not round to integers
         path = write_scenario(tmp_path, {
@@ -621,6 +644,20 @@ class TestCli:
             "syncsub: validation error: initial state is not normalized: "
             "||psi0|| = 1.118033988749895\n")
 
+    def test_group_literal_reads_characters_in_its_class_order(self, tmp_path, capsys):
+        """A custom table's classes fix the order of its characters and class
+        functions: the swapped D4 literal reports what the builtin D4 does."""
+        reports = []
+        for swap in (False, True):
+            path = write_scenario(tmp_path, d4_payload(swap), name=f"d4_{swap}.json")
+            assert cli.main(["run", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        builtin, swapped = ({k: r[k] for k in ("multiplicities", "schur", "containment")}
+                            for r in reports)
+        assert builtin["multiplicities"]["rep_a"][2] == ["B1", 1]
+        assert builtin["containment"]["entries"][0]["alpha"] == 2
+        assert swapped == builtin
+
     def test_log_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SYNCSUB_LOG", "info")
         assert cli.main(["run", str(SCENARIO_DIR / "ex74_kernel.json")]) == 0
@@ -647,6 +684,27 @@ def custom_z2_payload(edit):
         "rep": {"elements": [{"diag": [1, 1]}, {"diag": [1, -1]}]},
     }
     edit(payload)
+    return payload
+
+
+def d4_payload(swap):
+    """A D4 scenario on its 1-dim irrep B1 with the class function 1 on {s, rrs}:
+    the builtin group, or a table literal that lists the reflection classes
+    swapped and gives its characters and class function in that order."""
+    b1 = [1, -1, 1, -1, 1, -1, 1, -1]
+    payload = {"name": "d4", "kind": "group", "group": "D4",
+               "rep": {"elements": [{"diag": [x]} for x in b1]},
+               "class_function_a": [0, 0, 0, 1, 0]}
+    if swap:
+        group, chars = grouprep.builtin_group("D4")
+        order = [0, 1, 2, 4, 3]
+        payload["group"] = {"elements": list(group.elements),
+                            "mult_table": group.mult_table.tolist(),
+                            "classes": [list(group.conjugacy_classes[c]) for c in order]}
+        payload["characters"] = {"irreps": [
+            {"name": ir.name, "dim": ir.dim, "chars": [ir.characters[c].real for c in order]}
+            for ir in chars]}
+        payload["class_function_a"] = [payload["class_function_a"][c] for c in order]
     return payload
 
 
@@ -1070,11 +1128,15 @@ def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
     """ex55's diagonal H1-H3 pass both compatibility checks at compat_tol, so
     only the incompatible H4 needs ||H||: classify_compatibility takes that,
     the four residuals and the four off_block_mass norms, and nothing else
-    takes a spectral norm."""
+    takes a spectral norm. A norm taken in a lambda that opcore.within calls
+    counts as taken by within's caller."""
     callers = []
 
     def counted(m, _fn=opcore.operator_norm):
-        callers.append(sys._getframe(1).f_code.co_name)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "<lambda>" and frame.f_back.f_code.co_name == "within":
+            frame = frame.f_back.f_back
+        callers.append(frame.f_code.co_name)
         return _fn(m)
 
     monkeypatch.setattr(opcore, "operator_norm", counted)

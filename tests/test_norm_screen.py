@@ -230,9 +230,10 @@ def _probe_id(probe):
     return probe.__name__[len("probe_"):]
 
 
-def screened_sites() -> list:
-    """``module.function`` of every screened_norm call in src/syncsub, once per call,
-    named by its enclosing function (and class)."""
+def call_sites(*names) -> list:
+    """``module.function`` of every call in src/syncsub to one of ``names``, once
+    per call, named by its enclosing function (and class). A name matches the
+    tail of the called expression: "subtract.outer" matches np.subtract.outer."""
     sites = []
 
     def visit(node, module, scope):
@@ -241,9 +242,8 @@ def screened_sites() -> list:
                 visit(child, module, scope + [child.name])
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name == "screened_norm":
+                called = "." + ast.unparse(child.func)
+                if any(called.endswith("." + name) for name in names):
                     sites.append(".".join([module] + scope))
             visit(child, module, scope)
 
@@ -254,7 +254,7 @@ def screened_sites() -> list:
 
 def test_every_screened_site_has_one_library_probe():
     """Adding or removing a screened check in the library without its probe fails here."""
-    assert Counter(screened_sites()) == Counter(LIBRARY_PROBES.values())
+    assert Counter(call_sites("screened_norm")) == Counter(LIBRARY_PROBES.values())
 
 
 @pytest.mark.parametrize("probe", list(LIBRARY_PROBES), ids=_probe_id)
