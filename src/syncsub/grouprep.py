@@ -63,15 +63,15 @@ class FiniteGroup:
 
 
 def _conjugacy_classes(table: np.ndarray, inverse: np.ndarray, identity: int) -> tuple:
-    n = table.shape[0]
-    seen = set()
-    classes = []
-    for g in range(n):
-        if g in seen:
-            continue
-        orbit = sorted({int(table[table[h, g], inverse[h]]) for h in range(n)})
-        classes.append(tuple(orbit))
-        seen.update(orbit)
+    """Classes as sorted index tuples: the identity's first, the rest by least element.
+
+    Column g of the orbit table T[T[h, g], inv[h]] holds h g h^-1 for every h,
+    the class of g, so its column minimum names that class by its least element.
+    """
+    least = table[table, inverse[:, None]].min(axis=0)
+    order = np.argsort(least, kind="stable")
+    starts = np.flatnonzero(np.diff(least[order], prepend=-1))
+    classes = [tuple(c.tolist()) for c in np.split(order, starts[1:])]
     classes.sort(key=lambda c: (0 if identity in c else 1, c[0]))
     return tuple(classes)
 
@@ -179,26 +179,34 @@ def _forward_words(table: np.ndarray, gens, start) -> tuple:
     return depth, edges
 
 
+def _element_orders(table: np.ndarray, e: int) -> np.ndarray:
+    """The least k >= 1 with x_k = e, for x_1 = g and x_{k+1} = x_k g, of every g at once.
+
+    Right multiplication by g permutes the elements of a Latin square and takes
+    e to g, so x_k returns to e within n steps even before associativity is known.
+    """
+    n = table.shape[0]
+    gs, x = np.arange(n), np.arange(n)
+    orders = np.zeros(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        orders[(x == e) & (orders == 0)] = k
+        if orders.all():
+            break
+        x = table[x, gs]
+    return orders
+
+
 def _generating_set(table: np.ndarray, e: int) -> list:
     """Greedy generating set S of a Latin square with identity e.
 
-    Elements are taken by descending element order, then index, each one not
-    yet among the forward words over S, until those reach every element: Zn
-    gives {g1}, Z2xZ2, S3 and D4 two generators. The trivial group takes
-    S = {e}, so that rho(e) is still checked. Right multiplication by g
-    permutes the elements and takes e to g, so the powers of g return to e
-    even before associativity is known.
+    Elements are taken by descending element order (_element_orders), then
+    index, each one not yet among the forward words over S, until those reach
+    every element: Zn gives {g1}, Z2xZ2, S3 and D4 two generators. The trivial
+    group takes S = {e}, so that rho(e) is still checked.
     """
     n = table.shape[0]
-
-    def element_order(g):
-        k, x = 1, g
-        while x != e:
-            x, k = int(table[x, g]), k + 1
-        return k
-
     gens, span = [], {e}
-    for g in sorted(range(n), key=lambda g: (-element_order(g), g)):
+    for g in np.lexsort((np.arange(n), -_element_orders(table, e))).tolist():
         if len(span) == n:
             break
         if g not in span:
@@ -248,23 +256,27 @@ def make_character_table(group: FiniteGroup, rows) -> CharacterTable:
         raise ValueError("sum of squared irrep dimensions must equal the group order")
     sizes = np.asarray(group.class_sizes, dtype=np.float64)
     chars = np.array([ir.characters for ir in irreps]).reshape(len(irreps), n_classes)
-    conj = chars.conj()
-    # One Gram row at a time: the full (r, r, c) product is O(|G|^3) memory for Zn.
-    gram = np.array([np.sum(row * conj, axis=-1) for row in sizes * chars]) / group.order
+    gram = (sizes * chars) @ chars.conj().T / group.order
     bad = np.argwhere(np.abs(gram - np.eye(len(irreps))) > 1e-10)
     if bad.size:
         i, j = bad[0]
+        # the reported pair is summed on its own, so the message does not hang on BLAS blocking
+        inner = np.sum(sizes * chars[i] * chars[j].conj()) / group.order
         raise ValueError(
             f"character rows {irreps[i].name!r}, {irreps[j].name!r} violate orthogonality "
-            f"(inner product {gram[i, j]:.3e})")
+            f"(inner product {inner:.3e})")
     return CharacterTable(irreps=tuple(irreps))
 
 
 def _cyclic_group(n: int):
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     group = make_group([f"g{i}" for i in range(n)], table, name=f"Z{n}")
-    omega = np.exp(2j * np.pi / n)
-    rows = [(f"chi{k}", 1, [omega ** (k * j) for j in range(n)]) for k in range(n)]
+    # chi_k(g_j) = omega ** (k j), with omega ** m taken once per distinct exponent m
+    kj = np.outer(np.arange(n), np.arange(n))
+    used = np.zeros(kj[-1, -1] + 1, dtype=bool)
+    used[kj] = True
+    chars = (np.exp(2j * np.pi / n) ** np.flatnonzero(used))[np.cumsum(used)[kj] - 1]
+    rows = [(f"chi{k}", 1, chars[k]) for k in range(n)]
     return group, make_character_table(group, rows)
 
 
@@ -612,11 +624,31 @@ def _joint_commutators(t: np.ndarray, rho_a: Representation, rho_b: Representati
     return joint @ t - t @ joint
 
 
+def _generator_residuals(t: np.ndarray, local: tuple | None, rho_a: Representation,
+                         rho_b: Representation, gens) -> list:
+    """||[J(s), T]|| for each s in ``gens``.
+
+    When ``local`` is (T_A, T_B) with T = T_A (x) I + I (x) T_B and both factors
+    permute, J(s) is a permutation matrix P, so ||[J, T]|| = ||P(T - P^T T P)||
+    = ||T - P^T T P||, and P^T T P = P_A^T T_A P_A (x) I + I (x) P_B^T T_B P_B,
+    whose factors are exact gathers. The norm is then the
+    opcore.kron_sum_norm of T_A - P_A^T T_A P_A and its B twin, two Hermitian
+    factor-size matrices. Otherwise each [J(s), T] comes from
+    _joint_commutators and takes its own spectral norm.
+    """
+    if local is not None and rho_a.perm is not None and rho_b.perm is not None:
+        t_a, t_b = local
+        return [opcore.kron_sum_norm(t_a - t_a[np.ix_(p_a, p_a)], t_b - t_b[np.ix_(p_b, p_b)])
+                for p_a, p_b in zip(rho_a.perm[gens], rho_b.perm[gens])]
+    return [opcore.operator_norm(c) for c in _joint_commutators(t, rho_a, rho_b, gens)]
+
+
 def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representation,
-                        tree: GeneratorTree) -> tuple:
+                        tree: GeneratorTree, local: tuple | None = None) -> tuple:
     """(r_S, B): the exact max ||[J(s), T]|| over s in S, and B >= max over all g.
 
-    [J(s), T] comes from _joint_commutators. For h = p*s,
+    ||[J(s), T]|| comes from _generator_residuals, which reads it off the
+    factors ``local`` of T when it can. For h = p*s,
     [T, J(p)J(s)] = [T, J(p)]J(s) + J(p)[T, J(s)], so along the tree
     R_h = nu (R_p + r_s) + 2 ||T||_F eta_h with R_s = r_s, where
     nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
@@ -626,8 +658,7 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
     has nu = 1 and eta = 0.
     """
     gens = list(tree.generators)
-    comms = _joint_commutators(t, rho_a, rho_b, gens)
-    r = {s: opcore.operator_norm(c) for s, c in zip(gens, comms)}
+    r = dict(zip(gens, _generator_residuals(t, local, rho_a, rho_b, gens)))
     r_s = max(r.values())
     if not tree.edges:
         return r_s, r_s
@@ -763,8 +794,10 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
 
     B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
     (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
-    taken from the joint commutators. ||[H, K]|| and ||K|| are the bundle's
-    epsilon and k_norm.
+    taken from the joint commutators. A local H on permutation
+    representations takes r_S from its factors (_generator_residuals).
+    ||[H, K]|| and ||K|| are the bundle's epsilon and k_norm, the former also
+    read off the factors of a local H (sync.sync_bundle).
     """
     _require_same_group(rho_a.group, rho_b.group)
     if (system.dim_a, system.dim_b) != (rho_a.dim, rho_b.dim):
@@ -772,7 +805,7 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
     h, group = system.hamiltonian, rho_a.group
     tree = generator_tree(group)
-    r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree)
+    r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree, system.local)
     if r_s <= equivar_tol < bound:
         gs = np.arange(group.order)
         bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),

@@ -47,6 +47,18 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def kron_sum_norm(x, y) -> float:
+    """||X (x) I + I (x) Y|| for Hermitian X and Y, from two factor-size eigvalsh calls.
+
+    The two terms commute, so the spectrum of the sum is {x_k + y_l} and its
+    norm is max(|x_max + y_max|, |x_min + y_min|): exact, with no n x n matrix
+    formed. The sums are Python floats, so one beyond the float range is inf,
+    without a numpy warning.
+    """
+    xs, ys = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
+    return max(abs(float(xs[-1]) + float(ys[-1])), abs(float(xs[0]) + float(ys[0])))
+
+
 def screened_norm(r, limit: float) -> float:
     """Spectral norm of ``r`` as far as the check ``||R|| <= limit`` needs it.
 

@@ -353,11 +353,12 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     """Kernel and series kinds: one system and bundle, then the kernel or the trace."""
     dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
-    h, pert_seed = np.zeros((dim_a * dim_b,) * 2), None
+    h, pert_seed, local = np.zeros((dim_a * dim_b,) * 2), None, None
     if s.hamiltonian is not None:
         h, pert_seed = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (dim_a, dim_b),
                                             seed_override, s.seed)
-    system = sync.make_system(s.clock_a, s.clock_b, h)
+        local = s.hamiltonian.local
+    system = sync.make_system(s.clock_a, s.clock_b, h, local=local)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     if s.kind == "kernel":
         fields = {"kernel": _subspace_payload(bundle.kernel),
@@ -423,11 +424,13 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
     fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
     schur_ok = all(e.residual <= tol["schur_tol"] for e in schur_a.entries + schur_b.entries)
-    h = np.zeros((s.rep_a.dim * s.rep_b.dim,) * 2)
+    h, local = np.zeros((s.rep_a.dim * s.rep_b.dim,) * 2), None
     if s.hamiltonian is not None:
         h, _ = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (s.rep_a.dim, s.rep_b.dim),
                                     seed_override, s.seed)
-    system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b), h)
+        local = s.hamiltonian.local
+    system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b),
+                              h, local=local)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     containment = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
     fields["containment"] = asdict(containment)

@@ -27,12 +27,16 @@ class SyncSystem:
     """Two local clocks plus a joint Hamiltonian on the tensor product space.
 
     Built by make_system, so ``hamiltonian`` has passed
-    opcore.require_hermitian; nothing downstream checks it again.
+    opcore.require_hermitian; nothing downstream checks it again. ``local`` is
+    (H_A, H_B) when ``hamiltonian`` was built as H_A (x) I + I (x) H_B from two
+    checked Hermitian terms, and None otherwise; norms of commutators with H
+    are then read off the two factors.
     """
 
     clock_a: ClockObservable
     clock_b: ClockObservable
     hamiltonian: np.ndarray
+    local: tuple | None = None
 
     @property
     def dim_a(self) -> int:
@@ -47,13 +51,20 @@ class SyncSystem:
         return self.dim_a * self.dim_b
 
 
-def make_system(clock_a: ClockObservable, clock_b: ClockObservable, hamiltonian) -> SyncSystem:
+def make_system(clock_a: ClockObservable, clock_b: ClockObservable, hamiltonian,
+                local: tuple | None = None) -> SyncSystem:
+    """The system of two clocks and ``hamiltonian``. ``local`` is (H_A, H_B) when
+    the caller built ``hamiltonian`` as H_A (x) I + I (x) H_B from Hermitian terms."""
     h = opcore.require_hermitian(hamiltonian)
     if h.shape[0] != clock_a.dim * clock_b.dim:
         raise ValueError(
             f"Hamiltonian dim {h.shape[0]} does not match "
             f"{clock_a.dim}x{clock_b.dim} bipartite space")
-    return SyncSystem(clock_a=clock_a, clock_b=clock_b, hamiltonian=h)
+    if local is not None and (local[0].shape, local[1].shape) != (
+            (clock_a.dim,) * 2, (clock_b.dim,) * 2):
+        raise ValueError(f"local terms {local[0].shape}, {local[1].shape} do not match "
+                         f"the {clock_a.dim}x{clock_b.dim} clocks")
+    return SyncSystem(clock_a=clock_a, clock_b=clock_b, hamiltonian=h, local=local)
 
 
 def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
@@ -81,15 +92,30 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     cutoff. Since K (b_A,i (x) b_B,j) = (a_i - b_j) b_A,i (x) b_B,j, a kept
     column's kernel residual is its gap, at most the cutoff by construction, so
     the basis needs no residual check. ||[H,K]|| = ||[H', G]|| with H' = U^dag H U.
+
+    For a local H' = H_A' (x) I + I (x) H_B', with H_X' = B_X^dag H_X B_X,
+    [H', G] = [H_A', diag(a - b_0)] (x) I + I (x) [H_B', diag(a_0 - b)]: a
+    common shift of one side's labels commutes with its term. The two factors
+    times i are Hermitian, so epsilon is their opcore.kron_sum_norm. The
+    shifted labels are G's first column and first row, so each factor's
+    entries are, up to the rounding of H', ones the dense [H', G] forms too,
+    and the factored path overflows only where the dense one would.
     """
     g, cutoff = label_gaps(system.clock_a.labels, system.clock_b.labels, kernel_tol)
     gaps = np.abs(g)
     i, j = np.divmod(np.flatnonzero(gaps <= cutoff), system.dim_b)
     basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
     kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
-    h = _to_clock_basis(system, system.hamiltonian)                              # U^dag H
-    h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
-    epsilon = opcore.operator_norm(diagonal_commutator(h, g))
+    if system.local is not None:
+        (h_a, h_b), b_a, b_b = system.local, system.clock_a.basis, system.clock_b.basis
+        grid = g.reshape(system.dim_a, system.dim_b)
+        x = diagonal_commutator(b_a.conj().T @ h_a @ b_a, grid[:, 0])
+        y = diagonal_commutator(b_b.conj().T @ h_b @ b_b, grid[0])
+        epsilon = opcore.kron_sum_norm(1j * x, 1j * y)
+    else:
+        h = _to_clock_basis(system, system.hamiltonian)                              # U^dag H
+        h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
+        epsilon = opcore.operator_norm(diagonal_commutator(h, g))
     return SyncOperatorBundle(kernel=kernel, epsilon=epsilon, k_norm=float(gaps.max()),
                               k_diagonal=g)
 
@@ -126,6 +152,8 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
 
     psi0 must be normalized and lie in ker(K) within init_tol; the tested
     bounds use the realized epsilon = ||[H,K]||, never a configured value.
+    Raises NumericalError when a drift value, epsilon |t| or (epsilon t)^2 is
+    not finite, as with label gaps near the float range.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128).reshape(-1)
     if psi0.shape[0] != system.dim:
@@ -146,11 +174,15 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     spec = opcore.spectrum(system.hamiltonian)
     v = spec.eigenvectors
     phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) * (v.conj().T @ psi0)[:, None]
-    drift = np.linalg.norm((g[:, None] * _to_clock_basis(system, v)) @ phi, axis=0)
     fidelity = np.linalg.norm((bundle.kernel.basis.conj().T @ v) @ phi, axis=0) ** 2
     eps = bundle.epsilon
-    drift_excess = drift - eps * np.abs(times)
-    fid_excess = (1.0 - (eps * times) ** 2) - fidelity
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = np.linalg.norm((g[:, None] * _to_clock_basis(system, v)) @ phi, axis=0)
+        drift_excess = drift - eps * np.abs(times)
+        fid_excess = (1.0 - (eps * times) ** 2) - fidelity
+    # an overflowing drift or bound makes an excess inf or nan: no verdict can be read
+    if not (np.all(np.isfinite(drift_excess)) and np.all(np.isfinite(fid_excess))):
+        raise opcore.NumericalError("drift series or its bounds overflow")
     return DriftReport(
         times=times,
         drift=drift,

@@ -226,6 +226,45 @@ def preservation_residual(system, bundle, times) -> float:
 # group representations
 
 
+def conjugacy_classes(table, inverse, identity: int) -> tuple:
+    """Classes by one orbit {h g h^-1 : h} per unvisited g, in a Python loop:
+    the identity's class first, the rest by least element."""
+    n = table.shape[0]
+    seen = set()
+    classes = []
+    for g in range(n):
+        if g in seen:
+            continue
+        orbit = sorted({int(table[table[h, g], inverse[h]]) for h in range(n)})
+        classes.append(tuple(orbit))
+        seen.update(orbit)
+    classes.sort(key=lambda c: (0 if identity in c else 1, c[0]))
+    return tuple(classes)
+
+
+def element_order(table, e: int, g: int) -> int:
+    """The least k >= 1 with x_k = e for x_1 = g, x_{k+1} = x_k g, one product at a time."""
+    k, x = 1, g
+    while x != e:
+        x, k = int(table[x, g]), k + 1
+    return k
+
+
+def character_gram(group, chars) -> np.ndarray:
+    """(1/|G|) sum_c |c| chi_i(c) chi_j(c)^*, one Gram row at a time, each entry
+    summed over the classes in their order."""
+    sizes = np.asarray(group.class_sizes, dtype=np.float64)
+    chars = np.asarray(chars, dtype=np.complex128)
+    conj = chars.conj()
+    return np.array([np.sum(row * conj, axis=-1) for row in sizes * chars]) / group.order
+
+
+def cyclic_characters(n: int) -> np.ndarray:
+    """chi_k(g_j) = omega ** (k j), omega = e^{2 pi i / n}, one power at a time."""
+    omega = np.exp(2j * np.pi / n)
+    return np.array([[omega ** (k * j) for j in range(n)] for k in range(n)])
+
+
 def trivial_representation(group, dim: int = 1):
     mats = np.broadcast_to(np.eye(dim, dtype=np.complex128), (group.order, dim, dim)).copy()
     return grouprep.make_representation(group, mats)

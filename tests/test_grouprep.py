@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syncsub import clocks, grouprep, opcore, sync
+from syncsub import clocks, grouprep, literals, opcore, sync
 from test_membership_oracle import generator_built, membership, real_class_function
 from test_sync_oracle import random_unitary
 
@@ -476,7 +476,7 @@ class TestCharacterTableOrthogonality:
 
     def test_gram_check_memory_is_quadratic_in_the_order(self):
         # Z128 has 128 irreps and 128 classes: one (r, r, c) complex product
-        # would take 33.5 MB, one Gram row at a time takes 0.26 MB per row
+        # would take 33.5 MB; the one matmul's operands and Gram take 0.26 MB each
         tracemalloc.start()
         try:
             grouprep.builtin_group("Z128")
@@ -484,6 +484,59 @@ class TestCharacterTableOrthogonality:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+BUILTIN_GROUPS = ("Z1", "Z2", "Z5", "Z16", "Z128", "Z2xZ2", "S3", "D4")
+
+
+def loop_classes(group):
+    return oracles.conjugacy_classes(group.mult_table, group.inverse_table, group.identity_index)
+
+
+class TestTablesMatchLoopOracles:
+    """Classes from one orbit table, the Gram check in one matmul, the element
+    orders stepped together and the cyclic characters taken once per distinct
+    power, against the loops they replaced (tests/oracles.py). Classes, orders
+    and characters are equal exactly: the arithmetic is unchanged."""
+
+    @pytest.mark.parametrize("name", BUILTIN_GROUPS)
+    def test_builtin_groups(self, name):
+        group, chars = grouprep.builtin_group(name)
+        assert group.conjugacy_classes == loop_classes(group)
+        e = group.identity_index
+        assert grouprep._element_orders(group.mult_table, e).tolist() == [
+            oracles.element_order(group.mult_table, e, g) for g in range(group.order)]
+        table = np.array([ir.characters for ir in chars])
+        gram = oracles.character_gram(group, table)
+        assert np.max(np.abs(gram - np.eye(len(chars)))) <= 1e-10
+        if name[0] == "Z" and name[1:].isdigit():   # the cyclic groups
+            assert np.array_equal(table.view(np.float64),
+                                  oracles.cyclic_characters(group.order).view(np.float64))
+
+    def test_custom_class_literal(self):
+        """A D4 table literal listing the reflection classes swapped keeps that
+        order; as a set it is the loop's partition, and its characters, given
+        in that order, pass the loop's Gram check."""
+        group, chars = grouprep.builtin_group("D4")
+        order = [0, 1, 2, 4, 3]
+        custom, _ = literals.group_from_literal({
+            "elements": list(group.elements), "mult_table": group.mult_table.tolist(),
+            "classes": [list(group.conjugacy_classes[c]) for c in order]})
+        assert custom.conjugacy_classes == tuple(group.conjugacy_classes[c] for c in order)
+        assert loop_classes(custom) == group.conjugacy_classes
+        table = literals.character_table_from_literal(custom, {"irreps": [
+            {"name": ir.name, "dim": ir.dim, "chars": [ir.characters[c].real for c in order]}
+            for ir in chars]})
+        gram = oracles.character_gram(custom, [ir.characters for ir in table])
+        assert np.max(np.abs(gram - np.eye(len(chars)))) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_element_orders_on_loops(self, n, seed):
+        """On Latin squares with identity that need not be groups, too."""
+        t = random_loop(np.random.default_rng(seed), n)
+        assert grouprep._element_orders(t, 0).tolist() == [
+            oracles.element_order(t, 0, g) for g in range(n)]
 
 
 class TestMultiplicities:

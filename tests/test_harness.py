@@ -36,6 +36,18 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
     return path
 
 
+def run_in_subprocess(path, *args):
+    """``syncsub run path *args`` in a fresh interpreter, so that numpy warnings
+    reach stderr as they do from the command line."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom syncsub import cli\n"
+                               "raise SystemExit(cli.main(sys.argv[1:]))",
+         "run", str(path), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 def drift_payload(**overrides):
     payload = {
         "name": "drift-test",
@@ -600,15 +612,69 @@ class TestCli:
             payload = {"name": "overflow", "kind": kind,
                        "clock_a": {"labels": [1e308, 1.5e308]},
                        "clock_b": {"labels": [0]}, "hamiltonian": h}
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        env.pop("PYTHONWARNINGS", None)
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys\nfrom syncsub import cli\n"
-                                   "raise SystemExit(cli.main(sys.argv[1:]))",
-             "run", str(write_scenario(tmp_path, payload))],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = run_in_subprocess(write_scenario(tmp_path, payload))
         assert done.returncode == 3
         assert done.stderr == "syncsub: numerical failure: clock-basis commutator overflows\n"
+
+    def test_local_commutator_overflow_matches_dense_path(self, tmp_path):
+        """A local H takes epsilon from its factors, with each side's labels
+        shifted by one label of the other side. Labels [1.5e308, 1.4e308]
+        against [1.45e308] make h_ij a_j overflow, but not h_ij (a_j - b_0):
+        the run exits 0 with the dense path's epsilon, 2e307, to roundoff.
+        Labels [1e308, -1e308] against [0] make the commutator entry itself
+        overflow: exit 3 with one named line and no numpy warnings."""
+        h_a = {"dim": 2, "entries": [[0, 0], [2, 0], [2, 0], [0, 0]]}
+
+        def payload(labels_a, labels_b):
+            return {"name": "overflow", "kind": "kernel", "clock_a": {"labels": labels_a},
+                    "clock_b": {"labels": labels_b},
+                    "hamiltonian": {"local": {"a": h_a, "b": {"diag": [0.0]}}}}
+
+        out = tmp_path / "wide.json.out"
+        done = run_in_subprocess(write_scenario(tmp_path, payload([1.5e308, 1.4e308], [1.45e308]),
+                                                name="wide.json"), "--out", str(out))
+        assert (done.returncode, done.stderr) == (0, "")
+        dense = sync.sync_bundle(sync.make_system(
+            clocks.make_clock([1.5e308, 1.4e308]), clocks.make_clock([1.45e308]),
+            matrix_from_literal(h_a))).epsilon
+        assert dense == pytest.approx(2e307, rel=1e-15)
+        assert json.loads(out.read_bytes())["epsilon"] == pytest.approx(dense, rel=4e-16)
+        done = run_in_subprocess(write_scenario(tmp_path, payload([1e308, -1e308], [0.0])))
+        assert done.returncode == 3
+        assert done.stderr == "syncsub: numerical failure: clock-basis commutator overflows\n"
+
+    @pytest.mark.parametrize("case", ["overflow", "violation"])
+    def test_overflowing_drift_exits_three_and_a_violation_one(self, tmp_path, case):
+        """clock_a [1.5e308, 0] against [0, 0], H coupling index 2 to 0 and 1 by
+        0.05 and psi0 = e_2: the drift's squares and (epsilon t)^2 overflow, so
+        no bound verdict can be read; exit 3 with one named line and no numpy
+        warnings. A state 2.5e-9 off the kernel (within init_tol) under a
+        diagonal H drifts by 5e-9 at every t while epsilon = 0: a real
+        violation of drift <= epsilon |t| + bound_slack, exit 1."""
+        if case == "overflow":
+            entries = [[0, 0]] * 16
+            for i, j in ((2, 0), (2, 1), (0, 2), (1, 2)):
+                entries[4 * i + j] = [0.05, 0]
+            payload = drift_payload(clock_a={"labels": [1.5e308, 0]},
+                                    clock_b={"labels": [0, 0]},
+                                    hamiltonian={"dim": 4, "entries": entries},
+                                    times=[0, 1, 2],
+                                    initial_state={"vector": [[0, 0], [0, 0], [1, 0], [0, 0]]})
+        else:
+            off = 2.5e-9
+            payload = drift_payload(hamiltonian={"diag": [0.5, 0.1, -0.1, -0.5]}, times=[0, 1, 2],
+                                    initial_state={"vector": [[float(np.sqrt(1 - off * off)), 0],
+                                                              [off, 0], [0, 0], [0, 0]]})
+        done = run_in_subprocess(write_scenario(tmp_path, payload))
+        if case == "overflow":
+            assert done.returncode == 3
+            assert done.stderr == ("syncsub: numerical failure: "
+                                   "drift series or its bounds overflow\n")
+        else:
+            assert (done.returncode, done.stderr) == (1, "")
+            report = json.loads(done.stdout)
+            assert report["epsilon"] == 0 and not report["drift_bound_ok"]
+            assert report["drift"] == pytest.approx([5e-9] * 3, rel=1e-6)
 
     def test_library_validation_error_exit_two(self, tmp_path, capsys):
         # parses fine but multiplicities do not round to integers
@@ -989,20 +1055,21 @@ def test_matrix_literal_hamiltonian_checked_once(tmp_path, monkeypatch, capsys, 
         "exceeds tolerance\n")
 
 
-def z8_regular_payload(member):
-    """Z8 regular (x) regular with symmetric class functions; the Hamiltonian is
-    local and circulant on both sides (a member) or diagonal on side A (not
-    equivariant, since a diagonal matrix does not commute with the shift)."""
-    n = 8
+def cyclic_regular_payload(member, n=8):
+    """Zn regular (x) regular (Z8 by default) with symmetric class functions;
+    the Hamiltonian is local and circulant on both sides (a member) or
+    diagonal on side A (not equivariant, since a diagonal matrix does not
+    commute with the shift)."""
     shift = np.zeros((n, n))
     shift[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    f = [0.5, 0.2, -0.1, 0.3, 0.7, 0.3, -0.1, 0.2]     # f(k) = f(8 - k)
+    values = [0.5, 0.2, -0.1, 0.3, 0.7, -0.4, 0.15, 0.6, -0.25]
+    f = [values[min(k, n - k)] for k in range(n)]     # f(k) = f(n - k)
     circulant = np.asarray(f)[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
     h_a = circulant if member else np.diag(np.linspace(-1.0, 1.0, n))
     return {
-        "name": f"z8-{'member' if member else 'non-member'}",
+        "name": f"z{n}-{'member' if member else 'non-member'}",
         "kind": "group",
-        "group": "Z8",
+        "group": f"Z{n}",
         "rep": {"generators": {"g1": matrix_to_literal(shift)}},
         "class_function_a": f,
         "class_function_b": [x + 0.25 * (k % 2) for k, x in enumerate(f)],
@@ -1016,7 +1083,7 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
     """Membership checks equivariance on the generating set {g1} of Z8: the joint
     64 x 64 spectral norms of a group scenario are r_S and ||[H,K]|| (the full
     group would need one per element, 8, plus ||[H,K]||)."""
-    s = scenario.parse_scenario(write_scenario(tmp_path, z8_regular_payload(member)))
+    s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member)))
     shapes = []
 
     def counted(m, _fn=opcore.operator_norm):
@@ -1030,12 +1097,64 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
     assert (membership["generators"], membership["word_length"]) == (["g1"], 7)
 
 
+def record_svd_shapes(monkeypatch):
+    """Shapes (last two axes) of every SVD numpy runs, also inside np.linalg.norm,
+    each with whether sync_bundle is on the stack."""
+    calls = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append((np.shape(a)[-2:], "sync_bundle" in names))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    # np.linalg.norm calls the svd of the module that defines it (numpy 2 renamed it)
+    monkeypatch.setattr(getattr(np.linalg, "_linalg", None) or np.linalg.linalg, "svd", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_local_group_scenario_takes_no_joint_svd(tmp_path, monkeypatch, member):
+    """Z16 regular (x) regular with a local H: epsilon and every r_s come from
+    16 x 16 factor spectra, so no SVD runs on a 256 x 256 matrix, for a member
+    and for a non-member alike."""
+    s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member, n=16)))
+    calls = record_svd_shapes(monkeypatch)
+    membership = scenario.run_scenario(s).payload["membership"]
+    assert membership["member"] is member
+    assert (membership["generator_residual"] > 0) is not member
+    assert calls and (256, 256) not in [shape for shape, _ in calls]
+
+
+@pytest.mark.parametrize("local", [False, True])
+def test_epsilon_svd_follows_the_hamiltonians_form(tmp_path, monkeypatch, local):
+    """The factored epsilon keys on the input's form: drift_perturbed's H is a
+    perturbed local base, a dense matrix, so sync_bundle takes its 4 x 4 SVD;
+    the same clocks with H given as local terms, sigma_x on side A, take none."""
+    path = SCENARIO_DIR / "drift_perturbed.json"
+    if local:
+        path = write_scenario(tmp_path, {
+            "name": "local", "kind": "kernel", "clock_a": {"labels": [1, -1]},
+            "clock_b": {"labels": [1, -1]},
+            "hamiltonian": {"local": {"a": {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},
+                                      "b": {"diag": [0.4, -0.4]}}}})
+    s = scenario.parse_scenario(path)
+    calls = record_svd_shapes(monkeypatch)
+    report = scenario.run_scenario(s)
+    assert report.passed and report.payload["epsilon"] > 0
+    assert calls.count(((4, 4), True)) == int(not local)
+
+
 @pytest.mark.parametrize("payload", [
     drift_payload(clock_a={"labels": [1, -1, 0]}, times=[0.0, 1.0, 2.0],
                   hamiltonian={"base": {"local": {"a": {"diag": [0.5, -0.5, 0.1]},
                                                   "b": {"diag": [0.5, -0.5]}}},
                                "direction": "random", "strength": 0.05, "seed": 7}),
-    z8_regular_payload(True),
+    cyclic_regular_payload(True),
 ], ids=["drift", "z8_regular"])
 def test_scenarios_never_build_dense_k(tmp_path, monkeypatch, payload):
     """K is applied through its factors: no dense K is built by a drift
@@ -1090,7 +1209,7 @@ def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypat
         return _fn(m)
 
     monkeypatch.setattr(opcore, "operator_norm", counted)
-    s = scenario.parse_scenario(write_scenario(tmp_path, z8_regular_payload(True)))
+    s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(True)))
     assert scenario.run_scenario(s).passed
     assert callers     # the reported residuals stay exact spectral norms
     assert not [names for names in callers

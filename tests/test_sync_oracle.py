@@ -157,3 +157,68 @@ def test_standard_basis_reproduces_dense_k_bit_for_bit():
             dense = np.linalg.norm((k @ spec.eigenvectors) @ phi, axis=0)
             report = sync.drift_trace(system, psi0, times, bundle=bundle)
             assert np.array_equal(report.drift, dense), trial
+
+
+U = np.finfo(np.float64).eps / 2   # unit roundoff
+
+
+def random_local_system(rng, trial):
+    """H = H_A (x) I + I (x) H_B kept factored, for 1-6 dims per side, rotated
+    bases on even trials, labels drawn from a small pool (so repeated), label
+    spreads from 2^-40 to 2^40, on some trials a common offset up to 2^20
+    spreads, and a gap placed at kernel_tol's cutoff or at its 1e-12 floor."""
+    d_a, d_b = (int(d) for d in rng.integers(1, 7, size=2))
+    spread = 2.0 ** rng.uniform(-40, 40)
+    pool = rng.uniform(-1, 1, size=3) * spread
+    labels_a, labels_b = rng.choice(pool, size=d_a), rng.choice(pool, size=d_b)
+    if trial % 3 == 1:
+        offset = spread * 2.0 ** rng.uniform(0, 20)
+        labels_a, labels_b = labels_a + offset, labels_b + offset
+    if trial % 4 == 2 and d_a > 1:
+        # a_1 - b_0 at the cutoff kernel_tol * max|a - b|, or at its floor
+        big = np.max(np.abs(np.subtract.outer(labels_a, labels_b)))
+        labels_a[1] = labels_b[0] + max(opcore.KERNEL_TOL * big, opcore.KERNEL_ABS_FLOOR)
+    rotated = trial % 2 == 0
+    ta = clocks.make_clock(labels_a, random_unitary(rng, d_a) if rotated else None)
+    tb = clocks.make_clock(labels_b, random_unitary(rng, d_b) if rotated else None)
+    h_a, h_b = (oracles._random_hermitian(rng, d) * 2.0 ** rng.uniform(-3, 3) for d in (d_a, d_b))
+    h = oracles.local_hamiltonian(h_a, h_b)
+    return sync.make_system(ta, tb, h, local=(h_a, h_b))
+
+
+def test_factored_epsilon_matches_dense_oracle():
+    """epsilon read off the local factors against ||[H, K]|| of the dense H and K.
+
+    Let n = d_A d_B, L = max|a| + max|b| and F = sqrt(d_B) ||H_A||_F +
+    sqrt(d_A) ||H_B||_F >= ||H||_F. The oracle forms T = B diag(l) B^dag,
+    whose rounding scales with L, not with the gaps, then K, two n-term
+    products and their difference: each within gamma_n ~ n u in Frobenius
+    norm, so its commutator is within about 8 n^(3/2) u F L of [H, K]. The
+    factored path forms B^dag H_X B (2 d^2 u ||H_X||_F), the shifted labels
+    (u L) and two-term commutator entries, within about (4 d^2 + 8) u
+    ||H_X||_F L per side. Each norm is within its factorization's backward
+    error, taken as 2 m^2 u ||.|| for an m x m matrix (as in test_opcore), at
+    most 4 n^2 u F L. Summed, |epsilon - oracle| <= 24 n^2 u F L.
+    """
+    rng = np.random.default_rng(29)
+    seen = {"rotated": 0, "repeated": 0, "offset": 0, "at_cutoff": 0, "at_floor": 0}
+    for trial in range(200):
+        system = random_local_system(rng, trial)
+        a, b = system.clock_a.labels, system.clock_b.labels
+        bundle = sync.sync_bundle(system)
+        want = opcore.operator_norm(oracles.commutator(
+            system.hamiltonian, oracles.sync_operator(system.clock_a, system.clock_b)))
+        h_a, h_b = system.local
+        n = system.dim
+        f = np.sqrt(system.dim_b) * np.linalg.norm(h_a) + np.sqrt(system.dim_a) * np.linalg.norm(h_b)
+        scale = np.max(np.abs(a)) + np.max(np.abs(b))
+        assert abs(bundle.epsilon - want) <= 24 * n * n * U * f * scale, trial
+        gaps = np.abs(np.subtract.outer(a, b))
+        seen["rotated"] += trial % 2 == 0
+        seen["repeated"] += len(set(a)) < a.size or len(set(b)) < b.size
+        seen["offset"] += trial % 3 == 1
+        at_cutoff = bool(np.any(np.isclose(gaps, bundle.kernel.tol_used, rtol=1e-2, atol=0)))
+        floor = bundle.kernel.tol_used == opcore.KERNEL_ABS_FLOOR
+        seen["at_cutoff"] += at_cutoff and not floor
+        seen["at_floor"] += at_cutoff and floor
+    assert min(seen.values()) >= 5, seen
