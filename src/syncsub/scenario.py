@@ -244,11 +244,13 @@ def parse_scenario(path) -> Scenario:
         rep_key = "rep" if "rep" in obj else "rep_a"
         if rep_key not in obj:
             _fail("rep_a", "group scenario needs rep_a (or rep)")
-        s.rep_a = representation_from_literal(s.group, obj[rep_key], "rep_a")
+        s.rep_a = s.rep_b = representation_from_literal(s.group, obj[rep_key], "rep_a")
         if "rep_b" in obj:
-            s.rep_b = representation_from_literal(s.group, obj["rep_b"], "rep_b")
-        else:
-            s.rep_b = s.rep_a
+            rep_b = representation_from_literal(s.group, obj["rep_b"], "rep_b")
+            # one analysis per distinct representation: equal means bit for bit,
+            # so a -0.0 entry makes rep_b another representation
+            if rep_b.matrices.tobytes() != s.rep_a.matrices.tobytes():
+                s.rep_b = rep_b
         n_classes = len(s.group.conjugacy_classes)
         for key in ("class_function_a", "class_function_b"):
             if key in obj:
@@ -320,7 +322,7 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
         if seed_used is None:
             seed_used = pert.seed if pert.seed is not None else (fallback_seed or 0)
         direction = _random_hermitian(_philox(seed_used), dim)
-        direction = direction / opcore.operator_norm(direction)
+        direction = direction / opcore.hermitian_norm(direction)
     return base + pert.strength * direction, seed_used
 
 
@@ -397,8 +399,9 @@ def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     """Validation, multiplicities, Schur scalars, containment and membership.
 
-    A scenario with one ``rep`` has ``rep_b is rep_a``; that representation is
-    validated, counted and decomposed once and side B reuses the results.
+    A scenario with one ``rep``, or with a ``rep_b`` equal to ``rep_a`` bit for
+    bit, has ``rep_b is rep_a``; that representation is validated, counted and
+    decomposed once and side B reuses the results.
     Each side's clock is its observable in the isotypic basis, so kernel,
     ||K|| and ||[H, K]|| come from one sync bundle.
     """

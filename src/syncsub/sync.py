@@ -72,15 +72,33 @@ def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
     return opcore.kron_apply(system.clock_a.basis.conj().T, system.clock_b.basis.conj().T, x)
 
 
+def clock_hamiltonian(system: SyncSystem) -> np.ndarray:
+    """H' = U^dag H U in the product clock basis, Hermitized once, (H' + H'^dag)/2.
+
+    eigvalsh and eigh read one triangle of it, so it is Hermitian bit for bit.
+    """
+    h = _to_clock_basis(system, system.hamiltonian)                              # U^dag H
+    h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
+    return (h + h.conj().T) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
 class SyncOperatorBundle:
     """The kernel of K, epsilon = ||[H,K]||, ||K|| = max |a_i - b_j| and K's
-    diagonal a_i - b_j in the product clock basis."""
+    diagonal a_i - b_j in the product clock basis.
+
+    ``kernel_index`` holds the product indices i * d_B + j of the kernel's
+    columns b_A,i (x) b_B,j, ascending: in the clock basis the kernel is
+    spanned by those coordinate vectors. ``clock_hamiltonian`` is the H' that
+    epsilon was taken from, or None when epsilon came from local factors.
+    """
 
     kernel: Subspace
     epsilon: float
     k_norm: float
     k_diagonal: np.ndarray
+    kernel_index: np.ndarray
+    clock_hamiltonian: np.ndarray | None = None
 
 
 def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> SyncOperatorBundle:
@@ -91,7 +109,9 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     label_gaps' cutoff, in product-index order; ``kernel.tol_used`` is that
     cutoff. Since K (b_A,i (x) b_B,j) = (a_i - b_j) b_A,i (x) b_B,j, a kept
     column's kernel residual is its gap, at most the cutoff by construction, so
-    the basis needs no residual check. ||[H,K]|| = ||[H', G]|| with H' = U^dag H U.
+    the basis needs no residual check. ||[H,K]|| = ||[H', G]|| with H' =
+    clock_hamiltonian(system); i[H', G] is then Hermitian bit for bit, and
+    epsilon is its opcore.hermitian_norm.
 
     For a local H' = H_A' (x) I + I (x) H_B', with H_X' = B_X^dag H_X B_X,
     [H', G] = [H_A', diag(a - b_0)] (x) I + I (x) [H_B', diag(a_0 - b)]: a
@@ -103,9 +123,11 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     """
     g, cutoff = label_gaps(system.clock_a.labels, system.clock_b.labels, kernel_tol)
     gaps = np.abs(g)
-    i, j = np.divmod(np.flatnonzero(gaps <= cutoff), system.dim_b)
+    index = np.flatnonzero(gaps <= cutoff)
+    i, j = np.divmod(index, system.dim_b)
     basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
     kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
+    h = None
     if system.local is not None:
         (h_a, h_b), b_a, b_b = system.local, system.clock_a.basis, system.clock_b.basis
         grid = g.reshape(system.dim_a, system.dim_b)
@@ -113,11 +135,12 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
         y = diagonal_commutator(b_b.conj().T @ h_b @ b_b, grid[0])
         epsilon = opcore.kron_sum_norm(1j * x, 1j * y)
     else:
-        h = _to_clock_basis(system, system.hamiltonian)                              # U^dag H
-        h = opcore.kron_apply(system.clock_a.basis.T, system.clock_b.basis.T, h.T).T  # (U^dag H) U
-        epsilon = opcore.operator_norm(diagonal_commutator(h, g))
+        h = clock_hamiltonian(system)
+        comm = diagonal_commutator(h, g)
+        comm *= 1j
+        epsilon = opcore.hermitian_norm(comm)
     return SyncOperatorBundle(kernel=kernel, epsilon=epsilon, k_norm=float(gaps.max()),
-                              k_diagonal=g)
+                              k_diagonal=g, kernel_index=index, clock_hamiltonian=h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +177,13 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     bounds use the realized epsilon = ||[H,K]||, never a configured value.
     Raises NumericalError when a drift value, epsilon |t| or (epsilon t)^2 is
     not finite, as with label gaps near the float range.
+
+    The evolution runs in the product clock basis: one eigendecomposition
+    H' = V' diag(lambda) V'^dag of the bundle's clock_hamiltonian (formed here
+    for a local system), psi0' = U^dag psi0 and phi(t) = exp(-i lambda t) V'^dag
+    psi0'. There K is G = diag(a_i - b_j) and the kernel projector keeps the
+    coordinates of ``bundle.kernel_index``, so drift(t) = ||G V' phi(t)|| and
+    fidelity(t) = ||V'[kernel_index] phi(t)||^2.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128).reshape(-1)
     if psi0.shape[0] != system.dim:
@@ -162,7 +192,8 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"initial state is not normalized: ||psi0|| = {norm!r}")
     g = bundle.k_diagonal   # ||K x|| = ||G U^dag x||
-    k_res = float(np.linalg.norm(g * _to_clock_basis(system, psi0)))
+    psi0 = _to_clock_basis(system, psi0)   # psi0' from here on
+    k_res = _scaled_norm(g * psi0)
     if k_res > init_tol:
         raise ValueError(
             f"initial state lies outside the kernel: ||K psi0|| = {k_res:.3e} > {init_tol:.1e}")
@@ -171,13 +202,14 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a nonempty finite 1-d sequence")
 
-    spec = opcore.spectrum(system.hamiltonian)
+    h = bundle.clock_hamiltonian
+    spec = opcore.spectrum(clock_hamiltonian(system) if h is None else h)
     v = spec.eigenvectors
     phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) * (v.conj().T @ psi0)[:, None]
-    fidelity = np.linalg.norm((bundle.kernel.basis.conj().T @ v) @ phi, axis=0) ** 2
+    fidelity = np.linalg.norm(v[bundle.kernel_index] @ phi, axis=0) ** 2
     eps = bundle.epsilon
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = np.linalg.norm((g[:, None] * _to_clock_basis(system, v)) @ phi, axis=0)
+        drift = np.linalg.norm((g[:, None] * v) @ phi, axis=0)
         drift_excess = drift - eps * np.abs(times)
         fid_excess = (1.0 - (eps * times) ** 2) - fidelity
     # an overflowing drift or bound makes an excess inf or nan: no verdict can be read
@@ -192,6 +224,19 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
         fidelity_bound_ok=bool(np.all(fid_excess <= bound_slack)),
         max_bound_slack=float(max(np.max(drift_excess), np.max(fid_excess))),
     )
+
+
+def _scaled_norm(x: np.ndarray) -> float:
+    """||x||_2 of a finite vector whose squares may overflow. When an entry
+    reaches 2^500, the vector is first scaled by a power of two, which is exact,
+    so its squares stay in range; any other vector takes the plain norm, bit
+    for bit."""
+    top = float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
+    if top < 2.0 ** 500:
+        return float(np.linalg.norm(x))
+    exponent = int(np.frexp(top)[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(x * 2.0 ** -exponent), exponent))
 
 
 def sample_kernel_state(bundle: SyncOperatorBundle, seed: int) -> np.ndarray:

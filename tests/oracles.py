@@ -57,8 +57,10 @@ def commutator(a, b) -> np.ndarray:
 
 
 def hermitian_eig(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with deterministic output."""
-    return opcore.spectrum(opcore.require_hermitian(m))
+    """Eigendecomposition of a Hermitian matrix with deterministic output: the
+    Hermitian part (M + M^dag)/2 of a matrix that passes require_hermitian."""
+    m = opcore.require_hermitian(m)
+    return opcore.spectrum((m + m.conj().T) / 2.0)
 
 
 def null_space(a, tol: float = opcore.KERNEL_TOL) -> Subspace:
@@ -212,7 +214,7 @@ def preservation_residual(system, bundle, times) -> float:
     times = np.asarray(times, dtype=np.float64)
     if not np.all(np.isfinite(times)):
         raise ValueError("evolution times must be finite")
-    spec = opcore.spectrum(system.hamiltonian)
+    spec = hermitian_eig(system.hamiltonian)
     basis = bundle.kernel.basis
     coeffs = spec.eigenvectors.conj().T @ basis
     worst = 0.0

@@ -676,6 +676,24 @@ class TestCli:
             assert report["epsilon"] == 0 and not report["drift_bound_ok"]
             assert report["drift"] == pytest.approx([5e-9] * 3, rel=1e-6)
 
+    def test_init_check_beyond_squares_range_exits_two_with_finite_value(self, tmp_path):
+        """clock_a [1.5e308, 0] on a rotated basis against [0, 0]: the sampled
+        kernel state's roundoff off the kernel, ~1e-16, times the 1.5e308 gap
+        gives ||K psi0|| ~ 1e292, whose square overflows. The norm is taken on
+        entries scaled by a power of two, so the run exits 2 naming a finite
+        value, with no numpy warning."""
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2)))[0]
+        payload = drift_payload(
+            clock_a={"labels": [1.5e308, 0], "basis": matrix_to_literal(q)},
+            clock_b={"labels": [0, 0]}, hamiltonian={"diag": [0.1, 0.2, 0.3, 0.4]},
+            times=[0, 1, 2])
+        done = run_in_subprocess(write_scenario(tmp_path, payload))
+        assert done.returncode == 2
+        head = "syncsub: validation error: initial state lies outside the kernel: ||K psi0|| = "
+        assert done.stderr.startswith(head) and done.stderr.endswith(" > 1.0e-08\n")
+        value = float(done.stderr[len(head):].split(" > ")[0])
+        assert 1e280 < value < np.inf
+
     def test_library_validation_error_exit_two(self, tmp_path, capsys):
         # parses fine but multiplicities do not round to integers
         path = write_scenario(tmp_path, {
@@ -991,24 +1009,27 @@ class TestGolden:
 
 def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
     """A drift scenario checks its n x n Hamiltonian once and takes two n x n
-    spectral norms, the random direction's scale and epsilon: make_system's
-    Hermiticity residual and the eigendecomposition's reconstruction pass on
-    their Frobenius norms, and ||H|| is never needed."""
+    Hermitian norms by eigvalsh, the random direction's scale and epsilon =
+    ||i[H', G]||, and no SVD: make_system's Hermiticity residual and the
+    eigendecomposition's reconstruction pass on their Frobenius norms, and
+    ||H|| is never needed."""
     s = scenario.parse_scenario(write_scenario(tmp_path, drift_payload(
         clock_a={"labels": [1, -1, 0]},
         hamiltonian={"base": {"local": {"a": {"diag": [0.5, -0.5, 0.1]},
                                         "b": {"diag": [0.5, -0.5]}}},
                      "direction": "random", "strength": 0.05, "seed": 7})))
     n = 6
-    shapes = {"require_hermitian": [], "operator_norm": []}
+    shapes = {"require_hermitian": [], "operator_norm": [], "hermitian_norm": []}
     for name, calls in shapes.items():
         def counted(m, *args, _fn=getattr(opcore, name), _calls=calls, **kwargs):
             _calls.append(np.shape(m))
             return _fn(m, *args, **kwargs)
         monkeypatch.setattr(opcore, name, counted)
+    svds = record_shapes(monkeypatch, "svd")
     assert scenario.run_scenario(s).passed
     assert shapes["require_hermitian"].count((n, n)) == 1
-    assert shapes["operator_norm"].count((n, n)) == 2
+    assert shapes["hermitian_norm"] == [(n, n)] * 2
+    assert shapes["operator_norm"] == [] and svds == []
 
 
 def literal_payload(kind, hamiltonian):
@@ -1097,11 +1118,11 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
     assert (membership["generators"], membership["word_length"]) == (["g1"], 7)
 
 
-def record_svd_shapes(monkeypatch):
-    """Shapes (last two axes) of every SVD numpy runs, also inside np.linalg.norm,
-    each with whether sync_bundle is on the stack."""
+def record_shapes(monkeypatch, name):
+    """Shapes (last two axes) of every np.linalg.<name> call, an SVD also inside
+    np.linalg.norm, each with whether sync_bundle is on the stack."""
     calls = []
-    real = np.linalg.svd
+    real = getattr(np.linalg, name)
 
     def recorded(a, *args, **kwargs):
         frame, names = sys._getframe(1), set()
@@ -1111,9 +1132,9 @@ def record_svd_shapes(monkeypatch):
         calls.append((np.shape(a)[-2:], "sync_bundle" in names))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, name, recorded)
     # np.linalg.norm calls the svd of the module that defines it (numpy 2 renamed it)
-    monkeypatch.setattr(getattr(np.linalg, "_linalg", None) or np.linalg.linalg, "svd", recorded)
+    monkeypatch.setattr(getattr(np.linalg, "_linalg", None) or np.linalg.linalg, name, recorded)
     return calls
 
 
@@ -1123,7 +1144,7 @@ def test_local_group_scenario_takes_no_joint_svd(tmp_path, monkeypatch, member):
     16 x 16 factor spectra, so no SVD runs on a 256 x 256 matrix, for a member
     and for a non-member alike."""
     s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member, n=16)))
-    calls = record_svd_shapes(monkeypatch)
+    calls = record_shapes(monkeypatch, "svd")
     membership = scenario.run_scenario(s).payload["membership"]
     assert membership["member"] is member
     assert (membership["generator_residual"] > 0) is not member
@@ -1133,8 +1154,9 @@ def test_local_group_scenario_takes_no_joint_svd(tmp_path, monkeypatch, member):
 @pytest.mark.parametrize("local", [False, True])
 def test_epsilon_svd_follows_the_hamiltonians_form(tmp_path, monkeypatch, local):
     """The factored epsilon keys on the input's form: drift_perturbed's H is a
-    perturbed local base, a dense matrix, so sync_bundle takes its 4 x 4 SVD;
-    the same clocks with H given as local terms, sigma_x on side A, take none."""
+    perturbed local base, a dense matrix, so sync_bundle takes one 4 x 4
+    eigvalsh of i[H', G]; the same clocks with H given as local terms, sigma_x
+    on side A, take two 2 x 2 ones. Neither takes an SVD there."""
     path = SCENARIO_DIR / "drift_perturbed.json"
     if local:
         path = write_scenario(tmp_path, {
@@ -1143,10 +1165,13 @@ def test_epsilon_svd_follows_the_hamiltonians_form(tmp_path, monkeypatch, local)
             "hamiltonian": {"local": {"a": {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]},
                                       "b": {"diag": [0.4, -0.4]}}}})
     s = scenario.parse_scenario(path)
-    calls = record_svd_shapes(monkeypatch)
+    svds = record_shapes(monkeypatch, "svd")
+    eigvalsh = record_shapes(monkeypatch, "eigvalsh")
     report = scenario.run_scenario(s)
     assert report.passed and report.payload["epsilon"] > 0
-    assert calls.count(((4, 4), True)) == int(not local)
+    assert [shape for shape, in_bundle in eigvalsh if in_bundle] == (
+        [(2, 2)] * 2 if local else [(4, 4)])
+    assert not [shape for shape, in_bundle in svds if in_bundle]
 
 
 @pytest.mark.parametrize("payload", [
@@ -1216,17 +1241,12 @@ def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypat
                 if names & {"make_representation", "isotypic_projectors"}]
 
 
-@pytest.mark.parametrize("two_sides", [False, True])
-def test_one_rep_group_scenario_analyses_it_once(tmp_path, monkeypatch, two_sides):
-    """ex_group_s3 gives one ``rep``: it is validated, decomposed and counted
-    once (one multiplicities call is isotypic_projectors' own). Giving the same
-    literal again as rep_b makes two representations, analysed once each, and
-    the same report."""
-    doc = json.loads((SCENARIO_DIR / "ex_group_s3.json").read_text())
-    if two_sides:
-        doc["rep_b"] = doc["rep_a"]
+def assert_group_analyses(tmp_path, monkeypatch, doc, sides):
+    """``doc`` runs with ``sides`` validations and decompositions (one
+    multiplicities call per side is isotypic_projectors' own) and gives
+    ex_group_s3's report."""
     s = scenario.parse_scenario(write_scenario(tmp_path, doc))
-    assert (s.rep_b is s.rep_a) is not two_sides
+    assert (s.rep_b is s.rep_a) is (sides == 1)
     calls = dict.fromkeys(("validate_representation", "isotypic_projectors",
                            "multiplicities"), 0)
     for name in calls:
@@ -1235,12 +1255,36 @@ def test_one_rep_group_scenario_analyses_it_once(tmp_path, monkeypatch, two_side
             return _fn(*args, **kwargs)
         monkeypatch.setattr(grouprep, name, counted)
     payload = scenario.run_scenario(s).payload
-    sides = 2 if two_sides else 1
     assert calls == {"validate_representation": sides, "isotypic_projectors": sides,
                      "multiplicities": 2 * sides}
     monkeypatch.undo()
     want = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex_group_s3.json"))
     assert {**payload, "input_digest": None} == {**want.payload, "input_digest": None}
+
+
+@pytest.mark.parametrize("two_sides", [False, True])
+def test_one_rep_group_scenario_analyses_it_once(tmp_path, monkeypatch, two_sides):
+    """ex_group_s3 gives one ``rep``: it is validated, decomposed and counted
+    once. Giving the same literal again as rep_b parses to matrices equal bit
+    for bit, so rep_b is rep_a: still one analysis and the same report."""
+    doc = json.loads((SCENARIO_DIR / "ex_group_s3.json").read_text())
+    if two_sides:
+        doc["rep_b"] = doc["rep_a"]
+    assert_group_analyses(tmp_path, monkeypatch, doc, sides=1)
+
+
+def test_rep_b_differing_in_one_bit_is_analysed_again(tmp_path, monkeypatch):
+    """A rep_b whose matrices differ from rep_a's only by a -0.0 entry is equal
+    in value but not bit for bit: it is a second representation, analysed on
+    its own, and the report is the one-rep report. rep_b lists its elements,
+    since products of generators would turn the -0.0 into 0.0."""
+    doc = json.loads((SCENARIO_DIR / "ex_group_s3.json").read_text())
+    rep = scenario.parse_scenario(SCENARIO_DIR / "ex_group_s3.json").rep_a
+    elements = [matrix_to_literal(m) for m in rep.matrices]
+    assert elements[1]["entries"][1] == [0.0, 0.0]
+    elements[1]["entries"][1] = [-0.0, 0.0]
+    doc["rep_b"] = {"elements": elements}
+    assert_group_analyses(tmp_path, monkeypatch, doc, sides=2)
 
 
 def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):

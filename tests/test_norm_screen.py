@@ -122,8 +122,8 @@ def probe_require_hermitian(n, c_ratio, rank):
 
 
 def probe_spectrum(n, c_ratio, rank):
-    # spectrum decomposes (M + M^dag)/2, so an anti-Hermitian part of M is
-    # exactly its reconstruction error
+    # eigh reads one triangle and only the real part of the diagonal, so an
+    # imaginary diagonal part of M is exactly its reconstruction error
     b = np.diag(np.linspace(-0.5, 0.5, n))
     s = diagonal_residual(n, c_ratio * opcore.RECON_TOL, rank)
     return lambda: opcore.spectrum(b + 1j * np.diag(s)).eigenvalues.shape

@@ -134,8 +134,9 @@ def test_gaps_around_the_cutoff(rotated):
 
 def test_standard_basis_reproduces_dense_k_bit_for_bit():
     """In the standard basis U = I, K = diag(a_i - b_j) applied in the clock
-    basis rounds each entry as the dense product with K does: epsilon and the
-    drift series equal the dense K's values exactly, not just to roundoff."""
+    basis rounds each entry as the dense product with K does: epsilon, the
+    Hermitian norm of i[H, K], and the drift series equal the dense K's values
+    exactly, not just to roundoff."""
     rng = np.random.default_rng(17)
     for trial in range(40):
         d_a, d_b = (int(d) for d in rng.integers(1, 7, size=2))
@@ -146,8 +147,8 @@ def test_standard_basis_reproduces_dense_k_bit_for_bit():
         system = sync.make_system(ta, tb, (g + g.conj().T) / 2.0)
         bundle = sync.sync_bundle(system)
         k = oracles.sync_operator(ta, tb)
-        assert bundle.epsilon == opcore.operator_norm(
-            oracles.commutator(system.hamiltonian, k)), trial
+        assert bundle.epsilon == opcore.hermitian_norm(
+            1j * oracles.commutator(system.hamiltonian, k)), trial
         if bundle.kernel.dim:
             psi0 = sync.sample_kernel_state(bundle, trial)
             times = np.linspace(0.0, 10.0, 5)
@@ -222,3 +223,63 @@ def test_factored_epsilon_matches_dense_oracle():
         seen["at_cutoff"] += at_cutoff and not floor
         seen["at_floor"] += at_cutoff and floor
     assert min(seen.values()) >= 5, seen
+
+
+def test_clock_basis_series_match_dense_oracle():
+    """drift_trace evolves in the product clock basis, with one eigh of H' =
+    U^dag H U, the kernel's label-match rows of V' and K = G = diag(a_i - b_j);
+    dense_series forms K and one unitary per time in the standard basis.
+
+    Systems: 1-6 dims per side, rotated bases on even trials, label spreads
+    2^-40 to 2^40 with common offsets and gaps at the kernel cutoff or its
+    floor (random_local_system); on two trials in five H gets a dense coupling
+    on top, so H' comes from the bundle, and otherwise drift_trace forms H'
+    from the local system. init_tol is off: a kernel pair at the cutoff of a
+    2^40 spread leaves psi0 far above the absolute init_tol.
+
+    Bound: both paths evolve psi0 with the exact dynamics of H + E, ||E|| <=
+    2 n^2 u ||H|| (the eigendecomposition's backward error, as in test_opcore),
+    on eigenvectors orthonormal to 2 n^2 u, and round each phase, entry and
+    norm a few times more, so with tau = 1 + ||H|| max|t| each psi(t) is
+    within about 2 (n + 1)^2 u tau of the exact one. The oracle's K rounds at
+    the scale L = max|a| + max|b|, not at ||K||, so the drifts differ by at
+    most 8 (n + 1)^2 u L tau and the fidelities by at most 8 (n + 1)^2 u tau.
+    The largest differences seen are 0.06 of the drift's bound and 0.22 of
+    the fidelity's, at n = 1.
+    """
+    rng = np.random.default_rng(37)
+    seen = {"rotated": 0, "unequal": 0, "local": 0, "dense": 0, "at_cutoff": 0}
+    worst = {"drift": 0.0, "fidelity": 0.0}
+    for trial in range(160):
+        system = random_local_system(rng, trial)
+        if trial % 5 < 2:
+            h_a = system.local[0]
+            coupling = oracles._random_hermitian(rng, system.dim) * np.linalg.norm(h_a, 2)
+            system = sync.make_system(system.clock_a, system.clock_b,
+                                      system.hamiltonian + 0.1 * coupling)
+        bundle = sync.sync_bundle(system)
+        if not bundle.kernel.dim:
+            continue
+        assert (bundle.clock_hamiltonian is None) is (system.local is not None)
+        psi0 = sync.sample_kernel_state(bundle, trial)
+        times = np.concatenate([[0.0], rng.uniform(-15.0, 15.0, size=6)])
+        report = sync.drift_trace(system, psi0, times, bundle=bundle, init_tol=np.inf)
+        drift, fidelity = dense_series(system, psi0, times, opcore.projector(bundle.kernel))
+        n = system.dim
+        a, b = system.clock_a.labels, system.clock_b.labels
+        tau = 1.0 + opcore.operator_norm(system.hamiltonian) * np.max(np.abs(times))
+        scale = {"drift": 8 * (n + 1) ** 2 * U * (np.max(np.abs(a)) + np.max(np.abs(b))) * tau,
+                 "fidelity": 8 * (n + 1) ** 2 * U * tau}
+        for name, got, want in (("drift", report.drift, drift),
+                                ("fidelity", report.fidelity, fidelity)):
+            gap = float(np.max(np.abs(got - want))) / scale[name]
+            assert gap <= 1.0, (trial, name, gap)
+            worst[name] = max(worst[name], gap)
+        seen["rotated"] += trial % 2 == 0
+        seen["unequal"] += system.dim_a != system.dim_b
+        seen["local" if system.local is not None else "dense"] += 1
+        seen["at_cutoff"] += bool(np.any(np.isclose(
+            np.abs(bundle.k_diagonal[bundle.kernel_index]), bundle.kernel.tol_used,
+            rtol=1e-2, atol=0)))
+    assert min(seen.values()) >= 10, seen
+    assert min(worst.values()) > 0.0, worst
