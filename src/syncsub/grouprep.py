@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .clocks import ClockObservable, _philox, make_clock
+from .clocks import ClockObservable, make_clock
 from .opcore import NumericalError
 from .sync import SyncOperatorBundle, SyncSystem
 
@@ -27,13 +27,25 @@ KERNEL_RESIDUAL_TOL = 1e-9  # allowance on ||K|_block - (alpha - beta) I||
 HOMOMORPHISM_TOL = 1e-10
 OBSERVABLE_HERM_TOL = 1e-10  # ||T - T^dag|| allowance for a clock observable
 _IDEMPOTENT_TOL = 1e-8
-_EXHAUSTIVE_PAIRS_MAX_ORDER = 24
-_SAMPLED_PAIRS = 500
 _STACK_ENTRIES = 1 << 20   # matrix entries per stacked batch (16 MB complex)
 
 
 # ---------------------------------------------------------------------------
 # groups
+
+@dataclass(frozen=True)
+class GeneratorTree:
+    """A generating set S and a tree of forward words over it.
+
+    Each element h outside S appears once in ``edges`` as (h, p, s) with
+    h = p*s, s in S and p earlier in the tree (an element of S or an earlier
+    h). ``depth`` is the most products on any path from S, 15 for Z16.
+    """
+
+    generators: tuple
+    edges: tuple
+    depth: int
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
@@ -46,6 +58,7 @@ class FiniteGroup:
     inverse_table: np.ndarray
     conjugacy_classes: tuple
     class_index: np.ndarray   # conjugacy-class index of each element index
+    tree: GeneratorTree       # generating set and forward-word tree (_word_tree)
 
     @property
     def order(self) -> int:
@@ -113,7 +126,8 @@ def make_group(elements, mult_table, classes=None, name: str = "group") -> Finit
 
     # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
     # products, so checking every s in a generating set checks all triples.
-    gens = _generating_set(table, identity)
+    tree = _word_tree(table, identity)
+    gens = list(tree.generators)
     if not np.array_equal(table[table[:, gens]], table[:, table[gens]]):
         raise ValueError("multiplication table is not associative")
 
@@ -130,7 +144,7 @@ def make_group(elements, mult_table, classes=None, name: str = "group") -> Finit
         class_index[list(cls)] = ci
     return FiniteGroup(name=name, elements=elements, mult_table=table,
                        identity_index=identity, inverse_table=inverse,
-                       conjugacy_classes=computed, class_index=class_index)
+                       conjugacy_classes=computed, class_index=class_index, tree=tree)
 
 
 def _perm_group(name: str, labels, perms) -> FiniteGroup:
@@ -142,20 +156,6 @@ def _perm_group(name: str, labels, perms) -> FiniteGroup:
         for j, q in enumerate(perms):
             table[i, j] = index[tuple(p[q[x]] for x in range(len(p)))]
     return make_group(labels, table, name=name)
-
-
-@dataclass(frozen=True)
-class GeneratorTree:
-    """A generating set S and a tree of forward words over it.
-
-    Each element h outside S appears once in ``edges`` as (h, p, s) with
-    h = p*s, s in S and p earlier in the tree (an element of S or an earlier
-    h). ``depth`` is the most products on any path from S, 15 for Z16.
-    """
-
-    generators: tuple
-    edges: tuple
-    depth: int
 
 
 def _forward_words(table: np.ndarray, gens, start) -> tuple:
@@ -196,8 +196,8 @@ def _element_orders(table: np.ndarray, e: int) -> np.ndarray:
     return orders
 
 
-def _generating_set(table: np.ndarray, e: int) -> list:
-    """Greedy generating set S of a Latin square with identity e.
+def _word_tree(table: np.ndarray, e: int) -> GeneratorTree:
+    """Greedy generating set S of a Latin square with identity e, and its forward-word tree.
 
     Elements are taken by descending element order (_element_orders), then
     index, each one not yet among the forward words over S, until those reach
@@ -205,21 +205,15 @@ def _generating_set(table: np.ndarray, e: int) -> list:
     group takes S = {e}, so that rho(e) is still checked.
     """
     n = table.shape[0]
-    gens, span = [], {e}
+    gens, depth, edges = [], {e: 0}, []
     for g in np.lexsort((np.arange(n), -_element_orders(table, e))).tolist():
-        if len(span) == n:
+        if len(depth) == n:
             break
-        if g not in span:
+        if g not in depth:
             gens.append(g)
-            span = _forward_words(table, gens, gens)[0]
-    return gens or [e]
-
-
-def generator_tree(group: FiniteGroup) -> GeneratorTree:
-    """``group``'s generating set S (_generating_set) and its forward-word tree."""
-    gens = _generating_set(group.mult_table, group.identity_index)
-    depth, edges = _forward_words(group.mult_table, gens, gens)
-    return GeneratorTree(generators=tuple(gens), edges=tuple(edges), depth=max(depth.values()))
+            depth, edges = _forward_words(table, gens, gens)
+    return GeneratorTree(generators=tuple(gens or [e]), edges=tuple(edges),
+                         depth=max(depth.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -444,55 +438,63 @@ def _require_same_group(group_a: FiniteGroup, group_b: FiniteGroup) -> None:
 
 @dataclass(frozen=True)
 class RepresentationValidation:
-    max_homomorphism_residual: float
+    max_homomorphism_residual: float   # r_S, the max over G x S
+    homomorphism_bound: float          # B >= the max over G x G, or that max
     max_unitarity_residual: float
     identity_residual: float
-    pairs_checked: int
-    exhaustive: bool
+    pairs_checked: int                 # |G| |S|, or |G|^2 when the max over G x G was taken
     passed: bool
 
 
 def validate_representation(rho: Representation) -> RepresentationValidation:
-    """Report homomorphism/unitarity residuals; exhaustive pairs for small groups.
+    """Unitarity, rho(e) = I, and the homomorphism on G x S carried to G x G.
 
-    Larger groups check _SAMPLED_PAIRS pairs drawn from a fixed Philox seed.
-    Each kind of residual is one stacked spectral norm over its matrices. On a
-    permutation representation the homomorphism residual is exactly 0 when the
-    index arrays compose as the table says, perm[g][perm[h]] == perm[gh];
-    otherwise its stack is factored as for any representation.
+    rho(g) rho(s) = rho(gs) for every g and each s in the generating set S
+    implies a homomorphism by induction along the group's forward-word tree
+    (Light's argument, as in make_group). With E(x, y) = rho(x) rho(y) - rho(xy),
+    E(g, ps) = E(gp, s) + E(g, p) rho(s) - rho(g) E(p, s), so along the tree
+    R_h = nu (R_p + r_s) + r_s bounds max_g ||E(g, h)||, for r_s = max_g ||E(g, s)||
+    and nu = sqrt(1 + max_unitarity_residual) >= max_g ||rho(g)||. As in
+    hsync_membership, r_S > HOMOMORPHISM_TOL refutes, B <= HOMOMORPHISM_TOL
+    proves, and only in between is the exact max over G x G taken.
     """
-    group = rho.group
-    n = group.order
-    mats, perm = rho.matrices, rho.perm
+    group, n, mats = rho.group, rho.group.order, rho.matrices
     eye = np.eye(rho.dim)
     unit_res = _max_spectral_norm(
         lambda sl: mats[sl].conj().swapaxes(-1, -2) @ mats[sl] - eye, n, rho.dim)
     ident_res = opcore.operator_norm(rho[group.identity_index] - eye)
 
-    exhaustive = n <= _EXHAUSTIVE_PAIRS_MAX_ORDER
-    if exhaustive:
-        gs, hs = np.divmod(np.arange(n * n), n)
-    else:
-        gs, hs = _philox(0).integers(0, n, size=(_SAMPLED_PAIRS, 2)).T
-    ghs = group.mult_table[gs, hs]
-    if perm is not None and np.array_equal(
-            np.take_along_axis(perm[gs], perm[hs], axis=1), perm[ghs]):
-        hom_res = 0.0
-    else:
-        hom_res = _max_spectral_norm(
-            lambda sl: mats[gs[sl]] @ mats[hs[sl]] - mats[ghs[sl]], len(gs), rho.dim)
-
-    passed = (hom_res <= HOMOMORPHISM_TOL
+    r = {s: _homomorphism_residual(rho, np.arange(n), np.full(n, s))
+         for s in group.tree.generators}
+    r_s, pairs = max(r.values()), n * len(r)
+    bound = _tree_bound(group.tree, r, np.sqrt(1.0 + unit_res),
+                        [r[s] for _, _, s in group.tree.edges])
+    if r_s <= HOMOMORPHISM_TOL < bound:
+        bound, pairs = _homomorphism_residual(rho, *np.divmod(np.arange(n * n), n)), n * n
+    passed = (bound <= HOMOMORPHISM_TOL
               and unit_res <= opcore.UNITARY_TOL * rho.dim
               and ident_res <= 1e-12 * rho.dim)
     return RepresentationValidation(
-        max_homomorphism_residual=hom_res,
+        max_homomorphism_residual=r_s,
+        homomorphism_bound=bound,
         max_unitarity_residual=unit_res,
         identity_residual=ident_res,
-        pairs_checked=len(gs),
-        exhaustive=exhaustive,
+        pairs_checked=pairs,
         passed=passed,
     )
+
+
+def _homomorphism_residual(rho: Representation, gs: np.ndarray, hs: np.ndarray) -> float:
+    """Exact max ||rho(g) rho(h) - rho(gh)|| over the pairs (gs[k], hs[k]): exactly 0
+    when a permutation representation's index arrays compose as the table says,
+    perm[g][perm[h]] == perm[gh], else one stacked spectral norm."""
+    mats, perm = rho.matrices, rho.perm
+    ghs = rho.group.mult_table[gs, hs]
+    if perm is not None and np.array_equal(
+            np.take_along_axis(perm[gs], perm[hs], axis=1), perm[ghs]):
+        return 0.0
+    return _max_spectral_norm(
+        lambda sl: mats[gs[sl]] @ mats[hs[sl]] - mats[ghs[sl]], len(gs), rho.dim)
 
 
 def _max_spectral_norm(stack, count: int, dim: int) -> float:
@@ -660,9 +662,7 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
     gens = list(tree.generators)
     r = dict(zip(gens, _generator_residuals(t, local, rho_a, rho_b, gens)))
     r_s = max(r.values())
-    if not tree.edges:
-        return r_s, r_s
-    hs, ps, ss = (list(c) for c in zip(*tree.edges))
+    hs, ps, ss = np.array(tree.edges, dtype=np.int64).reshape(-1, 3).T
     def fro(stack):
         return np.linalg.norm(stack, axis=(1, 2))
 
@@ -672,11 +672,15 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
         x = m[ps] @ m[ss]
         eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
         lead = lead * fro(x)
-    slack = 2.0 * np.linalg.norm(t) * eta
+    return r_s, _tree_bound(tree, r, nu, 2.0 * np.linalg.norm(t) * eta)
+
+
+def _tree_bound(tree: GeneratorTree, r: dict, nu: float, extra) -> float:
+    """max_h R_h for R_s = r[s] on S and R_h = nu (R_p + r[s]) + extra[k] on edge k, (h, p, s)."""
     bound = dict(r)
-    for (h, p, s), extra in zip(tree.edges, slack):
-        bound[h] = nu * (bound[p] + r[s]) + extra
-    return r_s, float(max(bound.values()))
+    for (h, p, s), x in zip(tree.edges, extra):
+        bound[h] = nu * (bound[p] + r[s]) + x
+    return float(max(bound.values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -803,8 +807,7 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
     if (system.dim_a, system.dim_b) != (rho_a.dim, rho_b.dim):
         raise ValueError(f"clock dims {system.dim_a}x{system.dim_b} do not match "
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
-    h, group = system.hamiltonian, rho_a.group
-    tree = generator_tree(group)
+    h, group, tree = system.hamiltonian, rho_a.group, rho_a.group.tree
     r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree, system.local)
     if r_s <= equivar_tol < bound:
         gs = np.arange(group.order)

@@ -245,12 +245,11 @@ def parse_scenario(path) -> Scenario:
         if rep_key not in obj:
             _fail("rep_a", "group scenario needs rep_a (or rep)")
         s.rep_a = s.rep_b = representation_from_literal(s.group, obj[rep_key], "rep_a")
-        if "rep_b" in obj:
-            rep_b = representation_from_literal(s.group, obj["rep_b"], "rep_b")
-            # one analysis per distinct representation: equal means bit for bit,
-            # so a -0.0 entry makes rep_b another representation
-            if rep_b.matrices.tobytes() != s.rep_a.matrices.tobytes():
-                s.rep_b = rep_b
+        # one analysis per distinct representation: a rep_b literal that reads as
+        # rep_a's is rep_a, unparsed; json.dumps tells -0.0 from 0.0
+        if "rep_b" in obj and (json.dumps(obj["rep_b"], sort_keys=True)
+                               != json.dumps(obj[rep_key], sort_keys=True)):
+            s.rep_b = representation_from_literal(s.group, obj["rep_b"], "rep_b")
         n_classes = len(s.group.conjugacy_classes)
         for key in ("class_function_a", "class_function_b"):
             if key in obj:
@@ -326,6 +325,16 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
     return base + pert.strength * direction, seed_used
 
 
+def _hamiltonian(s: Scenario, dims: tuple, seed_override: int | None) -> tuple:
+    """(H, local, perturbation seed) on the product space of ``dims``. Without a
+    Hamiltonian H = 0, given as the local pair (0, 0), so that sync_bundle reads
+    epsilon off two zero factors and forms no n x n H' = U^dag H U."""
+    if s.hamiltonian is None:
+        return np.zeros((dims[0] * dims[1],) * 2), tuple(np.zeros((d, d)) for d in dims), None
+    h, seed = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", dims, seed_override, s.seed)
+    return h, s.hamiltonian.local, seed
+
+
 def _subspace_payload(sub: opcore.Subspace) -> dict:
     vectors = [[[float(v.real), float(v.imag)] for v in sub.basis[:, j]]
                for j in range(sub.dim)]
@@ -354,12 +363,7 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 
 def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     """Kernel and series kinds: one system and bundle, then the kernel or the trace."""
-    dim_a, dim_b = s.clock_a.dim, s.clock_b.dim
-    h, pert_seed, local = np.zeros((dim_a * dim_b,) * 2), None, None
-    if s.hamiltonian is not None:
-        h, pert_seed = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (dim_a, dim_b),
-                                            seed_override, s.seed)
-        local = s.hamiltonian.local
+    h, local, pert_seed = _hamiltonian(s, (s.clock_a.dim, s.clock_b.dim), seed_override)
     system = sync.make_system(s.clock_a, s.clock_b, h, local=local)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     if s.kind == "kernel":
@@ -399,8 +403,8 @@ def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     """Validation, multiplicities, Schur scalars, containment and membership.
 
-    A scenario with one ``rep``, or with a ``rep_b`` equal to ``rep_a`` bit for
-    bit, has ``rep_b is rep_a``; that representation is validated, counted and
+    A scenario with one ``rep``, or with a ``rep_b`` literal that reads as
+    ``rep_a``'s, has ``rep_b is rep_a``; that representation is validated, counted and
     decomposed once and side B reuses the results.
     Each side's clock is its observable in the isotypic basis, so kernel,
     ||K|| and ||[H, K]|| come from one sync bundle.
@@ -427,11 +431,7 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
     fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
     schur_ok = all(e.residual <= tol["schur_tol"] for e in schur_a.entries + schur_b.entries)
-    h, local = np.zeros((s.rep_a.dim * s.rep_b.dim,) * 2), None
-    if s.hamiltonian is not None:
-        h, _ = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", (s.rep_a.dim, s.rep_b.dim),
-                                    seed_override, s.seed)
-        local = s.hamiltonian.local
+    h, local, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
     system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b),
                               h, local=local)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import oracles
 from syncsub import clocks, grouprep, literals, opcore, sync
-from test_membership_oracle import generator_built, membership, real_class_function
+from test_membership_oracle import (
+    GROUPS,
+    generator_built,
+    membership,
+    perturbed_off_generators,
+    real_class_function,
+)
+from test_norm_screen import call_sites
 from test_sync_oracle import random_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -206,7 +213,7 @@ class TestValidateRepresentation:
         group, _ = s3
         report = grouprep.validate_representation(oracles.trivial_representation(group, 3))
         assert report.passed
-        assert report.exhaustive
+        assert report.pairs_checked == 12   # |G| |S|, S = {r, s}
 
     def test_sigma_x_on_z2(self, z2):
         group, _ = z2
@@ -239,22 +246,53 @@ class TestValidateRepresentation:
                 oracles.regular_representation(group)).passed
 
 
-def per_pair_residuals(rho):
-    """Oracle: (homomorphism, unitarity) residual maxima, one SVD per matrix."""
+def per_pair_residuals(rho, pairs=None):
+    """Oracle: (homomorphism, unitarity) residual maxima, one SVD per matrix, over
+    ``pairs`` (g, h), by default every pair of G x G."""
     group = rho.group
     n = group.order
     unit_res = max(oracles.unitarity_residual(rho[i]) for i in range(n))
-    if n <= grouprep._EXHAUSTIVE_PAIRS_MAX_ORDER:
+    if pairs is None:
         pairs = [(g, h) for g in range(n) for h in range(n)]
-    else:
-        rng = clocks._philox(0)
-        pairs = [(int(g), int(h))
-                 for g, h in rng.integers(0, n, size=(grouprep._SAMPLED_PAIRS, 2))]
     hom_res = 0.0
     for g, h in pairs:
         gh = int(group.mult_table[g, h])
         hom_res = max(hom_res, opcore.operator_norm(rho[g] @ rho[h] - rho[gh]))
     return hom_res, unit_res
+
+
+def generator_pairs(group):
+    """G x S, the pairs (g, s) that validate_representation checks first."""
+    return [(g, s) for g in range(group.order) for s in group.tree.generators]
+
+
+def assert_validation_matches_oracle(rho):
+    """r_S and the unitarity residual equal the per-pair loops bit for bit,
+    r_S <= max over G x G <= B, the exact max is taken exactly when
+    r_S <= HOMOMORPHISM_TOL < B, and the verdict is the all-pairs one.
+    Returns (passed, whether the exact max was taken)."""
+    group, tol = rho.group, grouprep.HOMOMORPHISM_TOL
+    report = grouprep.validate_representation(rho)
+    r_s, unit_res = per_pair_residuals(rho, generator_pairs(group))
+    exact, _ = per_pair_residuals(rho)
+    assert (report.max_homomorphism_residual, report.max_unitarity_residual) == (r_s, unit_res)
+    bound = grouprep._tree_bound(group.tree, *tree_inputs(rho, unit_res))
+    assert r_s <= exact <= bound
+    fallback = r_s <= tol < bound
+    assert report.homomorphism_bound == (exact if fallback else bound)
+    assert report.pairs_checked == group.order * (group.order if fallback
+                                                  else len(group.tree.generators))
+    ident_res = opcore.operator_norm(rho[group.identity_index] - np.eye(rho.dim))
+    assert report.passed == (exact <= tol and unit_res <= opcore.UNITARY_TOL * rho.dim
+                             and ident_res <= 1e-12 * rho.dim)
+    return report.passed, fallback
+
+
+def tree_inputs(rho, unit_res):
+    """(r, nu, extra) of the validation tree bound, from the per-pair loop."""
+    r = {s: per_pair_residuals(rho, [(g, s) for g in range(rho.group.order)])[0]
+         for s in rho.group.tree.generators}
+    return r, np.sqrt(1.0 + unit_res), [r[s] for _, _, s in rho.group.tree.edges]
 
 
 class TestStackedValidation:
@@ -272,9 +310,7 @@ class TestStackedValidation:
         cases.append(grouprep.Representation(
             group=group, matrices=np.stack([np.eye(2), np.diag([1.0, 1j])])))
         for rho in cases:
-            report = grouprep.validate_representation(rho)
-            got = (report.max_homomorphism_residual, report.max_unitarity_residual)
-            assert got == per_pair_residuals(rho), rho.group.name
+            assert_validation_matches_oracle(rho)
 
 
 class TestMaxSpectralNorm:
@@ -323,7 +359,7 @@ class TestMaxSpectralNorm:
                     assert grouprep.equivariance_residual(rho, t) == want, name
 
 
-PERMUTATION_GROUPS = ("Z8", "Z16", "S3", "D4", "Z25")   # Z25 samples its pairs
+PERMUTATION_GROUPS = ("Z8", "Z16", "S3", "D4", "Z25")
 
 
 def dense_twin(rho):
@@ -348,7 +384,8 @@ class TestPermutationPath:
         reg = oracles.regular_representation(grouprep.builtin_group(name)[0])
         report = grouprep.validate_representation(reg)
         assert report == grouprep.validate_representation(dense_twin(reg))
-        assert report.exhaustive == (name != "Z25") and report.passed
+        assert report.passed and report.homomorphism_bound == 0.0
+        assert report.pairs_checked == reg.group.order * len(reg.group.tree.generators)
 
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS[:4])
     def test_equivariance_residual_equals_dense_path(self, name):
@@ -374,10 +411,8 @@ class TestPermutationPath:
         mats[1, 1, 0] = edit(mats[1, 1, 0])
         rho = grouprep.make_representation(group, mats)
         assert rho.perm is None
-        report = grouprep.validate_representation(rho)
-        assert (report.max_homomorphism_residual, report.max_unitarity_residual) == \
-            per_pair_residuals(rho)
-        assert report.max_homomorphism_residual > 0.0
+        assert_validation_matches_oracle(rho)
+        assert grouprep.validate_representation(rho).max_homomorphism_residual > 0.0
 
     def test_index_array_contradicting_the_table_reports_dense_residual(self):
         """rho(g2) = rho(g1) on Z3: each matrix permutes, but rho(g1)^2 != rho(g2)."""
@@ -388,13 +423,14 @@ class TestPermutationPath:
         assert rho.perm is not None
         report = grouprep.validate_representation(rho)
         assert report == grouprep.validate_representation(dense_twin(rho))
-        assert report.max_homomorphism_residual == per_pair_residuals(rho)[0] > 1.0
-        assert not report.passed
+        assert report.max_homomorphism_residual == \
+            per_pair_residuals(rho, generator_pairs(group))[0] > 1.0
+        assert not report.passed and assert_validation_matches_oracle(rho) == (False, False)
 
     def test_z16_membership_and_validation_form_no_dense_products(self, monkeypatch):
         """Z16 reg (x) reg with a member H whose commutators with J(g1) is exactly
         zero: membership forms no Kronecker product and takes no SVD, and
-        validation builds no (|G|^2, d, d) homomorphism stack; its unitarity
+        validation builds no homomorphism stack, checking G x S with integers; its unitarity
         stack is exactly zero and takes no SVD either. ||[H, K]|| is the
         bundle's, taken in the isotypic clock basis, whose change of basis rounds."""
         group, chars = grouprep.builtin_group("Z16")
@@ -427,7 +463,119 @@ class TestPermutationPath:
         assert calls == [("stack", 16)]   # unitarity only, exactly zero: no SVD
         assert verdict.member and verdict.equivariance_bound == 0.0
         assert verdict.kernel_commutation_residual == bundle.epsilon <= 1e-12
-        assert report.passed and report.pairs_checked == 256
+        assert report.passed and report.pairs_checked == 16
+
+
+def word_lengths(group):
+    """Length of each element as a word over S and its inverses, from e."""
+    steps = list(group.tree.generators) + [int(group.inverse_table[s])
+                                           for s in group.tree.generators]
+    length, frontier = {group.identity_index: 0}, [group.identity_index]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in steps:
+                h = int(group.mult_table[p, s])
+                if h not in length:
+                    length[h] = length[p] + 1
+                    nxt.append(h)
+        frontier = nxt
+    return np.array([length[g] for g in range(group.order)])
+
+
+def phase_twisted(rho, y):
+    """g -> rho(g) exp(i c l(g)), l the word length over S and its inverses.
+
+    The homomorphism residual of (g, h) is ~c (l(g) + l(h) - l(gh)): at most 2c
+    on G x S, and 2c diam(G) for h = g^-1 at the largest length. c is set so
+    that the max over G x G is ~y * HOMOMORPHISM_TOL, while r_S is 1/diam(G) of
+    that: near the tolerance only the exact max decides.
+    """
+    lengths = word_lengths(rho.group)
+    c = y * grouprep.HOMOMORPHISM_TOL / (2 * max(1, lengths.max()))
+    return grouprep.make_representation(
+        rho.group, rho.matrices * np.exp(1j * c * lengths)[:, None, None])
+
+
+def validation_cases(name, rng):
+    """Regular and generator-built representations of a builtin group, their
+    unitary conjugates, element lists moved off S to ~0.9 * UNITARY_TOL * d,
+    and phase twists whose max over G x G is 0.6 and 1.5 times the tolerance."""
+    group, _ = grouprep.builtin_group(name)
+    cases = []
+    for rho in (oracles.regular_representation(group), generator_built(group)):
+        cases += [rho, conjugated(rho, random_unitary(rng, rho.dim)),
+                  perturbed_off_generators(rho, rng)]
+        cases += [phase_twisted(rho, y) for y in (0.6, 1.5)]
+    return cases
+
+
+class TestGeneratorSetValidation:
+    """validate_representation checks G x S and carries it to G x G along the
+    tree, against the all-pairs loop it replaced (per_pair_residuals)."""
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_verdict_equals_all_pairs_oracle(self, name):
+        rng = np.random.default_rng(sum(map(ord, name)) + 19)
+        for rho in validation_cases(name, rng):
+            assert_validation_matches_oracle(rho)
+
+    @pytest.mark.parametrize("name", ("Z5", "Z8", "D4"))
+    def test_fallback_decides_both_ways(self, name):
+        """Phase twists with r_S <= tol < B: the exact max over G x G admits
+        the one at 0.6 * tol and rejects the one at 1.5 * tol. (On S3 and
+        Z2xZ2 the tree has depth 1, and B proves the first one.)"""
+        group, _ = grouprep.builtin_group(name)
+        rho = oracles.regular_representation(group)
+        got = [assert_validation_matches_oracle(phase_twisted(rho, y)) for y in (0.6, 1.5)]
+        assert got == [(True, True), (False, True)]
+
+
+def cyclic_action(group, m):
+    """g_k -> c^k for the m-cycle c, a permutation representation of Zn when m | n."""
+    return grouprep.make_representation(
+        group, np.stack([np.roll(np.eye(m), k, axis=0) for k in range(group.order)]))
+
+
+# Z2 is left out: its one non-identity element is determined by no other, and
+# replacing rho(g1) = I by a swap gives another homomorphism, the sign one.
+REPLACEMENT_CASES = [("Z3", None), ("Z4", None), ("Z4", 2), ("Z6", 3), ("Z6", 2),
+                     ("Z8", 4), ("Z9", 3), ("Z2xZ2", None), ("S3", None), ("D4", None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(REPLACEMENT_CASES), data=st.data())
+def test_one_replaced_permutation_is_always_caught(case, data):
+    """For |G| >= 3, a permutation representation with one element's matrix
+    replaced by a different permutation matrix is never passed: the other
+    elements determine it, rho(h) = rho(g) rho(g^-1 h) for any g other than
+    e and h. For h = e make_representation raises; otherwise validation fails.
+    ``case`` is a group and the points of its cyclic action, or None for the
+    regular representation."""
+    name, points = case
+    group, _ = grouprep.builtin_group(name)
+    rho = oracles.regular_representation(group) if points is None \
+        else cyclic_action(group, points)
+    g = data.draw(st.integers(0, group.order - 1), label="element")
+    old = rho.perm[g].tolist()
+    new = data.draw(st.permutations(range(rho.dim)).filter(lambda p: list(p) != old),
+                    label="image")
+    mats = rho.matrices.copy()
+    mats[g] = np.eye(rho.dim)[:, new]   # e_j -> e_new[j]
+    if g == group.identity_index:
+        with pytest.raises(ValueError, match="identity"):
+            grouprep.make_representation(group, mats)
+        return
+    assert not grouprep.validate_representation(
+        grouprep.make_representation(group, mats)).passed
+
+
+def test_only_the_random_draws_sample():
+    """Every _philox call in the library draws a random input: the perturbation
+    direction of _resolve_hamiltonian and the kernel state of
+    sample_kernel_state. A check that sampled instead would prove nothing."""
+    assert sorted(call_sites("_philox")) == ["scenario._resolve_hamiltonian",
+                                             "sync.sample_kernel_state"]
 
 
 def orthogonality_message_loop(group, rows):

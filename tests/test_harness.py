@@ -1287,6 +1287,50 @@ def test_rep_b_differing_in_one_bit_is_analysed_again(tmp_path, monkeypatch):
     assert_group_analyses(tmp_path, monkeypatch, doc, sides=2)
 
 
+def test_z1000_replaced_generator_image_exits_one(tmp_path):
+    """Z1000 on 5 points, g_k -> c^k for the 5-cycle c, with rho(g1) replaced
+    by (01)(234): traces, and so multiplicities, are unchanged and every matrix
+    permutes, but rho(g1)^2 != rho(g2). A sample of pairs can miss every pair
+    that involves g1; the check on G x S, S = {g1}, cannot."""
+    mats = [np.roll(np.eye(5), k, axis=0) for k in range(1000)]
+    mats[1] = np.eye(5)[:, [1, 0, 3, 4, 2]]
+    doc = {"name": "z1000-replaced-g1", "kind": "group", "group": "Z1000",
+           "rep": {"elements": [matrix_to_literal(m) for m in mats]}}
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(write_scenario(tmp_path, doc)), "--out", str(out)]) == 1
+    validation = json.loads(out.read_bytes())["validation"]
+    assert validation["rep_a"]["passed"] is False
+    assert validation["rep_a"]["pairs_checked"] == 1000
+
+
+def test_kernel_without_hamiltonian_forms_no_clock_hamiltonian(tmp_path, monkeypatch):
+    """A 3x2 kernel scenario with no Hamiltonian takes H = 0 as the local pair
+    (0, 0): sync_bundle forms no 6 x 6 H' = U^dag H U, so no kron_apply runs,
+    and the report is the bytes of the dense path, which took two passes."""
+    doc = {"name": "kernel-no-h", "kind": "kernel",
+           "clock_a": {"labels": [1, 0, -1], "basis": matrix_to_literal(
+               np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2))},
+           "clock_b": {"labels": [1, -1]}}
+    path = write_scenario(tmp_path, doc)
+    calls = []
+    real_apply, real_system = opcore.kron_apply, sync.make_system
+
+    def counted(*args):
+        calls.append(1)
+        return real_apply(*args)
+
+    def run(out):
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    monkeypatch.setattr(opcore, "kron_apply", counted)
+    factored = run(tmp_path / "factored.json")
+    assert len(calls) == 0
+    monkeypatch.setattr(sync, "make_system", lambda a, b, h, local=None: real_system(a, b, h))
+    assert run(tmp_path / "dense.json") == factored
+    assert len(calls) == 2
+
+
 def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
     """ex55's diagonal H1-H3 pass both compatibility checks at compat_tol, so
     only the incompatible H4 needs ||H||: classify_compatibility takes that,

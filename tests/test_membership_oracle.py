@@ -61,7 +61,7 @@ def generator_built(group):
 def perturbed_off_generators(rho, rng):
     """Element list with every matrix outside S moved to ~0.9 * UNITARY_TOL * d."""
     d = rho.dim
-    gens = set(grouprep.generator_tree(rho.group).generators)
+    gens = set(rho.group.tree.generators)
     mats = []
     for g in range(rho.group.order):
         m = rho[g]
@@ -93,7 +93,7 @@ def representation_pairs(name, rng):
 
 
 def generator_residual(h, rho_a, rho_b):
-    tree = grouprep.generator_tree(rho_a.group)
+    tree = rho_a.group.tree
     return max(opcore.operator_norm(oracles.commutator(np.kron(rho_a[s], rho_b[s]), h))
                for s in tree.generators)
 
@@ -145,7 +145,7 @@ def hamiltonians(rho_a, rho_b, rng):
 
 
 def tree_bound(h, rho_a, rho_b):
-    tree = grouprep.generator_tree(rho_a.group)
+    tree = rho_a.group.tree
     return grouprep._equivariance_bound(h, rho_a, rho_b, tree)[1]
 
 
@@ -264,7 +264,7 @@ def test_factored_generator_residuals_match_dense_gather(name, side_b):
     rho_a = oracles.regular_representation(group)
     rho_b = rho_a if side_b == "regular" else oracles.trivial_representation(group)
     assert rho_a.perm is not None and rho_b.perm is not None
-    gens = list(grouprep.generator_tree(group).generators)
+    gens = list(group.tree.generators)
     n = rho_a.dim * rho_b.dim
     members = 0
     for trial in range(8):
@@ -376,13 +376,13 @@ class TestGeneratorTree:
     ])
     def test_generators(self, name, gens):
         group, _ = grouprep.builtin_group(name)
-        tree = grouprep.generator_tree(group)
+        tree = group.tree
         assert tuple(group.elements[g] for g in tree.generators) == gens
 
     @pytest.mark.parametrize("name", GROUPS + ("Z16",))
     def test_tree_reaches_every_element_by_forward_products(self, name):
         group, _ = grouprep.builtin_group(name)
-        tree = grouprep.generator_tree(group)
+        tree = group.tree
         depth = dict.fromkeys(tree.generators, 0)
         for h, p, s in tree.edges:
             assert s in tree.generators and p in depth and h not in depth
@@ -394,4 +394,4 @@ class TestGeneratorTree:
     def test_cyclic_depth(self):
         for n in (2, 8, 16):
             group, _ = grouprep.builtin_group(f"Z{n}")
-            assert grouprep.generator_tree(group).depth == n - 1
+            assert group.tree.depth == n - 1
