@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .clocks import ClockObservable, make_clock
+from .clocks import COMPAT_TOL, ClockObservable, make_clock
 from .opcore import NumericalError
 from .sync import SyncOperatorBundle, SyncSystem
 
@@ -626,41 +626,41 @@ def _joint_commutators(t: np.ndarray, rho_a: Representation, rho_b: Representati
     return joint @ t - t @ joint
 
 
-def _generator_residuals(t: np.ndarray, local: tuple | None, rho_a: Representation,
+def _generator_residuals(system: SyncSystem, rho_a: Representation,
                          rho_b: Representation, gens) -> list:
-    """||[J(s), T]|| for each s in ``gens``.
+    """||[J(s), H]|| for each s in ``gens``, H the system's Hamiltonian.
 
-    When ``local`` is (T_A, T_B) with T = T_A (x) I + I (x) T_B and both factors
-    permute, J(s) is a permutation matrix P, so ||[J, T]|| = ||P(T - P^T T P)||
-    = ||T - P^T T P||, and P^T T P = P_A^T T_A P_A (x) I + I (x) P_B^T T_B P_B,
-    whose factors are exact gathers. The norm is then the
-    opcore.kron_sum_norm of T_A - P_A^T T_A P_A and its B twin, two Hermitian
-    factor-size matrices. Otherwise each [J(s), T] comes from
-    _joint_commutators and takes its own spectral norm.
+    When H = H_A (x) I + I (x) H_B is local and both factors permute, J(s) is a
+    permutation matrix P, so ||[J, H]|| = ||P(H - P^T H P)|| = ||H - P^T H P||,
+    and P^T H P = P_A^T H_A P_A (x) I + I (x) P_B^T H_B P_B, whose factors are
+    exact gathers: the norm is the opcore.kron_sum_norm of H_A - P_A^T H_A P_A
+    and its B twin. Otherwise each [J(s), H] comes from _joint_commutators on
+    the n x n H and takes its own spectral norm.
     """
-    if local is not None and rho_a.perm is not None and rho_b.perm is not None:
-        t_a, t_b = local
-        return [opcore.kron_sum_norm(t_a - t_a[np.ix_(p_a, p_a)], t_b - t_b[np.ix_(p_b, p_b)])
+    if system.local is not None and rho_a.perm is not None and rho_b.perm is not None:
+        h_a, h_b = system.local
+        return [opcore.kron_sum_norm(h_a - h_a[np.ix_(p_a, p_a)], h_b - h_b[np.ix_(p_b, p_b)])
                 for p_a, p_b in zip(rho_a.perm[gens], rho_b.perm[gens])]
-    return [opcore.operator_norm(c) for c in _joint_commutators(t, rho_a, rho_b, gens)]
+    return [opcore.operator_norm(c)
+            for c in _joint_commutators(system.hamiltonian, rho_a, rho_b, gens)]
 
 
-def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representation,
-                        tree: GeneratorTree, local: tuple | None = None) -> tuple:
-    """(r_S, B): the exact max ||[J(s), T]|| over s in S, and B >= max over all g.
+def _equivariance_bound(system: SyncSystem, rho_a: Representation, rho_b: Representation,
+                        tree: GeneratorTree) -> tuple:
+    """(r_S, B): the exact max ||[J(s), H]|| over s in S, and B >= max over all g.
 
-    ||[J(s), T]|| comes from _generator_residuals, which reads it off the
-    factors ``local`` of T when it can. For h = p*s,
-    [T, J(p)J(s)] = [T, J(p)]J(s) + J(p)[T, J(s)], so along the tree
-    R_h = nu (R_p + r_s) + 2 ||T||_F eta_h with R_s = r_s, where
+    ||[J(s), H]|| comes from _generator_residuals, which reads it off the
+    factors of a local H when it can. For h = p*s,
+    [H, J(p)J(s)] = [H, J(p)]J(s) + J(p)[H, J(s)], so along the tree
+    R_h = nu (R_p + r_s) + 2 ||H||_F eta_h with R_s = r_s, where
     nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
     and eta_h >= ||J(h) - J(p)J(s)||, with A_h (x) B_h - X (x) Y =
     (A_h - X) (x) B_h + X (x) (B_h - Y) for X = A_p A_s, Y = B_p B_s. Both are
     Frobenius norms of factor-size matrices; a permutation representation
-    has nu = 1 and eta = 0.
+    has nu = 1 and eta = 0, and then the n x n H is not read.
     """
     gens = list(tree.generators)
-    r = dict(zip(gens, _generator_residuals(t, local, rho_a, rho_b, gens)))
+    r = dict(zip(gens, _generator_residuals(system, rho_a, rho_b, gens)))
     r_s = max(r.values())
     hs, ps, ss = np.array(tree.edges, dtype=np.int64).reshape(-1, 3).T
     def fro(stack):
@@ -672,7 +672,8 @@ def _equivariance_bound(t: np.ndarray, rho_a: Representation, rho_b: Representat
         x = m[ps] @ m[ss]
         eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
         lead = lead * fro(x)
-    return r_s, _tree_bound(tree, r, nu, 2.0 * np.linalg.norm(t) * eta)
+    extra = 2.0 * np.linalg.norm(system.hamiltonian) * eta if eta.any() else eta
+    return r_s, _tree_bound(tree, r, nu, extra)
 
 
 def _tree_bound(tree: GeneratorTree, r: dict, nu: float, extra) -> float:
@@ -792,30 +793,30 @@ class HsyncVerdict:
 def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
                      rho_a: Representation, rho_b: Representation,
                      equivar_tol: float = EQUIVAR_TOL,
-                     compat_tol: float = 1e-10) -> HsyncVerdict:
+                     compat_tol: float = COMPAT_TOL) -> HsyncVerdict:
     """Whether the system's H lies in the commutant of g -> rho_A(g) (x) rho_B(g)
     and commutes with the system's K.
 
     B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
     (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
-    taken from the joint commutators. A local H on permutation
-    representations takes r_S from its factors (_generator_residuals).
-    ||[H, K]|| and ||K|| are the bundle's epsilon and k_norm, the former also
-    read off the factors of a local H (sync.sync_bundle).
+    taken from the joint commutators. ||[H, K]|| and ||K|| are the bundle's
+    epsilon and k_norm. A local H gives r_S (on permutation representations)
+    and epsilon from its factors; the n x n H is read only by the tree slack,
+    the exact fallback and the ||H|| scale.
     """
     _require_same_group(rho_a.group, rho_b.group)
     if (system.dim_a, system.dim_b) != (rho_a.dim, rho_b.dim):
         raise ValueError(f"clock dims {system.dim_a}x{system.dim_b} do not match "
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
-    h, group, tree = system.hamiltonian, rho_a.group, rho_a.group.tree
-    r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree, system.local)
+    group, tree = rho_a.group, rho_a.group.tree
+    r_s, bound = _equivariance_bound(system, rho_a, rho_b, tree)
     if r_s <= equivar_tol < bound:
-        gs = np.arange(group.order)
+        h, gs = system.hamiltonian, np.arange(group.order)
         bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),
                                    group.order, system.dim)
     kern_res = bundle.epsilon
     member = bound <= equivar_tol and opcore.within(
-        kern_res, compat_tol, lambda: opcore.operator_norm(h) * bundle.k_norm)
+        kern_res, compat_tol, lambda: opcore.operator_norm(system.hamiltonian) * bundle.k_norm)
     return HsyncVerdict(
         generators=[group.elements[g] for g in tree.generators],
         word_length=tree.depth,

@@ -71,6 +71,11 @@ def hermitian_norm(m) -> float:
     return _extreme_norm(float(w[0]), float(w[-1]))
 
 
+def kron_sum(x, y) -> np.ndarray:
+    """X (x) I + I (x) Y, dense: the library's one builder of a Kronecker sum."""
+    return np.kron(x, np.eye(y.shape[0])) + np.kron(np.eye(x.shape[0]), y)
+
+
 def kron_sum_norm(x, y) -> float:
     """||X (x) I + I (x) Y|| for Hermitian X and Y, from two factor-size eigvalsh calls.
 

@@ -215,20 +215,16 @@ def parse_scenario(path) -> Scenario:
                 _fail(key, f"{kind} scenario needs {key}")
         s.clock_a = clock_from_literal(obj["clock_a"], "clock_a")
         s.clock_b = clock_from_literal(obj["clock_b"], "clock_b")
-        if kind == "kernel":
-            if "hamiltonian" in obj:
-                s.hamiltonian = _parse_hamiltonian_spec(obj["hamiltonian"], "hamiltonian")
-        else:
-            if "hamiltonian" not in obj:
-                _fail("hamiltonian", f"{kind} scenario needs a hamiltonian")
+        if "hamiltonian" in obj:
             s.hamiltonian = _parse_hamiltonian_spec(obj["hamiltonian"], "hamiltonian")
+        elif kind != "kernel":
+            _fail("hamiltonian", f"{kind} scenario needs a hamiltonian")
+        if kind != "kernel":
             if "times" not in obj:
                 _fail("times", f"{kind} scenario needs times")
             s.times = _real_list(obj["times"], "times")
-            if "initial_state" in obj:
-                s.initial_state = _parse_initial_state(obj["initial_state"], "initial_state")
-            else:
-                s.initial_state = {"kernel_seed": s.seed if s.seed is not None else 0}
+            s.initial_state = (_parse_initial_state(obj["initial_state"], "initial_state")
+                               if "initial_state" in obj else {"kernel_seed": s.seed or 0})
     elif kind == "group":
         if "group" not in obj:
             _fail("group", "group scenario needs a group")
@@ -281,13 +277,13 @@ class Report:
 
 def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
                          seed_override: int | None, fallback_seed: int | None):
-    """Concrete matrix on the scenario's space, plus the seed used.
+    """H on the scenario's space in the form it was given, plus the seed used.
 
     ``path`` is the spec's field path, used in error messages. ``dims`` is
-    (d_A, d_B) for a product space or (d,) for a compat scenario's clock. A
-    top-level matrix literal comes back unchecked, because each caller checks
-    the result once (make_system or classify_compatibility). Local terms and a
-    perturbation's matrix base and direction are checked here.
+    (d_A, d_B) for a product space or (d,) for a compat scenario's clock. Local
+    terms come back as the pair (H_A, H_B), unchecked like a top-level matrix
+    literal, because each caller checks H once (make_system, or _as_matrix and
+    classify_compatibility); a perturbation's base and direction are checked here.
     """
     product = len(dims) == 2
     dim_a, dim_b = dims if product else (dims[0], 1)
@@ -303,11 +299,10 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
         h_a, h_b = spec.local
         if h_a.shape[0] != dim_a or h_b.shape[0] != dim_b:
             raise ScenarioError(f"{path}.local", "local term dimensions do not match clocks")
-        h = np.kron(opcore.require_hermitian(h_a), np.eye(dim_b)) \
-            + np.kron(np.eye(dim_a), opcore.require_hermitian(h_b))
-        return h, None
+        return spec.local, None
     pert = spec.perturbation
     base, _ = _resolve_hamiltonian(pert.base, f"{path}.base", dims, seed_override, fallback_seed)
+    base = _as_matrix(base)
     if pert.base.matrix is not None:
         base = opcore.require_hermitian(base)
     if pert.direction is not None:
@@ -325,14 +320,16 @@ def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
     return base + pert.strength * direction, seed_used
 
 
+def _as_matrix(h) -> np.ndarray:
+    """H as a matrix: a local pair's terms are checked and summed, and the sum is not checked."""
+    return opcore.kron_sum(*map(opcore.require_hermitian, h)) if isinstance(h, tuple) else h
+
+
 def _hamiltonian(s: Scenario, dims: tuple, seed_override: int | None) -> tuple:
-    """(H, local, perturbation seed) on the product space of ``dims``. Without a
-    Hamiltonian H = 0, given as the local pair (0, 0), so that sync_bundle reads
-    epsilon off two zero factors and forms no n x n H' = U^dag H U."""
+    """(H, perturbation seed) on the product space of ``dims``; no Hamiltonian is the zero pair."""
     if s.hamiltonian is None:
-        return np.zeros((dims[0] * dims[1],) * 2), tuple(np.zeros((d, d)) for d in dims), None
-    h, seed = _resolve_hamiltonian(s.hamiltonian, "hamiltonian", dims, seed_override, s.seed)
-    return h, s.hamiltonian.local, seed
+        return tuple(np.zeros((d, d)) for d in dims), None
+    return _resolve_hamiltonian(s.hamiltonian, "hamiltonian", dims, seed_override, s.seed)
 
 
 def _subspace_payload(sub: opcore.Subspace) -> dict:
@@ -354,8 +351,8 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     for i, (h_name, spec) in enumerate(s.hamiltonians):
         h, _ = _resolve_hamiltonian(spec, f"hamiltonians[{i}]", (s.clock.dim,),
                                     seed_override, s.seed)
-        verdict = clocks.classify_compatibility(h, s.clock, compat_tol=tol["compat_tol"],
-                                                kernel_tol=tol["kernel_tol"])
+        verdict = clocks.classify_compatibility(
+            _as_matrix(h), s.clock, compat_tol=tol["compat_tol"], kernel_tol=tol["kernel_tol"])
         verdicts.append({"name": h_name, "class": verdict.kind, "residual": verdict.residual,
                          "off_block_mass": verdict.off_block_mass})
     return {"clock_labels": [float(x) for x in s.clock.labels], "verdicts": verdicts}, True
@@ -363,8 +360,8 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 
 def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     """Kernel and series kinds: one system and bundle, then the kernel or the trace."""
-    h, local, pert_seed = _hamiltonian(s, (s.clock_a.dim, s.clock_b.dim), seed_override)
-    system = sync.make_system(s.clock_a, s.clock_b, h, local=local)
+    h, pert_seed = _hamiltonian(s, (s.clock_a.dim, s.clock_b.dim), seed_override)
+    system = sync.make_system(s.clock_a, s.clock_b, h)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     if s.kind == "kernel":
         fields = {"kernel": _subspace_payload(bundle.kernel),
@@ -431,9 +428,8 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
     fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
     schur_ok = all(e.residual <= tol["schur_tol"] for e in schur_a.entries + schur_b.entries)
-    h, local, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
-    system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b),
-                              h, local=local)
+    h, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
+    system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b), h)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     containment = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
     fields["containment"] = asdict(containment)

@@ -24,19 +24,22 @@ INIT_TOL = 1e-8      # how far psi(0) may sit from ker(K)
 
 @dataclass(frozen=True, eq=False)
 class SyncSystem:
-    """Two local clocks plus a joint Hamiltonian on the tensor product space.
-
-    Built by make_system, so ``hamiltonian`` has passed
-    opcore.require_hermitian; nothing downstream checks it again. ``local`` is
-    (H_A, H_B) when ``hamiltonian`` was built as H_A (x) I + I (x) H_B from two
-    checked Hermitian terms, and None otherwise; norms of commutators with H
-    are then read off the two factors.
-    """
+    """Two local clocks plus a joint Hamiltonian on the tensor product space, held
+    in the form given to make_system, which checked it; nothing downstream checks
+    it again. ``local`` is (H_A, H_B) for H = H_A (x) I + I (x) H_B, whose
+    commutator norms are read off the factors, and None for an n x n H."""
 
     clock_a: ClockObservable
     clock_b: ClockObservable
-    hamiltonian: np.ndarray
-    local: tuple | None = None
+    local: tuple | None
+    _matrix: np.ndarray | None
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """The n x n H; for a local H, opcore.kron_sum of its factors, formed on first read."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", opcore.kron_sum(*self.local))
+        return self._matrix
 
     @property
     def dim_a(self) -> int:
@@ -51,20 +54,20 @@ class SyncSystem:
         return self.dim_a * self.dim_b
 
 
-def make_system(clock_a: ClockObservable, clock_b: ClockObservable, hamiltonian,
-                local: tuple | None = None) -> SyncSystem:
-    """The system of two clocks and ``hamiltonian``. ``local`` is (H_A, H_B) when
-    the caller built ``hamiltonian`` as H_A (x) I + I (x) H_B from Hermitian terms."""
+def make_system(clock_a: ClockObservable, clock_b: ClockObservable, hamiltonian) -> SyncSystem:
+    """The system of two clocks and H, an n x n matrix or the tuple (H_A, H_B) of local
+    terms of H = H_A (x) I + I (x) H_B; each matrix given must pass require_hermitian."""
+    if isinstance(hamiltonian, tuple):
+        h_a, h_b = map(opcore.require_hermitian, hamiltonian)
+        if (h_a.shape[0], h_b.shape[0]) != (clock_a.dim, clock_b.dim):
+            raise ValueError(f"local terms {h_a.shape}, {h_b.shape} do not match "
+                             f"the {clock_a.dim}x{clock_b.dim} clocks")
+        return SyncSystem(clock_a, clock_b, (h_a, h_b), None)
     h = opcore.require_hermitian(hamiltonian)
     if h.shape[0] != clock_a.dim * clock_b.dim:
-        raise ValueError(
-            f"Hamiltonian dim {h.shape[0]} does not match "
-            f"{clock_a.dim}x{clock_b.dim} bipartite space")
-    if local is not None and (local[0].shape, local[1].shape) != (
-            (clock_a.dim,) * 2, (clock_b.dim,) * 2):
-        raise ValueError(f"local terms {local[0].shape}, {local[1].shape} do not match "
-                         f"the {clock_a.dim}x{clock_b.dim} clocks")
-    return SyncSystem(clock_a=clock_a, clock_b=clock_b, hamiltonian=h, local=local)
+        raise ValueError(f"Hamiltonian dim {h.shape[0]} does not match "
+                         f"{clock_a.dim}x{clock_b.dim} bipartite space")
+    return SyncSystem(clock_a, clock_b, None, h)
 
 
 def _to_clock_basis(system: SyncSystem, x) -> np.ndarray:
@@ -114,12 +117,11 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     epsilon is its opcore.hermitian_norm.
 
     For a local H' = H_A' (x) I + I (x) H_B', with H_X' = B_X^dag H_X B_X,
-    [H', G] = [H_A', diag(a - b_0)] (x) I + I (x) [H_B', diag(a_0 - b)]: a
-    common shift of one side's labels commutes with its term. The two factors
-    times i are Hermitian, so epsilon is their opcore.kron_sum_norm. The
-    shifted labels are G's first column and first row, so each factor's
-    entries are, up to the rounding of H', ones the dense [H', G] forms too,
-    and the factored path overflows only where the dense one would.
+    [H', G] = [H_A', diag(a - b_0)] (x) I + I (x) [H_B', diag(a_0 - b)], as a
+    common shift of one side's labels commutes with its term, and epsilon is
+    the opcore.kron_sum_norm of the two factors times i. The shifted labels are
+    G's first column and row, so the factored path overflows only where the
+    dense [H', G] would.
     """
     g, cutoff = label_gaps(system.clock_a.labels, system.clock_b.labels, kernel_tol)
     gaps = np.abs(g)

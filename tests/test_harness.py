@@ -152,13 +152,16 @@ class TestParseScenario:
 class TestRunScenario:
     @pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (1, 4), (4, 1)])
     def test_local_terms_match_local_hamiltonian(self, d_a, d_b):
-        # the local branch is the library's only H_A (x) I + I (x) H_B builder
+        # local terms reach make_system as a pair; opcore.kron_sum, the library's
+        # only H_A (x) I + I (x) H_B builder, forms the n x n H where it is read
         rng = np.random.default_rng(10 * d_a + d_b)
         g_a, g_b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (d_a, d_b))
         h_a, h_b = (g_a + g_a.conj().T) / 2, (g_b + g_b.conj().T) / 2
         spec = scenario.HamiltonianSpec(local=(h_a, h_b))
         h, seed = scenario._resolve_hamiltonian(spec, "hamiltonian", (d_a, d_b), None, None)
         assert seed is None
+        h = sync.make_system(clocks.make_clock(np.zeros(d_a)), clocks.make_clock(np.zeros(d_b)),
+                             h).hamiltonian
         np.testing.assert_array_equal(h, oracles.local_hamiltonian(h_a, h_b))
 
     def test_compat_verdicts(self):
@@ -992,10 +995,10 @@ def assert_report_close(got, want, path="report"):
 
 
 def assert_matches_golden(tmp_path, name):
+    """The report of a bundled scenario is its golden file, byte for byte."""
     out = tmp_path / "report.json"
     assert cli.main(["run", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)]) == 0
-    assert_report_close(json.loads(out.read_bytes()),
-                        json.loads((GOLDEN_DIR / f"{name}.json").read_bytes()))
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 class TestGolden:
@@ -1076,6 +1079,29 @@ def test_matrix_literal_hamiltonian_checked_once(tmp_path, monkeypatch, capsys, 
         "exceeds tolerance\n")
 
 
+def local_kernel_payload(h_a, h_b):
+    return {"name": "local", "kind": "kernel", "clock_a": {"labels": [1, -1]},
+            "clock_b": {"labels": [1, -1]},
+            "hamiltonian": {"local": {"a": matrix_to_literal(np.asarray(h_a, dtype=complex)),
+                                      "b": matrix_to_literal(np.asarray(h_b, dtype=complex))}}}
+
+
+def test_local_hamiltonian_checked_by_its_factors(tmp_path, capsys):
+    """A local H passes when each factor is Hermitian to HERM_TOL of its own
+    norm: terms of 1e6 that cancel to a sum of norm 4e-7 carry a 4e-7 asymmetry
+    in H_A, within 1e-12 * 1e6, and run. A non-Hermitian factor exits 2 with
+    the factor's residual."""
+    cancelling = local_kernel_payload([[1e6, 0], [4e-7, 1e6]], np.diag([-1e6, -1e6]))
+    assert cli.main(["run", str(write_scenario(tmp_path, cancelling)),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == ""
+    skewed = local_kernel_payload([[1, 0], [0.5, 1]], np.diag([-1, 1]))
+    assert cli.main(["run", str(write_scenario(tmp_path, skewed, name="skewed.json"))]) == 2
+    assert capsys.readouterr().err == (
+        "syncsub: validation error: matrix is not Hermitian: residual 5.000e-01 "
+        "exceeds tolerance\n")
+
+
 def cyclic_regular_payload(member, n=8):
     """Zn regular (x) regular (Z8 by default) with symmetric class functions;
     the Hamiltonian is local and circulant on both sides (a member) or
@@ -1149,6 +1175,68 @@ def test_local_group_scenario_takes_no_joint_svd(tmp_path, monkeypatch, member):
     assert membership["member"] is member
     assert (membership["generator_residual"] > 0) is not member
     assert calls and (256, 256) not in [shape for shape, _ in calls]
+
+
+def count_kron_sums(monkeypatch):
+    """Factor dims of every call of opcore.kron_sum, the library's one dense
+    H_A (x) I + I (x) H_B builder."""
+    calls, real = [], opcore.kron_sum
+
+    def counted(x, y):
+        calls.append((x.shape[0], y.shape[0]))
+        return real(x, y)
+
+    monkeypatch.setattr(opcore, "kron_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_local_group_scenario_forms_no_dense_h(tmp_path, monkeypatch, member):
+    """Z16 regular (x) regular with a local H, a member and a non-member: every
+    check reads the permuted factors, so the 256 x 256 H is never formed."""
+    s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member, n=16)))
+    calls = count_kron_sums(monkeypatch)
+    assert scenario.run_scenario(s).payload["membership"]["member"] is member
+    assert calls == []
+
+
+def test_group_example_forms_dense_h_once(tmp_path, monkeypatch):
+    """ex_group_s3's rep_a does not permute, so membership reads its local H as
+    a 16 x 16 matrix: formed once, kept for every later read, and the report
+    keeps its golden bytes."""
+    calls = count_kron_sums(monkeypatch)
+    assert_matches_golden(tmp_path, "ex_group_s3")
+    assert calls == [(4, 4)]
+
+
+def test_local_system_forms_dense_h_on_first_read(monkeypatch):
+    """make_system keeps a local H as its pair; the n x n H is formed on the
+    first read of ``hamiltonian`` and the same array is returned after."""
+    calls = count_kron_sums(monkeypatch)
+    system = sync.make_system(clocks.make_clock([1, -1]), clocks.make_clock([0.5]),
+                              (np.diag([1.0, 2.0]), np.eye(1)))
+    assert calls == [] and system.local is not None
+    h = system.hamiltonian
+    assert system.hamiltonian is h and calls == [(2, 1)]
+    np.testing.assert_array_equal(h, np.diag([2.0, 3.0]))
+
+
+def run_bytes(path, out):
+    assert cli.main(["run", str(path), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+KERNEL_3X2_NO_H = {
+    "name": "kernel-no-h", "kind": "kernel",
+    "clock_a": {"labels": [1, 0, -1], "basis": matrix_to_literal(
+        np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2))},
+    "clock_b": {"labels": [1, -1]}}
+
+
+def test_group_without_hamiltonian_forms_no_dense_h(tmp_path, monkeypatch):
+    doc = json.loads((SCENARIO_DIR / "ex_group_s3.json").read_text())
+    del doc["hamiltonian"]
+    assert_zero_h_stays_a_pair(tmp_path, monkeypatch, doc, 16)
 
 
 @pytest.mark.parametrize("local", [False, True])
@@ -1303,32 +1391,36 @@ def test_z1000_replaced_generator_image_exits_one(tmp_path):
     assert validation["rep_a"]["pairs_checked"] == 1000
 
 
-def test_kernel_without_hamiltonian_forms_no_clock_hamiltonian(tmp_path, monkeypatch):
-    """A 3x2 kernel scenario with no Hamiltonian takes H = 0 as the local pair
-    (0, 0): sync_bundle forms no 6 x 6 H' = U^dag H U, so no kron_apply runs,
-    and the report is the bytes of the dense path, which took two passes."""
-    doc = {"name": "kernel-no-h", "kind": "kernel",
-           "clock_a": {"labels": [1, 0, -1], "basis": matrix_to_literal(
-               np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2))},
-           "clock_b": {"labels": [1, -1]}}
+def assert_zero_h_stays_a_pair(tmp_path, monkeypatch, doc, n):
+    """``doc`` has no Hamiltonian, so H = 0 is the zero pair: make_system checks
+    its two factors, no n x n H is checked or formed, sync_bundle forms no
+    H' = U^dag H U, so no kron_apply runs, and the report is the bytes of a
+    dense n x n zero H, whose H' takes two kron_apply passes."""
     path = write_scenario(tmp_path, doc)
-    calls = []
-    real_apply, real_system = opcore.kron_apply, sync.make_system
+    checked, applied = [], []
+    real_check, real_apply, real_system = (opcore.require_hermitian, opcore.kron_apply,
+                                           sync.make_system)
 
-    def counted(*args):
-        calls.append(1)
+    def check(m):
+        checked.append(np.shape(m))
+        return real_check(m)
+
+    def apply(*args):
+        applied.append(1)
         return real_apply(*args)
 
-    def run(out):
-        assert cli.main(["run", str(path), "--out", str(out)]) == 0
-        return out.read_bytes()
+    monkeypatch.setattr(opcore, "require_hermitian", check)
+    monkeypatch.setattr(opcore, "kron_apply", apply)
+    sums = count_kron_sums(monkeypatch)
+    factored = run_bytes(path, tmp_path / "factored.json")
+    assert checked and (n, n) not in checked and sums == [] and applied == []
+    monkeypatch.setattr(sync, "make_system", lambda a, b, h: real_system(a, b, np.zeros((n, n))))
+    assert run_bytes(path, tmp_path / "dense.json") == factored
+    assert (n, n) in checked and len(applied) == 2
 
-    monkeypatch.setattr(opcore, "kron_apply", counted)
-    factored = run(tmp_path / "factored.json")
-    assert len(calls) == 0
-    monkeypatch.setattr(sync, "make_system", lambda a, b, h, local=None: real_system(a, b, h))
-    assert run(tmp_path / "dense.json") == factored
-    assert len(calls) == 2
+
+def test_kernel_without_hamiltonian_forms_no_clock_hamiltonian(tmp_path, monkeypatch):
+    assert_zero_h_stays_a_pair(tmp_path, monkeypatch, KERNEL_3X2_NO_H, 6)
 
 
 def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):

@@ -144,9 +144,14 @@ def hamiltonians(rho_a, rho_b, rng):
     return cases
 
 
+def on_zero_clocks(h, rho_a, rho_b):
+    """The system of H, a matrix or a local pair, on zero clocks of the representations' dims."""
+    return sync.make_system(*(clocks.make_clock(np.zeros(r.dim)) for r in (rho_a, rho_b)), h)
+
+
 def tree_bound(h, rho_a, rho_b):
     tree = rho_a.group.tree
-    return grouprep._equivariance_bound(h, rho_a, rho_b, tree)[1]
+    return grouprep._equivariance_bound(on_zero_clocks(h, rho_a, rho_b), rho_a, rho_b, tree)[1]
 
 
 def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, where):
@@ -275,8 +280,9 @@ def test_factored_generator_residuals_match_dense_gather(name, side_b):
                         for k, r in enumerate((rho_a, rho_b)))
         h_a, h_b = h_a * 2.0 ** rng.uniform(-20, 20), h_b * 2.0 ** rng.uniform(-20, 20)
         h = oracles.local_hamiltonian(h_a, h_b)
-        got = grouprep._generator_residuals(h, (h_a, h_b), rho_a, rho_b, gens)
-        want = grouprep._generator_residuals(h, None, rho_a, rho_b, gens)
+        got = grouprep._generator_residuals(on_zero_clocks((h_a, h_b), rho_a, rho_b),
+                                            rho_a, rho_b, gens)
+        want = grouprep._generator_residuals(on_zero_clocks(h, rho_a, rho_b), rho_a, rho_b, gens)
         f = np.sqrt(rho_b.dim) * np.linalg.norm(h_a) + np.sqrt(rho_a.dim) * np.linalg.norm(h_b)
         for x, y in zip(got, want):
             assert abs(x - y) <= (9 + 8 * n * n) * U * f, (trial, x, y)

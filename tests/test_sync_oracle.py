@@ -183,8 +183,7 @@ def random_local_system(rng, trial):
     ta = clocks.make_clock(labels_a, random_unitary(rng, d_a) if rotated else None)
     tb = clocks.make_clock(labels_b, random_unitary(rng, d_b) if rotated else None)
     h_a, h_b = (oracles._random_hermitian(rng, d) * 2.0 ** rng.uniform(-3, 3) for d in (d_a, d_b))
-    h = oracles.local_hamiltonian(h_a, h_b)
-    return sync.make_system(ta, tb, h, local=(h_a, h_b))
+    return sync.make_system(ta, tb, (h_a, h_b))
 
 
 def test_factored_epsilon_matches_dense_oracle():
