@@ -2,7 +2,6 @@
 
 from .opcore import (
     NumericalError,
-    Spectrum,
     Subspace,
     as_complex_matrix,
     operator_norm,
@@ -10,12 +9,10 @@ from .opcore import (
 )
 from .clocks import (
     ClockObservable,
-    CompatibilityVerdict,
     classify_compatibility,
     make_clock,
 )
 from .sync import (
-    DriftReport,
     SyncOperatorBundle,
     SyncSystem,
     drift_trace,
@@ -24,10 +21,7 @@ from .sync import (
     sync_bundle,
 )
 from .grouprep import (
-    CharacterTable,
-    ContainmentReport,
     FiniteGroup,
-    HsyncVerdict,
     IsotypicDecomposition,
     Representation,
     SchurReport,

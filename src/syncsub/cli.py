@@ -104,7 +104,7 @@ def _run_one(path, args, allowed_kinds) -> int:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_bytes(payload)
         log.info("wrote %s report to %s", fmt, out)
-    return 0 if report.passed else 1
+    return 0 if report["passed"] else 1
 
 
 def main(argv=None) -> int:

@@ -60,20 +60,6 @@ def make_clock(labels, basis=None) -> ClockObservable:
     return ClockObservable(labels=arr, basis=b)
 
 
-@dataclass(frozen=True)
-class CompatibilityVerdict:
-    """Outcome of testing a Hamiltonian against a clock.
-
-    ``kind`` is "diagonal", "block_diagonal", or "incompatible"; ``residual``
-    is ||[H,T]|| and ``off_block_mass`` is ||H - sum_l P_l H P_l||, P_l the
-    projectors onto T's eigenspaces.
-    """
-
-    residual: float
-    kind: str
-    off_block_mass: float
-
-
 def label_gaps(a, b, kernel_tol: float) -> tuple:
     """The diagonal a_i - b_j of K = diag(a) (x) I - I (x) diag(b) in product-index
     order, and opcore.kernel_cutoff(||K||, kernel_tol): pair (i, j) is in ker K,
@@ -96,8 +82,13 @@ def diagonal_commutator(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def classify_compatibility(h, t: ClockObservable, compat_tol: float = COMPAT_TOL,
-                           kernel_tol: float = opcore.KERNEL_TOL) -> CompatibilityVerdict:
+                           kernel_tol: float = opcore.KERNEL_TOL) -> dict:
     """Classify H against T in the clock basis, where T = diag(l) and H' = B^dag H B.
+
+    Returns {"class", "residual", "off_block_mass"}: the class is "diagonal",
+    "block_diagonal" or "incompatible", the residual ||[H, T]|| and
+    off_block_mass ||H - sum_l P_l H P_l||, P_l the projectors onto T's
+    eigenspaces.
 
     ||[H, T]|| = ||[H', diag(l)]||. Labels i and j share an eigenspace when
     (i, j) is in the kernel of T (x) I - I (x) T, so off_block_mass is the norm
@@ -113,10 +104,11 @@ def classify_compatibility(h, t: ClockObservable, compat_tol: float = COMPAT_TOL
     off_block_mass = opcore.operator_norm(np.where(off_block, h_in_basis, 0.0))
 
     t_norm = float(np.max(np.abs(t.labels)))   # ||T||, read off its spectrum
-    if not opcore.within(residual, compat_tol, lambda: opcore.operator_norm(h) * t_norm):
+    _, compatible = opcore.check(residual, compat_tol, lambda: opcore.operator_norm(h) * t_norm)
+    if not compatible:
         kind = "incompatible"
     else:
-        off_diag = opcore.screened_norm(h_in_basis - np.diag(np.diag(h_in_basis)), compat_tol)
-        diagonal = opcore.within(off_diag, compat_tol, lambda: opcore.operator_norm(h))
+        _, diagonal = opcore.check(h_in_basis - np.diag(np.diag(h_in_basis)), compat_tol,
+                                   lambda: opcore.operator_norm(h))
         kind = "diagonal" if diagonal else "block_diagonal"
-    return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)
+    return {"class": kind, "residual": residual, "off_block_mass": off_block_mass}

@@ -26,6 +26,9 @@ SCHUR_TOL = 1e-9
 KERNEL_RESIDUAL_TOL = 1e-9  # allowance on ||K|_block - (alpha - beta) I||
 HOMOMORPHISM_TOL = 1e-10
 OBSERVABLE_HERM_TOL = 1e-10  # ||T - T^dag|| allowance for a clock observable
+OBSERVABLE_EQUIVAR_TOL = 1e-10   # max_g ||[rho(g), T]|| allowance for a class-function T
+CHARACTER_TOL = 1e-10   # entrywise allowance on the character Gram matrix minus I
+IDENTITY_TOL = 1e-12    # ||rho(e) - I|| allowance, times the dimension
 _IDEMPOTENT_TOL = 1e-8
 _STACK_ENTRIES = 1 << 20   # matrix entries per stacked batch (16 MB complex)
 
@@ -226,19 +229,9 @@ class Irrep:
     characters: np.ndarray   # one complex value per conjugacy class
 
 
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
-    irreps: tuple
-
-    def __iter__(self):
-        return iter(self.irreps)
-
-    def __len__(self):
-        return len(self.irreps)
-
-
-def make_character_table(group: FiniteGroup, rows) -> CharacterTable:
-    """Validate (name, dim, chars-per-class) rows against the group."""
+def make_character_table(group: FiniteGroup, rows) -> tuple:
+    """The character table, one Irrep per row, from (name, dim, chars-per-class)
+    rows validated against the group."""
     n_classes = len(group.conjugacy_classes)
     irreps = []
     for name, dim, chars in rows:
@@ -251,15 +244,15 @@ def make_character_table(group: FiniteGroup, rows) -> CharacterTable:
     sizes = np.asarray(group.class_sizes, dtype=np.float64)
     chars = np.array([ir.characters for ir in irreps]).reshape(len(irreps), n_classes)
     gram = (sizes * chars) @ chars.conj().T / group.order
-    bad = np.argwhere(np.abs(gram - np.eye(len(irreps))) > 1e-10)
-    if bad.size:
-        i, j = bad[0]
+    dev = np.abs(gram - np.eye(len(irreps)))
+    if not opcore.check(float(np.max(dev)), CHARACTER_TOL)[1]:
+        i, j = next(ij for ij, d in np.ndenumerate(dev) if not opcore.check(d, CHARACTER_TOL)[1])
         # the reported pair is summed on its own, so the message does not hang on BLAS blocking
         inner = np.sum(sizes * chars[i] * chars[j].conj()) / group.order
         raise ValueError(
             f"character rows {irreps[i].name!r}, {irreps[j].name!r} violate orthogonality "
             f"(inner product {inner:.3e})")
-    return CharacterTable(irreps=tuple(irreps))
+    return tuple(irreps)
 
 
 def _cyclic_group(n: int):
@@ -369,13 +362,12 @@ def make_representation(group: FiniteGroup, matrices) -> Representation:
         raise ValueError(f"expected {group.order} square matrices, got shape {mats.shape}")
     dim = mats.shape[1]
     eye = np.eye(dim)
-    ident_res = opcore.screened_norm(mats[group.identity_index] - eye, 1e-12 * dim)
-    if ident_res > 1e-12 * dim:
+    ident_res, ok = opcore.check(mats[group.identity_index] - eye, IDENTITY_TOL * dim)
+    if not ok:
         raise ValueError(f"identity element must map to I (residual {ident_res:.3e})")
-    limit = opcore.UNITARY_TOL * dim
     for i in range(group.order):
-        res = opcore.screened_norm(mats[i].conj().T @ mats[i] - eye, limit)
-        if res > limit:
+        res, ok = opcore.check(mats[i].conj().T @ mats[i] - eye, opcore.UNITARY_TOL * dim)
+        if not ok:
             raise ValueError(
                 f"matrix for element {group.elements[i]!r} is not unitary (residual {res:.3e})")
     return Representation(group=group, matrices=mats, perm=_permutation_indices(mats))
@@ -436,18 +428,13 @@ def _require_same_group(group_a: FiniteGroup, group_b: FiniteGroup) -> None:
         raise ValueError("representations must share one group")
 
 
-@dataclass(frozen=True)
-class RepresentationValidation:
-    max_homomorphism_residual: float   # r_S, the max over G x S
-    homomorphism_bound: float          # B >= the max over G x G, or that max
-    max_unitarity_residual: float
-    identity_residual: float
-    pairs_checked: int                 # |G| |S|, or |G|^2 when the max over G x G was taken
-    passed: bool
-
-
-def validate_representation(rho: Representation) -> RepresentationValidation:
+def validate_representation(rho: Representation) -> dict:
     """Unitarity, rho(e) = I, and the homomorphism on G x S carried to G x G.
+
+    Returns the residuals, max_unitarity_residual, identity_residual,
+    max_homomorphism_residual r_S (the max over G x S) and homomorphism_bound
+    B (>= the max over G x G, or that max), with pairs_checked, |G| |S| or
+    |G|^2 when the max over G x G was taken, and the verdict ``passed``.
 
     rho(g) rho(s) = rho(gs) for every g and each s in the generating set S
     implies a homomorphism by induction along the group's forward-word tree
@@ -469,19 +456,14 @@ def validate_representation(rho: Representation) -> RepresentationValidation:
     r_s, pairs = max(r.values()), n * len(r)
     bound = _tree_bound(group.tree, r, np.sqrt(1.0 + unit_res),
                         [r[s] for _, _, s in group.tree.edges])
-    if r_s <= HOMOMORPHISM_TOL < bound:
+    if opcore.check(r_s, HOMOMORPHISM_TOL)[1] and not opcore.check(bound, HOMOMORPHISM_TOL)[1]:
         bound, pairs = _homomorphism_residual(rho, *np.divmod(np.arange(n * n), n)), n * n
-    passed = (bound <= HOMOMORPHISM_TOL
-              and unit_res <= opcore.UNITARY_TOL * rho.dim
-              and ident_res <= 1e-12 * rho.dim)
-    return RepresentationValidation(
-        max_homomorphism_residual=r_s,
-        homomorphism_bound=bound,
-        max_unitarity_residual=unit_res,
-        identity_residual=ident_res,
-        pairs_checked=pairs,
-        passed=passed,
-    )
+    passed = (opcore.check(bound, HOMOMORPHISM_TOL)[1]
+              and opcore.check(unit_res, opcore.UNITARY_TOL * rho.dim)[1]
+              and opcore.check(ident_res, IDENTITY_TOL * rho.dim)[1])
+    return {"max_homomorphism_residual": r_s, "homomorphism_bound": bound,
+            "max_unitarity_residual": unit_res, "identity_residual": ident_res,
+            "pairs_checked": pairs, "passed": passed}
 
 
 def _homomorphism_residual(rho: Representation, gs: np.ndarray, hs: np.ndarray) -> float:
@@ -524,7 +506,7 @@ def _element_characters(group: FiniteGroup, irrep: Irrep) -> np.ndarray:
     return irrep.characters[group.class_index]
 
 
-def multiplicities(rho: Representation, chars: CharacterTable) -> list:
+def multiplicities(rho: Representation, chars: tuple) -> list:
     """Irrep multiplicities m = (1/|G|) sum_g tr rho(g) chi(g)*, rounded.
 
     Raises when the rounding error exceeds MULT_ROUND_TOL (bad table or rep)
@@ -536,7 +518,7 @@ def multiplicities(rho: Representation, chars: CharacterTable) -> list:
     for irrep in chars:
         raw = np.sum(traces * _element_characters(group, irrep).conj()) / group.order
         m = int(round(raw.real))
-        if abs(raw - m) > MULT_ROUND_TOL or m < 0:
+        if not opcore.check(abs(raw - m), MULT_ROUND_TOL)[1] or m < 0:
             raise ValueError(
                 f"multiplicity of {irrep.name!r} is {raw:.6g}, not a nonnegative integer "
                 f"within {MULT_ROUND_TOL:g}")
@@ -566,7 +548,7 @@ class IsotypicDecomposition:
     group: FiniteGroup
 
 
-def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicDecomposition:
+def isotypic_projectors(rho: Representation, chars: tuple) -> IsotypicDecomposition:
     """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one per irrep.
 
     One eigh of each P checks its rank (eigenvalues > 0.5) and gives its range basis.
@@ -577,8 +559,8 @@ def isotypic_projectors(rho: Representation, chars: CharacterTable) -> IsotypicD
     for irrep, (_, m) in zip(chars, mults):
         weights = _element_characters(group, irrep).conj() * (irrep.dim / group.order)
         p = np.einsum("g,gij->ij", weights, rho.matrices)
-        idem = opcore.screened_norm(p @ p - p, _IDEMPOTENT_TOL)
-        if idem > _IDEMPOTENT_TOL:
+        idem, ok = opcore.check(p @ p - p, _IDEMPOTENT_TOL)
+        if not ok:
             raise NumericalError(
                 f"isotypic projector for {irrep.name!r} fails idempotence ({idem:.3e}); "
                 "representation and character table are inconsistent")
@@ -710,8 +692,8 @@ def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
     residual measures how far it is elsewhere.
     """
     t = opcore.as_complex_matrix(t)
-    eq_res = equivariance_residual(rho, t)
-    if eq_res > equivar_tol:
+    eq_res, ok = opcore.check(equivariance_residual(rho, t), equivar_tol)
+    if not ok:
         raise ValueError(
             f"operator is not equivariant: max ||[rho(g), T]|| = {eq_res:.3e} > {equivar_tol:g}")
     entries = []
@@ -762,40 +744,26 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
             f"{cj} carry {float(values[ci])!r} vs {float(values[cj])!r}")
     per_element = values[group.class_index]
     t = np.einsum("g,gij->ij", per_element.astype(np.complex128), rho.matrices)
-    herm = opcore.screened_norm(t - t.conj().T, OBSERVABLE_HERM_TOL)
-    if herm > OBSERVABLE_HERM_TOL:
+    herm, ok = opcore.check(t - t.conj().T, OBSERVABLE_HERM_TOL)
+    if not ok:
         raise NumericalError(f"class-function observable is not Hermitian ({herm:.3e})")
-    eq = equivariance_residual(rho, t)
-    if eq > 1e-10:
+    eq, ok = opcore.check(equivariance_residual(rho, t), OBSERVABLE_EQUIVAR_TOL)
+    if not ok:
         raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
     return t
-
-
-@dataclass(frozen=True)
-class HsyncVerdict:
-    """Membership in the synchronization-preserving algebra.
-
-    Member iff H commutes with the whole joint action and with K. Equivariance
-    is checked on the generating set S: ``generator_residual`` is
-    r_S = max_{s in S} ||[J(s), H]||, and ``equivariance_bound`` is the tree
-    bound B >= max_g ||[J(g), H]||, or that exact max when neither r_S nor B
-    settled the verdict.
-    """
-
-    generators: list
-    word_length: int
-    generator_residual: float
-    equivariance_bound: float
-    kernel_commutation_residual: float
-    member: bool
 
 
 def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
                      rho_a: Representation, rho_b: Representation,
                      equivar_tol: float = EQUIVAR_TOL,
-                     compat_tol: float = COMPAT_TOL) -> HsyncVerdict:
+                     compat_tol: float = COMPAT_TOL) -> dict:
     """Whether the system's H lies in the commutant of g -> rho_A(g) (x) rho_B(g)
-    and commutes with the system's K.
+    and commutes with the system's K: the verdict ``member``, with the
+    generating set S as ``generators``, the tree's ``word_length``,
+    ``generator_residual`` r_S = max_{s in S} ||[J(s), H]||,
+    ``equivariance_bound`` B >= max_g ||[J(g), H]|| (or that exact max when
+    neither r_S nor B settled the verdict) and ``kernel_commutation_residual``
+    ||[H, K]||.
 
     B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
     (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
@@ -810,56 +778,31 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
     group, tree = rho_a.group, rho_a.group.tree
     r_s, bound = _equivariance_bound(system, rho_a, rho_b, tree)
-    if r_s <= equivar_tol < bound:
+    if opcore.check(r_s, equivar_tol)[1] and not opcore.check(bound, equivar_tol)[1]:
         h, gs = system.hamiltonian, np.arange(group.order)
         bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),
                                    group.order, system.dim)
     kern_res = bundle.epsilon
-    member = bound <= equivar_tol and opcore.within(
-        kern_res, compat_tol, lambda: opcore.operator_norm(system.hamiltonian) * bundle.k_norm)
-    return HsyncVerdict(
-        generators=[group.elements[g] for g in tree.generators],
-        word_length=tree.depth,
-        generator_residual=r_s,
-        equivariance_bound=bound,
-        kernel_commutation_residual=kern_res,
-        member=bool(member),
-    )
-
-
-@dataclass(frozen=True)
-class ContainmentEntry:
-    irrep: str
-    alpha: float
-    beta: float
-    matched: bool
-    max_deviation: float
-    ok: bool
-
-
-@dataclass(frozen=True, eq=False)
-class ContainmentReport:
-    """Per-irrep fate of the diagonal isotypic subspace under K.
-
-    Irrep l is matched when |alpha_l - beta_l| is within the kernel's cutoff,
-    the rule that puts a label pair in ker K, and ``max_deviation`` bounds
-    ||K|_block - (alpha_l - beta_l) I|| on its block. ``contained`` refers to
-    the matched part only. ``kernel_dim`` is dim ker K and ``diagonal_dim``
-    the dimension of the matched blocks, which ker K contains; it is larger
-    when labels of different irreps agree. Neither gates ``passed``.
-    """
-
-    entries: list
-    contained: bool
-    all_matched: bool
-    kernel_dim: int
-    diagonal_dim: int
-    passed: bool
+    member = opcore.check(bound, equivar_tol)[1] and opcore.check(
+        kern_res, compat_tol, lambda: opcore.operator_norm(system.hamiltonian) * bundle.k_norm)[1]
+    return {"generators": [group.elements[g] for g in tree.generators],
+            "word_length": tree.depth, "generator_residual": r_s, "equivariance_bound": bound,
+            "kernel_commutation_residual": kern_res, "member": member}
 
 
 def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport,
-                              bundle: SyncOperatorBundle) -> ContainmentReport:
+                              bundle: SyncOperatorBundle) -> dict:
     """Fate of each diagonal block V_l^A (x) V_l^B under K = T_A (x) I - I (x) T_B.
+
+    Returns one entry per irrep present on both sides, {irrep, alpha, beta,
+    matched, max_deviation, ok}. Irrep l is matched when |alpha_l - beta_l| is
+    within the kernel's cutoff, the rule that puts a label pair in ker K, and
+    max_deviation bounds ||K|_block - (alpha_l - beta_l) I|| on its block; ok
+    is max_deviation within KERNEL_RESIDUAL_TOL. ``contained`` refers to the
+    matched part only, ``passed`` to every entry. ``kernel_dim`` is dim ker K
+    and ``diagonal_dim`` the dimension of the matched blocks, which ker K
+    contains; it is larger when labels of different irreps agree. Neither
+    gates ``passed``.
 
     ``schur_a`` and ``schur_b`` are the Schur reports of T_A and T_B, each
     carrying the decomposition it was computed on, and ``bundle`` is
@@ -890,17 +833,12 @@ def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport,
         if matched:
             diagonal_dim += comp_a.isotypic_dim * comp_b.isotypic_dim
         deviation = e_a.residual + e_b.residual
-        entries.append(ContainmentEntry(
-            irrep=comp_a.irrep, alpha=alpha, beta=beta, matched=matched,
-            max_deviation=deviation, ok=deviation <= KERNEL_RESIDUAL_TOL))
-    return ContainmentReport(
-        entries=entries,
-        contained=all(e.ok for e in entries if e.matched),
-        all_matched=all(e.matched for e in entries),
-        kernel_dim=bundle.kernel.dim,
-        diagonal_dim=diagonal_dim,
-        passed=all(e.ok for e in entries),
-    )
+        entries.append({"irrep": comp_a.irrep, "alpha": alpha, "beta": beta, "matched": matched,
+                        "max_deviation": deviation,
+                        "ok": opcore.check(deviation, KERNEL_RESIDUAL_TOL)[1]})
+    return {"entries": entries, "contained": all(e["ok"] for e in entries if e["matched"]),
+            "all_matched": all(e["matched"] for e in entries), "kernel_dim": bundle.kernel.dim,
+            "diagonal_dim": diagonal_dim, "passed": all(e["ok"] for e in entries)}
 
 
 def commutant_dimension(rho: Representation) -> int:
@@ -912,7 +850,7 @@ def commutant_dimension(rho: Representation) -> int:
     traces = np.einsum("gii->g", rho.matrices)
     raw = float(np.sum(np.abs(traces) ** 2)) / rho.group.order
     dim = round(raw)
-    if abs(raw - dim) > MULT_ROUND_TOL:
+    if not opcore.check(abs(raw - dim), MULT_ROUND_TOL)[1]:
         raise ValueError(
             f"commutant dimension {raw:.6g} is not an integer within {MULT_ROUND_TOL:g}")
     return dim

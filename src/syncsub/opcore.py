@@ -18,7 +18,7 @@ HERM_TOL = 1e-12        # relative to max(1, ||M||)
 UNITARY_TOL = 1e-12     # scaled by dimension
 RECON_TOL = 1e-12       # eigendecomposition reconstruction, relative
 ORTHO_TOL = 1e-10       # subspace basis orthonormality
-KERNEL_TOL = 1e-10      # kernel cutoff, relative to the largest singular value
+KERNEL_TOL = 1e-10      # kernel cutoff, relative to ||K|| = max|a_i - b_j| (clocks.label_gaps)
 KERNEL_ABS_FLOOR = 1e-12   # absolute cutoff for numerically zero matrices
 
 
@@ -89,29 +89,38 @@ def kron_sum_norm(x, y) -> float:
 
 
 def screened_norm(r, limit: float) -> float:
-    """Spectral norm of ``r`` as far as the check ``||R|| <= limit`` needs it.
-
-    Returns ||R||_F when that is at most ``limit``, which settles the check
-    because ||R|| <= ||R||_F, and the exact ||R|| otherwise, so a failing
-    check reports the spectral norm. For residuals that are only compared
-    with a tolerance; a reported value takes operator_norm.
-    """
+    """Spectral norm of ``r`` as far as the check ``||R|| <= limit`` needs it:
+    ||R||_F when that is at most ``limit``, which settles the check because
+    ||R|| <= ||R||_F, and the exact ||R|| otherwise. The screen of ``check``."""
     fro = float(np.linalg.norm(r))
     return fro if fro <= limit else operator_norm(r)
 
 
-def within(res: float, tol: float, scale) -> bool:
-    """res <= tol * max(1, scale()), calling ``scale`` only when res > tol, the
-    smallest that limit can be: a norm it takes is skipped for a residual within tol."""
-    return res <= tol or res <= tol * max(1.0, scale())
+def check(residual, tol: float, scale=None) -> tuple:
+    """The library's one rule for a gated comparison: (r, r <= tol * max(1, scale())).
+
+    ``residual`` is a number r, or a matrix R whose r = ||R|| is screened against
+    ``tol`` (screened_norm), so a failing check reports the spectral norm.
+    Without ``scale`` the limit is ``tol``. ``scale`` is called only when
+    r > tol, the smallest the limit can be, so a norm it takes is skipped for a
+    residual within tol; a scale that is not finite raises NumericalError, since
+    that limit would pass any residual. A NaN residual fails.
+    """
+    r = screened_norm(residual, tol) if np.ndim(residual) == 2 else residual
+    if r <= tol or scale is None:
+        return r, bool(r <= tol)
+    s = scale()
+    if not np.isfinite(s):
+        raise NumericalError(f"tolerance scale is not finite ({s!r})")
+    return r, bool(r <= tol * max(1.0, s))
 
 
 def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex matrix, raising unless ||M - M^dag|| <= HERM_TOL *
-    max(1, ||M||) (``within``); the residual is screened against HERM_TOL."""
+    max(1, ||M||) (``check``)."""
     m = as_complex_matrix(m)
-    res = screened_norm(m - m.conj().T, HERM_TOL)
-    if not within(res, HERM_TOL, lambda: operator_norm(m)):
+    res, ok = check(m - m.conj().T, HERM_TOL, lambda: operator_norm(m))
+    if not ok:
         raise ValueError(f"matrix is not Hermitian: residual {res:.3e} exceeds tolerance")
     return m
 
@@ -119,9 +128,8 @@ def require_hermitian(m) -> np.ndarray:
 def require_unitary(u) -> np.ndarray:
     """Return ``u`` as a complex matrix, raising unless ||U^dag U - I|| <= UNITARY_TOL * dim."""
     u = as_complex_matrix(u)
-    limit = UNITARY_TOL * u.shape[0]
-    res = screened_norm(u.conj().T @ u - np.eye(u.shape[0]), limit)
-    if res > limit:
+    res, ok = check(u.conj().T @ u - np.eye(u.shape[0]), UNITARY_TOL * u.shape[0])
+    if not ok:
         raise ValueError(f"matrix is not unitary: residual {res:.3e} exceeds tolerance")
     return u
 
@@ -161,21 +169,10 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` are real and ascending; the columns of ``eigenvectors``
-    are the matching orthonormal eigenbasis with a deterministic phase
-    (largest-magnitude component real positive).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectrum(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of an exactly Hermitian complex matrix.
+def spectrum(m: np.ndarray) -> tuple:
+    """Eigendecomposition (w, v) of an exactly Hermitian complex matrix, as eigh
+    returns it: eigenvalues ascending, and the matching orthonormal eigenbasis
+    as columns, each with its largest-magnitude component real positive.
 
     eigh reads one triangle, so the caller Hermitizes ``m`` where it forms it,
     (A + A^dag)/2, and no copy is made here. The reconstruction error is
@@ -185,19 +182,19 @@ def spectrum(m: np.ndarray) -> Spectrum:
     """
     w, v = np.linalg.eigh(m)
     v = _fix_phases(v)
-    limit = RECON_TOL * max(1.0, float(np.max(np.abs(w))))
-    err = screened_norm((v * w) @ v.conj().T - m, limit)
-    if err > limit:
+    err, ok = check((v * w) @ v.conj().T - m, RECON_TOL * max(1.0, float(np.max(np.abs(w)))))
+    if not ok:
         raise NumericalError(f"eigendecomposition reconstruction error {err:.3e}")
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal-column basis of a subspace of C^ambient_dim.
 
-    ``tol_used`` records the absolute singular-value cutoff that produced the
-    basis (0 for exactly constructed subspaces).
+    ``tol_used`` records the absolute cutoff on label gaps that produced the
+    basis: clocks.label_gaps' cutoff, relative to ||K|| = max|a_i - b_j| (0 for
+    exactly constructed subspaces).
     """
 
     ambient_dim: int
@@ -210,8 +207,8 @@ class Subspace:
             raise ValueError(f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}")
         k = b.shape[1]
         if k:
-            res = screened_norm(b.conj().T @ b - np.eye(k), ORTHO_TOL)
-            if res > ORTHO_TOL:
+            res, ok = check(b.conj().T @ b - np.eye(k), ORTHO_TOL)
+            if not ok:
                 raise ValueError(f"basis columns not orthonormal: residual {res:.3e}")
         object.__setattr__(self, "basis", b)
 

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +100,7 @@ class Scenario:
     initial_state: dict | None = None
     # group
     group: grouprep.FiniteGroup | None = None
-    characters: grouprep.CharacterTable | None = None
+    characters: tuple | None = None   # of grouprep.Irrep
     rep_a: grouprep.Representation | None = None
     rep_b: grouprep.Representation | None = None
     class_function_a: list | None = None
@@ -267,14 +267,6 @@ def parse_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # running
 
-@dataclass(eq=False)
-class Report:
-    scenario: str
-    kind: str
-    passed: bool
-    payload: dict
-
-
 def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
                          seed_override: int | None, fallback_seed: int | None):
     """H on the scenario's space in the form it was given, plus the seed used.
@@ -351,10 +343,8 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     for i, (h_name, spec) in enumerate(s.hamiltonians):
         h, _ = _resolve_hamiltonian(spec, f"hamiltonians[{i}]", (s.clock.dim,),
                                     seed_override, s.seed)
-        verdict = clocks.classify_compatibility(
-            _as_matrix(h), s.clock, compat_tol=tol["compat_tol"], kernel_tol=tol["kernel_tol"])
-        verdicts.append({"name": h_name, "class": verdict.kind, "residual": verdict.residual,
-                         "off_block_mass": verdict.off_block_mass})
+        verdicts.append({"name": h_name, **clocks.classify_compatibility(
+            _as_matrix(h), s.clock, compat_tol=tol["compat_tol"], kernel_tol=tol["kernel_tol"])})
     return {"clock_labels": [float(x) for x in s.clock.labels], "verdicts": verdicts}, True
 
 
@@ -379,22 +369,11 @@ def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     else:
         state_seed = s.initial_state["kernel_seed"] if seed_override is None else seed_override
         psi0 = sync.sample_kernel_state(bundle, state_seed)
-    report = sync.drift_trace(system, psi0, s.times, bundle=bundle,
-                              bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
-    fields = {
-        "seeds": {"perturbation": pert_seed, "initial_state": state_seed},
-        "epsilon": report.epsilon,
-        "kernel_dim": bundle.kernel.dim,
-        "times": report.times.tolist(),
-        "drift": report.drift.tolist(),
-        "fidelity": report.fidelity.tolist(),
-        "bound_drift": report.drift_bound().tolist(),
-        "bound_fidelity": report.fidelity_bound().tolist(),
-        "drift_bound_ok": report.drift_bound_ok,
-        "fidelity_bound_ok": report.fidelity_bound_ok,
-        "max_bound_slack": report.max_bound_slack,
-    }
-    return fields, report.drift_bound_ok and report.fidelity_bound_ok
+    trace = sync.drift_trace(system, psi0, s.times, bundle=bundle,
+                             bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
+    fields = {"seeds": {"perturbation": pert_seed, "initial_state": state_seed},
+              "kernel_dim": bundle.kernel.dim, **trace}
+    return fields, trace["drift_bound_ok"] and trace["fidelity_bound_ok"]
 
 
 def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
@@ -413,11 +392,11 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     fields = {"group": {"name": s.group.name, "order": s.group.order,
                         "elements": list(s.group.elements)}}
     val_a, val_b = per_side(grouprep.validate_representation)
-    fields["validation"] = {"rep_a": asdict(val_a), "rep_b": asdict(val_b)}
+    fields["validation"] = {"rep_a": val_a, "rep_b": val_b}
     mult_a, mult_b = per_side(grouprep.multiplicities, s.characters)
     fields["multiplicities"] = {"rep_a": [[n, m] for n, m in mult_a],
                                 "rep_b": [[n, m] for n, m in mult_b]}
-    passed = val_a.passed and val_b.passed
+    passed = val_a["passed"] and val_b["passed"]
     if s.class_function_a is None:
         return fields, passed
 
@@ -427,17 +406,18 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     schur_a = grouprep.schur_scalars(t_a, s.rep_a, dec_a, equivar_tol=tol["equivar_tol"])
     schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
     fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
-    schur_ok = all(e.residual <= tol["schur_tol"] for e in schur_a.entries + schur_b.entries)
+    schur_ok = all(opcore.check(e.residual, tol["schur_tol"])[1]
+                   for e in schur_a.entries + schur_b.entries)
     h, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
     system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b), h)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
     containment = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
-    fields["containment"] = asdict(containment)
-    passed = passed and schur_ok and containment.passed
+    fields["containment"] = containment
+    passed = passed and schur_ok and containment["passed"]
     if s.hamiltonian is not None:
-        fields["membership"] = asdict(grouprep.hsync_membership(
+        fields["membership"] = grouprep.hsync_membership(
             system, bundle, s.rep_a, s.rep_b,
-            equivar_tol=tol["equivar_tol"], compat_tol=tol["compat_tol"]))
+            equivar_tol=tol["equivar_tol"], compat_tol=tol["compat_tol"])
     return fields, passed
 
 
@@ -446,8 +426,10 @@ _RUNNERS = {"compat": _run_compat, "kernel": _run_sync, "drift": _run_sync,
 
 
 def run_scenario(s: Scenario, seed_override: int | None = None,
-                 tol_overrides: dict | None = None) -> Report:
-    """Run a parsed scenario through its kind's runner and assemble the report.
+                 tol_overrides: dict | None = None) -> dict:
+    """Run a parsed scenario through its kind's runner and return the report's
+    payload, which names the ``scenario`` and its ``kind`` and holds the verdict
+    ``passed``.
 
     ``seed_override`` replaces every seed the scenario samples with and is
     checked as the scenario's own seeds are, under the field name ``--seed``.
@@ -458,7 +440,7 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
     tol.update(s.tolerances)
     tol.update(_parse_tolerances(tol_overrides or {}, "tol"))
     fields, passed = _RUNNERS[s.kind](s, tol, seed_override)
-    payload = {
+    return {
         "scenario": s.name,
         "kind": s.kind,
         "library_version": __version__,
@@ -469,7 +451,6 @@ def run_scenario(s: Scenario, seed_override: int | None = None,
         "seed_override": seed_override,
         "passed": passed,
     }
-    return Report(scenario=s.name, kind=s.kind, passed=passed, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -527,36 +508,34 @@ def dumps_report(payload: dict) -> str:
     return out.getvalue()
 
 
-def _csv_bytes(report: Report) -> bytes:
-    p = report.payload
+def _csv_bytes(p: dict) -> bytes:
     lines = ["t,drift,fidelity,bound_drift,bound_fidelity"]
     for row in zip(p["times"], p["drift"], p["fidelity"], p["bound_drift"], p["bound_fidelity"]):
         lines.append(",".join(format(v, ".17g") for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _text_bytes(report: Report) -> bytes:
-    p = report.payload
-    lines = [f"scenario: {report.scenario}  (kind: {report.kind})",
-             f"passed: {report.passed}"]
-    if report.kind == "compat":
+def _text_bytes(p: dict) -> bytes:
+    kind = p["kind"]
+    lines = [f"scenario: {p['scenario']}  (kind: {kind})", f"passed: {p['passed']}"]
+    if kind == "compat":
         lines.append(f"{'hamiltonian':<16}{'class':<16}{'residual':<26}off_block_mass")
         for v in p["verdicts"]:
             lines.append(f"{v['name']:<16}{v['class']:<16}"
                          f"{format(v['residual'], '.17g'):<26}"
                          f"{format(v['off_block_mass'], '.17g')}")
-    elif report.kind == "kernel":
+    elif kind == "kernel":
         lines.append(f"kernel dimension: {p['kernel']['dim']}")
         if "epsilon" in p:
             lines.append(f"epsilon: {format(p['epsilon'], '.17g')}")
-    elif report.kind in SERIES_KINDS:
+    elif kind in SERIES_KINDS:
         lines.append(f"epsilon: {format(p['epsilon'], '.17g')}")
         lines.append(f"drift_bound_ok: {p['drift_bound_ok']}  "
                      f"fidelity_bound_ok: {p['fidelity_bound_ok']}")
         lines.append(f"{'t':<26}{'drift':<26}fidelity")
         for t, d, f in zip(p["times"], p["drift"], p["fidelity"]):
             lines.append(f"{format(t, '.17g'):<26}{format(d, '.17g'):<26}{format(f, '.17g')}")
-    elif report.kind == "group":
+    elif kind == "group":
         lines.append(f"group: {p['group']['name']} (order {p['group']['order']})")
         lines.append(f"rep_a multiplicities: {p['multiplicities']['rep_a']}")
         lines.append(f"rep_b multiplicities: {p['multiplicities']['rep_b']}")
@@ -567,15 +546,15 @@ def _text_bytes(report: Report) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def emit_report(report: Report, fmt: str = "json") -> bytes:
-    """Serialize a report; csv only exists for the series kinds."""
+def emit_report(payload: dict, fmt: str = "json") -> bytes:
+    """Serialize a report payload; csv only exists for the series kinds."""
     if fmt == "json":
-        return dumps_report(report.payload).encode("utf-8")
+        return dumps_report(payload).encode("utf-8")
     if fmt == "csv":
-        if report.kind not in SERIES_KINDS:
+        if payload["kind"] not in SERIES_KINDS:
             raise ScenarioError("format", f"csv output is only defined for kinds "
-                                          f"{SERIES_KINDS}, not {report.kind!r}")
-        return _csv_bytes(report)
+                                          f"{SERIES_KINDS}, not {payload['kind']!r}")
+        return _csv_bytes(payload)
     if fmt == "text":
-        return _text_bytes(report)
+        return _text_bytes(payload)
     raise ScenarioError("format", f"unknown format {fmt!r}")

@@ -20,6 +20,7 @@ from .opcore import Subspace
 
 BOUND_SLACK = 1e-9   # absolute roundoff allowance on top of the proven bounds
 INIT_TOL = 1e-8      # how far psi(0) may sit from ker(K)
+NORM_TOL = 1e-12     # how far ||psi(0)|| may sit from 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,35 +146,18 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
                               k_diagonal=g, kernel_index=index, clock_hamiltonian=h)
 
 
-@dataclass(frozen=True, eq=False)
-class DriftReport:
-    """Time series of kernel drift ||K psi(t)|| and fidelity ||Pi psi(t)||^2.
-
-    ``drift_bound_ok`` checks drift <= epsilon |t| + slack at every sample,
-    ``fidelity_bound_ok`` checks fidelity >= 1 - epsilon^2 t^2 - slack.
-    ``max_bound_slack`` is the largest signed margin by which any sample
-    approached either theoretical bound (negative means comfortably inside).
-    """
-
-    times: np.ndarray
-    drift: np.ndarray
-    fidelity: np.ndarray
-    epsilon: float
-    drift_bound_ok: bool
-    fidelity_bound_ok: bool
-    max_bound_slack: float
-
-    def drift_bound(self) -> np.ndarray:
-        return self.epsilon * np.abs(self.times)
-
-    def fidelity_bound(self) -> np.ndarray:
-        return 1.0 - (self.epsilon * self.times) ** 2
-
-
 def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
                 bound_slack: float = BOUND_SLACK,
-                init_tol: float = INIT_TOL) -> DriftReport:
+                init_tol: float = INIT_TOL) -> dict:
     """Evolve psi0 and record drift/fidelity with bound verdicts.
+
+    Returns the series kinds' report fields: ``times``, ``drift`` ||K psi(t)||,
+    ``fidelity`` ||Pi psi(t)||^2, their bounds ``bound_drift`` epsilon |t| and
+    ``bound_fidelity`` 1 - epsilon^2 t^2 as lists, ``epsilon``, the verdicts
+    ``drift_bound_ok`` (drift <= bound + slack at every sample) and
+    ``fidelity_bound_ok`` (fidelity >= bound - slack), and ``max_bound_slack``,
+    the largest signed margin by which a sample approached either bound
+    (negative means inside).
 
     psi0 must be normalized and lie in ker(K) within init_tol; the tested
     bounds use the realized epsilon = ||[H,K]||, never a configured value.
@@ -191,12 +175,12 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     if psi0.shape[0] != system.dim:
         raise ValueError(f"state dim {psi0.shape[0]} does not match system dim {system.dim}")
     norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > 1e-12:
+    if not opcore.check(abs(norm - 1.0), NORM_TOL)[1]:
         raise ValueError(f"initial state is not normalized: ||psi0|| = {norm!r}")
     g = bundle.k_diagonal   # ||K x|| = ||G U^dag x||
     psi0 = _to_clock_basis(system, psi0)   # psi0' from here on
-    k_res = _scaled_norm(g * psi0)
-    if k_res > init_tol:
+    k_res, in_kernel = opcore.check(_scaled_norm(g * psi0), init_tol)
+    if not in_kernel:
         raise ValueError(
             f"initial state lies outside the kernel: ||K psi0|| = {k_res:.3e} > {init_tol:.1e}")
 
@@ -205,27 +189,31 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
         raise ValueError("times must be a nonempty finite 1-d sequence")
 
     h = bundle.clock_hamiltonian
-    spec = opcore.spectrum(clock_hamiltonian(system) if h is None else h)
-    v = spec.eigenvectors
-    phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) * (v.conj().T @ psi0)[:, None]
+    w, v = opcore.spectrum(clock_hamiltonian(system) if h is None else h)
+    phi = np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None]
     fidelity = np.linalg.norm(v[bundle.kernel_index] @ phi, axis=0) ** 2
     eps = bundle.epsilon
     with np.errstate(over="ignore", invalid="ignore"):
         drift = np.linalg.norm((g[:, None] * v) @ phi, axis=0)
-        drift_excess = drift - eps * np.abs(times)
-        fid_excess = (1.0 - (eps * times) ** 2) - fidelity
+        bound_drift = eps * np.abs(times)
+        bound_fidelity = 1.0 - (eps * times) ** 2
+        drift_excess = drift - bound_drift
+        fid_excess = bound_fidelity - fidelity
     # an overflowing drift or bound makes an excess inf or nan: no verdict can be read
     if not (np.all(np.isfinite(drift_excess)) and np.all(np.isfinite(fid_excess))):
         raise opcore.NumericalError("drift series or its bounds overflow")
-    return DriftReport(
-        times=times,
-        drift=drift,
-        fidelity=fidelity,
-        epsilon=eps,
-        drift_bound_ok=bool(np.all(drift_excess <= bound_slack)),
-        fidelity_bound_ok=bool(np.all(fid_excess <= bound_slack)),
-        max_bound_slack=float(max(np.max(drift_excess), np.max(fid_excess))),
-    )
+    drift_excess, fid_excess = float(np.max(drift_excess)), float(np.max(fid_excess))
+    return {
+        "times": times.tolist(),
+        "drift": drift.tolist(),
+        "fidelity": fidelity.tolist(),
+        "bound_drift": bound_drift.tolist(),
+        "bound_fidelity": bound_fidelity.tolist(),
+        "epsilon": eps,
+        "drift_bound_ok": opcore.check(drift_excess, bound_slack)[1],
+        "fidelity_bound_ok": opcore.check(fid_excess, bound_slack)[1],
+        "max_bound_slack": max(drift_excess, fid_excess),
+    }
 
 
 def _scaled_norm(x: np.ndarray) -> float:

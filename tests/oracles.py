@@ -12,14 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from syncsub import grouprep, opcore
-from syncsub.clocks import (
-    COMPAT_TOL,
-    ClockObservable,
-    CompatibilityVerdict,
-    _philox,
-    _random_hermitian,
-)
-from syncsub.opcore import NumericalError, Spectrum, Subspace
+from syncsub.clocks import COMPAT_TOL, ClockObservable, _philox, _random_hermitian
+from syncsub.opcore import NumericalError, Subspace
 
 LABEL_SEP = 1e-9       # absolute gap below which the dense classifier merges labels
 
@@ -56,7 +50,7 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def hermitian_eig(m) -> Spectrum:
+def hermitian_eig(m) -> tuple:
     """Eigendecomposition of a Hermitian matrix with deterministic output: the
     Hermitian part (M + M^dag)/2 of a matrix that passes require_hermitian."""
     m = opcore.require_hermitian(m)
@@ -86,12 +80,10 @@ def evolve(h, t: float) -> np.ndarray:
 
     Exactly unitary up to roundoff for Hermitian H; no series truncation.
     """
-    spec = hermitian_eig(h)
-    phases = np.exp(-1j * spec.eigenvalues * float(t))
-    u = (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
-    limit = opcore.UNITARY_TOL * u.shape[0]
-    res = opcore.screened_norm(u.conj().T @ u - np.eye(u.shape[0]), limit)
-    if res > limit:
+    w, v = hermitian_eig(h)
+    u = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    res, ok = opcore.check(u.conj().T @ u - np.eye(u.shape[0]), opcore.UNITARY_TOL * u.shape[0])
+    if not ok:
         raise NumericalError(f"evolution lost unitarity: residual {res:.3e}")
     return u
 
@@ -154,7 +146,7 @@ def block_structure(t: ClockObservable) -> BlockStructure:
 
 
 def classify_compatibility(h, t: ClockObservable,
-                           compat_tol: float = COMPAT_TOL) -> CompatibilityVerdict:
+                           compat_tol: float = COMPAT_TOL) -> dict:
     """The dense classifier: ||[H, T]|| from T itself, the blocks from LABEL_SEP
     and off_block_mass = ||H - sum_l P_l H P_l|| from one projector per block."""
     h = opcore.require_hermitian(h)
@@ -176,7 +168,7 @@ def classify_compatibility(h, t: ClockObservable,
         diagonal = off_diag <= compat_tol or off_diag <= compat_tol * max(
             1.0, opcore.operator_norm(h))
         kind = "diagonal" if diagonal else "block_diagonal"
-    return CompatibilityVerdict(residual=residual, kind=kind, off_block_mass=off_block_mass)
+    return {"class": kind, "residual": residual, "off_block_mass": off_block_mass}
 
 
 def random_compatible(t: ClockObservable, seed: int) -> np.ndarray:
@@ -214,12 +206,12 @@ def preservation_residual(system, bundle, times) -> float:
     times = np.asarray(times, dtype=np.float64)
     if not np.all(np.isfinite(times)):
         raise ValueError("evolution times must be finite")
-    spec = hermitian_eig(system.hamiltonian)
+    w, v = hermitian_eig(system.hamiltonian)
     basis = bundle.kernel.basis
-    coeffs = spec.eigenvectors.conj().T @ basis
+    coeffs = v.conj().T @ basis
     worst = 0.0
-    for phases in np.exp(-1j * np.outer(spec.eigenvalues, times)).T:
-        moved = spec.eigenvectors @ (phases[:, None] * coeffs)
+    for phases in np.exp(-1j * np.outer(w, times)).T:
+        moved = v @ (phases[:, None] * coeffs)
         worst = max(worst, opcore.operator_norm(moved - basis @ (basis.conj().T @ moved)))
     return worst
 
@@ -325,8 +317,8 @@ def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
         eye = np.eye(ambient)
         joint = tensor_representation(rho_a, rho_b)
         for g in range(joint.group.order):
-            leak = opcore.screened_norm((eye - pi) @ joint[g] @ pi, 1e-10)
-            if leak > 1e-10:
+            leak, ok = opcore.check((eye - pi) @ joint[g] @ pi, 1e-10)
+            if not ok:
                 raise NumericalError(
                     f"diagonal isotypic subspace is not invariant under "
                     f"{joint.group.elements[g]!r} (leakage {leak:.3e})")

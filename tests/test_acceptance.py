@@ -40,14 +40,14 @@ def test_criterion_01_three_level_clock_compatibility():
         res = oracles.compatibility_residual(h.astype(complex), t)
         if res > 1e-12:
             failures.append(f"{name} residual {res:.3e}")
-        if clocks.classify_compatibility(h.astype(complex), t).kind != "diagonal":
+        if clocks.classify_compatibility(h.astype(complex), t)["class"] != "diagonal":
             failures.append(f"{name} not classified diagonal")
     res4 = oracles.compatibility_residual(H4, t)
     verdict4 = clocks.classify_compatibility(H4, t)
     if abs(res4 - 1.0) > 1e-12:
         failures.append(f"H4 residual {res4!r} != 1")
-    if verdict4.kind != "incompatible":
-        failures.append(f"H4 verdict {verdict4.kind}")
+    if verdict4["class"] != "incompatible":
+        failures.append(f"H4 verdict {verdict4['class']}")
     _criterion(1, "three-level clock: H1-H3 compatible, H4 incompatible with residual 1",
                failures)
 
@@ -77,7 +77,7 @@ def test_criterion_02_pauli_z_kernel_and_membership():
     group, _ = grouprep.builtin_group("Z2xZ2")
     rho = grouprep.representation_from_generators(group, {"a": SIGMA_Z, "b": SIGMA_Z})
     system = sync.make_system(za, za, np.kron(SIGMA_X, eye))
-    if grouprep.hsync_membership(system, sync.sync_bundle(system), rho, rho).member:
+    if grouprep.hsync_membership(system, sync.sync_bundle(system), rho, rho)["member"]:
         failures.append("X(x)I passed membership")
     _criterion(2, "Pauli-Z qubits: kernel span{|00>,|11>}, Z-type members, X(x)I rejected",
                failures)
@@ -104,10 +104,9 @@ def test_criterion_03_compatible_systems_preserve_kernel_and_spectra():
             failures.append(f"trial {trial}: leakage {leak:.3e}")
         ta_full = np.kron(oracles.clock_matrix(ta), np.eye(db))
         before = np.sort(np.linalg.eigvalsh(ta_full))
-        spec = oracles.hermitian_eig(system.hamiltonian)
+        evals, evecs = oracles.hermitian_eig(system.hamiltonian)
         for t in times:
-            u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * t)) @ \
-                spec.eigenvectors.conj().T
+            u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
             evolved = u.conj().T @ ta_full @ u
             after = np.sort(np.linalg.eigvalsh((evolved + evolved.conj().T) / 2))
             if np.max(np.abs(after - before)) > 1e-10:
@@ -139,13 +138,12 @@ def epsilon_sweep():
             report = sync.drift_trace(system, psi0, times, bundle=bundle)
 
             # decomposition residual max |F + ||(I-Pi)psi||^2 - 1| on the grid
-            spec = oracles.hermitian_eig(system.hamiltonian)
+            evals, evecs = oracles.hermitian_eig(system.hamiltonian)
             eye = np.eye(system.dim)
             projector = opcore.projector(bundle.kernel)
             decomp_err = 0.0
             for t in times:
-                u = (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * t)) @ \
-                    spec.eigenvectors.conj().T
+                u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
                 psi_t = u @ psi0
                 fid = float(np.linalg.norm(projector @ psi_t) ** 2)
                 leak = float(np.linalg.norm((eye - projector) @ psi_t) ** 2)
@@ -160,7 +158,7 @@ def epsilon_sweep():
                 "epsilon": bundle.epsilon,
                 "report": report,
                 "decomp_err": decomp_err,
-                "window_drift": float(window_report.drift[0]),
+                "window_drift": window_report["drift"][0],
                 "delta": delta,
             })
     return runs
@@ -170,7 +168,7 @@ def test_criterion_04_drift_bound(epsilon_sweep):
     failures = []
     for run in epsilon_sweep:
         r = run["report"]
-        excess = r.drift - run["epsilon"] * np.abs(r.times)
+        excess = np.asarray(r["drift"]) - run["epsilon"] * np.abs(r["times"])
         worst = float(np.max(excess))
         if worst > 1e-9:
             failures.append(f"eps={run['eps']} seed={run['seed']}: excess {worst:.3e}")
@@ -181,7 +179,7 @@ def test_criterion_05_fidelity_bound(epsilon_sweep):
     failures = []
     for run in epsilon_sweep:
         r = run["report"]
-        shortfall = (1.0 - (run["epsilon"] * r.times) ** 2) - r.fidelity
+        shortfall = (1.0 - (run["epsilon"] * np.asarray(r["times"])) ** 2) - r["fidelity"]
         worst = float(np.max(shortfall))
         if worst > 1e-9:
             failures.append(f"eps={run['eps']} seed={run['seed']}: shortfall {worst:.3e}")
@@ -263,30 +261,30 @@ def test_criterion_08_s3_kernel_containment():
         t = grouprep.observable_from_class_function(f, rho)
         schur = grouprep.schur_scalars(t, rho, dec)
         report = contained(schur, schur)
-        if not report.all_matched:
+        if not report["all_matched"]:
             failures.append(f"trial {trial}: scalars diverged on equal inputs")
         norms = block_norms(t, t)
-        for entry in report.entries:
-            if np.max(norms[entry.irrep]) > 1e-9:
-                failures.append(f"trial {trial}/{entry.irrep}: "
-                                f"||K b|| = {np.max(norms[entry.irrep]):.3e}")
+        for entry in report["entries"]:
+            if np.max(norms[entry["irrep"]]) > 1e-9:
+                failures.append(f"trial {trial}/{entry['irrep']}: "
+                                f"||K b|| = {np.max(norms[entry['irrep']]):.3e}")
 
         g = f.copy()
         g[trial % 3] += rng.uniform(0.1, 1.0)
         t_b = grouprep.observable_from_class_function(g, rho)
         perturbed = contained(schur, grouprep.schur_scalars(t_b, rho, dec))
         norms = block_norms(t, t_b)
-        for entry in perturbed.entries:
-            gap = abs(entry.alpha - entry.beta)
-            kb = norms[entry.irrep]
+        for entry in perturbed["entries"]:
+            gap = abs(entry["alpha"] - entry["beta"])
+            kb = norms[entry["irrep"]]
             left = np.max(kb) > 1e-6
             if left != (gap > 1e-6):
-                failures.append(f"trial {trial}/{entry.irrep}: left={left} but gap={gap:.3e}")
-            if gap > 1e-6 and (entry.max_deviation > 1e-9 or np.max(np.abs(kb - gap)) > 1e-9):
-                failures.append(f"trial {trial}/{entry.irrep}: "
+                failures.append(f"trial {trial}/{entry['irrep']}: left={left} but gap={gap:.3e}")
+            if gap > 1e-6 and (entry["max_deviation"] > 1e-9 or np.max(np.abs(kb - gap)) > 1e-9):
+                failures.append(f"trial {trial}/{entry['irrep']}: "
                                 f"||K b|| off by {np.max(np.abs(kb - gap)):.3e}")
             if gap <= 1e-6 and np.max(kb) > 1e-9:
-                failures.append(f"trial {trial}/{entry.irrep}: matched residual "
+                failures.append(f"trial {trial}/{entry['irrep']}: matched residual "
                                 f"{np.max(kb):.3e}")
     _criterion(8, "S3 class-function clocks: kernel containment exact, perturbed "
                   "classes leave by |alpha - beta|", failures)

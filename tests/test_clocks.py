@@ -60,16 +60,16 @@ class TestCompatibilityResidual:
     def test_diagonal_hamiltonians_commute(self):
         t = clocks.make_clock([0, 1, 2])
         h2 = np.diag([np.pi, -np.pi, 0.0]).astype(complex)
-        assert clocks.classify_compatibility(h2, t).residual <= 1e-12
+        assert clocks.classify_compatibility(h2, t)["residual"] <= 1e-12
 
     def test_off_diagonal_coupling(self):
         # oracle: 3x3 products by hand give ||[H4, T]|| = 1
         t = clocks.make_clock([0, 1, 2])
-        assert clocks.classify_compatibility(H4, t).residual == pytest.approx(1.0, abs=1e-12)
+        assert clocks.classify_compatibility(H4, t)["residual"] == pytest.approx(1.0, abs=1e-12)
 
     def test_clock_with_itself(self):
         t = clocks.make_clock([0, 1, 2])
-        assert clocks.classify_compatibility(oracles.clock_matrix(t), t).residual == 0.0
+        assert clocks.classify_compatibility(oracles.clock_matrix(t), t)["residual"] == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match clock dim"):
@@ -83,7 +83,7 @@ class TestBlockStructure:
     def test_non_degenerate_gives_singletons(self):
         h = random_hermitian(np.random.default_rng(5), 3)
         v = clocks.classify_compatibility(h, clocks.make_clock([0, 1, 2]))
-        assert v.off_block_mass == pytest.approx(
+        assert v["off_block_mass"] == pytest.approx(
             opcore.operator_norm(h - np.diag(np.diag(h))), rel=1e-14)
 
     def test_degenerate_grouping(self):
@@ -91,13 +91,13 @@ class TestBlockStructure:
         inside, across = np.diag([0.5, 0.2, -0.3]), np.diag([0.5, 0.2, -0.3])
         inside[0, 1] = inside[1, 0] = 0.25
         across[0, 2] = across[2, 0] = 0.25
-        assert clocks.classify_compatibility(inside, t).off_block_mass == 0.0
-        assert clocks.classify_compatibility(across, t).off_block_mass == 0.25
+        assert clocks.classify_compatibility(inside, t)["off_block_mass"] == 0.0
+        assert clocks.classify_compatibility(across, t)["off_block_mass"] == 0.25
 
     def test_identity_clock_single_block(self):
         h = random_hermitian(np.random.default_rng(6), 4)
         v = clocks.classify_compatibility(h, clocks.make_clock([1.0] * 4))
-        assert (v.residual, v.off_block_mass, v.kind) == (0.0, 0.0, "block_diagonal")
+        assert (v["residual"], v["off_block_mass"], v["class"]) == (0.0, 0.0, "block_diagonal")
 
     def test_projectors_orthogonal_and_complete(self):
         # the dense oracle's projectors, which random_compatible builds from
@@ -116,14 +116,14 @@ class TestClassifyCompatibility:
     def test_diagonal_example(self):
         t = clocks.make_clock([0, 1, 2])
         v = clocks.classify_compatibility(np.diag([0.0, np.sqrt(2), -1.0]), t)
-        assert v.kind == "diagonal"
-        assert v.residual <= 1e-12
+        assert v["class"] == "diagonal"
+        assert v["residual"] <= 1e-12
 
     def test_incompatible_example(self):
         t = clocks.make_clock([0, 1, 2])
         v = clocks.classify_compatibility(H4, t)
-        assert v.kind == "incompatible"
-        assert v.off_block_mass == pytest.approx(1.0, abs=1e-12)
+        assert v["class"] == "incompatible"
+        assert v["off_block_mass"] == pytest.approx(1.0, abs=1e-12)
 
     def test_block_diagonal_on_degenerate_eigenspace(self):
         rng = np.random.default_rng(1)
@@ -131,8 +131,8 @@ class TestClassifyCompatibility:
         p1 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         h = p1 @ random_hermitian(rng, 3) @ p1
         v = clocks.classify_compatibility(h, t)
-        assert v.kind == "block_diagonal"
-        assert v.residual <= 1e-12
+        assert v["class"] == "block_diagonal"
+        assert v["residual"] <= 1e-12
 
     @pytest.mark.parametrize("coupling, kind", [(1e-8, "diagonal"), (1e-3, "block_diagonal")])
     def test_off_diagonal_limit_scales_with_norm(self, coupling, kind):
@@ -141,8 +141,8 @@ class TestClassifyCompatibility:
         h = np.diag([1e6, 0.0, 0.5])
         h[0, 1] = h[1, 0] = coupling
         v = clocks.classify_compatibility(h, clocks.make_clock([0, 0, 1]))
-        assert v.kind == kind
-        assert v.residual <= 1e-12 and v.off_block_mass <= 1e-12
+        assert v["class"] == kind
+        assert v["residual"] <= 1e-12 and v["off_block_mass"] <= 1e-12
 
     def test_commutant_closure(self):
         # functions of T commute with each other and classify as diagonal
@@ -154,7 +154,7 @@ class TestClassifyCompatibility:
         assert opcore.operator_norm(f @ g - g @ f) <= 1e-12 * (
             opcore.operator_norm(f) * opcore.operator_norm(g))
         for h in (f, g):
-            assert clocks.classify_compatibility((h + h.conj().T) / 2, t).kind == "diagonal"
+            assert clocks.classify_compatibility((h + h.conj().T) / 2, t)["class"] == "diagonal"
 
     def test_block_reconstruction(self):
         rng = np.random.default_rng(3)
@@ -162,16 +162,16 @@ class TestClassifyCompatibility:
         for seed in range(10):
             h = oracles.random_compatible(t, seed)
             v = clocks.classify_compatibility(h, t)
-            assert v.kind != "incompatible"
-            assert v.off_block_mass <= clocks.COMPAT_TOL * max(1.0, opcore.operator_norm(h))
+            assert v["class"] != "incompatible"
+            assert v["off_block_mass"] <= clocks.COMPAT_TOL * max(1.0, opcore.operator_norm(h))
 
     def test_non_degenerate_never_block_diagonal(self):
         t = clocks.make_clock([0.0, 0.5, 1.5, 4.0])
         for seed in range(20):
             h = oracles.random_compatible(t, seed)
             v = clocks.classify_compatibility(h, t)
-            assert v.residual <= 1e-12 * max(1.0, opcore.operator_norm(h) * 4.0)
-            assert v.kind == "diagonal"
+            assert v["residual"] <= 1e-12 * max(1.0, opcore.operator_norm(h) * 4.0)
+            assert v["class"] == "diagonal"
 
 
 def sample_hamiltonian(family, t, seed):
@@ -207,11 +207,11 @@ class TestAgainstDenseOracle:
         h = sample_hamiltonian(family, t, seed)
         got = clocks.classify_compatibility(h, t)
         want = oracles.classify_compatibility(h, t)
-        assert got.kind == want.kind
+        assert got["class"] == want["class"]
         # c d u ||H|| max(1, ||T||): the roundoff of the dense products both sides form
         limit = ORACLE_C * t.dim * U * opcore.operator_norm(h) * max(1.0, np.max(np.abs(labels)))
-        assert abs(got.residual - want.residual) <= limit
-        assert abs(got.off_block_mass - want.off_block_mass) <= limit
+        assert abs(got["residual"] - want["residual"]) <= limit
+        assert abs(got["off_block_mass"] - want["off_block_mass"]) <= limit
 
     @settings(max_examples=30, deadline=None)
     @given(ints=INT_LABELS, rotated=st.booleans(), seed=SEEDS)
@@ -224,10 +224,10 @@ class TestAgainstDenseOracle:
         rng = np.random.default_rng(seed)
         basis = random_unitary(rng, len(ints)) if rotated else None
         h = random_hermitian(rng, len(ints))
-        want = clocks.classify_compatibility(h, clocks.make_clock(ints, basis)).off_block_mass
+        want = clocks.classify_compatibility(h, clocks.make_clock(ints, basis))["off_block_mass"]
         for k in range(-35, 36):
             t = clocks.make_clock(np.ldexp(np.asarray(ints, dtype=float), k), basis)
-            assert clocks.classify_compatibility(h, t).off_block_mass == want, k
+            assert clocks.classify_compatibility(h, t)["off_block_mass"] == want, k
 
 
 class TestRandomCompatible:

@@ -212,13 +212,13 @@ class TestValidateRepresentation:
     def test_trivial_rep_passes(self, s3):
         group, _ = s3
         report = grouprep.validate_representation(oracles.trivial_representation(group, 3))
-        assert report.passed
-        assert report.pairs_checked == 12   # |G| |S|, S = {r, s}
+        assert report["passed"]
+        assert report["pairs_checked"] == 12   # |G| |S|, S = {r, s}
 
     def test_sigma_x_on_z2(self, z2):
         group, _ = z2
         rho = grouprep.representation_from_generators(group, {"g1": SIGMA_X})
-        assert grouprep.validate_representation(rho).passed
+        assert grouprep.validate_representation(rho)["passed"]
 
     def test_non_unitary_rejected(self, z2):
         group, _ = z2
@@ -231,8 +231,8 @@ class TestValidateRepresentation:
         rho = grouprep.Representation(group=group,
                                       matrices=np.stack([np.eye(2), np.diag([1.0, 1j])]))
         report = grouprep.validate_representation(rho)
-        assert not report.passed
-        assert report.max_homomorphism_residual > 1e-3
+        assert not report["passed"]
+        assert report["max_homomorphism_residual"] > 1e-3
 
     def test_generators_must_generate(self, klein):
         group, _ = klein
@@ -243,7 +243,7 @@ class TestValidateRepresentation:
         for name in ("Z2", "Z2xZ2", "S3", "D4"):
             group, _ = grouprep.builtin_group(name)
             assert grouprep.validate_representation(
-                oracles.regular_representation(group)).passed
+                oracles.regular_representation(group))["passed"]
 
 
 def per_pair_residuals(rho, pairs=None):
@@ -275,17 +275,17 @@ def assert_validation_matches_oracle(rho):
     report = grouprep.validate_representation(rho)
     r_s, unit_res = per_pair_residuals(rho, generator_pairs(group))
     exact, _ = per_pair_residuals(rho)
-    assert (report.max_homomorphism_residual, report.max_unitarity_residual) == (r_s, unit_res)
+    assert (report["max_homomorphism_residual"], report["max_unitarity_residual"]) == (r_s, unit_res)
     bound = grouprep._tree_bound(group.tree, *tree_inputs(rho, unit_res))
     assert r_s <= exact <= bound
     fallback = r_s <= tol < bound
-    assert report.homomorphism_bound == (exact if fallback else bound)
-    assert report.pairs_checked == group.order * (group.order if fallback
+    assert report["homomorphism_bound"] == (exact if fallback else bound)
+    assert report["pairs_checked"] == group.order * (group.order if fallback
                                                   else len(group.tree.generators))
     ident_res = opcore.operator_norm(rho[group.identity_index] - np.eye(rho.dim))
-    assert report.passed == (exact <= tol and unit_res <= opcore.UNITARY_TOL * rho.dim
+    assert report["passed"] == (exact <= tol and unit_res <= opcore.UNITARY_TOL * rho.dim
                              and ident_res <= 1e-12 * rho.dim)
-    return report.passed, fallback
+    return report["passed"], fallback
 
 
 def tree_inputs(rho, unit_res):
@@ -384,8 +384,8 @@ class TestPermutationPath:
         reg = oracles.regular_representation(grouprep.builtin_group(name)[0])
         report = grouprep.validate_representation(reg)
         assert report == grouprep.validate_representation(dense_twin(reg))
-        assert report.passed and report.homomorphism_bound == 0.0
-        assert report.pairs_checked == reg.group.order * len(reg.group.tree.generators)
+        assert report["passed"] and report["homomorphism_bound"] == 0.0
+        assert report["pairs_checked"] == reg.group.order * len(reg.group.tree.generators)
 
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS[:4])
     def test_equivariance_residual_equals_dense_path(self, name):
@@ -412,7 +412,7 @@ class TestPermutationPath:
         rho = grouprep.make_representation(group, mats)
         assert rho.perm is None
         assert_validation_matches_oracle(rho)
-        assert grouprep.validate_representation(rho).max_homomorphism_residual > 0.0
+        assert grouprep.validate_representation(rho)["max_homomorphism_residual"] > 0.0
 
     def test_index_array_contradicting_the_table_reports_dense_residual(self):
         """rho(g2) = rho(g1) on Z3: each matrix permutes, but rho(g1)^2 != rho(g2)."""
@@ -423,9 +423,9 @@ class TestPermutationPath:
         assert rho.perm is not None
         report = grouprep.validate_representation(rho)
         assert report == grouprep.validate_representation(dense_twin(rho))
-        assert report.max_homomorphism_residual == \
+        assert report["max_homomorphism_residual"] == \
             per_pair_residuals(rho, generator_pairs(group))[0] > 1.0
-        assert not report.passed and assert_validation_matches_oracle(rho) == (False, False)
+        assert not report["passed"] and assert_validation_matches_oracle(rho) == (False, False)
 
     def test_z16_membership_and_validation_form_no_dense_products(self, monkeypatch):
         """Z16 reg (x) reg with a member H whose commutators with J(g1) is exactly
@@ -461,9 +461,9 @@ class TestPermutationPath:
         verdict = grouprep.hsync_membership(system, bundle, reg, reg)
         report = grouprep.validate_representation(reg)
         assert calls == [("stack", 16)]   # unitarity only, exactly zero: no SVD
-        assert verdict.member and verdict.equivariance_bound == 0.0
-        assert verdict.kernel_commutation_residual == bundle.epsilon <= 1e-12
-        assert report.passed and report.pairs_checked == 16
+        assert verdict["member"] and verdict["equivariance_bound"] == 0.0
+        assert verdict["kernel_commutation_residual"] == bundle.epsilon <= 1e-12
+        assert report["passed"] and report["pairs_checked"] == 16
 
 
 def word_lengths(group):
@@ -567,7 +567,7 @@ def test_one_replaced_permutation_is_always_caught(case, data):
             grouprep.make_representation(group, mats)
         return
     assert not grouprep.validate_representation(
-        grouprep.make_representation(group, mats)).passed
+        grouprep.make_representation(group, mats))["passed"]
 
 
 def test_only_the_random_draws_sample():
@@ -707,10 +707,8 @@ class TestMultiplicities:
     def test_wrong_table_rejected(self, z2):
         group, _ = z2
         rho = oracles.trivial_representation(group, 1)
-        bad = grouprep.CharacterTable(irreps=(
-            grouprep.Irrep("x", 1, np.array([1.0, 1j])),
-            grouprep.Irrep("y", 1, np.array([1.0, -1j])),
-        ))
+        bad = (grouprep.Irrep("x", 1, np.array([1.0, 1j])),
+               grouprep.Irrep("y", 1, np.array([1.0, -1j])))
         with pytest.raises(ValueError, match="multiplicity"):
             grouprep.multiplicities(rho, bad)
 
@@ -947,30 +945,30 @@ class TestHsyncMembership:
         for h in (np.kron(SIGMA_Z, np.eye(2)), np.kron(np.eye(2), SIGMA_Z),
                   0.3 * np.kron(SIGMA_Z, np.eye(2)) - 1.7 * np.kron(np.eye(2), SIGMA_Z)):
             verdict = membership(h, rho, rho, Z_CLOCK, Z_CLOCK)
-            assert verdict.member
-            assert verdict.kernel_commutation_residual <= 1e-12
+            assert verdict["member"]
+            assert verdict["kernel_commutation_residual"] <= 1e-12
 
     def test_xx_fails_kernel_commutation(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
         verdict = membership(np.kron(SIGMA_X, SIGMA_X), rho, rho, Z_CLOCK, Z_CLOCK)
-        assert not verdict.member
-        assert verdict.kernel_commutation_residual > 1.0
-        assert verdict.equivariance_bound <= 1e-12  # X(x)X does commute with Z(x)Z
+        assert not verdict["member"]
+        assert verdict["kernel_commutation_residual"] > 1.0
+        assert verdict["equivariance_bound"] <= 1e-12  # X(x)X does commute with Z(x)Z
 
     def test_identity_is_member(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
         verdict = membership(np.eye(4), rho, rho, Z_CLOCK, Z_CLOCK)
-        assert verdict.member
-        assert verdict.equivariance_bound == 0.0
-        assert verdict.kernel_commutation_residual == 0.0
+        assert verdict["member"]
+        assert verdict["equivariance_bound"] == 0.0
+        assert verdict["kernel_commutation_residual"] == 0.0
 
     def test_scaled_threshold_admits_large_hamiltonian(self, pauli_z_pair):
         # ||[H,K]|| = 4e-8 exceeds compat_tol = 1e-10 but not compat_tol * ||H|| ||K||
         _, _, rho = pauli_z_pair
         h = 1e4 * np.kron(SIGMA_Z, np.eye(2)) + 1e-8 * np.kron(SIGMA_X, SIGMA_X)
         verdict = membership(h, rho, rho, Z_CLOCK, Z_CLOCK)
-        assert verdict.kernel_commutation_residual == pytest.approx(4e-8, rel=1e-6)
-        assert verdict.member
+        assert verdict["kernel_commutation_residual"] == pytest.approx(4e-8, rel=1e-6)
+        assert verdict["member"]
 
     def test_clock_dims_must_match_representations(self, pauli_z_pair):
         _, _, rho = pauli_z_pair
@@ -990,7 +988,7 @@ class TestHsyncMembership:
             f = rng.uniform(-1, 1, size=3)
             t_obs, clock = class_clock(f, rho, chars)
             h = np.kron(t_obs, np.eye(4)) + np.kron(np.eye(4), t_obs)
-            assert membership(h, rho, rho, clock, clock).member
+            assert membership(h, rho, rho, clock, clock)["member"]
             for t in (0.1, 1.0, 10.0):
                 u = oracles.evolve(h, t)
                 assert opcore.operator_norm((eye - pi) @ u @ pi) <= 1e-9
@@ -1016,8 +1014,8 @@ class TestKernelContainment:
             t = grouprep.observable_from_class_function(f, rho)
             schur = grouprep.schur_scalars(t, rho, dec)
             report = containment(schur, schur)
-            assert report.all_matched and report.contained and report.passed
-            assert report.kernel_dim >= report.diagonal_dim == 1 + 1 + 4
+            assert report["all_matched"] and report["contained"] and report["passed"]
+            assert report["kernel_dim"] >= report["diagonal_dim"] == 1 + 1 + 4
 
     def test_perturbed_class_function(self, s3, s3_multiplicity_free):
         group, chars = s3
@@ -1031,15 +1029,15 @@ class TestKernelContainment:
         dec = grouprep.isotypic_projectors(rho, chars)
         report = containment(grouprep.schur_scalars(t_a, rho, dec),
                              grouprep.schur_scalars(t_b, rho, dec))
-        by_name = {e.irrep: e for e in report.entries}
+        by_name = {e["irrep"]: e for e in report["entries"]}
         norms = block_kernel_norms(rho, rho, t_a, t_b, chars)
-        assert by_name["std"].matched and by_name["std"].ok
+        assert by_name["std"]["matched"] and by_name["std"]["ok"]
         for name in ("triv", "sign"):
             entry = by_name[name]
-            assert not entry.matched
-            assert np.max(np.abs(norms[name] - abs(entry.alpha - entry.beta))) <= 1e-9
-        assert report.passed and report.contained and not report.all_matched
-        assert (report.kernel_dim, report.diagonal_dim) == (4, 4)
+            assert not entry["matched"]
+            assert np.max(np.abs(norms[name] - abs(entry["alpha"] - entry["beta"]))) <= 1e-9
+        assert report["passed"] and report["contained"] and not report["all_matched"]
+        assert (report["kernel_dim"], report["diagonal_dim"]) == (4, 4)
 
     def test_zero_observables_trivially_contained(self, s3, s3_multiplicity_free):
         _, chars = s3
@@ -1047,8 +1045,8 @@ class TestKernelContainment:
         t = grouprep.observable_from_class_function([0.0, 0.0, 0.0], rho)
         schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
         report = containment(schur, schur)
-        assert report.all_matched and report.contained
-        assert (report.kernel_dim, report.diagonal_dim) == (16, 1 + 1 + 4)
+        assert report["all_matched"] and report["contained"]
+        assert (report["kernel_dim"], report["diagonal_dim"]) == (16, 1 + 1 + 4)
 
     def test_roundoff_label_gaps_match(self):
         """T = rho(e) on S3's regular representation and on a unitary conjugate
@@ -1066,8 +1064,8 @@ class TestKernelContainment:
                 for a in schur_a.entries for b in schur_b.entries]
         assert 0.0 < max(gaps) <= 1e-14
         report = containment(schur_a, schur_b)
-        assert report.all_matched and report.passed
-        assert (report.kernel_dim, report.diagonal_dim) == (36, 1 + 1 + 16)
+        assert report["all_matched"] and report["passed"]
+        assert (report["kernel_dim"], report["diagonal_dim"]) == (36, 1 + 1 + 16)
 
 
 def stacked_commutant_dimension(rho):
@@ -1196,17 +1194,17 @@ class TestIsotypicClock:
                 norms = opcore.operator_norm(t_a) + opcore.operator_norm(t_b)
                 roundoff = 8 * eps * rho.dim * norms
                 kernel = bundle.kernel.basis
-                for entry in report.entries:
-                    block = np.kron(comps[entry.irrep].basis, comps[entry.irrep].basis)
+                for entry in report["entries"]:
+                    block = np.kron(comps[entry["irrep"]].basis, comps[entry["irrep"]].basis)
                     kb = np.linalg.norm(k @ block, axis=0)
-                    assert np.max(np.abs(kb - abs(entry.alpha - entry.beta))) \
-                        <= entry.max_deviation + roundoff, (name, entry.irrep)
-                    if entry.matched:
+                    assert np.max(np.abs(kb - abs(entry["alpha"] - entry["beta"]))) \
+                        <= entry["max_deviation"] + roundoff, (name, entry["irrep"])
+                    if entry["matched"]:
                         leak = block - kernel @ (kernel.conj().T @ block)
-                        assert opcore.operator_norm(leak) <= 1e-10, (name, entry.irrep)
+                        assert opcore.operator_norm(leak) <= 1e-10, (name, entry["irrep"])
 
                 dense = oracles.null_space(oracles.sync_operator(clock_a, clock_b))
-                assert dense.dim == bundle.kernel.dim >= report.diagonal_dim, name
+                assert dense.dim == bundle.kernel.dim >= report["diagonal_dim"], name
                 assert opcore.operator_norm(opcore.projector(dense)
                                             - opcore.projector(bundle.kernel)) <= 1e-10, name
         if name in ("S3", "D4"):

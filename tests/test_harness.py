@@ -167,10 +167,10 @@ class TestRunScenario:
     def test_compat_verdicts(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json")
         report = scenario.run_scenario(s)
-        verdicts = [(v["name"], v["class"]) for v in report.payload["verdicts"]]
+        verdicts = [(v["name"], v["class"]) for v in report["verdicts"]]
         assert verdicts == [("H1", "diagonal"), ("H2", "diagonal"),
                             ("H3", "diagonal"), ("H4", "incompatible")]
-        assert report.passed
+        assert report["passed"]
 
     def test_compat_blocks_follow_the_kernel_rule(self, tmp_path):
         """Labels 4e-10 apart are distinct, as in the kernel kind: H4 couples
@@ -179,38 +179,38 @@ class TestRunScenario:
         doc = json.loads((SCENARIO_DIR / "ex55_compat.json").read_text())
         doc["clock"] = {"labels": [0, 4e-10, 8e-10]}
         report = scenario.run_scenario(scenario.parse_scenario(write_scenario(tmp_path, doc)))
-        h4 = report.payload["verdicts"][3]
+        h4 = report["verdicts"][3]
         assert (h4["class"], h4["off_block_mass"]) == ("incompatible", 1.0)
         assert h4["residual"] == pytest.approx(4e-10, rel=1e-12)
 
     def test_kernel_scenario(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "ex74_kernel.json")
         report = scenario.run_scenario(s)
-        assert report.payload["kernel"]["dim"] == 2
-        assert report.payload["epsilon"] <= 1e-12
-        proj = matrix_from_literal(report.payload["projector"])
+        assert report["kernel"]["dim"] == 2
+        assert report["epsilon"] <= 1e-12
+        proj = matrix_from_literal(report["projector"])
         np.testing.assert_allclose(proj, np.diag([1.0, 0, 0, 1.0]), atol=1e-12)
 
     def test_compatible_drift_passes(self, tmp_path):
         path = write_scenario(tmp_path, drift_payload(
             hamiltonian={"local": {"a": {"diag": [0.5, -0.5]}, "b": {"diag": [0.5, -0.5]}}}))
         report = scenario.run_scenario(scenario.parse_scenario(path))
-        assert report.payload["epsilon"] <= 1e-12
-        assert all(d <= 1e-10 for d in report.payload["drift"])
-        assert report.passed
+        assert report["epsilon"] <= 1e-12
+        assert all(d <= 1e-10 for d in report["drift"])
+        assert report["passed"]
 
     def test_perturbed_drift(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "drift_perturbed.json")
         report = scenario.run_scenario(s)
-        assert report.passed
-        assert report.payload["epsilon"] > 0
-        assert report.payload["drift_bound_ok"]
+        assert report["passed"]
+        assert report["epsilon"] > 0
+        assert report["drift_bound_ok"]
 
     def test_seed_override_changes_direction(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "drift_perturbed.json")
         base = scenario.run_scenario(s)
         other = scenario.run_scenario(s, seed_override=99)
-        assert base.payload["epsilon"] != other.payload["epsilon"]
+        assert base["epsilon"] != other["epsilon"]
 
     def test_group_scenario(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -221,10 +221,10 @@ class TestRunScenario:
             "class_function_a": [0.25, 1.5],
         })
         report = scenario.run_scenario(scenario.parse_scenario(path))
-        assert report.passed
-        assert report.payload["validation"]["rep_a"]["passed"]
-        assert report.payload["multiplicities"]["rep_a"] == [["chi0", 1], ["chi1", 1]]
-        assert report.payload["containment"]["all_matched"]
+        assert report["passed"]
+        assert report["validation"]["rep_a"]["passed"]
+        assert report["multiplicities"]["rep_a"] == [["chi0", 1], ["chi1", 1]]
+        assert report["containment"]["all_matched"]
 
     def test_group_scenario_without_class_functions(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -234,9 +234,9 @@ class TestRunScenario:
             "rep": {"generators": {"g1": {"diag": [1, -1]}}},
         })
         report = scenario.run_scenario(scenario.parse_scenario(path))
-        assert report.passed
-        assert report.payload["multiplicities"]["rep_b"] == [["chi0", 1], ["chi1", 1]]
-        assert not {"schur", "containment", "membership"} & report.payload.keys()
+        assert report["passed"]
+        assert report["multiplicities"]["rep_b"] == [["chi0", 1], ["chi1", 1]]
+        assert not {"schur", "containment", "membership"} & report.keys()
 
     def test_group_membership(self, tmp_path):
         path = write_scenario(tmp_path, {
@@ -248,7 +248,7 @@ class TestRunScenario:
             "hamiltonian": {"diag": [1, 0, 0, -1]},
         })
         report = scenario.run_scenario(scenario.parse_scenario(path))
-        assert report.payload["membership"]["member"]
+        assert report["membership"]["member"]
 
     def test_explicit_direction_on_matrix_base(self, tmp_path):
         """base + strength * direction from literals reports like that sum given
@@ -262,8 +262,8 @@ class TestRunScenario:
             "strength": 0.05}), name="perturbed.json")
         summed = write_scenario(tmp_path, drift_payload(
             hamiltonian=matrix_to_literal(base + 0.05 * direction)), name="summed.json")
-        got = scenario.run_scenario(scenario.parse_scenario(perturbed)).payload
-        want = scenario.run_scenario(scenario.parse_scenario(summed)).payload
+        got = scenario.run_scenario(scenario.parse_scenario(perturbed))
+        want = scenario.run_scenario(scenario.parse_scenario(summed))
         assert got["seeds"] == {"perturbation": None, "initial_state": 3}
         assert got["epsilon"] > 0
         for key in ("epsilon", "drift", "fidelity", "kernel_dim", "passed"):
@@ -288,9 +288,9 @@ class TestEmitReport:
         report = scenario.run_scenario(s)
         parsed = json.loads(scenario.emit_report(report, "json").decode())
         # .17g preserves doubles exactly; every field must survive
-        assert parsed["epsilon"] == report.payload["epsilon"]
-        assert parsed["drift"] == report.payload["drift"]
-        assert parsed["times"] == report.payload["times"]
+        assert parsed["epsilon"] == report["epsilon"]
+        assert parsed["drift"] == report["drift"]
+        assert parsed["times"] == report["times"]
         assert parsed["passed"] is True
         assert parsed["input_digest"] == s.digest
         assert parsed["generator"] == "philox"
@@ -560,7 +560,7 @@ class TestCli:
     def test_computed_nan_exit_three(self, monkeypatch, capsys):
         def nan_epsilon(*args, **kwargs):
             report = scenario.run_scenario(*args, **kwargs)
-            report.payload["epsilon"] = float("nan")
+            report["epsilon"] = float("nan")
             return report
 
         monkeypatch.setattr(cli, "run_scenario", nan_epsilon)
@@ -618,6 +618,17 @@ class TestCli:
         done = run_in_subprocess(write_scenario(tmp_path, payload))
         assert done.returncode == 3
         assert done.stderr == "syncsub: numerical failure: clock-basis commutator overflows\n"
+
+    def test_overflowing_tolerance_scale_exits_three(self, tmp_path):
+        """||H|| ||T|| = 4e300 * 1e8 overflows to inf, and compat_tol * inf would
+        pass any ||[H, T]||: the compatibility check exits 3 with one line on
+        stderr instead of classifying H."""
+        payload = {"name": "scale-overflow", "kind": "compat",
+                   "clock": {"labels": [0, 1e8, 2e7, 5e7]},
+                   "hamiltonians": [{"dim": 4, "entries": [[1e300, 0.0]] * 16}]}
+        done = run_in_subprocess(write_scenario(tmp_path, payload))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "syncsub: numerical failure: tolerance scale is not finite (inf)\n"
 
     def test_local_commutator_overflow_matches_dense_path(self, tmp_path):
         """A local H takes epsilon from its factors, with each side's labels
@@ -1029,7 +1040,7 @@ def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
             return _fn(m, *args, **kwargs)
         monkeypatch.setattr(opcore, name, counted)
     svds = record_shapes(monkeypatch, "svd")
-    assert scenario.run_scenario(s).passed
+    assert scenario.run_scenario(s)["passed"]
     assert shapes["require_hermitian"].count((n, n)) == 1
     assert shapes["hermitian_norm"] == [(n, n)] * 2
     assert shapes["operator_norm"] == [] and svds == []
@@ -1065,7 +1076,7 @@ def test_matrix_literal_hamiltonian_checked_once(tmp_path, monkeypatch, capsys, 
         return _fn(m)
 
     monkeypatch.setattr(opcore, "require_hermitian", counted)
-    assert scenario.run_scenario(s).passed
+    assert scenario.run_scenario(s)["passed"]
     assert checked.count(True) == 1
 
     entries = [[0.0, 0.0]] * 16
@@ -1138,7 +1149,7 @@ def test_group_membership_takes_two_joint_norms(tmp_path, monkeypatch, member):
         return _fn(m)
 
     monkeypatch.setattr(opcore, "operator_norm", counted)
-    membership = scenario.run_scenario(s).payload["membership"]
+    membership = scenario.run_scenario(s)["membership"]
     assert membership["member"] is member
     assert shapes.count((64, 64)) <= 2
     assert (membership["generators"], membership["word_length"]) == (["g1"], 7)
@@ -1171,7 +1182,7 @@ def test_local_group_scenario_takes_no_joint_svd(tmp_path, monkeypatch, member):
     and for a non-member alike."""
     s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member, n=16)))
     calls = record_shapes(monkeypatch, "svd")
-    membership = scenario.run_scenario(s).payload["membership"]
+    membership = scenario.run_scenario(s)["membership"]
     assert membership["member"] is member
     assert (membership["generator_residual"] > 0) is not member
     assert calls and (256, 256) not in [shape for shape, _ in calls]
@@ -1196,7 +1207,7 @@ def test_local_group_scenario_forms_no_dense_h(tmp_path, monkeypatch, member):
     check reads the permuted factors, so the 256 x 256 H is never formed."""
     s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member, n=16)))
     calls = count_kron_sums(monkeypatch)
-    assert scenario.run_scenario(s).payload["membership"]["member"] is member
+    assert scenario.run_scenario(s)["membership"]["member"] is member
     assert calls == []
 
 
@@ -1256,7 +1267,7 @@ def test_epsilon_svd_follows_the_hamiltonians_form(tmp_path, monkeypatch, local)
     svds = record_shapes(monkeypatch, "svd")
     eigvalsh = record_shapes(monkeypatch, "eigvalsh")
     report = scenario.run_scenario(s)
-    assert report.passed and report.payload["epsilon"] > 0
+    assert report["passed"] and report["epsilon"] > 0
     assert [shape for shape, in_bundle in eigvalsh if in_bundle] == (
         [(2, 2)] * 2 if local else [(4, 4)])
     assert not [shape for shape, in_bundle in svds if in_bundle]
@@ -1278,7 +1289,7 @@ def test_scenarios_never_build_dense_k(tmp_path, monkeypatch, payload):
     for name in ("kron_difference", "sync_operator"):
         monkeypatch.setattr(oracles, name, lambda *args, _name=name: calls.append(_name))
     report = scenario.run_scenario(scenario.parse_scenario(write_scenario(tmp_path, payload)))
-    assert report.passed
+    assert report["passed"]
     assert calls == []
 
 
@@ -1303,7 +1314,7 @@ def test_compat_scenario_never_builds_a_dense_clock(monkeypatch):
     for name in ("clock_matrix", "commutator", "block_structure", "compatibility_residual",
                  "classify_compatibility"):
         monkeypatch.setattr(oracles, name, lambda *args, _name=name: calls.append(_name))
-    assert scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json")).passed
+    assert scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json"))["passed"]
     assert calls == []
 
 
@@ -1323,7 +1334,7 @@ def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypat
 
     monkeypatch.setattr(opcore, "operator_norm", counted)
     s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(True)))
-    assert scenario.run_scenario(s).passed
+    assert scenario.run_scenario(s)["passed"]
     assert callers     # the reported residuals stay exact spectral norms
     assert not [names for names in callers
                 if names & {"make_representation", "isotypic_projectors"}]
@@ -1342,12 +1353,12 @@ def assert_group_analyses(tmp_path, monkeypatch, doc, sides):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(grouprep, name, counted)
-    payload = scenario.run_scenario(s).payload
+    payload = scenario.run_scenario(s)
     assert calls == {"validate_representation": sides, "isotypic_projectors": sides,
                      "multiplicities": 2 * sides}
     monkeypatch.undo()
     want = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex_group_s3.json"))
-    assert {**payload, "input_digest": None} == {**want.payload, "input_digest": None}
+    assert {**payload, "input_digest": None} == {**want, "input_digest": None}
 
 
 @pytest.mark.parametrize("two_sides", [False, True])
@@ -1427,21 +1438,52 @@ def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
     """ex55's diagonal H1-H3 pass both compatibility checks at compat_tol, so
     only the incompatible H4 needs ||H||: classify_compatibility takes that,
     the four residuals and the four off_block_mass norms, and nothing else
-    takes a spectral norm. A norm taken in a lambda that opcore.within calls
-    counts as taken by within's caller."""
+    takes a spectral norm. A norm taken in a lambda that opcore.check calls
+    counts as taken by check's caller."""
     callers = []
 
     def counted(m, _fn=opcore.operator_norm):
         frame = sys._getframe(1)
-        if frame.f_code.co_name == "<lambda>" and frame.f_back.f_code.co_name == "within":
+        if frame.f_code.co_name == "<lambda>" and frame.f_back.f_code.co_name == "check":
             frame = frame.f_back.f_back
         callers.append(frame.f_code.co_name)
         return _fn(m)
 
     monkeypatch.setattr(opcore, "operator_norm", counted)
     report = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json"))
-    assert [v["class"] for v in report.payload["verdicts"]] == ["diagonal"] * 3 + ["incompatible"]
+    assert [v["class"] for v in report["verdicts"]] == ["diagonal"] * 3 + ["incompatible"]
     assert callers == ["classify_compatibility"] * 9
+
+
+# Dense factorizations per scenario run, pinned: a tolerance check that screens
+# against a smaller limit, or reads a lazy scale eagerly, adds SVDs here.
+FACTORIZATIONS = {
+    "drift_perturbed": {"eigh": 1, "eigvalsh": 2},
+    "ex55_compat": {"norm2": 3},
+    "ex74_kernel": {"eigvalsh": 2},
+    "ex_group_s3": {"eigh": 3, "eigvalsh": 2, "norm2": 13},
+    "z16-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
+    "z16-non-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORIZATIONS))
+def test_dense_factorization_counts_are_pinned(tmp_path, monkeypatch, name):
+    """Calls of np.linalg.svd, eigh, eigvalsh and norm(., 2) in one run of a
+    bundled scenario or of a Z16 regular (x) regular member or non-member."""
+    if name.startswith("z16"):
+        path = write_scenario(tmp_path, cyclic_regular_payload(name == "z16-member", n=16))
+    else:
+        path = SCENARIO_DIR / f"{name}.json"
+    counts = dict.fromkeys(("svd", "eigh", "eigvalsh", "norm2"), 0)
+    for fn in ("svd", "eigh", "eigvalsh", "norm"):
+        def counted(*args, _fn=getattr(np.linalg, fn), _name=fn, **kwargs):
+            if _name != "norm" or (args[1:2] or [kwargs.get("ord")])[0] == 2:
+                counts["norm2" if _name == "norm" else _name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, fn, counted)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert {k: v for k, v in counts.items() if v} == FACTORIZATIONS[name]
 
 
 # Traced by name in perfbench/run.py but moved to tests/oracles.py, so their

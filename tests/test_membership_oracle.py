@@ -54,7 +54,7 @@ def generator_built(group):
     else:
         gens = {"g1": np.diag(np.exp(2j * np.pi * np.arange(3) / group.order))}
     rho = grouprep.representation_from_generators(group, gens)
-    assert grouprep.validate_representation(rho).passed
+    assert grouprep.validate_representation(rho)["passed"]
     return rho
 
 
@@ -173,13 +173,13 @@ def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, wher
     exact, member = oracle_membership(h, rho_a, rho_b, *(oracles.clock_matrix(c) for c in factors),
                                       compat_tol=compat_tol)
     bound = tree_bound(h, rho_a, rho_b)
-    r_s = verdict.generator_residual
-    assert verdict.member == member, where
+    r_s = verdict["generator_residual"]
+    assert verdict["member"] == member, where
     assert r_s == generator_residual(h, rho_a, rho_b), where
     assert r_s <= exact <= bound, where
     fallback = r_s <= TOL < bound
     assert len(exact_calls) == int(fallback), where
-    assert verdict.equivariance_bound == (exact if fallback else bound), where
+    assert verdict["equivariance_bound"] == (exact if fallback else bound), where
     return verdict, fallback
 
 
@@ -192,7 +192,7 @@ def test_membership_matches_full_group_oracle(name, monkeypatch):
             where = (name, label, kind)
             verdict, fallback = check_against_oracle(h, rho_a, rho_b, factors, compat_tol,
                                                      monkeypatch, where)
-            verdicts.append(verdict.member)
+            verdicts.append(verdict["member"])
             fallbacks += fallback
     assert any(verdicts), name
     if name != "Z1":   # the one element of Z1 acts as I: every H is a member
@@ -214,7 +214,7 @@ def test_fallback_decides_both_ways(monkeypatch):
         h = (x * TOL / r_v) * v
         verdict, fallback = check_against_oracle(h, reg, reg, factors, 1e-10, monkeypatch, x)
         assert fallback
-        verdicts.append(verdict.member)
+        verdicts.append(verdict["member"])
     assert verdicts == [True, False, False]
 
 
@@ -235,12 +235,12 @@ def test_permutation_path_equals_dense_path(name):
             continue
         verdict = membership(h, reg, reg, *factors, compat_tol=compat_tol)
         assert verdict == membership(h, dense, dense, *factors, compat_tol=compat_tol), kind
-        fallback = verdict.generator_residual <= TOL < tree_bound(h, dense, dense)
+        fallback = verdict["generator_residual"] <= TOL < tree_bound(h, dense, dense)
         if not fallback:
             exact = grouprep.equivariance_residual(joint, h)
             assert exact == grouprep.equivariance_residual(dense_joint, h), kind
         fallbacks += fallback
-        verdicts.add(verdict.member)
+        verdicts.add(verdict["member"])
     assert fallbacks and verdicts == {True, False}
 
 
@@ -306,8 +306,8 @@ def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
     h = np.kron(c, np.eye(3))
     factors = (clocks.make_clock(np.ones(3)), clocks.make_clock(np.ones(3)))
     verdict, fallback = check_against_oracle(h, rho, rho, factors, 1e-10, monkeypatch, "Z3")
-    assert fallback and verdict.generator_residual == 0.0
-    assert not verdict.member and verdict.equivariance_bound > TOL
+    assert fallback and verdict["generator_residual"] == 0.0
+    assert not verdict["member"] and verdict["equivariance_bound"] > TOL
     dense = dataclasses.replace(rho, perm=None)
     assert verdict == membership(h, dense, dense, *factors)
 
@@ -330,8 +330,8 @@ def test_fallback_gathers_on_permutation_pairs(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(np, "kron", lambda *args: pytest.fail("Kronecker product formed"))
             verdict = grouprep.hsync_membership(system, bundle, reg, reg, compat_tol=compat_tol)
-        assert verdict.generator_residual <= TOL < tree_bound(h, reg, reg), kind
-        assert verdict.equivariance_bound == exact, kind
+        assert verdict["generator_residual"] <= TOL < tree_bound(h, reg, reg), kind
+        assert verdict["equivariance_bound"] == exact, kind
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -1,8 +1,10 @@
-"""The Frobenius screen of opcore.screened_norm against the exact rule it replaced.
+"""The library's one rule for gated comparisons, opcore.check, and its Frobenius
+screen (opcore.screened_norm) against the exact rule it replaced.
 
-Every pass/fail check routed through the screen must give the verdict and the
-error text that the plain spectral norm gives. The exact rule is the screen
-with its shortcut removed: opcore.screened_norm replaced by operator_norm.
+Every comparison of a residual with a limit goes through opcore.check, and
+every check that passes it a matrix must give the verdict and the error text
+that the plain spectral norm gives. The exact rule is the screen with its
+shortcut removed: opcore.screened_norm replaced by operator_norm.
 The two can only disagree for a numerically rank-1 residual whose norm lies
 within roundoff of the limit (there ||R||_F and the computed ||R||_2 round
 differently), so the probes below build residuals with exactly known norms:
@@ -107,6 +109,27 @@ def test_screened_norm_takes_no_svd_below_the_limit(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rule_screens_against_the_limit_it_checks(monkeypatch):
+    """opcore.check settles a matrix residual whose Frobenius norm is within tol
+    with no SVD and without calling its lazy scale, and opcore.spectrum screens
+    against its full limit RECON_TOL * max|lambda|, not RECON_TOL."""
+    calls = []
+    monkeypatch.setattr(opcore, "operator_norm", lambda a: calls.append(a) or 0.0)
+    r, ok = opcore.check(np.diag([1e-13, -1e-13]), 1e-12, lambda: calls.append("scale"))
+    assert (r, ok) == (pytest.approx(np.sqrt(2) * 1e-13), True)
+    # eigh reads only the real part of the diagonal, so the imaginary 1e-9 is the
+    # reconstruction error: above RECON_TOL, within RECON_TOL * 1e6
+    opcore.spectrum(np.diag([1e6, 0.5]) + 1e-9j * np.diag([1.0, 0.0]))
+    assert calls == []
+
+
+def test_rule_rejects_a_scale_that_is_not_finite():
+    """A limit tol * inf would pass any residual; one within tol needs no scale."""
+    with pytest.raises(NumericalError, match="tolerance scale is not finite"):
+        opcore.check(1.0, 1e-10, lambda: float("inf"))
+    assert opcore.check(1e-11, 1e-10, lambda: float("inf")) == (1e-11, True)
+
+
 # ---------------------------------------------------------------------------
 # every screened site of the library, and the oracles' own, against the exact rule
 
@@ -126,7 +149,7 @@ def probe_spectrum(n, c_ratio, rank):
     # imaginary diagonal part of M is exactly its reconstruction error
     b = np.diag(np.linspace(-0.5, 0.5, n))
     s = diagonal_residual(n, c_ratio * opcore.RECON_TOL, rank)
-    return lambda: opcore.spectrum(b + 1j * np.diag(s)).eigenvalues.shape
+    return lambda: opcore.spectrum(b + 1j * np.diag(s))[0].shape
 
 
 def probe_require_unitary(n, c_ratio, rank):
@@ -137,8 +160,7 @@ def probe_require_unitary(n, c_ratio, rank):
 def probe_evolve(n, c_ratio, rank):
     # eigenvectors scaled by d give U^dag U - I = diag(|d|^4 - 1)
     e = diagonal_residual(n, c_ratio * opcore.UNITARY_TOL * n, rank)
-    spec = opcore.Spectrum(eigenvalues=np.linspace(-1.0, 1.0, n),
-                           eigenvectors=np.diag((1.0 + e) ** 0.25).astype(np.complex128))
+    spec = (np.linspace(-1.0, 1.0, n), np.diag((1.0 + e) ** 0.25).astype(np.complex128))
 
     def run():
         with patched(oracles, "hermitian_eig", lambda h: spec):
@@ -207,7 +229,7 @@ def probe_classify_off_diagonal(n, c_ratio, rank):
     c = c_ratio * clocks.COMPAT_TOL
     for p in range(1 if rank == "one" else pairs):
         h[2 * p, 2 * p + 1] = h[2 * p + 1, 2 * p] = c
-    return lambda: clocks.classify_compatibility(h, clocks.make_clock(labels)).kind
+    return lambda: clocks.classify_compatibility(h, clocks.make_clock(labels))["class"]
 
 
 # each library probe with the site it covers, as module.function
@@ -230,10 +252,9 @@ def _probe_id(probe):
     return probe.__name__[len("probe_"):]
 
 
-def call_sites(*names) -> list:
-    """``module.function`` of every call in src/syncsub to one of ``names``, once
-    per call, named by its enclosing function (and class). A name matches the
-    tail of the called expression: "subtract.outer" matches np.subtract.outer."""
+def source_sites(match) -> list:
+    """(``module.function``, node) for every AST node in src/syncsub that ``match``
+    accepts, named by its enclosing function (and class)."""
     sites = []
 
     def visit(node, module, scope):
@@ -241,10 +262,8 @@ def call_sites(*names) -> list:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                called = "." + ast.unparse(child.func)
-                if any(called.endswith("." + name) for name in names):
-                    sites.append(".".join([module] + scope))
+            if match(child):
+                sites.append((".".join([module] + scope), child))
             visit(child, module, scope)
 
     for path in sorted(SRC.glob("*.py")):
@@ -252,9 +271,58 @@ def call_sites(*names) -> list:
     return sites
 
 
+def call_sites(*names, where=lambda call: True) -> list:
+    """``module.function`` of every call in src/syncsub to one of ``names`` that
+    ``where`` accepts, once per call. A name matches the tail of the called
+    expression: "subtract.outer" matches np.subtract.outer."""
+    def match(node):
+        called = "." + ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+        return any(called.endswith("." + name) for name in names) and where(node)
+    return [site for site, _ in source_sites(match)]
+
+
+def passes_a_matrix(call) -> bool:
+    """A call of the rule screens a matrix when its residual is formed in the
+    call, as an arithmetic expression of arrays; a number residual is passed as
+    a name or the result of a call."""
+    return bool(call.args) and isinstance(call.args[0], ast.BinOp)
+
+
 def test_every_screened_site_has_one_library_probe():
     """Adding or removing a screened check in the library without its probe fails here."""
-    assert Counter(call_sites("screened_norm")) == Counter(LIBRARY_PROBES.values())
+    assert Counter(call_sites("check", where=passes_a_matrix)) == Counter(LIBRARY_PROBES.values())
+
+
+RULE = {"opcore.check", "opcore.screened_norm"}   # the rule and its screen
+LIMIT_SUFFIXES = ("_TOL", "_tol", "_slack")
+
+
+def holds_a_limit(operand) -> bool:
+    """Whether a comparison operand holds a limit: a name or attribute ending in
+    _TOL, _tol or _slack, the name ``limit``, a ``tol[...]`` subscript, or a
+    positive float literal below 1e-6."""
+    for node in ast.walk(operand):
+        if isinstance(node, ast.Name) and (node.id.endswith(LIMIT_SUFFIXES) or node.id == "limit"):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr.endswith(LIMIT_SUFFIXES):
+            return True
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "tol"):
+            return True
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0 < node.value < 1e-6:
+            return True
+    return False
+
+
+def test_every_limit_comparison_goes_through_the_rule():
+    """Outside opcore.check, no <, <=, > or >= in src/syncsub compares with a limit."""
+    def match(node):
+        return (isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+                and any(map(holds_a_limit, [node.left, *node.comparators])))
+    found = [(site, ast.unparse(node)) for site, node in source_sites(match)]
+    assert [item for item in found if item[0] not in RULE] == []
+    assert ("opcore.screened_norm", "fro <= limit") in found   # the scan reads comparisons
 
 
 @pytest.mark.parametrize("probe", list(LIBRARY_PROBES), ids=_probe_id)

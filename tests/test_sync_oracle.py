@@ -23,7 +23,8 @@ def dense_projector(system, kernel_tol=opcore.KERNEL_TOL):
 
 
 def dense_unitary(spec, t):
-    return (spec.eigenvectors * np.exp(-1j * spec.eigenvalues * t)) @ spec.eigenvectors.conj().T
+    w, v = spec
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def dense_series(system, psi0, times, projector):
@@ -101,8 +102,8 @@ def test_label_matching_matches_dense_oracle():
             psi0 = sync.sample_kernel_state(bundle, trial)
             report = sync.drift_trace(system, psi0, times, bundle=bundle)
             drift, fidelity = dense_series(system, psi0, times, projector)
-            gaps["drift"] = float(np.max(np.abs(report.drift - drift)))
-            gaps["fidelity"] = float(np.max(np.abs(report.fidelity - fidelity)))
+            gaps["drift"] = float(np.max(np.abs(report["drift"] - drift)))
+            gaps["fidelity"] = float(np.max(np.abs(report["fidelity"] - fidelity)))
         failures += [f"trial {trial}: {name} differs by {gap:.3e}"
                      for name, gap in gaps.items() if not gap <= TOL]
     assert not failures, failures[:5]
@@ -152,12 +153,11 @@ def test_standard_basis_reproduces_dense_k_bit_for_bit():
         if bundle.kernel.dim:
             psi0 = sync.sample_kernel_state(bundle, trial)
             times = np.linspace(0.0, 10.0, 5)
-            spec = opcore.spectrum(system.hamiltonian)
-            phi = np.exp(-1j * np.outer(spec.eigenvalues, times)) \
-                * (spec.eigenvectors.conj().T @ psi0)[:, None]
-            dense = np.linalg.norm((k @ spec.eigenvectors) @ phi, axis=0)
+            w, v = opcore.spectrum(system.hamiltonian)
+            phi = np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None]
+            dense = np.linalg.norm((k @ v) @ phi, axis=0)
             report = sync.drift_trace(system, psi0, times, bundle=bundle)
-            assert np.array_equal(report.drift, dense), trial
+            assert np.array_equal(report["drift"], dense), trial
 
 
 U = np.finfo(np.float64).eps / 2   # unit roundoff
@@ -269,8 +269,8 @@ def test_clock_basis_series_match_dense_oracle():
         tau = 1.0 + opcore.operator_norm(system.hamiltonian) * np.max(np.abs(times))
         scale = {"drift": 8 * (n + 1) ** 2 * U * (np.max(np.abs(a)) + np.max(np.abs(b))) * tau,
                  "fidelity": 8 * (n + 1) ** 2 * U * tau}
-        for name, got, want in (("drift", report.drift, drift),
-                                ("fidelity", report.fidelity, fidelity)):
+        for name, got, want in (("drift", report["drift"], drift),
+                                ("fidelity", report["fidelity"], fidelity)):
             gap = float(np.max(np.abs(got - want))) / scale[name]
             assert gap <= 1.0, (trial, name, gap)
             worst[name] = max(worst[name], gap)
