@@ -22,9 +22,7 @@ from .sync import (
 )
 from .grouprep import (
     FiniteGroup,
-    IsotypicDecomposition,
     Representation,
-    SchurReport,
     builtin_group,
     commutant_dimension,
     hsync_membership,
@@ -35,7 +33,6 @@ from .grouprep import (
     multiplicities,
     observable_from_class_function,
     representation_from_generators,
-    schur_scalars,
     validate_representation,
     verify_kernel_containment,
 )

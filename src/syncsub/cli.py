@@ -25,6 +25,7 @@ from .scenario import SERIES_KINDS, emit_report, parse_scenario, run_scenario
 
 log = logging.getLogger("syncsub")
 log.addHandler(logging.NullHandler())   # at import, so repeated main() calls add none
+_parser = None   # built by the first main() call, not at import, and reused
 
 _KIND_FOR_COMMAND = {
     "check-compat": ("compat",),
@@ -108,9 +109,11 @@ def _run_one(path, args, allowed_kinds) -> int:
 
 
 def main(argv=None) -> int:
+    global _parser
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     allowed = _KIND_FOR_COMMAND[args.command]
     if args.out is not None and len(args.scenarios) > 1:
         print("syncsub: --out cannot be combined with multiple scenarios", file=sys.stderr)

@@ -3,9 +3,9 @@
 Covers: validated group tables and character tables for a few built-in
 groups, unitary representations given extensionally (one matrix per
 element), character-theoretic isotypic projectors and multiplicities, Schur
-scalars of equivariant observables, membership in the algebra of
-synchronization-preserving Hamiltonians, and the kernel-containment check
-that ties irrep-label alignment to the synchronization kernel.
+scalars and isotypic clocks of equivariant observables, membership in the
+algebra of synchronization-preserving Hamiltonians, and the kernel-containment
+check that ties irrep-label alignment to the synchronization kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .clocks import COMPAT_TOL, ClockObservable, make_clock
+from .clocks import COMPAT_TOL, make_clock
 from .opcore import NumericalError
 from .sync import SyncOperatorBundle, SyncSystem
 
@@ -542,19 +542,13 @@ class IsotypicComponent:
         return self.irrep_dim * self.multiplicity
 
 
-@dataclass(frozen=True, eq=False)
-class IsotypicDecomposition:
-    components: tuple
-    group: FiniteGroup
-
-
-def isotypic_projectors(rho: Representation, chars: tuple) -> IsotypicDecomposition:
-    """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one per irrep.
+def isotypic_projectors(rho: Representation, chars: tuple, mults: list) -> tuple:
+    """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one IsotypicComponent
+    per irrep, for the (name, m) ``mults`` that multiplicities counted on ``rho``.
 
     One eigh of each P checks its rank (eigenvalues > 0.5) and gives its range basis.
     """
     group = rho.group
-    mults = multiplicities(rho, chars)
     components = []
     for irrep, (_, m) in zip(chars, mults):
         weights = _element_characters(group, irrep).conj() * (irrep.dim / group.order)
@@ -574,7 +568,7 @@ def isotypic_projectors(rho: Representation, chars: tuple) -> IsotypicDecomposit
         components.append(IsotypicComponent(
             irrep=irrep.name, irrep_dim=irrep.dim, multiplicity=m, projector=p,
             basis=opcore._fix_phases(v[:, in_range])))
-    return IsotypicDecomposition(components=tuple(components), group=group)
+    return tuple(components)
 
 
 # ---------------------------------------------------------------------------
@@ -666,65 +660,41 @@ def _tree_bound(tree: GeneratorTree, r: dict, nu: float, extra) -> float:
     return float(max(bound.values()))
 
 
-@dataclass(frozen=True, eq=False)
-class SchurEntry:
-    irrep: str
-    multiplicity: int
-    scalar: complex
-    residual: float
+def isotypic_clock(t, equivariance: float, components: tuple,
+                   equivar_tol: float = EQUIVAR_TOL) -> tuple:
+    """(schur, clock) of an observable T on the isotypic ``components`` of a
+    representation rho, where ``equivariance`` is max_g ||[rho(g), T]||.
 
-
-@dataclass(frozen=True, eq=False)
-class SchurReport:
-    entries: tuple
-    equivariance_residual: float
-    decomposition: IsotypicDecomposition
-
-
-def schur_scalars(t, rho: Representation, decomp: IsotypicDecomposition,
-                  equivar_tol: float = EQUIVAR_TOL) -> SchurReport:
-    """Per-irrep scalars of an equivariant observable.
-
-    Each component present carries alpha = tr(T P) / k, k = isotypic_dim, and
-    the residual ||T B - alpha B|| on its orthonormal basis B. A central T is
-    alpha I on every isotypic component, whatever the multiplicity; a T that is
-    only equivariant is so on the multiplicity-one components, and the
-    residual measures how far it is elsewhere.
+    ``schur`` is the report's object: the checked equivariance_residual and one
+    entry {irrep, multiplicity, scalar: [re, im], residual} per component present,
+    with alpha = tr(T P) / k, k = isotypic_dim, and the residual ||T B - alpha B||
+    on its orthonormal basis B. A central T is alpha I on every isotypic
+    component, whatever the multiplicity; a T that is only equivariant is so on
+    the multiplicity-one components, and the residual measures how far it is
+    elsewhere. ``clock`` is T in its isotypic basis: label Re(alpha_l) on each of
+    the k basis columns of every component l present; make_clock checks that the
+    stacked bases form a unitary.
     """
     t = opcore.as_complex_matrix(t)
-    eq_res, ok = opcore.check(equivariance_residual(rho, t), equivar_tol)
+    eq_res, ok = opcore.check(equivariance, equivar_tol)
     if not ok:
         raise ValueError(
             f"operator is not equivariant: max ||[rho(g), T]|| = {eq_res:.3e} > {equivar_tol:g}")
+    present = [c for c in components if c.multiplicity]
     entries = []
-    for comp in decomp.components:
-        if comp.multiplicity:
-            scalar = complex(np.trace(t @ comp.projector) / comp.isotypic_dim)
-            residual = opcore.operator_norm(t @ comp.basis - scalar * comp.basis)
-            entries.append(SchurEntry(comp.irrep, comp.multiplicity, scalar, residual))
-    return SchurReport(entries=tuple(entries), equivariance_residual=eq_res,
-                       decomposition=decomp)
+    for comp in present:
+        scalar = complex(np.trace(t @ comp.projector) / comp.isotypic_dim)
+        entries.append({"irrep": comp.irrep, "multiplicity": comp.multiplicity,
+                        "scalar": [scalar.real, scalar.imag],
+                        "residual": opcore.operator_norm(t @ comp.basis - scalar * comp.basis)})
+    labels = np.repeat([e["scalar"][0] for e in entries], [c.isotypic_dim for c in present])
+    clock = make_clock(labels, np.hstack([c.basis for c in present]))
+    return {"equivariance_residual": eq_res, "entries": entries}, clock
 
 
-def _present(schur: SchurReport):
-    """(component, Schur entry) for each isotypic component present."""
-    return zip((c for c in schur.decomposition.components if c.multiplicity), schur.entries)
-
-
-def isotypic_clock(schur: SchurReport) -> ClockObservable:
-    """The clock of T in its isotypic basis: label Re(alpha_l) on each of the
-    isotypic_dim basis columns of every component l present.
-
-    make_clock checks that the stacked component bases form a unitary and
-    that the clock is Hermitian.
-    """
-    pairs = list(_present(schur))
-    labels = np.repeat([e.scalar.real for _, e in pairs], [c.isotypic_dim for c, _ in pairs])
-    return make_clock(labels, np.hstack([c.basis for c, _ in pairs]))
-
-
-def observable_from_class_function(values, rho: Representation) -> np.ndarray:
-    """Central observable T = sum_g f(g) rho(g) from one real value per class.
+def observable_from_class_function(values, rho: Representation) -> tuple:
+    """Central observable T = sum_g f(g) rho(g) from one real value per class,
+    and its equivariance residual max_g ||[rho(g), T]||, as the pair (T, residual).
 
     Hermiticity needs f(class of g) = f(class of g^-1); violated pairs raise.
     """
@@ -750,7 +720,7 @@ def observable_from_class_function(values, rho: Representation) -> np.ndarray:
     eq, ok = opcore.check(equivariance_residual(rho, t), OBSERVABLE_EQUIVAR_TOL)
     if not ok:
         raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
-    return t
+    return t, eq
 
 
 def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
@@ -790,7 +760,7 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
             "kernel_commutation_residual": kern_res, "member": member}
 
 
-def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport,
+def verify_kernel_containment(schur_a: dict, schur_b: dict, chars: tuple,
                               bundle: SyncOperatorBundle) -> dict:
     """Fate of each diagonal block V_l^A (x) V_l^B under K = T_A (x) I - I (x) T_B.
 
@@ -804,12 +774,12 @@ def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport,
     contains; it is larger when labels of different irreps agree. Neither
     gates ``passed``.
 
-    ``schur_a`` and ``schur_b`` are the Schur reports of T_A and T_B, each
-    carrying the decomposition it was computed on, and ``bundle`` is
-    sync_bundle's for their isotypic clocks. Let B_A, B_B be the orthonormal
-    bases of irrep l's components, alpha and beta the Schur scalars (the
-    entry reports their real parts, the clock labels) and R = T B - alpha B,
-    so ||R|| is the Schur residual. Then
+    ``schur_a`` and ``schur_b`` are isotypic_clock's ``schur`` objects of T_A
+    and T_B, ``chars`` the character table that gives each irrep's dimension,
+    and ``bundle`` is sync_bundle's for their isotypic clocks. Let B_A, B_B be
+    the orthonormal bases of irrep l's components, alpha and beta the Schur
+    scalars (the entry reports their real parts, the clock labels) and
+    R = T B - alpha B, so ||R|| is the Schur residual. Then
 
         K (B_A (x) B_B) = (T_A B_A) (x) B_B - B_A (x) (T_B B_B)
                         = (alpha - beta) B_A (x) B_B + R_A (x) B_B - B_A (x) R_B,
@@ -821,19 +791,19 @@ def verify_kernel_containment(schur_a: SchurReport, schur_b: SchurReport,
     Hermitian T) of |Re(alpha - beta)|, the label gap, which is within the
     kernel cutoff on a matched block. This holds for any multiplicities.
     """
-    _require_same_group(schur_a.decomposition.group, schur_b.decomposition.group)
-    side_b = {comp.irrep: (comp, e) for comp, e in _present(schur_b)}
+    dims = {irrep.name: irrep.dim for irrep in chars}
+    side_b = {e["irrep"]: e for e in schur_b["entries"]}
     entries, diagonal_dim = [], 0
-    for comp_a, e_a in _present(schur_a):
-        if comp_a.irrep not in side_b:
+    for e_a in schur_a["entries"]:
+        e_b = side_b.get(e_a["irrep"])
+        if e_b is None:
             continue
-        comp_b, e_b = side_b[comp_a.irrep]
-        alpha, beta = e_a.scalar.real, e_b.scalar.real
+        alpha, beta = e_a["scalar"][0], e_b["scalar"][0]
         matched = abs(alpha - beta) <= bundle.kernel.tol_used
         if matched:
-            diagonal_dim += comp_a.isotypic_dim * comp_b.isotypic_dim
-        deviation = e_a.residual + e_b.residual
-        entries.append({"irrep": comp_a.irrep, "alpha": alpha, "beta": beta, "matched": matched,
+            diagonal_dim += dims[e_a["irrep"]] ** 2 * e_a["multiplicity"] * e_b["multiplicity"]
+        deviation = e_a["residual"] + e_b["residual"]
+        entries.append({"irrep": e_a["irrep"], "alpha": alpha, "beta": beta, "matched": matched,
                         "max_deviation": deviation,
                         "ok": opcore.check(deviation, KERNEL_RESIDUAL_TOL)[1]})
     return {"entries": entries, "contained": all(e["ok"] for e in entries if e["matched"]),

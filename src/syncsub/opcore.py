@@ -91,8 +91,11 @@ def kron_sum_norm(x, y) -> float:
 def screened_norm(r, limit: float) -> float:
     """Spectral norm of ``r`` as far as the check ``||R|| <= limit`` needs it:
     ||R||_F when that is at most ``limit``, which settles the check because
-    ||R|| <= ||R||_F, and the exact ||R|| otherwise. The screen of ``check``."""
-    fro = float(np.linalg.norm(r))
+    ||R|| <= ||R||_F, and the exact ||R|| otherwise. The screen of ``check``.
+    A sum of squares that overflows gives an inf screen, which settles nothing,
+    so it is taken without a numpy warning."""
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(r))
     return fro if fro <= limit else operator_norm(r)
 
 

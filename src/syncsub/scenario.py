@@ -144,6 +144,8 @@ def _parse_tolerances(obj, path: str) -> dict:
         if name not in DEFAULT_TOLERANCES:
             _fail(f"{path}.{name}", f"unknown tolerance (known: {sorted(DEFAULT_TOLERANCES)})")
         out[name] = _number(value, f"{path}.{name}", message="tolerance must be a finite number")
+        if out[name] < 0:
+            _fail(f"{path}.{name}", f"tolerance must be >= 0, got {out[name]!r}")
     return out
 
 
@@ -331,13 +333,6 @@ def _subspace_payload(sub: opcore.Subspace) -> dict:
             "tol_used": sub.tol_used, "vectors": vectors}
 
 
-def _schur_payload(report: grouprep.SchurReport) -> dict:
-    entries = [{"irrep": e.irrep, "multiplicity": e.multiplicity,
-                "scalar": [e.scalar.real, e.scalar.imag], "residual": e.residual}
-               for e in report.entries]
-    return {"equivariance_residual": report.equivariance_residual, "entries": entries}
-
-
 def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     verdicts = []
     for i, (h_name, spec) in enumerate(s.hamiltonians):
@@ -400,18 +395,20 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     if s.class_function_a is None:
         return fields, passed
 
-    t_a = grouprep.observable_from_class_function(s.class_function_a, s.rep_a)
-    t_b = grouprep.observable_from_class_function(s.class_function_b, s.rep_b)
-    dec_a, dec_b = per_side(grouprep.isotypic_projectors, s.characters)
-    schur_a = grouprep.schur_scalars(t_a, s.rep_a, dec_a, equivar_tol=tol["equivar_tol"])
-    schur_b = grouprep.schur_scalars(t_b, s.rep_b, dec_b, equivar_tol=tol["equivar_tol"])
-    fields["schur"] = {"rep_a": _schur_payload(schur_a), "rep_b": _schur_payload(schur_b)}
-    schur_ok = all(opcore.check(e.residual, tol["schur_tol"])[1]
-                   for e in schur_a.entries + schur_b.entries)
+    t_a, eq_a = grouprep.observable_from_class_function(s.class_function_a, s.rep_a)
+    t_b, eq_b = grouprep.observable_from_class_function(s.class_function_b, s.rep_b)
+    comps_a = grouprep.isotypic_projectors(s.rep_a, s.characters, mult_a)
+    comps_b = (comps_a if s.rep_b is s.rep_a
+               else grouprep.isotypic_projectors(s.rep_b, s.characters, mult_b))
+    schur_a, clock_a = grouprep.isotypic_clock(t_a, eq_a, comps_a, equivar_tol=tol["equivar_tol"])
+    schur_b, clock_b = grouprep.isotypic_clock(t_b, eq_b, comps_b, equivar_tol=tol["equivar_tol"])
+    fields["schur"] = {"rep_a": schur_a, "rep_b": schur_b}
+    schur_ok = all(opcore.check(e["residual"], tol["schur_tol"])[1]
+                   for e in schur_a["entries"] + schur_b["entries"])
     h, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
-    system = sync.make_system(grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b), h)
+    system = sync.make_system(clock_a, clock_b, h)
     bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
-    containment = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
+    containment = grouprep.verify_kernel_containment(schur_a, schur_b, s.characters, bundle)
     fields["containment"] = containment
     passed = passed and schur_ok and containment["passed"]
     if s.hamiltonian is not None:

@@ -294,16 +294,26 @@ def tensor_representation(rho_a, rho_b):
                                    perm=grouprep._joint_perm(rho_a, rho_b))
 
 
+def isotypic_components(rho, chars) -> tuple:
+    """grouprep.isotypic_projectors on the multiplicities counted on ``rho``, as
+    the group kind decomposes each distinct representation."""
+    return grouprep.isotypic_projectors(rho, chars, grouprep.multiplicities(rho, chars))
+
+
+def schur_clock(t, rho, comps, equivar_tol=grouprep.EQUIVAR_TOL) -> tuple:
+    """grouprep.isotypic_clock of any T, with its equivariance residual taken on ``rho``."""
+    return grouprep.isotypic_clock(t, grouprep.equivariance_residual(rho, t), comps, equivar_tol)
+
+
 def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
     """Direct sum over shared irreps of V_l^A (x) V_l^B inside the product space,
     for any multiplicities; the returned subspace is invariant under the joint
     action (verified before returning).
     """
     grouprep._require_same_group(rho_a.group, rho_b.group)
-    dec_a = grouprep.isotypic_projectors(rho_a, chars)
-    dec_b = grouprep.isotypic_projectors(rho_b, chars)
     pieces = [np.kron(comp_a.basis, comp_b.basis)
-              for comp_a, comp_b in zip(dec_a.components, dec_b.components)
+              for comp_a, comp_b in zip(isotypic_components(rho_a, chars),
+                                        isotypic_components(rho_b, chars))
               if comp_a.multiplicity and comp_b.multiplicity]
     ambient = rho_a.dim * rho_b.dim
     if pieces:

@@ -203,8 +203,7 @@ def test_criterion_07_regular_representations():
     for name in ("Z2", "Z2xZ2", "S3", "D4"):
         group, chars = grouprep.builtin_group(name)
         reg = oracles.regular_representation(group)
-        dec = grouprep.isotypic_projectors(reg, chars)
-        comps = dec.components
+        comps = oracles.isotypic_components(reg, chars)
         total = sum(c.projector for c in comps)
         if opcore.operator_norm(total - np.eye(group.order)) > 1e-10:
             failures.append(f"{name}: completeness")
@@ -222,9 +221,9 @@ def test_criterion_07_regular_representations():
             failures.append(f"{name}: commutant dim {found} != {expected_commutant}")
         for seed in range(20):
             t = oracles.random_equivariant_observable(reg, seed)
-            report = grouprep.schur_scalars(t, reg, dec)
-            bad = [e.irrep for e in report.entries   # Schur's lemma: multiplicity one
-                   if e.multiplicity == 1 and e.residual > 1e-9]
+            report, _ = oracles.schur_clock(t, reg, comps)
+            bad = [e["irrep"] for e in report["entries"]   # Schur's lemma: multiplicity one
+                   if e["multiplicity"] == 1 and e["residual"] > 1e-9]
             if bad:
                 failures.append(f"{name} seed {seed}: schur residuals {bad}")
     _criterion(7, "regular reps of Z2, Z2xZ2, S3, D4: projectors, ranks d^2, "
@@ -242,25 +241,26 @@ def test_criterion_08_s3_kernel_containment():
     r[2:, 2:] = rot
     s = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
     rho = grouprep.representation_from_generators(group, {"r": r, "s": s})
-    dec = grouprep.isotypic_projectors(rho, chars)
+    dec = oracles.isotypic_components(rho, chars)
 
-    def contained(schur_a, schur_b):
-        clock_a, clock_b = grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b)
+    def contained(side_a, side_b):
+        (schur_a, clock_a), (schur_b, clock_b) = side_a, side_b
         system = sync.make_system(clock_a, clock_b, np.zeros((16, 16)))
-        return grouprep.verify_kernel_containment(schur_a, schur_b, sync.sync_bundle(system))
+        return grouprep.verify_kernel_containment(schur_a, schur_b, chars,
+                                                  sync.sync_bundle(system))
 
     def block_norms(t_a, t_b):
         # ||K b|| on each diagonal block's columns, from the dense K
         k = oracles.kron_difference(t_a, t_b)
         return {c.irrep: np.linalg.norm(k @ np.kron(c.basis, c.basis), axis=0)
-                for c in dec.components}
+                for c in dec}
 
     rng = np.random.default_rng(8)
     for trial in range(20):
         f = rng.uniform(-1, 1, size=3)
-        t = grouprep.observable_from_class_function(f, rho)
-        schur = grouprep.schur_scalars(t, rho, dec)
-        report = contained(schur, schur)
+        t, equivariance = grouprep.observable_from_class_function(f, rho)
+        side = grouprep.isotypic_clock(t, equivariance, dec)
+        report = contained(side, side)
         if not report["all_matched"]:
             failures.append(f"trial {trial}: scalars diverged on equal inputs")
         norms = block_norms(t, t)
@@ -271,8 +271,8 @@ def test_criterion_08_s3_kernel_containment():
 
         g = f.copy()
         g[trial % 3] += rng.uniform(0.1, 1.0)
-        t_b = grouprep.observable_from_class_function(g, rho)
-        perturbed = contained(schur, grouprep.schur_scalars(t_b, rho, dec))
+        t_b, eq_b = grouprep.observable_from_class_function(g, rho)
+        perturbed = contained(side, grouprep.isotypic_clock(t_b, eq_b, dec))
         norms = block_norms(t, t_b)
         for entry in perturbed["entries"]:
             gap = abs(entry["alpha"] - entry["beta"])

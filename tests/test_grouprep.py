@@ -41,23 +41,24 @@ def rotation(theta):
 BUILTIN_NAMES = ("Z1", "Z2", "Z3", "Z5", "Z2xZ2", "S3", "D4")
 
 
-def containment(schur_a, schur_b):
-    """verify_kernel_containment with the bundle of the two isotypic clocks."""
-    clock_a, clock_b = grouprep.isotypic_clock(schur_a), grouprep.isotypic_clock(schur_b)
+def containment(side_a, side_b, chars):
+    """verify_kernel_containment with the bundle of the two isotypic clocks,
+    each side the (schur, clock) pair of isotypic_clock."""
+    (schur_a, clock_a), (schur_b, clock_b) = side_a, side_b
     system = sync.make_system(clock_a, clock_b, np.zeros((clock_a.dim * clock_b.dim,) * 2))
-    return grouprep.verify_kernel_containment(schur_a, schur_b, sync.sync_bundle(system))
+    return grouprep.verify_kernel_containment(schur_a, schur_b, chars, sync.sync_bundle(system))
 
 
 def class_clock(f, rho, chars):
     """(T, its isotypic clock) for the class function ``f`` on ``rho``."""
-    t = grouprep.observable_from_class_function(f, rho)
-    schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
-    return t, grouprep.isotypic_clock(schur)
+    t, equivariance = grouprep.observable_from_class_function(f, rho)
+    comps = oracles.isotypic_components(rho, chars)
+    return t, grouprep.isotypic_clock(t, equivariance, comps)[1]
 
 
-def components(dec):
-    """The decomposition's components by irrep name."""
-    return {c.irrep: c for c in dec.components}
+def components(comps):
+    """The isotypic components by irrep name."""
+    return {c.irrep: c for c in comps}
 
 
 def conjugated(rho, v):
@@ -393,7 +394,7 @@ class TestPermutationPath:
         reg = oracles.regular_representation(group)
         rng = np.random.default_rng(len(name))
         # a class and its inverse class have the same size, as Hermiticity needs
-        central = grouprep.observable_from_class_function(group.class_sizes, reg)
+        central, _ = grouprep.observable_from_class_function(group.class_sizes, reg)
         noise = rng.normal(size=(reg.dim,) * 2) + 1j * rng.normal(size=(reg.dim,) * 2)
         for t in (central, noise, central + 1e-12 * noise):
             got = grouprep.equivariance_residual(reg, t)
@@ -716,14 +717,14 @@ class TestMultiplicities:
 class TestIsotypicProjectors:
     def test_trivial_rep_projects_fully(self, s3):
         group, chars = s3
-        dec = grouprep.isotypic_projectors(oracles.trivial_representation(group, 3), chars)
+        dec = oracles.isotypic_components(oracles.trivial_representation(group, 3), chars)
         np.testing.assert_allclose(components(dec)["triv"].projector, np.eye(3), atol=1e-12)
         assert components(dec)["std"].multiplicity == 0
 
     def test_sigma_x_on_z2(self, z2):
         group, chars = z2
         rho = grouprep.representation_from_generators(group, {"g1": SIGMA_X})
-        dec = grouprep.isotypic_projectors(rho, chars)
+        dec = oracles.isotypic_components(rho, chars)
         # oracle: (1/2)(I +- sigma_x)
         np.testing.assert_allclose(components(dec)["chi0"].projector,
                                    np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
@@ -732,8 +733,8 @@ class TestIsotypicProjectors:
 
     def test_s3_regular_ranks(self, s3):
         group, chars = s3
-        dec = grouprep.isotypic_projectors(oracles.regular_representation(group), chars)
-        assert [c.isotypic_dim for c in dec.components] == [1, 1, 4]
+        dec = oracles.isotypic_components(oracles.regular_representation(group), chars)
+        assert [c.isotypic_dim for c in dec] == [1, 1, 4]
 
     def test_completeness_orthogonality_equivariance(self):
         rng = np.random.default_rng(11)
@@ -741,10 +742,9 @@ class TestIsotypicProjectors:
             group, chars = grouprep.builtin_group(name)
             regular = oracles.regular_representation(group)
             for rho in (regular, conjugated(regular, random_unitary(rng, group.order))):
-                dec = grouprep.isotypic_projectors(rho, chars)
-                total = sum(c.projector for c in dec.components)
+                comps = oracles.isotypic_components(rho, chars)
+                total = sum(c.projector for c in comps)
                 assert opcore.operator_norm(total - np.eye(group.order)) <= 1e-10
-                comps = dec.components
                 for i, a in enumerate(comps):
                     p, basis = a.projector, a.basis
                     assert opcore.operator_norm(p @ p - p) <= 1e-10
@@ -763,7 +763,7 @@ class TestIsotypicProjectors:
         _, z2_chars = z2
         rho = oracles.trivial_representation(group, 2)
         with pytest.raises((ValueError, grouprep.NumericalError)):
-            grouprep.isotypic_projectors(rho, z2_chars)
+            oracles.isotypic_components(rho, z2_chars)
 
 
 class TestDiagonalIsotypicSubspace:
@@ -815,86 +815,86 @@ class TestDiagonalIsotypicSubspace:
 class TestSchurScalars:
     def test_scalar_observable(self, s3, s3_multiplicity_free):
         _, chars = s3
-        dec = grouprep.isotypic_projectors(s3_multiplicity_free, chars)
-        report = grouprep.schur_scalars(2.5 * np.eye(4), s3_multiplicity_free, dec)
-        for entry in report.entries:
-            assert entry.scalar == pytest.approx(2.5, abs=1e-12)
-            assert entry.residual <= 1e-12
+        dec = oracles.isotypic_components(s3_multiplicity_free, chars)
+        report, _ = oracles.schur_clock(2.5 * np.eye(4), s3_multiplicity_free, dec)
+        for entry in report["entries"]:
+            assert complex(*entry["scalar"]) == pytest.approx(2.5, abs=1e-12)
+            assert entry["residual"] <= 1e-12
 
     def test_sigma_z_with_diagonal_rep(self, z2):
         group, chars = z2
         rho = grouprep.representation_from_generators(group, {"g1": SIGMA_Z})
-        dec = grouprep.isotypic_projectors(rho, chars)
-        report = grouprep.schur_scalars(SIGMA_Z, rho, dec)
-        scalars = {e.irrep: e.scalar for e in report.entries}
-        assert scalars["chi0"] == pytest.approx(1.0, abs=1e-12)
-        assert scalars["chi1"] == pytest.approx(-1.0, abs=1e-12)
+        dec = oracles.isotypic_components(rho, chars)
+        entries = oracles.schur_clock(SIGMA_Z, rho, dec)[0]["entries"]
+        by_name = {e["irrep"]: complex(*e["scalar"]) for e in entries}
+        assert by_name["chi0"] == pytest.approx(1.0, abs=1e-12)
+        assert by_name["chi1"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_non_equivariant_rejected(self, z2):
         group, chars = z2
         rho = grouprep.representation_from_generators(group, {"g1": SIGMA_X})
-        dec = grouprep.isotypic_projectors(rho, chars)
+        dec = oracles.isotypic_components(rho, chars)
         with pytest.raises(ValueError, match="equivariant"):
-            grouprep.schur_scalars(SIGMA_Z, rho, dec)
+            oracles.schur_clock(SIGMA_Z, rho, dec)
 
     def test_multiplicity_blocks_carry_scalar_and_residual(self, s3):
         # on std, multiplicity 2, an equivariant T need not be a scalar and a
         # central one is: the residual ||T B - alpha B|| tells them apart
         group, chars = s3
         reg = oracles.regular_representation(group)
-        dec = grouprep.isotypic_projectors(reg, chars)
+        dec = oracles.isotypic_components(reg, chars)
         t = oracles.random_equivariant_observable(reg, 0)
-        by_name = {e.irrep: e for e in grouprep.schur_scalars(t, reg, dec).entries}
-        assert by_name["std"].multiplicity == 2
-        assert by_name["std"].residual > 1e-3
-        assert by_name["triv"].residual <= 1e-9
-        central = grouprep.observable_from_class_function([0.4, -0.6, 0.9], reg)
-        entries = grouprep.schur_scalars(central, reg, dec).entries
-        assert all(e.residual <= 1e-9 for e in entries)
+        by_name = {e["irrep"]: e for e in oracles.schur_clock(t, reg, dec)[0]["entries"]}
+        assert by_name["std"]["multiplicity"] == 2
+        assert by_name["std"]["residual"] > 1e-3
+        assert by_name["triv"]["residual"] <= 1e-9
+        central, _ = grouprep.observable_from_class_function([0.4, -0.6, 0.9], reg)
+        entries = oracles.schur_clock(central, reg, dec)[0]["entries"]
+        assert all(e["residual"] <= 1e-9 for e in entries)
         # tr(T P) / k on std: chi_std(e) * 0.4 + chi_std(r) * 2 * (-0.6) over dim 2
-        assert entries[2].scalar == pytest.approx((2 * 0.4 - 1 * 2 * -0.6) / 2, abs=1e-12)
+        assert complex(*entries[2]["scalar"]) == pytest.approx((2 * 0.4 - 1 * 2 * -0.6) / 2,
+                                                               abs=1e-12)
 
     def test_schur_dichotomy(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
-        dec = grouprep.isotypic_projectors(rho, chars)
+        dec = oracles.isotypic_components(rho, chars)
         rng = np.random.default_rng(0)
         for seed in range(100):
             t = oracles.random_equivariant_observable(rho, seed)
-            report = grouprep.schur_scalars(t, rho, dec)
-            assert all(e.residual <= 1e-9 for e in report.entries if e.residual is not None)
-            assert all(abs(e.scalar.imag) <= 1e-10 for e in report.entries
-                       if e.scalar is not None)
+            entries = oracles.schur_clock(t, rho, dec)[0]["entries"]
+            assert all(e["residual"] <= 1e-9 for e in entries)
+            assert all(abs(e["scalar"][1]) <= 1e-10 for e in entries)
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             loose = (g + g.conj().T) / 2
             assert grouprep.equivariance_residual(rho, loose) > 1e-3
             with pytest.raises(ValueError):
-                grouprep.schur_scalars(loose, rho, dec)
+                oracles.schur_clock(loose, rho, dec)
 
 
 class TestObservableFromClassFunction:
     def test_constant_function_gives_trivial_projector(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
-        t = grouprep.observable_from_class_function([1.0, 1.0, 1.0], rho)
-        dec = grouprep.isotypic_projectors(rho, chars)
+        t, _ = grouprep.observable_from_class_function([1.0, 1.0, 1.0], rho)
+        dec = oracles.isotypic_components(rho, chars)
         # oracle: averaging operator equals |G| times the trivial projector
         np.testing.assert_allclose(t, 6.0 * components(dec)["triv"].projector, atol=1e-10)
 
     def test_identity_indicator_gives_identity(self, s3, s3_multiplicity_free):
-        t = grouprep.observable_from_class_function([1.0, 0.0, 0.0], s3_multiplicity_free)
+        t, _ = grouprep.observable_from_class_function([1.0, 0.0, 0.0], s3_multiplicity_free)
         np.testing.assert_allclose(t, np.eye(4), atol=1e-12)
 
     def test_central_elements_have_zero_residuals(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
-        dec = grouprep.isotypic_projectors(rho, chars)
+        dec = oracles.isotypic_components(rho, chars)
         rng = np.random.default_rng(1)
         for _ in range(10):
             f = rng.uniform(-1, 1, size=3)
-            t = grouprep.observable_from_class_function(f, rho)
-            report = grouprep.schur_scalars(t, rho, dec)
-            assert all(e.residual <= 1e-9 for e in report.entries)
+            t, equivariance = grouprep.observable_from_class_function(f, rho)
+            report, _ = grouprep.isotypic_clock(t, equivariance, dec)
+            assert all(e["residual"] <= 1e-9 for e in report["entries"])
 
     @pytest.mark.parametrize("name, values", [
         ("Z8", [0.5, 0.2, -0.1, 0.3, 0.7, 0.3, -0.1, 0.2]),
@@ -916,9 +916,9 @@ class TestObservableFromClassFunction:
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factored.append("svd"))
-        t = grouprep.observable_from_class_function(values, rho)
+        t, equivariance = grouprep.observable_from_class_function(values, rho)
         assert factored == []
-        assert grouprep.equivariance_residual(rho, t) == 0.0
+        assert equivariance == grouprep.equivariance_residual(rho, t) == 0.0
 
     def test_non_equivariant_message_keeps_full_max(self):
         # unitary, not a homomorphism: rho(g^2) = X does not commute with rho(g)
@@ -997,9 +997,9 @@ class TestHsyncMembership:
 def block_kernel_norms(rho_a, rho_b, t_a, t_b, chars):
     """{irrep: ||K b|| for every column b of V_l^A (x) V_l^B}, K the dense oracle."""
     k = oracles.kron_difference(t_a, t_b)
-    dec_a, dec_b = (grouprep.isotypic_projectors(r, chars) for r in (rho_a, rho_b))
+    dec_a, dec_b = (oracles.isotypic_components(r, chars) for r in (rho_a, rho_b))
     return {ca.irrep: np.linalg.norm(k @ np.kron(ca.basis, cb.basis), axis=0)
-            for ca, cb in zip(dec_a.components, dec_b.components)
+            for ca, cb in zip(dec_a, dec_b)
             if ca.multiplicity and cb.multiplicity}
 
 
@@ -1007,13 +1007,12 @@ class TestKernelContainment:
     def test_same_class_function_contained(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
-        dec = grouprep.isotypic_projectors(rho, chars)
+        dec = oracles.isotypic_components(rho, chars)
         rng = np.random.default_rng(3)
         for _ in range(10):
             f = rng.uniform(-1, 1, size=3)
-            t = grouprep.observable_from_class_function(f, rho)
-            schur = grouprep.schur_scalars(t, rho, dec)
-            report = containment(schur, schur)
+            side = grouprep.isotypic_clock(*grouprep.observable_from_class_function(f, rho), dec)
+            report = containment(side, side, chars)
             assert report["all_matched"] and report["contained"] and report["passed"]
             assert report["kernel_dim"] >= report["diagonal_dim"] == 1 + 1 + 4
 
@@ -1021,14 +1020,14 @@ class TestKernelContainment:
         group, chars = s3
         rho = s3_multiplicity_free
         f = np.array([0.4, -0.6, 0.9])
-        t_a = grouprep.observable_from_class_function(f, rho)
+        t_a, eq_a = grouprep.observable_from_class_function(f, rho)
         # perturb the transposition class; chi_std vanishes there, so std stays
         g = f.copy()
         g[2] += 0.5
-        t_b = grouprep.observable_from_class_function(g, rho)
-        dec = grouprep.isotypic_projectors(rho, chars)
-        report = containment(grouprep.schur_scalars(t_a, rho, dec),
-                             grouprep.schur_scalars(t_b, rho, dec))
+        t_b, eq_b = grouprep.observable_from_class_function(g, rho)
+        dec = oracles.isotypic_components(rho, chars)
+        report = containment(grouprep.isotypic_clock(t_a, eq_a, dec),
+                             grouprep.isotypic_clock(t_b, eq_b, dec), chars)
         by_name = {e["irrep"]: e for e in report["entries"]}
         norms = block_kernel_norms(rho, rho, t_a, t_b, chars)
         assert by_name["std"]["matched"] and by_name["std"]["ok"]
@@ -1042,9 +1041,10 @@ class TestKernelContainment:
     def test_zero_observables_trivially_contained(self, s3, s3_multiplicity_free):
         _, chars = s3
         rho = s3_multiplicity_free
-        t = grouprep.observable_from_class_function([0.0, 0.0, 0.0], rho)
-        schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
-        report = containment(schur, schur)
+        side = grouprep.isotypic_clock(
+            *grouprep.observable_from_class_function([0.0, 0.0, 0.0], rho),
+            oracles.isotypic_components(rho, chars))
+        report = containment(side, side, chars)
         assert report["all_matched"] and report["contained"]
         assert (report["kernel_dim"], report["diagonal_dim"]) == (16, 1 + 1 + 4)
 
@@ -1057,13 +1057,13 @@ class TestKernelContainment:
         group, chars = grouprep.builtin_group("S3")
         reg = oracles.regular_representation(group)
         conj = conjugated(reg, random_unitary(rng, reg.dim))
-        schur_a, schur_b = (grouprep.schur_scalars(
-            grouprep.observable_from_class_function([1.0, 0.0, 0.0], r), r,
-            grouprep.isotypic_projectors(r, chars)) for r in (reg, conj))
-        gaps = [abs(a.scalar.real - b.scalar.real)
-                for a in schur_a.entries for b in schur_b.entries]
+        side_a, side_b = (grouprep.isotypic_clock(
+            *grouprep.observable_from_class_function([1.0, 0.0, 0.0], r),
+            oracles.isotypic_components(r, chars)) for r in (reg, conj))
+        gaps = [abs(a["scalar"][0] - b["scalar"][0])
+                for a in side_a[0]["entries"] for b in side_b[0]["entries"]]
         assert 0.0 < max(gaps) <= 1e-14
-        report = containment(schur_a, schur_b)
+        report = containment(side_a, side_b, chars)
         assert report["all_matched"] and report["passed"]
         assert (report["kernel_dim"], report["diagonal_dim"]) == (36, 1 + 1 + 16)
 
@@ -1179,16 +1179,17 @@ class TestIsotypicClock:
         group, chars = grouprep.builtin_group(name)
         multiplicities = set()
         for rho in (oracles.regular_representation(group), generator_built(group)):
-            dec = grouprep.isotypic_projectors(rho, chars)
-            multiplicities.update(c.multiplicity for c in dec.components)
+            dec = oracles.isotypic_components(rho, chars)
+            multiplicities.update(c.multiplicity for c in dec)
             comps = components(dec)
             for f_a, f_b in class_function_pairs(group, rng):
-                t_a, t_b = (grouprep.observable_from_class_function(f, rho) for f in (f_a, f_b))
-                schur_a, schur_b = (grouprep.schur_scalars(t, rho, dec) for t in (t_a, t_b))
-                clock_a, clock_b = (grouprep.isotypic_clock(s) for s in (schur_a, schur_b))
+                (t_a, eq_a), (t_b, eq_b) = (grouprep.observable_from_class_function(f, rho)
+                                            for f in (f_a, f_b))
+                schur_a, clock_a = grouprep.isotypic_clock(t_a, eq_a, dec)
+                schur_b, clock_b = grouprep.isotypic_clock(t_b, eq_b, dec)
                 system = sync.make_system(clock_a, clock_b, np.zeros((rho.dim ** 2,) * 2))
                 bundle = sync.sync_bundle(system)
-                report = grouprep.verify_kernel_containment(schur_a, schur_b, bundle)
+                report = grouprep.verify_kernel_containment(schur_a, schur_b, chars, bundle)
 
                 k = oracles.kron_difference(t_a, t_b)
                 norms = opcore.operator_norm(t_a) + opcore.operator_norm(t_b)
@@ -1214,9 +1215,9 @@ class TestIsotypicClock:
         # S3 regular: labels triv, sign, then std's scalar on its 4 columns
         group, chars = s3
         reg = oracles.regular_representation(group)
-        t = grouprep.observable_from_class_function([0.4, -0.6, 0.9], reg)
-        schur = grouprep.schur_scalars(t, reg, grouprep.isotypic_projectors(reg, chars))
-        clock = grouprep.isotypic_clock(schur)
-        alpha = [e.scalar.real for e in schur.entries]
+        t, equivariance = grouprep.observable_from_class_function([0.4, -0.6, 0.9], reg)
+        schur, clock = grouprep.isotypic_clock(t, equivariance,
+                                               oracles.isotypic_components(reg, chars))
+        alpha = [e["scalar"][0] for e in schur["entries"]]
         np.testing.assert_array_equal(clock.labels, [alpha[0], alpha[1]] + [alpha[2]] * 4)
         assert opcore.operator_norm(oracles.clock_matrix(clock) - t) <= 1e-12

@@ -353,10 +353,55 @@ class TestCli:
         assert cli.main(["run", str(empty)]) == 2
 
     def test_bound_violation_exit_one(self, capsys):
-        # a negative slack turns the (true) drift bound into a failing check
+        # at zero slack the fidelity bound's roundoff excess (~4e-16) fails the check
         code = cli.main(["drift", str(SCENARIO_DIR / "drift_perturbed.json"),
-                         "--tol", "bound_slack=-1"])
+                         "--tol", "bound_slack=0"])
         assert code == 1
+        assert json.loads(capsys.readouterr().out)["max_bound_slack"] > 0
+
+    @pytest.mark.parametrize("scenario_name, tol", [
+        ("ex55_compat", "compat_tol"), ("drift_perturbed", "bound_slack"),
+        ("ex_group_s3", "equivar_tol"), ("ex74_kernel", "kernel_tol"),
+        ("ex_group_s3", "schur_tol"), ("drift_perturbed", "init_tol")])
+    def test_negative_tolerance_rejected_before_running(self, tmp_path, capsys,
+                                                         scenario_name, tol):
+        """A negative tolerance fails every check it limits: exit 2 at parse
+        time, naming the field, from --tol or from the scenario file."""
+        path = SCENARIO_DIR / f"{scenario_name}.json"
+        assert cli.main(["run", str(path), "--tol", f"{tol}=-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"syncsub: scenario error: tol.{tol}: "
+                                "tolerance must be >= 0, got -1.0\n")
+        doc = json.loads(path.read_text())
+        doc["tolerances"] = {tol: -1e-300}
+        assert cli.main(["run", str(write_scenario(tmp_path, doc))]) == 2
+        assert f"tolerances.{tol}: tolerance must be >= 0" in capsys.readouterr().err
+
+    def test_repeated_main_calls_match_fresh_processes(self, monkeypatch, capsys):
+        """main() builds its parser on the first call and reuses it: calls with
+        different flags print what fresh processes print, and no flag of one
+        call (the appended --tol, --format) carries over to the next."""
+        builds = []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda _fn=cli._build_parser: builds.append(1) or _fn())
+        drift = str(SCENARIO_DIR / "drift_perturbed.json")
+        for args in ((drift, "--tol", "bound_slack=0", "--format", "text"), (drift,),
+                     (str(SCENARIO_DIR / "ex55_compat.json"), "--tol", "compat_tol=-1")):
+            code = cli.main(["run", *args])
+            captured = capsys.readouterr()
+            done = run_in_subprocess(*args)
+            assert (code, captured.out, captured.err) == (done.returncode, done.stdout,
+                                                          done.stderr), args
+        assert len(builds) == 1
+
+    def test_zero_tolerance_accepted(self, capsys):
+        # zero asks for exact agreement; ex55's diagonal H1 has residual exactly 0
+        assert cli.main(["run", str(SCENARIO_DIR / "ex55_compat.json"),
+                         "--tol", "compat_tol=0"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdicts[0]["residual"] == 0.0 and verdicts[0]["class"] == "diagonal"
 
     def test_schur_residual_above_tolerance_exit_one(self, capsys):
         code = cli.main(["run", str(SCENARIO_DIR / "ex_group_s3.json"),
@@ -520,7 +565,7 @@ class TestCli:
         group, _ = grouprep.builtin_group("S3")
         reg = oracles.regular_representation(group)
         doc = json.loads((SCENARIO_DIR / "ex_group_s3.json").read_text())
-        h_a = grouprep.observable_from_class_function([0.2, 0.5, -0.3], reg)
+        h_a, _ = grouprep.observable_from_class_function([0.2, 0.5, -0.3], reg)
         doc.update(rep_a={"elements": [matrix_to_literal(m) for m in reg.matrices]},
                    hamiltonian={"local": {"a": matrix_to_literal(h_a),
                                           "b": matrix_to_literal(np.eye(6))}})
@@ -629,6 +674,18 @@ class TestCli:
         done = run_in_subprocess(write_scenario(tmp_path, payload))
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == "syncsub: numerical failure: tolerance scale is not finite (inf)\n"
+
+    def test_overflowing_check_screen_is_silent(self, tmp_path):
+        """A block-diagonal H of 1e160 entries: a Frobenius screen of a matrix
+        this size overflows, the exact norm decides, and stderr stays empty."""
+        big, zero = [[1e160, 0.0]] * 2, [[0.0, 0.0]] * 2
+        entries = (big + zero) * 2 + (zero + big) * 2
+        payload = {"name": "screen-overflow", "kind": "compat",
+                   "clock": {"labels": [0, 0, 1, 1]},
+                   "hamiltonians": [{"dim": 4, "entries": entries}]}
+        done = run_in_subprocess(write_scenario(tmp_path, payload))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["verdicts"][0]["class"] == "block_diagonal"
 
     def test_local_commutator_overflow_matches_dense_path(self, tmp_path):
         """A local H takes epsilon from its factors, with each side's labels
@@ -1341,13 +1398,13 @@ def test_group_parse_and_decomposition_take_no_spectral_norm(tmp_path, monkeypat
 
 
 def assert_group_analyses(tmp_path, monkeypatch, doc, sides):
-    """``doc`` runs with ``sides`` validations and decompositions (one
-    multiplicities call per side is isotypic_projectors' own) and gives
-    ex_group_s3's report."""
+    """``doc`` runs with ``sides`` validations, multiplicity counts and
+    decompositions, one equivariance residual for each of its two observables,
+    and gives ex_group_s3's report."""
     s = scenario.parse_scenario(write_scenario(tmp_path, doc))
     assert (s.rep_b is s.rep_a) is (sides == 1)
     calls = dict.fromkeys(("validate_representation", "isotypic_projectors",
-                           "multiplicities"), 0)
+                           "multiplicities", "equivariance_residual"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(grouprep, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -1355,7 +1412,7 @@ def assert_group_analyses(tmp_path, monkeypatch, doc, sides):
         monkeypatch.setattr(grouprep, name, counted)
     payload = scenario.run_scenario(s)
     assert calls == {"validate_representation": sides, "isotypic_projectors": sides,
-                     "multiplicities": 2 * sides}
+                     "multiplicities": sides, "equivariance_residual": 2}
     monkeypatch.undo()
     want = scenario.run_scenario(scenario.parse_scenario(SCENARIO_DIR / "ex_group_s3.json"))
     assert {**payload, "input_digest": None} == {**want, "input_digest": None}
@@ -1461,7 +1518,7 @@ FACTORIZATIONS = {
     "drift_perturbed": {"eigh": 1, "eigvalsh": 2},
     "ex55_compat": {"norm2": 3},
     "ex74_kernel": {"eigvalsh": 2},
-    "ex_group_s3": {"eigh": 3, "eigvalsh": 2, "norm2": 13},
+    "ex_group_s3": {"eigh": 3, "eigvalsh": 2, "norm2": 11},
     "z16-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
     "z16-non-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
 }

@@ -107,9 +107,9 @@ def membership(h, rho_a, rho_b, clock_a, clock_b, **kwargs):
 def class_clock(rho, rng):
     """The isotypic clock of a random central observable on ``rho``, as the group kind builds it."""
     _, chars = grouprep.builtin_group(rho.group.name)
-    t = grouprep.observable_from_class_function(real_class_function(rho.group, rng), rho)
-    schur = grouprep.schur_scalars(t, rho, grouprep.isotypic_projectors(rho, chars))
-    return grouprep.isotypic_clock(schur)
+    t, equivariance = grouprep.observable_from_class_function(
+        real_class_function(rho.group, rng), rho)
+    return grouprep.isotypic_clock(t, equivariance, oracles.isotypic_components(rho, chars))[1]
 
 
 def real_class_function(group, rng):
@@ -129,7 +129,7 @@ def hamiltonians(rho_a, rho_b, rng):
     compat_tol, so that equivariance alone decides membership.
     """
     factors = (class_clock(rho_a, rng), class_clock(rho_b, rng))
-    t = [grouprep.observable_from_class_function(real_class_function(r.group, rng), r)
+    t = [grouprep.observable_from_class_function(real_class_function(r.group, rng), r)[0]
          for r in (rho_a, rho_b)]
     eye_a, eye_b = np.eye(rho_a.dim), np.eye(rho_b.dim)
     h0 = np.kron(t[0], eye_b) + np.kron(eye_a, t[1])
@@ -344,9 +344,10 @@ def test_perturbed_isotypic_bases_pass_make_clock(name):
     group, chars = grouprep.builtin_group(name)
     for rho in (oracles.regular_representation(group), generator_built(group)):
         perturbed = perturbed_off_generators(rho, rng)
-        t = grouprep.observable_from_class_function(real_class_function(group, rng), perturbed)
-        dec = grouprep.isotypic_projectors(perturbed, chars)
-        clock = grouprep.isotypic_clock(grouprep.schur_scalars(t, perturbed, dec))
+        t, equivariance = grouprep.observable_from_class_function(
+            real_class_function(group, rng), perturbed)
+        dec = oracles.isotypic_components(perturbed, chars)
+        clock = grouprep.isotypic_clock(t, equivariance, dec)[1]
         b = clock.basis
         assert opcore.operator_norm(b.conj().T @ b - np.eye(b.shape[0])) \
             <= 0.5 * opcore.UNITARY_TOL * perturbed.dim, name

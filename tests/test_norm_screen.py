@@ -197,7 +197,7 @@ def probe_isotypic_idempotence(n, c_ratio, rank):
     delta = diagonal_residual(n, 2.0 * c_ratio * grouprep._IDEMPOTENT_TOL, rank)
     rho = grouprep.Representation(group, np.stack([np.eye(n), -np.eye(n) + np.diag(delta)])
                                   .astype(np.complex128))
-    return lambda: len(grouprep.isotypic_projectors(rho, chars).components)
+    return lambda: len(oracles.isotypic_components(rho, chars))
 
 
 def probe_diagonal_isotypic_leakage(n, c_ratio, rank):
@@ -217,7 +217,7 @@ def probe_class_function_hermiticity(n, c_ratio, rank):
     s = diagonal_residual(n, 0.5 * c_ratio * 1e-10, rank)
     g1 = np.diag(SIGNS[:n] + 2j * s)
     rho = grouprep.Representation(group, np.stack([np.eye(n), g1]).astype(np.complex128))
-    return lambda: grouprep.observable_from_class_function([0.3, 0.5], rho).shape
+    return lambda: grouprep.observable_from_class_function([0.3, 0.5], rho)[0].shape
 
 
 def probe_classify_off_diagonal(n, c_ratio, rank):
