@@ -2,10 +2,8 @@
 
 from .opcore import (
     NumericalError,
-    Subspace,
     as_complex_matrix,
     operator_norm,
-    projector,
 )
 from .clocks import (
     ClockObservable,

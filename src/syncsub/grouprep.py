@@ -723,13 +723,12 @@ def observable_from_class_function(values, rho: Representation) -> tuple:
     return t, eq
 
 
-def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
-                     rho_a: Representation, rho_b: Representation,
+def hsync_membership(bundle: SyncOperatorBundle, rho_a: Representation, rho_b: Representation,
                      equivar_tol: float = EQUIVAR_TOL,
                      compat_tol: float = COMPAT_TOL) -> dict:
-    """Whether the system's H lies in the commutant of g -> rho_A(g) (x) rho_B(g)
-    and commutes with the system's K: the verdict ``member``, with the
-    generating set S as ``generators``, the tree's ``word_length``,
+    """Whether the H of the bundle's system lies in the commutant of
+    g -> rho_A(g) (x) rho_B(g) and commutes with its K: the verdict ``member``,
+    with the generating set S as ``generators``, the tree's ``word_length``,
     ``generator_residual`` r_S = max_{s in S} ||[J(s), H]||,
     ``equivariance_bound`` B >= max_g ||[J(g), H]|| (or that exact max when
     neither r_S nor B settled the verdict) and ``kernel_commutation_residual``
@@ -743,6 +742,7 @@ def hsync_membership(system: SyncSystem, bundle: SyncOperatorBundle,
     the exact fallback and the ||H|| scale.
     """
     _require_same_group(rho_a.group, rho_b.group)
+    system = bundle.system
     if (system.dim_a, system.dim_b) != (rho_a.dim, rho_b.dim):
         raise ValueError(f"clock dims {system.dim_a}x{system.dim_b} do not match "
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
@@ -799,7 +799,7 @@ def verify_kernel_containment(schur_a: dict, schur_b: dict, chars: tuple,
         if e_b is None:
             continue
         alpha, beta = e_a["scalar"][0], e_b["scalar"][0]
-        matched = abs(alpha - beta) <= bundle.kernel.tol_used
+        matched = abs(alpha - beta) <= bundle.cutoff
         if matched:
             diagonal_dim += dims[e_a["irrep"]] ** 2 * e_a["multiplicity"] * e_b["multiplicity"]
         deviation = e_a["residual"] + e_b["residual"]
@@ -807,8 +807,9 @@ def verify_kernel_containment(schur_a: dict, schur_b: dict, chars: tuple,
                         "max_deviation": deviation,
                         "ok": opcore.check(deviation, KERNEL_RESIDUAL_TOL)[1]})
     return {"entries": entries, "contained": all(e["ok"] for e in entries if e["matched"]),
-            "all_matched": all(e["matched"] for e in entries), "kernel_dim": bundle.kernel.dim,
-            "diagonal_dim": diagonal_dim, "passed": all(e["ok"] for e in entries)}
+            "all_matched": all(e["matched"] for e in entries),
+            "kernel_dim": bundle.kernel_index.size, "diagonal_dim": diagonal_dim,
+            "passed": all(e["ok"] for e in entries)}
 
 
 def commutant_dimension(rho: Representation) -> int:

@@ -39,6 +39,14 @@ def _expect_mapping(obj, path: str) -> dict:
     return obj
 
 
+def _only(obj: dict, path: str, allowed: tuple, what: str) -> None:
+    """Reject a key of ``obj`` outside ``allowed``, the fields of ``what``: a
+    misspelled key, or one of a second form where one form is read."""
+    for key in obj:
+        if key not in allowed:
+            _fail(f"{path}.{key}", f"unexpected field in {what} (allowed: {', '.join(allowed)})")
+
+
 def _float(x):
     """x as a float if it is a number (not a bool), else None; a huge integer reads as inf."""
     if type(x) is float:   # the common case, decided first
@@ -103,10 +111,12 @@ def _real_list(obj, path: str) -> list:
 def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
     obj = _expect_mapping(obj, path)
     if "diag" in obj:
+        _only(obj, path, ("diag",), "a diagonal matrix literal")
         diag = _real_list(obj["diag"], f"{path}.diag")
         return np.diag(np.asarray(diag, dtype=np.complex128))
     if "entries" not in obj or "dim" not in obj:
         _fail(path, 'matrix literal needs "dim" and "entries", or "diag"')
+    _only(obj, path, ("dim", "entries"), "a matrix literal")
     dim = _integer(obj["dim"], f"{path}.dim", low=1)
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
@@ -126,6 +136,7 @@ def clock_from_literal(obj, path: str = "clock") -> ClockObservable:
     obj = _expect_mapping(obj, path)
     if "labels" not in obj:
         _fail(path, 'clock literal needs "labels"')
+    _only(obj, path, ("labels", "basis"), "a clock literal")
     labels = _real_list(obj["labels"], f"{path}.labels")
     basis = None
     if "basis" in obj:
@@ -146,6 +157,7 @@ def group_from_literal(obj, path: str = "group"):
     obj = _expect_mapping(obj, path)
     if "mult_table" not in obj:
         _fail(path, 'group literal needs "mult_table" (or use a builtin name)')
+    _only(obj, path, ("elements", "mult_table", "classes", "name"), "a group literal")
     where = f"{path}.mult_table"
     n = len(_list(obj["mult_table"], where))
     table = [[_integer(x, where, i, j, high=n) for j, x in enumerate(_list(row, where, i))]
@@ -170,6 +182,7 @@ def character_table_from_literal(group, obj, path: str = "characters"):
     obj = _expect_mapping(obj, path)
     if "irreps" not in obj or not isinstance(obj["irreps"], list):
         _fail(path, 'character table literal needs an "irreps" list')
+    _only(obj, path, ("irreps",), "a character table literal")
     rows = []
     for i, row in enumerate(obj["irreps"]):
         where = f"{path}.irreps[{i}]"
@@ -177,6 +190,7 @@ def character_table_from_literal(group, obj, path: str = "characters"):
         for key in ("name", "dim", "chars"):
             if key not in row:
                 _fail(where, f'missing "{key}"')
+        _only(row, where, ("name", "dim", "chars"), "an irrep row")
         chars = _list(row["chars"], f"{where}.chars")
         values = _pairs([c if isinstance(c, list) else [c, 0] for c in chars], f"{where}.chars")
         rows.append((row["name"], _integer(row["dim"], f"{where}.dim", low=1), values))
@@ -189,6 +203,7 @@ def character_table_from_literal(group, obj, path: str = "characters"):
 def representation_from_literal(group, obj, path: str = "rep"):
     obj = _expect_mapping(obj, path)
     if "generators" in obj:
+        _only(obj, path, ("generators",), "a representation by generators")
         gens = _expect_mapping(obj["generators"], f"{path}.generators")
         parsed = {label: matrix_from_literal(m, f"{path}.generators[{label!r}]")
                   for label, m in gens.items()}
@@ -197,6 +212,7 @@ def representation_from_literal(group, obj, path: str = "rep"):
         except ValueError as exc:
             _fail(path, str(exc))
     if "elements" in obj:
+        _only(obj, path, ("elements",), "a representation by elements")
         mats = obj["elements"]
         if not isinstance(mats, list) or len(mats) != group.order:
             _fail(f"{path}.elements", f"expected {group.order} matrix literals")

@@ -1,23 +1,20 @@
 """Dense complex linear algebra for operator computations.
 
 Operators are plain square numpy arrays of complex128. Helpers here validate
-structural invariants (Hermiticity, unitarity, orthonormality) against
-explicit tolerances rather than wrapping arrays in classes; downstream
-modules build their domain objects on top of these primitives.
+structural invariants (Hermiticity, unitarity) against explicit tolerances
+rather than wrapping arrays in classes; downstream modules build their
+domain objects on top of these primitives.
 
 All functions are pure and hold no global state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERM_TOL = 1e-12        # relative to max(1, ||M||)
 UNITARY_TOL = 1e-12     # scaled by dimension
 RECON_TOL = 1e-12       # eigendecomposition reconstruction, relative
-ORTHO_TOL = 1e-10       # subspace basis orthonormality
 KERNEL_TOL = 1e-10      # kernel cutoff, relative to ||K|| = max|a_i - b_j| (clocks.label_gaps)
 KERNEL_ABS_FLOOR = 1e-12   # absolute cutoff for numerically zero matrices
 
@@ -191,35 +188,6 @@ def spectrum(m: np.ndarray) -> tuple:
     return w, v
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """Orthonormal-column basis of a subspace of C^ambient_dim.
-
-    ``tol_used`` records the absolute cutoff on label gaps that produced the
-    basis: clocks.label_gaps' cutoff, relative to ||K|| = max|a_i - b_j| (0 for
-    exactly constructed subspaces).
-    """
-
-    ambient_dim: int
-    basis: np.ndarray
-    tol_used: float
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ValueError(f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}")
-        k = b.shape[1]
-        if k:
-            res, ok = check(b.conj().T @ b - np.eye(k), ORTHO_TOL)
-            if not ok:
-                raise ValueError(f"basis columns not orthonormal: residual {res:.3e}")
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[1])
-
-
 def kernel_cutoff(sigma_max: float, tol: float) -> float:
     """Absolute singular-value cutoff: tol * sigma_max, floored at KERNEL_ABS_FLOOR,
     so that a matrix that is zero up to roundoff has the full space as its kernel."""
@@ -227,7 +195,3 @@ def kernel_cutoff(sigma_max: float, tol: float) -> float:
         raise ValueError("kernel tolerance must be positive")
     return max(tol * sigma_max, KERNEL_ABS_FLOOR)
 
-
-def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projector B B^dag onto the subspace."""
-    return s.basis @ s.basis.conj().T

@@ -28,6 +28,7 @@ from .literals import (
     _fail,
     _integer,
     _number,
+    _only,
     _pairs,
     _real_list,
     character_table_from_literal,
@@ -110,15 +111,18 @@ class Scenario:
 def _parse_hamiltonian_spec(obj, path: str) -> HamiltonianSpec:
     obj = _expect_mapping(obj, path)
     if "local" in obj:
+        _only(obj, path, ("local",), "a local Hamiltonian")
         local = _expect_mapping(obj["local"], f"{path}.local")
         for key in ("a", "b"):
             if key not in local:
                 _fail(f"{path}.local", f'missing local term "{key}"')
+        _only(local, f"{path}.local", ("a", "b"), "local terms")
         return HamiltonianSpec(local=(
             matrix_from_literal(local["a"], f"{path}.local.a"),
             matrix_from_literal(local["b"], f"{path}.local.b"),
         ))
     if "base" in obj:
+        _only(obj, path, ("base", "direction", "strength", "seed"), "a perturbation")
         strength = _number(obj.get("strength"), f"{path}.strength")
         if strength < 0:
             _fail(f"{path}.strength", f"strength must be >= 0, got {strength}")
@@ -146,15 +150,19 @@ def _parse_tolerances(obj, path: str) -> dict:
         out[name] = _number(value, f"{path}.{name}", message="tolerance must be a finite number")
         if out[name] < 0:
             _fail(f"{path}.{name}", f"tolerance must be >= 0, got {out[name]!r}")
+        if out[name] == 0 and name == "kernel_tol":   # the cutoff scales with it
+            _fail(f"{path}.{name}", f"kernel tolerance must be positive, got {out[name]!r}")
     return out
 
 
 def _parse_initial_state(obj, path: str) -> dict:
     obj = _expect_mapping(obj, path)
     if "kernel_seed" in obj:
+        _only(obj, path, ("kernel_seed",), "a kernel_seed initial state")
         seed = _integer(obj["kernel_seed"], f"{path}.kernel_seed", high=SEED_LIMIT)
         return {"kernel_seed": seed}
     if "vector" in obj:
+        _only(obj, path, ("vector",), "a vector initial state")
         return {"vector": _pairs(obj["vector"], f"{path}.vector")}
     _fail(path, 'initial state needs "kernel_seed" or "vector"')
 
@@ -326,11 +334,13 @@ def _hamiltonian(s: Scenario, dims: tuple, seed_override: int | None) -> tuple:
     return _resolve_hamiltonian(s.hamiltonian, "hamiltonian", dims, seed_override, s.seed)
 
 
-def _subspace_payload(sub: opcore.Subspace) -> dict:
-    vectors = [[[float(v.real), float(v.imag)] for v in sub.basis[:, j]]
-               for j in range(sub.dim)]
-    return {"ambient_dim": sub.ambient_dim, "dim": sub.dim,
-            "tol_used": sub.tol_used, "vectors": vectors}
+def _kernel_fields(bundle: sync.SyncOperatorBundle) -> dict:
+    """The kernel report's ``kernel`` object and its ``projector`` V V^dag."""
+    basis = sync.kernel_basis(bundle)
+    vectors = [[[float(v.real), float(v.imag)] for v in column] for column in basis.T]
+    return {"kernel": {"ambient_dim": bundle.system.dim, "dim": bundle.kernel_index.size,
+                       "tol_used": bundle.cutoff, "vectors": vectors},
+            "projector": matrix_to_literal(basis @ basis.conj().T)}
 
 
 def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
@@ -346,28 +356,27 @@ def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
 def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     """Kernel and series kinds: one system and bundle, then the kernel or the trace."""
     h, pert_seed = _hamiltonian(s, (s.clock_a.dim, s.clock_b.dim), seed_override)
-    system = sync.make_system(s.clock_a, s.clock_b, h)
-    bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
+    bundle = sync.sync_bundle(sync.make_system(s.clock_a, s.clock_b, h),
+                              kernel_tol=tol["kernel_tol"])
     if s.kind == "kernel":
-        fields = {"kernel": _subspace_payload(bundle.kernel),
-                  "projector": matrix_to_literal(opcore.projector(bundle.kernel))}
+        fields = _kernel_fields(bundle)
         if s.hamiltonian is not None:
             fields["epsilon"] = bundle.epsilon
         return fields, True
 
     if "vector" in s.initial_state:
         psi0 = s.initial_state["vector"]
-        if psi0.shape[0] != system.dim:
+        if psi0.shape[0] != bundle.system.dim:
             raise ScenarioError("initial_state.vector",
-                                f"dimension {psi0.shape[0]} does not match {system.dim}")
+                                f"dimension {psi0.shape[0]} does not match {bundle.system.dim}")
         state_seed = None
     else:
         state_seed = s.initial_state["kernel_seed"] if seed_override is None else seed_override
         psi0 = sync.sample_kernel_state(bundle, state_seed)
-    trace = sync.drift_trace(system, psi0, s.times, bundle=bundle,
+    trace = sync.drift_trace(bundle, psi0, s.times,
                              bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
     fields = {"seeds": {"perturbation": pert_seed, "initial_state": state_seed},
-              "kernel_dim": bundle.kernel.dim, **trace}
+              "kernel_dim": bundle.kernel_index.size, **trace}
     return fields, trace["drift_bound_ok"] and trace["fidelity_bound_ok"]
 
 
@@ -406,14 +415,13 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     schur_ok = all(opcore.check(e["residual"], tol["schur_tol"])[1]
                    for e in schur_a["entries"] + schur_b["entries"])
     h, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
-    system = sync.make_system(clock_a, clock_b, h)
-    bundle = sync.sync_bundle(system, kernel_tol=tol["kernel_tol"])
+    bundle = sync.sync_bundle(sync.make_system(clock_a, clock_b, h), kernel_tol=tol["kernel_tol"])
     containment = grouprep.verify_kernel_containment(schur_a, schur_b, s.characters, bundle)
     fields["containment"] = containment
     passed = passed and schur_ok and containment["passed"]
     if s.hamiltonian is not None:
         fields["membership"] = grouprep.hsync_membership(
-            system, bundle, s.rep_a, s.rep_b,
+            bundle, s.rep_a, s.rep_b,
             equivar_tol=tol["equivar_tol"], compat_tol=tol["compat_tol"])
     return fields, passed
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import opcore
 from .clocks import ClockObservable, _philox, diagonal_commutator, label_gaps
-from .opcore import Subspace
 
 BOUND_SLACK = 1e-9   # absolute roundoff allowance on top of the proven bounds
 INIT_TOL = 1e-8      # how far psi(0) may sit from ker(K)
@@ -88,20 +87,22 @@ def clock_hamiltonian(system: SyncSystem) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SyncOperatorBundle:
-    """The kernel of K, epsilon = ||[H,K]||, ||K|| = max |a_i - b_j| and K's
-    diagonal a_i - b_j in the product clock basis.
+    """The kernel of ``system``'s K, epsilon = ||[H,K]||, ||K|| = max |a_i - b_j|
+    and K's diagonal a_i - b_j in the product clock basis.
 
-    ``kernel_index`` holds the product indices i * d_B + j of the kernel's
-    columns b_A,i (x) b_B,j, ascending: in the clock basis the kernel is
-    spanned by those coordinate vectors. ``clock_hamiltonian`` is the H' that
-    epsilon was taken from, or None when epsilon came from local factors.
+    ``kernel_index`` is the kernel: the product indices i * d_B + j, ascending,
+    of the label pairs whose gap is within ``cutoff``. In the clock basis the
+    kernel is spanned by those coordinate vectors; kernel_basis gives their
+    columns b_A,i (x) b_B,j. ``clock_hamiltonian`` is the H' that epsilon was
+    taken from, or None when epsilon came from local factors.
     """
 
-    kernel: Subspace
+    system: SyncSystem
+    kernel_index: np.ndarray
+    cutoff: float
     epsilon: float
     k_norm: float
     k_diagonal: np.ndarray
-    kernel_index: np.ndarray
     clock_hamiltonian: np.ndarray | None = None
 
 
@@ -110,8 +111,8 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
 
     K = U G U^dag with U = B_A (x) B_B and G = diag(a_i - b_j) from
     clocks.label_gaps. The kernel keeps b_A,i (x) b_B,j for the gaps within
-    label_gaps' cutoff, in product-index order; ``kernel.tol_used`` is that
-    cutoff. Since K (b_A,i (x) b_B,j) = (a_i - b_j) b_A,i (x) b_B,j, a kept
+    label_gaps' cutoff, in product-index order; ``cutoff`` is that cutoff.
+    Since K (b_A,i (x) b_B,j) = (a_i - b_j) b_A,i (x) b_B,j, a kept
     column's kernel residual is its gap, at most the cutoff by construction, so
     the basis needs no residual check. ||[H,K]|| = ||[H', G]|| with H' =
     clock_hamiltonian(system); i[H', G] is then Hermitian bit for bit, and
@@ -126,10 +127,6 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
     """
     g, cutoff = label_gaps(system.clock_a.labels, system.clock_b.labels, kernel_tol)
     gaps = np.abs(g)
-    index = np.flatnonzero(gaps <= cutoff)
-    i, j = np.divmod(index, system.dim_b)
-    basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
-    kernel = Subspace(system.dim, basis.reshape(system.dim, i.size), tol_used=cutoff)
     h = None
     if system.local is not None:
         (h_a, h_b), b_a, b_b = system.local, system.clock_a.basis, system.clock_b.basis
@@ -142,14 +139,30 @@ def sync_bundle(system: SyncSystem, kernel_tol: float = opcore.KERNEL_TOL) -> Sy
         comm = diagonal_commutator(h, g)
         comm *= 1j
         epsilon = opcore.hermitian_norm(comm)
-    return SyncOperatorBundle(kernel=kernel, epsilon=epsilon, k_norm=float(gaps.max()),
-                              k_diagonal=g, kernel_index=index, clock_hamiltonian=h)
+    return SyncOperatorBundle(system, np.flatnonzero(gaps <= cutoff), cutoff, epsilon,
+                              float(gaps.max()), g, h)
 
 
-def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
-                bound_slack: float = BOUND_SLACK,
+def kernel_basis(bundle: SyncOperatorBundle) -> np.ndarray:
+    """The n x k kernel basis V: column c is b_A,i (x) b_B,j for the c-th index
+    i * d_B + j of ``bundle.kernel_index``.
+
+    V is orthonormal to the clock bases' own roundoff, so it is not checked. Its
+    columns are a subset of those of B_A (x) B_B, so with E_X = B_X^dag B_X - I,
+    V^dag V - I is a principal submatrix of E_A (x) I + I (x) E_B + E_A (x) E_B,
+    of norm at most ||E_A|| + ||E_B|| + ||E_A|| ||E_B||, and each B_X passed
+    make_clock's require_unitary.
+    """
+    system = bundle.system
+    i, j = np.divmod(bundle.kernel_index, system.dim_b)
+    basis = system.clock_a.basis[:, None, i] * system.clock_b.basis[None, :, j]
+    return basis.reshape(system.dim, i.size)
+
+
+def drift_trace(bundle: SyncOperatorBundle, psi0, times, bound_slack: float = BOUND_SLACK,
                 init_tol: float = INIT_TOL) -> dict:
-    """Evolve psi0 and record drift/fidelity with bound verdicts.
+    """Evolve psi0 under the bundle's system and record drift/fidelity with bound
+    verdicts.
 
     Returns the series kinds' report fields: ``times``, ``drift`` ||K psi(t)||,
     ``fidelity`` ||Pi psi(t)||^2, their bounds ``bound_drift`` epsilon |t| and
@@ -171,6 +184,7 @@ def drift_trace(system: SyncSystem, psi0, times, bundle: SyncOperatorBundle,
     coordinates of ``bundle.kernel_index``, so drift(t) = ||G V' phi(t)|| and
     fidelity(t) = ||V'[kernel_index] phi(t)||^2.
     """
+    system = bundle.system
     psi0 = np.asarray(psi0, dtype=np.complex128).reshape(-1)
     if psi0.shape[0] != system.dim:
         raise ValueError(f"state dim {psi0.shape[0]} does not match system dim {system.dim}")
@@ -231,10 +245,10 @@ def _scaled_norm(x: np.ndarray) -> float:
 
 def sample_kernel_state(bundle: SyncOperatorBundle, seed: int) -> np.ndarray:
     """Deterministic unit vector in the synchronization kernel."""
-    k = bundle.kernel.dim
+    k = bundle.kernel_index.size
     if k == 0:
         raise ValueError("kernel is trivial; no state to sample")
     rng = _philox(seed)
     coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
-    vec = bundle.kernel.basis @ coeffs
+    vec = kernel_basis(bundle) @ coeffs
     return vec / np.linalg.norm(vec)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from syncsub import grouprep, opcore
+from syncsub import grouprep, opcore, sync
 from syncsub.clocks import COMPAT_TOL, ClockObservable, _philox, _random_hermitian
-from syncsub.opcore import NumericalError, Subspace
+from syncsub.opcore import NumericalError
 
 LABEL_SEP = 1e-9       # absolute gap below which the dense classifier merges labels
 
@@ -57,8 +57,13 @@ def hermitian_eig(m) -> tuple:
     return opcore.spectrum((m + m.conj().T) / 2.0)
 
 
-def null_space(a, tol: float = opcore.KERNEL_TOL) -> Subspace:
-    """Kernel of a 2-d array via SVD.
+def span_projector(basis) -> np.ndarray:
+    """Orthogonal projector B B^dag onto the span of orthonormal columns B."""
+    return basis @ basis.conj().T
+
+
+def null_space(a, tol: float = opcore.KERNEL_TOL) -> tuple:
+    """Kernel of a 2-d array via SVD: (orthonormal basis columns, absolute cutoff).
 
     Keeps right-singular vectors with singular value <= tol * sigma_max, and
     counts every singular value at or below KERNEL_ABS_FLOOR as zero, so a
@@ -67,12 +72,10 @@ def null_space(a, tol: float = opcore.KERNEL_TOL) -> Subspace:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    n = a.shape[1]
     _, s, vh = np.linalg.svd(a)
     cutoff = opcore.kernel_cutoff(float(s[0]) if s.size else 0.0, tol)
     rank = int(np.count_nonzero(s > cutoff))
-    basis = opcore._fix_phases(vh[rank:].conj().T)
-    return Subspace(ambient_dim=n, basis=basis, tol_used=cutoff)
+    return opcore._fix_phases(vh[rank:].conj().T), cutoff
 
 
 def evolve(h, t: float) -> np.ndarray:
@@ -201,13 +204,14 @@ def sync_operator(clock_a: ClockObservable, clock_b: ClockObservable) -> np.ndar
     return kron_difference(clock_matrix(clock_a), clock_matrix(clock_b))
 
 
-def preservation_residual(system, bundle, times) -> float:
-    """Worst leakage ||(I - Pi) U(t) Pi|| = ||(I - Pi) U(t) B||, B the kernel basis."""
+def preservation_residual(bundle, times) -> float:
+    """Worst leakage ||(I - Pi) U(t) Pi|| = ||(I - Pi) U(t) B||, B the kernel basis,
+    under the bundle's system."""
     times = np.asarray(times, dtype=np.float64)
     if not np.all(np.isfinite(times)):
         raise ValueError("evolution times must be finite")
-    w, v = hermitian_eig(system.hamiltonian)
-    basis = bundle.kernel.basis
+    w, v = hermitian_eig(bundle.system.hamiltonian)
+    basis = sync.kernel_basis(bundle)
     coeffs = v.conj().T @ basis
     worst = 0.0
     for phases in np.exp(-1j * np.outer(w, times)).T:
@@ -305,10 +309,10 @@ def schur_clock(t, rho, comps, equivar_tol=grouprep.EQUIVAR_TOL) -> tuple:
     return grouprep.isotypic_clock(t, grouprep.equivariance_residual(rho, t), comps, equivar_tol)
 
 
-def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
-    """Direct sum over shared irreps of V_l^A (x) V_l^B inside the product space,
-    for any multiplicities; the returned subspace is invariant under the joint
-    action (verified before returning).
+def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> np.ndarray:
+    """Orthonormal basis columns of the direct sum over shared irreps of
+    V_l^A (x) V_l^B inside the product space, for any multiplicities; the
+    subspace is invariant under the joint action (verified before returning).
     """
     grouprep._require_same_group(rho_a.group, rho_b.group)
     pieces = [np.kron(comp_a.basis, comp_b.basis)
@@ -320,10 +324,8 @@ def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
         basis = np.hstack(pieces)
     else:
         basis = np.zeros((ambient, 0), dtype=np.complex128)
-    subspace = Subspace(ambient_dim=ambient, basis=basis, tol_used=0.0)
-
-    if subspace.dim:
-        pi = opcore.projector(subspace)
+    if basis.shape[1]:
+        pi = span_projector(basis)
         eye = np.eye(ambient)
         joint = tensor_representation(rho_a, rho_b)
         for g in range(joint.group.order):
@@ -332,4 +334,4 @@ def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> Subspace:
                 raise NumericalError(
                     f"diagonal isotypic subspace is not invariant under "
                     f"{joint.group.elements[g]!r} (leakage {leak:.3e})")
-    return subspace
+    return basis

@@ -56,10 +56,10 @@ def test_criterion_02_pauli_z_kernel_and_membership():
     failures = []
     za = clocks.make_clock([1, -1])
     k = oracles.sync_operator(za, za)
-    kernel = oracles.null_space(k)
-    if kernel.dim != 2:
-        failures.append(f"kernel dim {kernel.dim}")
-    proj_err = opcore.operator_norm(opcore.projector(kernel) - np.diag([1.0, 0, 0, 1.0]))
+    kernel, _ = oracles.null_space(k)
+    if kernel.shape[1] != 2:
+        failures.append(f"kernel dim {kernel.shape[1]}")
+    proj_err = opcore.operator_norm(oracles.span_projector(kernel) - np.diag([1.0, 0, 0, 1.0]))
     if proj_err > 1e-12:
         failures.append(f"projector error {proj_err:.3e}")
 
@@ -77,7 +77,7 @@ def test_criterion_02_pauli_z_kernel_and_membership():
     group, _ = grouprep.builtin_group("Z2xZ2")
     rho = grouprep.representation_from_generators(group, {"a": SIGMA_Z, "b": SIGMA_Z})
     system = sync.make_system(za, za, np.kron(SIGMA_X, eye))
-    if grouprep.hsync_membership(system, sync.sync_bundle(system), rho, rho)["member"]:
+    if grouprep.hsync_membership(sync.sync_bundle(system), rho, rho)["member"]:
         failures.append("X(x)I passed membership")
     _criterion(2, "Pauli-Z qubits: kernel span{|00>,|11>}, Z-type members, X(x)I rejected",
                failures)
@@ -99,7 +99,7 @@ def test_criterion_03_compatible_systems_preserve_kernel_and_spectra():
             failures.append(f"trial {trial}: ||[K,H]|| = {comm:.3e}")
             continue
         bundle = sync.sync_bundle(system)
-        leak = oracles.preservation_residual(system, bundle, times)
+        leak = oracles.preservation_residual(bundle, times)
         if leak > 1e-10:
             failures.append(f"trial {trial}: leakage {leak:.3e}")
         ta_full = np.kron(oracles.clock_matrix(ta), np.eye(db))
@@ -135,12 +135,12 @@ def epsilon_sweep():
             system = sync.make_system(ta, ta, base + scale * v)
             bundle = sync.sync_bundle(system)
             psi0 = sync.sample_kernel_state(bundle, seed)
-            report = sync.drift_trace(system, psi0, times, bundle=bundle)
+            report = sync.drift_trace(bundle, psi0, times)
 
             # decomposition residual max |F + ||(I-Pi)psi||^2 - 1| on the grid
             evals, evecs = oracles.hermitian_eig(system.hamiltonian)
             eye = np.eye(system.dim)
-            projector = opcore.projector(bundle.kernel)
+            projector = oracles.span_projector(sync.kernel_basis(bundle))
             decomp_err = 0.0
             for t in times:
                 u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
@@ -151,7 +151,7 @@ def epsilon_sweep():
 
             delta = 0.1
             t_win = 0.9 * delta / bundle.epsilon
-            window_report = sync.drift_trace(system, psi0, [t_win], bundle=bundle)
+            window_report = sync.drift_trace(bundle, psi0, [t_win])
             runs.append({
                 "eps": eps,
                 "seed": seed,
@@ -309,13 +309,13 @@ def test_criterion_09_null_space_oracle_equivalence():
         x = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
         y = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
         a = x @ y
-        sub = oracles.null_space(a)
+        basis, _ = oracles.null_space(a)
         oracle = _kernel_oracle(a)
-        if sub.dim != oracle.shape[1]:
-            failures.append(f"trial {trial}: dims {sub.dim} vs {oracle.shape[1]}")
+        if basis.shape[1] != oracle.shape[1]:
+            failures.append(f"trial {trial}: dims {basis.shape[1]} vs {oracle.shape[1]}")
             continue
-        if sub.dim:
-            residual = oracle - sub.basis @ (sub.basis.conj().T @ oracle)
+        if basis.shape[1]:
+            residual = oracle - basis @ (basis.conj().T @ oracle)
             sine = float(np.linalg.norm(residual, 2))
             if sine > 1e-8:
                 failures.append(f"trial {trial}: principal angle sin {sine:.3e}")

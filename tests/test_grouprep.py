@@ -459,7 +459,7 @@ class TestPermutationPath:
             return stacked(stack, count, dim)
 
         monkeypatch.setattr(grouprep, "_max_spectral_norm", counting_stack)
-        verdict = grouprep.hsync_membership(system, bundle, reg, reg)
+        verdict = grouprep.hsync_membership(bundle, reg, reg)
         report = grouprep.validate_representation(reg)
         assert calls == [("stack", 16)]   # unitarity only, exactly zero: no SVD
         assert verdict["member"] and verdict["equivariance_bound"] == 0.0
@@ -769,37 +769,37 @@ class TestIsotypicProjectors:
 class TestDiagonalIsotypicSubspace:
     def test_pauli_z_qubits(self, pauli_z_pair):
         _, chars, rho = pauli_z_pair
-        sub = oracles.diagonal_isotypic_subspace(rho, rho, chars)
-        assert sub.dim == 2
-        np.testing.assert_allclose(opcore.projector(sub),
+        basis = oracles.diagonal_isotypic_subspace(rho, rho, chars)
+        assert basis.shape[1] == 2
+        np.testing.assert_allclose(oracles.span_projector(basis),
                                    np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
 
     def test_trivial_reps(self):
         group, chars = grouprep.builtin_group("Z1")
         rho = oracles.trivial_representation(group, 1)
-        sub = oracles.diagonal_isotypic_subspace(rho, rho, chars)
-        assert sub.dim == 1
+        basis = oracles.diagonal_isotypic_subspace(rho, rho, chars)
+        assert basis.shape[1] == 1
 
     def test_only_shared_irreps_contribute(self, z2):
         group, chars = z2
         rho_a = grouprep.representation_from_generators(group, {"g1": SIGMA_Z})  # triv + sign
         rho_b = grouprep.representation_from_generators(
             group, {"g1": -np.eye(1)})                                           # sign only
-        sub = oracles.diagonal_isotypic_subspace(rho_a, rho_b, chars)
-        assert sub.dim == 1
+        basis = oracles.diagonal_isotypic_subspace(rho_a, rho_b, chars)
+        assert basis.shape[1] == 1
         # invariance under the joint action
         joint = oracles.tensor_representation(rho_a, rho_b)
-        pi = opcore.projector(sub)
+        pi = oracles.span_projector(basis)
         for g in range(group.order):
             assert opcore.operator_norm((np.eye(2) - pi) @ joint[g] @ pi) <= 1e-10
 
     def test_invariance_for_s3(self, s3, s3_multiplicity_free):
         group, chars = s3
-        sub = oracles.diagonal_isotypic_subspace(
+        basis = oracles.diagonal_isotypic_subspace(
             s3_multiplicity_free, s3_multiplicity_free, chars)
-        assert sub.dim == 1 + 1 + 4
+        assert basis.shape[1] == 1 + 1 + 4
         joint = oracles.tensor_representation(s3_multiplicity_free, s3_multiplicity_free)
-        pi = opcore.projector(sub)
+        pi = oracles.span_projector(basis)
         eye = np.eye(16)
         for g in range(group.order):
             assert opcore.operator_norm((eye - pi) @ joint[g] @ pi) <= 1e-10
@@ -808,8 +808,8 @@ class TestDiagonalIsotypicSubspace:
         # std appears twice in the regular representation: its block is 4 x 4
         group, chars = s3
         reg = oracles.regular_representation(group)
-        sub = oracles.diagonal_isotypic_subspace(reg, reg, chars)
-        assert sub.dim == 1 + 1 + 16
+        basis = oracles.diagonal_isotypic_subspace(reg, reg, chars)
+        assert basis.shape[1] == 1 + 1 + 16
 
 
 class TestSchurScalars:
@@ -980,8 +980,7 @@ class TestHsyncMembership:
         # dynamics preservation: e^{-iHt} keeps the diagonal isotypic subspace
         group, chars = s3
         rho = s3_multiplicity_free
-        sub = oracles.diagonal_isotypic_subspace(rho, rho, chars)
-        pi = opcore.projector(sub)
+        pi = oracles.span_projector(oracles.diagonal_isotypic_subspace(rho, rho, chars))
         eye = np.eye(16)
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -1194,7 +1193,7 @@ class TestIsotypicClock:
                 k = oracles.kron_difference(t_a, t_b)
                 norms = opcore.operator_norm(t_a) + opcore.operator_norm(t_b)
                 roundoff = 8 * eps * rho.dim * norms
-                kernel = bundle.kernel.basis
+                kernel = sync.kernel_basis(bundle)
                 for entry in report["entries"]:
                     block = np.kron(comps[entry["irrep"]].basis, comps[entry["irrep"]].basis)
                     kb = np.linalg.norm(k @ block, axis=0)
@@ -1204,10 +1203,10 @@ class TestIsotypicClock:
                         leak = block - kernel @ (kernel.conj().T @ block)
                         assert opcore.operator_norm(leak) <= 1e-10, (name, entry["irrep"])
 
-                dense = oracles.null_space(oracles.sync_operator(clock_a, clock_b))
-                assert dense.dim == bundle.kernel.dim >= report["diagonal_dim"], name
-                assert opcore.operator_norm(opcore.projector(dense)
-                                            - opcore.projector(bundle.kernel)) <= 1e-10, name
+                dense, _ = oracles.null_space(oracles.sync_operator(clock_a, clock_b))
+                assert dense.shape[1] == kernel.shape[1] >= report["diagonal_dim"], name
+                assert opcore.operator_norm(oracles.span_projector(dense)
+                                            - oracles.span_projector(kernel)) <= 1e-10, name
         if name in ("S3", "D4"):
             assert 2 in multiplicities
 

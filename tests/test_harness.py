@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import syncsub
-from syncsub import cli, clocks, grouprep, opcore, scenario, sync
+from syncsub import cli, clocks, grouprep, literals, opcore, scenario, sync
 from syncsub.literals import (
     ScenarioError,
     clock_from_literal,
@@ -378,6 +378,22 @@ class TestCli:
         assert cli.main(["run", str(write_scenario(tmp_path, doc))]) == 2
         assert f"tolerances.{tol}: tolerance must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["tol", "tolerances"])
+    def test_zero_kernel_tol_rejected_at_parse_time(self, tmp_path, capsys, source):
+        """kernel_tol scales the kernel cutoff, so 0 exits 2 before running,
+        naming the field, from --tol or from the scenario file."""
+        path = SCENARIO_DIR / "ex74_kernel.json"
+        if source == "tol":
+            code = cli.main(["kernel", str(path), "--tol", "kernel_tol=0"])
+        else:
+            doc = json.loads(path.read_text())
+            doc["tolerances"] = {"kernel_tol": 0}
+            code = cli.main(["kernel", str(write_scenario(tmp_path, doc))])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (f"syncsub: scenario error: {source}.kernel_tol: "
+                                "kernel tolerance must be positive, got 0.0\n")
+
     def test_repeated_main_calls_match_fresh_processes(self, monkeypatch, capsys):
         """main() builds its parser on the first call and reuses it: calls with
         different flags print what fresh processes print, and no flag of one
@@ -595,12 +611,12 @@ class TestCli:
                                          "clock_b": {"labels": labels_b}})
         assert cli.main(["run", str(path), "--tol", "kernel_tol=1e-14"]) == 0
         report = json.loads(capsys.readouterr().out)
-        want = oracles.null_space(oracles.sync_operator(clocks.make_clock(labels_a),
-                                                        clocks.make_clock(labels_b)), tol=1e-14)
-        assert report["kernel"]["dim"] == want.dim == 2
-        assert report["kernel"]["tol_used"] == want.tol_used
+        want, cutoff = oracles.null_space(oracles.sync_operator(
+            clocks.make_clock(labels_a), clocks.make_clock(labels_b)), tol=1e-14)
+        assert report["kernel"]["dim"] == want.shape[1] == 2
+        assert report["kernel"]["tol_used"] == cutoff
         np.testing.assert_allclose(matrix_from_literal(report["projector"]),
-                                   opcore.projector(want), atol=1e-15)
+                                   oracles.span_projector(want), atol=1e-15)
 
     def test_computed_nan_exit_three(self, monkeypatch, capsys):
         def nan_epsilon(*args, **kwargs):
@@ -1062,11 +1078,13 @@ def assert_report_close(got, want, path="report"):
         assert type(got) is type(want) and got == want, path
 
 
-def assert_matches_golden(tmp_path, name):
-    """The report of a bundled scenario is its golden file, byte for byte."""
-    out = tmp_path / "report.json"
-    assert cli.main(["run", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+def assert_matches_golden(tmp_path, name, fmt="json"):
+    """The report of a bundled scenario in ``fmt`` is its golden file, byte for byte."""
+    suffix = "txt" if fmt == "text" else fmt
+    out = tmp_path / f"report.{suffix}"
+    assert cli.main(["run", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out),
+                     "--format", fmt]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
 
 
 class TestGolden:
@@ -1076,6 +1094,85 @@ class TestGolden:
     @pytest.mark.parametrize("name", ["ex55_compat", "ex74_kernel", "drift_perturbed"])
     def test_bundled_example_matches_golden(self, tmp_path, name):
         assert_matches_golden(tmp_path, name)
+
+    @pytest.mark.parametrize("name", [Path(p).stem for p in BUNDLED])
+    def test_text_report_matches_golden(self, tmp_path, name):
+        assert_matches_golden(tmp_path, name, "text")
+
+    def test_csv_report_matches_golden(self, tmp_path):
+        assert_matches_golden(tmp_path, "drift_perturbed", "csv")
+
+
+def _rename(obj, old, new):
+    obj[new] = obj.pop(old)
+
+
+# (bundled scenario, edit of its document, field path the error names)
+NESTED_KEY_ERRORS = [
+    ("drift_perturbed", lambda d: _rename(d["hamiltonian"], "seed", "sede"), "hamiltonian.sede"),
+    ("drift_perturbed", lambda d: d["clock_a"].update(basiss={"diag": [1, 1]}), "clock_a.basiss"),
+    ("drift_perturbed", lambda d: d.update(hamiltonian={
+        "diag": [0, 0, 0, 0], "local": d["hamiltonian"]["base"]["local"]}), "hamiltonian.diag"),
+    ("drift_perturbed", lambda d: d["initial_state"].update(
+        vector=[[1, 0], [0, 0], [0, 0], [0, 0]]), "initial_state.vector"),
+    ("ex74_kernel", lambda d: d["hamiltonian"]["local"].update(c={"diag": [0, 0]}),
+     "hamiltonian.local.c"),
+    ("ex74_kernel", lambda d: d["hamiltonian"]["local"]["a"].update(dim=2),
+     "hamiltonian.local.a.dim"),
+    ("ex55_compat", lambda d: d["hamiltonians"][0].update(entries=[]), "hamiltonians[0].entries"),
+    ("ex_group_s3", lambda d: d["rep_a"].update(elements=[]), "rep_a.elements"),
+]
+
+
+@pytest.mark.parametrize("name, edit, field", NESTED_KEY_ERRORS,
+                         ids=[field for _, _, field in NESTED_KEY_ERRORS])
+def test_unknown_or_second_form_nested_key_exits_two(tmp_path, capsys, name, edit, field):
+    """A nested object takes only its own keys and one form: a misspelled key,
+    or a key of a second form, exits 2 naming path.key instead of being dropped."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    edit(doc)
+    assert cli.main(["run", str(write_scenario(tmp_path, doc))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"syncsub: scenario error: {field}: unexpected field in ")
+
+
+def test_custom_group_literals_reject_unknown_keys():
+    """The group, character-table and irrep-row literals of a custom group."""
+    table = [[0, 1], [1, 0]]
+    group, _ = literals.group_from_literal({"mult_table": table})
+    with pytest.raises(ScenarioError, match=r"^group\.order: unexpected field"):
+        literals.group_from_literal({"mult_table": table, "order": 2})
+    rows = [{"name": "triv", "dim": 1, "chars": [1, 1]},
+            {"name": "sign", "dim": 1, "chars": [1, -1]}]
+    assert len(literals.character_table_from_literal(group, {"irreps": rows})) == 2
+    with pytest.raises(ScenarioError, match=r"^characters\.classes: unexpected field"):
+        literals.character_table_from_literal(group, {"irreps": rows, "classes": []})
+    rows[1]["degree"] = 1
+    with pytest.raises(ScenarioError,
+                       match=r"^characters\.irreps\[1\]\.degree: unexpected field"):
+        literals.character_table_from_literal(group, {"irreps": rows})
+
+
+# scenario -> calls of sync.kernel_basis in one run
+KERNEL_BASIS_READS = {"ex_group_s3": 0, "drift-vector": 0, "ex74_kernel": 1, "drift_perturbed": 1}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_BASIS_READS))
+def test_kernel_basis_is_built_only_where_read(tmp_path, monkeypatch, name):
+    """The n x k kernel basis is formed only by the kernel report and by a
+    kernel_seed initial state; the group kind and a vector initial state read
+    the kernel as its index set."""
+    if name == "drift-vector":
+        path = write_scenario(tmp_path, drift_payload(
+            initial_state={"vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    else:
+        path = SCENARIO_DIR / f"{name}.json"
+    calls = []
+    monkeypatch.setattr(sync, "kernel_basis",
+                        lambda bundle, _fn=sync.kernel_basis: calls.append(1) or _fn(bundle))
+    assert scenario.run_scenario(scenario.parse_scenario(path))["passed"]
+    assert len(calls) == KERNEL_BASIS_READS[name]
 
 
 def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):

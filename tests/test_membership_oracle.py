@@ -101,7 +101,7 @@ def generator_residual(h, rho_a, rho_b):
 def membership(h, rho_a, rho_b, clock_a, clock_b, **kwargs):
     """hsync_membership on the system of the two clocks and H, with its bundle."""
     system = sync.make_system(clock_a, clock_b, h)
-    return grouprep.hsync_membership(system, sync.sync_bundle(system), rho_a, rho_b, **kwargs)
+    return grouprep.hsync_membership(sync.sync_bundle(system), rho_a, rho_b, **kwargs)
 
 
 def class_clock(rho, rng):
@@ -168,7 +168,7 @@ def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, wher
         return real(*args)
 
     monkeypatch.setattr(grouprep, "_max_spectral_norm", counted)
-    verdict = grouprep.hsync_membership(system, bundle, rho_a, rho_b, compat_tol=compat_tol)
+    verdict = grouprep.hsync_membership(bundle, rho_a, rho_b, compat_tol=compat_tol)
     monkeypatch.setattr(grouprep, "_max_spectral_norm", real)
     exact, member = oracle_membership(h, rho_a, rho_b, *(oracles.clock_matrix(c) for c in factors),
                                       compat_tol=compat_tol)
@@ -329,7 +329,7 @@ def test_fallback_gathers_on_permutation_pairs(monkeypatch):
         bundle = sync.sync_bundle(system)
         with monkeypatch.context() as m:
             m.setattr(np, "kron", lambda *args: pytest.fail("Kronecker product formed"))
-            verdict = grouprep.hsync_membership(system, bundle, reg, reg, compat_tol=compat_tol)
+            verdict = grouprep.hsync_membership(bundle, reg, reg, compat_tol=compat_tol)
         assert verdict["generator_residual"] <= TOL < tree_bound(h, reg, reg), kind
         assert verdict["equivariance_bound"] == exact, kind
 

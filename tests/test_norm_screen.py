@@ -168,12 +168,6 @@ def probe_evolve(n, c_ratio, rank):
     return run
 
 
-def probe_subspace(n, c_ratio, rank):
-    e = diagonal_residual(n, c_ratio * opcore.ORTHO_TOL, rank)
-    basis = np.diag(np.sqrt(1.0 + e))
-    return lambda: opcore.Subspace(ambient_dim=n, basis=basis, tol_used=0.0).dim
-
-
 def probe_make_representation_identity(n, c_ratio, rank):
     # rho(e) = I + i diag(e) is unitary to O(e^2), far inside its own check
     group, _ = grouprep.builtin_group("Z2")
@@ -208,7 +202,7 @@ def probe_diagonal_isotypic_leakage(n, c_ratio, rank):
     mats = oracles.regular_representation(group).matrices.copy()
     mats[2] = mats[2] + np.diag(diagonal_residual(3, c_ratio * 1e-10 / 1.6, rank))
     rho = grouprep.Representation(group, mats)
-    return lambda: oracles.diagonal_isotypic_subspace(rho, rho, chars).dim
+    return lambda: oracles.diagonal_isotypic_subspace(rho, rho, chars).shape
 
 
 def probe_class_function_hermiticity(n, c_ratio, rank):
@@ -237,7 +231,6 @@ LIBRARY_PROBES = {
     probe_require_hermitian: "opcore.require_hermitian",
     probe_spectrum: "opcore.spectrum",
     probe_require_unitary: "opcore.require_unitary",
-    probe_subspace: "opcore.Subspace.__post_init__",
     probe_make_representation_identity: "grouprep.make_representation",
     probe_make_representation_unitarity: "grouprep.make_representation",
     probe_isotypic_idempotence: "grouprep.isotypic_projectors",

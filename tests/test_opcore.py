@@ -454,24 +454,24 @@ def max_principal_angle_sin(b1, b2):
 
 class TestNullSpace:
     def test_zero_matrix_gives_full_space(self):
-        sub = oracles.null_space(np.zeros((4, 4)))
-        assert sub.dim == 4
-        np.testing.assert_allclose(opcore.projector(sub), np.eye(4), atol=1e-14)
+        basis, _ = oracles.null_space(np.zeros((4, 4)))
+        assert basis.shape[1] == 4
+        np.testing.assert_allclose(oracles.span_projector(basis), np.eye(4), atol=1e-14)
 
     def test_sync_operator_kernel(self):
         k = np.kron(SIGMA_Z, np.eye(2)) - np.kron(np.eye(2), SIGMA_Z)
-        sub = oracles.null_space(k)
-        assert sub.dim == 2
-        np.testing.assert_allclose(opcore.projector(sub),
+        basis, _ = oracles.null_space(k)
+        assert basis.shape[1] == 2
+        np.testing.assert_allclose(oracles.span_projector(basis),
                                    np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-12)
 
     def test_rank_deficient_product(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
             a = random_complex(rng, (6, 4)) @ random_complex(rng, (4, 6))
-            sub = oracles.null_space(a)
-            assert sub.dim == 2
-            assert opcore.operator_norm(a @ sub.basis) <= 1e-9
+            basis, _ = oracles.null_space(a)
+            assert basis.shape[1] == 2
+            assert opcore.operator_norm(a @ basis) <= 1e-9
 
     def test_matches_gram_eigendecomposition_oracle(self):
         rng = np.random.default_rng(11)
@@ -479,10 +479,10 @@ class TestNullSpace:
             n = int(rng.integers(2, 9))
             r = int(rng.integers(1, n + 1))
             a = random_complex(rng, (n, r)) @ random_complex(rng, (r, n))
-            sub = oracles.null_space(a)
+            basis, _ = oracles.null_space(a)
             oracle = kernel_oracle(a)
-            assert sub.dim == oracle.shape[1]
-            assert max_principal_angle_sin(sub.basis, oracle) <= 1e-8
+            assert basis.shape[1] == oracle.shape[1]
+            assert max_principal_angle_sin(basis, oracle) <= 1e-8
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -490,35 +490,13 @@ class TestNullSpace:
 
     def test_records_cutoff(self):
         a = np.diag([1.0, 1e-14])
-        sub = oracles.null_space(a, tol=1e-10)
-        assert sub.tol_used == pytest.approx(1e-10, rel=1e-12)
-        assert sub.dim == 1
+        basis, cutoff = oracles.null_space(a, tol=1e-10)
+        assert cutoff == pytest.approx(1e-10, rel=1e-12)
+        assert basis.shape[1] == 1
 
     def test_roundoff_sized_matrix_gives_full_space(self):
         # sigma_max = 2e-16 is above the zero-matrix test, so the relative
         # cutoff alone would keep it as rank; the absolute floor drops it
-        sub = oracles.null_space(np.full((2, 2), 1e-16))
-        assert sub.dim == 2
-        assert sub.tol_used == opcore.KERNEL_ABS_FLOOR
-
-
-class TestProjector:
-    def test_full_space(self):
-        sub = oracles.null_space(np.zeros((3, 3)))
-        np.testing.assert_allclose(opcore.projector(sub), np.eye(3), atol=1e-14)
-
-    def test_idempotent_hermitian_trace(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(1, n + 1))
-            basis = np.linalg.qr(random_complex(rng, (n, k)))[0]
-            sub = opcore.Subspace(ambient_dim=n, basis=basis, tol_used=0.0)
-            p = opcore.projector(sub)
-            assert opcore.operator_norm(p @ p - p) <= 1e-10
-            assert oracles.hermiticity_residual(p) <= 1e-10
-            assert np.trace(p).real == pytest.approx(k, abs=1e-10)
-
-    def test_subspace_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            opcore.Subspace(ambient_dim=2, basis=np.array([[1.0], [1.0]]), tol_used=0.0)
+        basis, cutoff = oracles.null_space(np.full((2, 2), 1e-16))
+        assert basis.shape[1] == 2
+        assert cutoff == opcore.KERNEL_ABS_FLOOR

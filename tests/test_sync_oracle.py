@@ -19,7 +19,7 @@ def dense_projector(system, kernel_tol=opcore.KERNEL_TOL):
     basis keeps only roundoff, which null_space's absolute floor counts as zero.
     """
     k = oracles.sync_operator(system.clock_a, system.clock_b)
-    return opcore.projector(oracles.null_space(k, tol=kernel_tol))
+    return oracles.span_projector(oracles.null_space(k, tol=kernel_tol)[0])
 
 
 def dense_unitary(spec, t):
@@ -85,22 +85,24 @@ def test_label_matching_matches_dense_oracle():
         seen["zero_kernel"] += kernel_dim == 0
         seen["degenerate"] += any(len(oracles.block_structure(c).blocks) < c.dim
                                   for c in (system.clock_a, system.clock_b))
-        if bundle.kernel.dim != kernel_dim:
-            failures.append(f"trial {trial}: kernel dim {bundle.kernel.dim} vs {kernel_dim}")
+        k = bundle.kernel_index.size
+        if k != kernel_dim:
+            failures.append(f"trial {trial}: kernel dim {k} vs {kernel_dim}")
             continue
         gaps = {
-            "projector": opcore.operator_norm(opcore.projector(bundle.kernel) - projector),
+            "projector": opcore.operator_norm(
+                oracles.span_projector(sync.kernel_basis(bundle)) - projector),
             "epsilon": abs(bundle.epsilon - opcore.operator_norm(oracles.commutator(
                 system.hamiltonian, oracles.sync_operator(system.clock_a, system.clock_b)))),
         }
         times = np.concatenate([[0.0], rng.uniform(-15.0, 15.0, size=6)])
         gaps["preservation_residual"] = abs(
-            oracles.preservation_residual(system, bundle, times)
+            oracles.preservation_residual(bundle, times)
             - dense_preservation_residual(system, projector, times))
         if kernel_dim:
             seen["series"] += 1
             psi0 = sync.sample_kernel_state(bundle, trial)
-            report = sync.drift_trace(system, psi0, times, bundle=bundle)
+            report = sync.drift_trace(bundle, psi0, times)
             drift, fidelity = dense_series(system, psi0, times, projector)
             gaps["drift"] = float(np.max(np.abs(report["drift"] - drift)))
             gaps["fidelity"] = float(np.max(np.abs(report["fidelity"] - fidelity)))
@@ -125,12 +127,12 @@ def test_gaps_around_the_cutoff(rotated):
     ta = clocks.make_clock([0.0, big], basis(2))
     tb = clocks.make_clock([gap_in, big + gap_out], basis(2))
     bundle = sync.sync_bundle(sync.make_system(ta, tb, np.zeros((4, 4))))
-    kernel = oracles.null_space(oracles.sync_operator(ta, tb))
-    assert bundle.kernel.dim == kernel.dim == 1
-    assert bundle.kernel.tol_used == pytest.approx(kernel.tol_used, rel=1e-12)
+    kernel, cutoff = oracles.null_space(oracles.sync_operator(ta, tb))
+    assert bundle.kernel_index.size == kernel.shape[1] == 1
+    assert bundle.cutoff == pytest.approx(cutoff, rel=1e-12)
     if not rotated:
-        assert opcore.operator_norm(
-            opcore.projector(bundle.kernel) - opcore.projector(kernel)) <= TOL
+        assert opcore.operator_norm(oracles.span_projector(sync.kernel_basis(bundle))
+                                    - oracles.span_projector(kernel)) <= TOL
 
 
 def test_standard_basis_reproduces_dense_k_bit_for_bit():
@@ -150,13 +152,13 @@ def test_standard_basis_reproduces_dense_k_bit_for_bit():
         k = oracles.sync_operator(ta, tb)
         assert bundle.epsilon == opcore.hermitian_norm(
             1j * oracles.commutator(system.hamiltonian, k)), trial
-        if bundle.kernel.dim:
+        if bundle.kernel_index.size:
             psi0 = sync.sample_kernel_state(bundle, trial)
             times = np.linspace(0.0, 10.0, 5)
             w, v = opcore.spectrum(system.hamiltonian)
             phi = np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None]
             dense = np.linalg.norm((k @ v) @ phi, axis=0)
-            report = sync.drift_trace(system, psi0, times, bundle=bundle)
+            report = sync.drift_trace(bundle, psi0, times)
             assert np.array_equal(report["drift"], dense), trial
 
 
@@ -217,8 +219,8 @@ def test_factored_epsilon_matches_dense_oracle():
         seen["rotated"] += trial % 2 == 0
         seen["repeated"] += len(set(a)) < a.size or len(set(b)) < b.size
         seen["offset"] += trial % 3 == 1
-        at_cutoff = bool(np.any(np.isclose(gaps, bundle.kernel.tol_used, rtol=1e-2, atol=0)))
-        floor = bundle.kernel.tol_used == opcore.KERNEL_ABS_FLOOR
+        at_cutoff = bool(np.any(np.isclose(gaps, bundle.cutoff, rtol=1e-2, atol=0)))
+        floor = bundle.cutoff == opcore.KERNEL_ABS_FLOOR
         seen["at_cutoff"] += at_cutoff and not floor
         seen["at_floor"] += at_cutoff and floor
     assert min(seen.values()) >= 5, seen
@@ -257,13 +259,14 @@ def test_clock_basis_series_match_dense_oracle():
             system = sync.make_system(system.clock_a, system.clock_b,
                                       system.hamiltonian + 0.1 * coupling)
         bundle = sync.sync_bundle(system)
-        if not bundle.kernel.dim:
+        if not bundle.kernel_index.size:
             continue
         assert (bundle.clock_hamiltonian is None) is (system.local is not None)
         psi0 = sync.sample_kernel_state(bundle, trial)
         times = np.concatenate([[0.0], rng.uniform(-15.0, 15.0, size=6)])
-        report = sync.drift_trace(system, psi0, times, bundle=bundle, init_tol=np.inf)
-        drift, fidelity = dense_series(system, psi0, times, opcore.projector(bundle.kernel))
+        report = sync.drift_trace(bundle, psi0, times, init_tol=np.inf)
+        drift, fidelity = dense_series(system, psi0, times,
+                                       oracles.span_projector(sync.kernel_basis(bundle)))
         n = system.dim
         a, b = system.clock_a.labels, system.clock_b.labels
         tau = 1.0 + opcore.operator_norm(system.hamiltonian) * np.max(np.abs(times))
@@ -278,7 +281,7 @@ def test_clock_basis_series_match_dense_oracle():
         seen["unequal"] += system.dim_a != system.dim_b
         seen["local" if system.local is not None else "dense"] += 1
         seen["at_cutoff"] += bool(np.any(np.isclose(
-            np.abs(bundle.k_diagonal[bundle.kernel_index]), bundle.kernel.tol_used,
+            np.abs(bundle.k_diagonal[bundle.kernel_index]), bundle.cutoff,
             rtol=1e-2, atol=0)))
     assert min(seen.values()) >= 10, seen
     assert min(worst.values()) > 0.0, worst
