@@ -88,14 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(path, args, allowed_kinds) -> int:
-    scenario = parse_scenario(path)
+    scenario = parse_scenario(path, seed_override=args.seed, tol_overrides=_parse_tol(args.tol))
     if allowed_kinds is not None and scenario.kind not in allowed_kinds:
         raise ScenarioError("kind", f"scenario {scenario.name!r} has kind "
                                     f"{scenario.kind!r}; this subcommand handles "
                                     f"{', '.join(allowed_kinds)}")
     log.info("running scenario %s (kind %s)", scenario.name, scenario.kind)
-    report = run_scenario(scenario, seed_override=args.seed,
-                          tol_overrides=_parse_tol(args.tol))
+    report = run_scenario(scenario)
     fmt = args.format or scenario.format or "json"
     payload = emit_report(report, fmt)
     out = args.out if args.out is not None else scenario.out

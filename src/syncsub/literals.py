@@ -124,14 +124,6 @@ def matrix_from_literal(obj, path: str = "matrix") -> np.ndarray:
     return _pairs(entries, f"{path}.entries").reshape(dim, dim)
 
 
-def matrix_to_literal(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.complex128)
-    return {
-        "dim": int(m.shape[0]),
-        "entries": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
-    }
-
-
 def clock_from_literal(obj, path: str = "clock") -> ClockObservable:
     obj = _expect_mapping(obj, path)
     if "labels" not in obj:

@@ -35,7 +35,6 @@ from .literals import (
     clock_from_literal,
     group_from_literal,
     matrix_from_literal,
-    matrix_to_literal,
     representation_from_literal,
 )
 
@@ -66,39 +65,29 @@ DEFAULT_TOLERANCES = {
 # ---------------------------------------------------------------------------
 # scenario model
 
-@dataclass(frozen=True, eq=False)
-class Perturbation:
-    base: "HamiltonianSpec"
-    direction: np.ndarray | None   # None means seeded random Hermitian
-    strength: float
-    seed: int | None
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianSpec:
-    matrix: np.ndarray | None = None
-    local: tuple | None = None          # (H_A, H_B)
-    perturbation: Perturbation | None = None
-
-
 @dataclass(eq=False)
 class Scenario:
+    """A parsed scenario with every operator built: a Hamiltonian is held in
+    the form it was given, an n x n matrix or the unchecked local pair
+    (H_A, H_B), and is None where the file gives none."""
     name: str
     kind: str
     digest: str
     seed: int | None = None
-    tolerances: dict = field(default_factory=dict)
+    seed_override: int | None = None
+    tolerances: dict = field(default_factory=dict)   # defaults, then the file's, then --tol
     out: str | None = None
     format: str | None = None
     # compat
     clock: ClockObservable | None = None
-    hamiltonians: list | None = None
+    hamiltonians: list | None = None   # of (name, H)
     # kernel / drift / fidelity
     clock_a: ClockObservable | None = None
     clock_b: ClockObservable | None = None
-    hamiltonian: HamiltonianSpec | None = None
+    hamiltonian: np.ndarray | tuple | None = None
     times: list | None = None
     initial_state: dict | None = None
+    seeds: dict | None = None          # series kinds: the seeds used, as reported
     # group
     group: grouprep.FiniteGroup | None = None
     characters: tuple | None = None   # of grouprep.Irrep
@@ -108,8 +97,23 @@ class Scenario:
     class_function_b: list | None = None
 
 
-def _parse_hamiltonian_spec(obj, path: str) -> HamiltonianSpec:
+def _read_hamiltonian(obj, path: str, dims: tuple, s: Scenario):
+    """H on the scenario's space from the literal at field path ``path``, in the
+    form it was given, plus the perturbation seed used (None without a random
+    direction).
+
+    ``dims`` is (d_A, d_B) for a product space or (d,) for a compat scenario's
+    clock. Local terms come back as the pair (H_A, H_B), unchecked like a
+    top-level matrix literal, because each caller checks H once (make_system,
+    or _as_matrix and classify_compatibility); a perturbation's base and
+    direction are checked here. A random direction draws with ``--seed``, else
+    the perturbation's own seed, else the scenario's seed, else 0.
+    """
     obj = _expect_mapping(obj, path)
+    product = len(dims) == 2
+    dim_a, dim_b = dims if product else (dims[0], 1)
+    dim = dim_a * dim_b
+    space = "product space" if product else "clock space"
     if "local" in obj:
         _only(obj, path, ("local",), "a local Hamiltonian")
         local = _expect_mapping(obj["local"], f"{path}.local")
@@ -117,28 +121,50 @@ def _parse_hamiltonian_spec(obj, path: str) -> HamiltonianSpec:
             if key not in local:
                 _fail(f"{path}.local", f'missing local term "{key}"')
         _only(local, f"{path}.local", ("a", "b"), "local terms")
-        return HamiltonianSpec(local=(
-            matrix_from_literal(local["a"], f"{path}.local.a"),
-            matrix_from_literal(local["b"], f"{path}.local.b"),
-        ))
+        h_a = matrix_from_literal(local["a"], f"{path}.local.a")
+        h_b = matrix_from_literal(local["b"], f"{path}.local.b")
+        if h_a.shape[0] != dim_a or h_b.shape[0] != dim_b:
+            _fail(f"{path}.local", "local term dimensions do not match clocks")
+        return (h_a, h_b), None
     if "base" in obj:
         _only(obj, path, ("base", "direction", "strength", "seed"), "a perturbation")
         strength = _number(obj.get("strength"), f"{path}.strength")
         if strength < 0:
             _fail(f"{path}.strength", f"strength must be >= 0, got {strength}")
         direction = obj.get("direction", "random")
-        if direction == "random":
-            parsed_dir = None
-        else:
-            parsed_dir = matrix_from_literal(direction, f"{path}.direction")
+        direction = (None if direction == "random"
+                     else matrix_from_literal(direction, f"{path}.direction"))
         seed = obj.get("seed")
         seed = None if seed is None else _integer(seed, f"{path}.seed", high=SEED_LIMIT)
-        return HamiltonianSpec(perturbation=Perturbation(
-            base=_parse_hamiltonian_spec(obj["base"], f"{path}.base"),
-            direction=parsed_dir, strength=strength, seed=seed))
+        base, _ = _read_hamiltonian(obj["base"], f"{path}.base", dims, s)
+        # local terms are checked as factors, a matrix literal here; a nested
+        # perturbation's sum is not checked
+        base = (_as_matrix(base) if isinstance(base, tuple) or "base" in obj["base"]
+                else opcore.require_hermitian(base))
+        if direction is not None:
+            direction = opcore.require_hermitian(direction)
+            if direction.shape[0] != dim:
+                _fail(f"{path}.direction", f"dimension {direction.shape[0]} does not match {space}")
+            seed_used = None
+        else:
+            seed_used = s.seed_override
+            if seed_used is None:
+                seed_used = seed if seed is not None else (s.seed or 0)
+            direction = _random_hermitian(_philox(seed_used), dim)
+            direction = direction / opcore.hermitian_norm(direction)
+        return base + strength * direction, seed_used
     if "diag" in obj or "entries" in obj:
-        return HamiltonianSpec(matrix=matrix_from_literal(obj, path))
+        h = matrix_from_literal(obj, path)
+        if h.shape[0] != dim:
+            size = f"{dim_a}x{dim_b}" if product else f"{dim}-dim"
+            _fail(path, f"dimension {h.shape[0]} does not match {size} {space}")
+        return h, None
     _fail(path, 'Hamiltonian spec needs a matrix literal, "local", or a perturbation "base"')
+
+
+def _as_matrix(h) -> np.ndarray:
+    """H as a matrix: a local pair's terms are checked and summed, and the sum is not checked."""
+    return opcore.kron_sum(*map(opcore.require_hermitian, h)) if isinstance(h, tuple) else h
 
 
 def _parse_tolerances(obj, path: str) -> dict:
@@ -167,8 +193,21 @@ def _parse_initial_state(obj, path: str) -> dict:
     _fail(path, 'initial state needs "kernel_seed" or "vector"')
 
 
-def parse_scenario(path) -> Scenario:
-    """Load and validate one scenario file."""
+def parse_scenario(path, seed_override: int | None = None,
+                   tol_overrides: dict | None = None) -> Scenario:
+    """Load and validate one scenario file and build its operators.
+
+    ``seed_override`` replaces every seed the scenario samples with and is
+    checked as the scenario's own seeds are, under the field name ``--seed``;
+    ``tol_overrides`` maps tolerance names to values, checked as the file's
+    ``tolerances`` are, under ``tol``. The first failed check raises, in this
+    order: the file is read and decoded; ``name``, ``kind`` and the top-level
+    keys; the file's ``seed``, ``tolerances``, ``out`` and ``format``; then
+    ``--seed`` and ``--tol``; then the kind's fields in the order the kind
+    reads them (a series kind: ``clock_a``, ``clock_b``, ``hamiltonian``,
+    ``times``, ``initial_state``). Each Hamiltonian is built, and checked
+    against its space, where its literal is read.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -204,6 +243,10 @@ def parse_scenario(path) -> Scenario:
     if fmt is not None and fmt not in ("csv", "json", "text"):
         _fail("format", f"unknown format {fmt!r}")
     s.format = fmt
+    if seed_override is not None:
+        s.seed_override = _integer(seed_override, "--seed", high=SEED_LIMIT)
+    s.tolerances = {**DEFAULT_TOLERANCES, **s.tolerances,
+                    **_parse_tolerances(tol_overrides or {}, "tol")}
 
     if kind == "compat":
         if "clock" not in obj:
@@ -217,16 +260,18 @@ def parse_scenario(path) -> Scenario:
             item = _expect_mapping(item, f"hamiltonians[{i}]")
             h_name = item.get("name", f"H{i}")
             spec = {k: v for k, v in item.items() if k != "name"}
-            s.hamiltonians.append((str(h_name),
-                                   _parse_hamiltonian_spec(spec, f"hamiltonians[{i}]")))
+            h, _ = _read_hamiltonian(spec, f"hamiltonians[{i}]", (s.clock.dim,), s)
+            s.hamiltonians.append((str(h_name), h))
     elif kind in ("kernel",) + SERIES_KINDS:
         for key in ("clock_a", "clock_b"):
             if key not in obj:
                 _fail(key, f"{kind} scenario needs {key}")
         s.clock_a = clock_from_literal(obj["clock_a"], "clock_a")
         s.clock_b = clock_from_literal(obj["clock_b"], "clock_b")
+        pert_seed = None
         if "hamiltonian" in obj:
-            s.hamiltonian = _parse_hamiltonian_spec(obj["hamiltonian"], "hamiltonian")
+            s.hamiltonian, pert_seed = _read_hamiltonian(
+                obj["hamiltonian"], "hamiltonian", (s.clock_a.dim, s.clock_b.dim), s)
         elif kind != "kernel":
             _fail("hamiltonian", f"{kind} scenario needs a hamiltonian")
         if kind != "kernel":
@@ -235,6 +280,10 @@ def parse_scenario(path) -> Scenario:
             s.times = _real_list(obj["times"], "times")
             s.initial_state = (_parse_initial_state(obj["initial_state"], "initial_state")
                                if "initial_state" in obj else {"kernel_seed": s.seed or 0})
+            state_seed = s.initial_state.get("kernel_seed")
+            if state_seed is not None and s.seed_override is not None:
+                state_seed = s.seed_override
+            s.seeds = {"perturbation": pert_seed, "initial_state": state_seed}
     elif kind == "group":
         if "group" not in obj:
             _fail("group", "group scenario needs a group")
@@ -270,96 +319,41 @@ def parse_scenario(path) -> Scenario:
         if "hamiltonian" in obj:
             if s.class_function_a is None:
                 _fail("hamiltonian", "membership checks need class functions to build K")
-            s.hamiltonian = _parse_hamiltonian_spec(obj["hamiltonian"], "hamiltonian")
+            s.hamiltonian, _ = _read_hamiltonian(
+                obj["hamiltonian"], "hamiltonian", (s.rep_a.dim, s.rep_b.dim), s)
     return s
 
 
 # ---------------------------------------------------------------------------
 # running
 
-def _resolve_hamiltonian(spec: HamiltonianSpec, path: str, dims: tuple,
-                         seed_override: int | None, fallback_seed: int | None):
-    """H on the scenario's space in the form it was given, plus the seed used.
-
-    ``path`` is the spec's field path, used in error messages. ``dims`` is
-    (d_A, d_B) for a product space or (d,) for a compat scenario's clock. Local
-    terms come back as the pair (H_A, H_B), unchecked like a top-level matrix
-    literal, because each caller checks H once (make_system, or _as_matrix and
-    classify_compatibility); a perturbation's base and direction are checked here.
-    """
-    product = len(dims) == 2
-    dim_a, dim_b = dims if product else (dims[0], 1)
-    dim = dim_a * dim_b
-    space = "product space" if product else "clock space"
-    if spec.matrix is not None:
-        h = spec.matrix
-        if h.shape[0] != dim:
-            size = f"{dim_a}x{dim_b}" if product else f"{dim}-dim"
-            raise ScenarioError(path, f"dimension {h.shape[0]} does not match {size} {space}")
-        return h, None
-    if spec.local is not None:
-        h_a, h_b = spec.local
-        if h_a.shape[0] != dim_a or h_b.shape[0] != dim_b:
-            raise ScenarioError(f"{path}.local", "local term dimensions do not match clocks")
-        return spec.local, None
-    pert = spec.perturbation
-    base, _ = _resolve_hamiltonian(pert.base, f"{path}.base", dims, seed_override, fallback_seed)
-    base = _as_matrix(base)
-    if pert.base.matrix is not None:
-        base = opcore.require_hermitian(base)
-    if pert.direction is not None:
-        direction = opcore.require_hermitian(pert.direction)
-        if direction.shape[0] != dim:
-            raise ScenarioError(f"{path}.direction",
-                                f"dimension {direction.shape[0]} does not match {space}")
-        seed_used = None
-    else:
-        seed_used = seed_override
-        if seed_used is None:
-            seed_used = pert.seed if pert.seed is not None else (fallback_seed or 0)
-        direction = _random_hermitian(_philox(seed_used), dim)
-        direction = direction / opcore.hermitian_norm(direction)
-    return base + pert.strength * direction, seed_used
+def _bundle(s: Scenario, clock_a: ClockObservable, clock_b: ClockObservable):
+    """The sync bundle of the two clocks and the scenario's H; no Hamiltonian is the zero pair."""
+    h = s.hamiltonian
+    if h is None:
+        h = (np.zeros((clock_a.dim,) * 2), np.zeros((clock_b.dim,) * 2))
+    return sync.sync_bundle(sync.make_system(clock_a, clock_b, h),
+                            kernel_tol=s.tolerances["kernel_tol"])
 
 
-def _as_matrix(h) -> np.ndarray:
-    """H as a matrix: a local pair's terms are checked and summed, and the sum is not checked."""
-    return opcore.kron_sum(*map(opcore.require_hermitian, h)) if isinstance(h, tuple) else h
-
-
-def _hamiltonian(s: Scenario, dims: tuple, seed_override: int | None) -> tuple:
-    """(H, perturbation seed) on the product space of ``dims``; no Hamiltonian is the zero pair."""
-    if s.hamiltonian is None:
-        return tuple(np.zeros((d, d)) for d in dims), None
-    return _resolve_hamiltonian(s.hamiltonian, "hamiltonian", dims, seed_override, s.seed)
-
-
-def _kernel_fields(bundle: sync.SyncOperatorBundle) -> dict:
-    """The kernel report's ``kernel`` object and its ``projector`` V V^dag."""
-    basis = sync.kernel_basis(bundle)
-    vectors = [[[float(v.real), float(v.imag)] for v in column] for column in basis.T]
-    return {"kernel": {"ambient_dim": bundle.system.dim, "dim": bundle.kernel_index.size,
-                       "tol_used": bundle.cutoff, "vectors": vectors},
-            "projector": matrix_to_literal(basis @ basis.conj().T)}
-
-
-def _run_compat(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
-    verdicts = []
-    for i, (h_name, spec) in enumerate(s.hamiltonians):
-        h, _ = _resolve_hamiltonian(spec, f"hamiltonians[{i}]", (s.clock.dim,),
-                                    seed_override, s.seed)
-        verdicts.append({"name": h_name, **clocks.classify_compatibility(
-            _as_matrix(h), s.clock, compat_tol=tol["compat_tol"], kernel_tol=tol["kernel_tol"])})
+def _run_compat(s: Scenario) -> tuple:
+    tol = s.tolerances
+    verdicts = [{"name": h_name, **clocks.classify_compatibility(
+                    _as_matrix(h), s.clock, compat_tol=tol["compat_tol"],
+                    kernel_tol=tol["kernel_tol"])}
+                for h_name, h in s.hamiltonians]
     return {"clock_labels": [float(x) for x in s.clock.labels], "verdicts": verdicts}, True
 
 
-def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
+def _run_sync(s: Scenario) -> tuple:
     """Kernel and series kinds: one system and bundle, then the kernel or the trace."""
-    h, pert_seed = _hamiltonian(s, (s.clock_a.dim, s.clock_b.dim), seed_override)
-    bundle = sync.sync_bundle(sync.make_system(s.clock_a, s.clock_b, h),
-                              kernel_tol=tol["kernel_tol"])
+    bundle = _bundle(s, s.clock_a, s.clock_b)
     if s.kind == "kernel":
-        fields = _kernel_fields(bundle)
+        basis = sync.kernel_basis(bundle)
+        fields = {"kernel": {
+            "ambient_dim": bundle.system.dim, "dim": bundle.kernel_index.size,
+            "tol_used": bundle.cutoff,
+            "vectors": [[[float(v.real), float(v.imag)] for v in column] for column in basis.T]}}
         if s.hamiltonian is not None:
             fields["epsilon"] = bundle.epsilon
         return fields, True
@@ -369,18 +363,15 @@ def _run_sync(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
         if psi0.shape[0] != bundle.system.dim:
             raise ScenarioError("initial_state.vector",
                                 f"dimension {psi0.shape[0]} does not match {bundle.system.dim}")
-        state_seed = None
     else:
-        state_seed = s.initial_state["kernel_seed"] if seed_override is None else seed_override
-        psi0 = sync.sample_kernel_state(bundle, state_seed)
-    trace = sync.drift_trace(bundle, psi0, s.times,
-                             bound_slack=tol["bound_slack"], init_tol=tol["init_tol"])
-    fields = {"seeds": {"perturbation": pert_seed, "initial_state": state_seed},
-              "kernel_dim": bundle.kernel_index.size, **trace}
+        psi0 = sync.sample_kernel_state(bundle, s.seeds["initial_state"])
+    trace = sync.drift_trace(bundle, psi0, s.times, bound_slack=s.tolerances["bound_slack"],
+                             init_tol=s.tolerances["init_tol"])
+    fields = {"seeds": s.seeds, "kernel_dim": bundle.kernel_index.size, **trace}
     return fields, trace["drift_bound_ok"] and trace["fidelity_bound_ok"]
 
 
-def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
+def _run_group(s: Scenario) -> tuple:
     """Validation, multiplicities, Schur scalars, containment and membership.
 
     A scenario with one ``rep``, or with a ``rep_b`` literal that reads as
@@ -393,6 +384,7 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
         a = fn(s.rep_a, *args)
         return a, (a if s.rep_b is s.rep_a else fn(s.rep_b, *args))
 
+    tol = s.tolerances
     fields = {"group": {"name": s.group.name, "order": s.group.order,
                         "elements": list(s.group.elements)}}
     val_a, val_b = per_side(grouprep.validate_representation)
@@ -414,8 +406,7 @@ def _run_group(s: Scenario, tol: dict, seed_override: int | None) -> tuple:
     fields["schur"] = {"rep_a": schur_a, "rep_b": schur_b}
     schur_ok = all(opcore.check(e["residual"], tol["schur_tol"])[1]
                    for e in schur_a["entries"] + schur_b["entries"])
-    h, _ = _hamiltonian(s, (s.rep_a.dim, s.rep_b.dim), seed_override)
-    bundle = sync.sync_bundle(sync.make_system(clock_a, clock_b, h), kernel_tol=tol["kernel_tol"])
+    bundle = _bundle(s, clock_a, clock_b)
     containment = grouprep.verify_kernel_containment(schur_a, schur_b, s.characters, bundle)
     fields["containment"] = containment
     passed = passed and schur_ok and containment["passed"]
@@ -430,30 +421,20 @@ _RUNNERS = {"compat": _run_compat, "kernel": _run_sync, "drift": _run_sync,
             "fidelity": _run_sync, "group": _run_group}
 
 
-def run_scenario(s: Scenario, seed_override: int | None = None,
-                 tol_overrides: dict | None = None) -> dict:
+def run_scenario(s: Scenario) -> dict:
     """Run a parsed scenario through its kind's runner and return the report's
     payload, which names the ``scenario`` and its ``kind`` and holds the verdict
-    ``passed``.
-
-    ``seed_override`` replaces every seed the scenario samples with and is
-    checked as the scenario's own seeds are, under the field name ``--seed``.
-    """
-    if seed_override is not None:
-        seed_override = _integer(seed_override, "--seed", high=SEED_LIMIT)
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(s.tolerances)
-    tol.update(_parse_tolerances(tol_overrides or {}, "tol"))
-    fields, passed = _RUNNERS[s.kind](s, tol, seed_override)
+    ``passed``."""
+    fields, passed = _RUNNERS[s.kind](s)
     return {
         "scenario": s.name,
         "kind": s.kind,
         "library_version": __version__,
         "input_digest": s.digest,
         "generator": GENERATOR_NAME,
-        "tolerances": tol,
+        "tolerances": s.tolerances,
         **fields,
-        "seed_override": seed_override,
+        "seed_override": s.seed_override,
         "passed": passed,
     }
 

@@ -62,6 +62,15 @@ def span_projector(basis) -> np.ndarray:
     return basis @ basis.conj().T
 
 
+def matrix_to_literal(m) -> dict:
+    """The scenario matrix literal {"dim", "entries"} of a square matrix, row-major."""
+    m = np.asarray(m, dtype=np.complex128)
+    return {
+        "dim": int(m.shape[0]),
+        "entries": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
+    }
+
+
 def null_space(a, tol: float = opcore.KERNEL_TOL) -> tuple:
     """Kernel of a 2-d array via SVD: (orthonormal basis columns, absolute cutoff).
 

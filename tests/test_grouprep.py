@@ -573,9 +573,9 @@ def test_one_replaced_permutation_is_always_caught(case, data):
 
 def test_only_the_random_draws_sample():
     """Every _philox call in the library draws a random input: the perturbation
-    direction of _resolve_hamiltonian and the kernel state of
+    direction of _read_hamiltonian and the kernel state of
     sample_kernel_state. A check that sampled instead would prove nothing."""
-    assert sorted(call_sites("_philox")) == ["scenario._resolve_hamiltonian",
+    assert sorted(call_sites("_philox")) == ["scenario._read_hamiltonian",
                                              "sync.sample_kernel_state"]
 
 

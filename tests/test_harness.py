@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 import oracles
 import syncsub
 from syncsub import cli, clocks, grouprep, literals, opcore, scenario, sync
+from oracles import matrix_to_literal
 from syncsub.literals import (
     ScenarioError,
     clock_from_literal,
     matrix_from_literal,
-    matrix_to_literal,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +46,13 @@ def run_in_subprocess(path, *args):
                                "raise SystemExit(cli.main(sys.argv[1:]))",
          "run", str(path), *args],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def kernel_projector(report) -> np.ndarray:
+    """V V^dag of the kernel report's ``vectors``, each column of V a list of [re, im] pairs."""
+    v = np.array([[complex(re, im) for re, im in column]
+                  for column in report["kernel"]["vectors"]]).T
+    return oracles.span_projector(v)
 
 
 def drift_payload(**overrides):
@@ -148,6 +155,24 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="mystery_tol"):
             scenario.parse_scenario(path)
 
+    def test_checks_run_in_the_documented_order(self, tmp_path):
+        """A Hamiltonian is built and checked where its literal is read, before
+        ``times``; ``--seed`` comes after the file's own seed and before the
+        kind's fields."""
+        path = write_scenario(tmp_path, drift_payload(hamiltonian={"diag": [0, 1, 2]},
+                                                      times="soon"))
+        with pytest.raises(ScenarioError) as err:
+            scenario.parse_scenario(path)
+        assert str(err.value) == "hamiltonian: dimension 3 does not match 2x2 product space"
+        with pytest.raises(ScenarioError) as err:
+            scenario.parse_scenario(path, seed_override=-1)
+        assert str(err.value) == f"--seed: expected an integer in [0, {2 ** 128})"
+        path = write_scenario(tmp_path, drift_payload(hamiltonian={"diag": [0, 1, 2]},
+                                                      times="soon", seed=-1))
+        with pytest.raises(ScenarioError) as err:
+            scenario.parse_scenario(path, seed_override=-1)
+        assert str(err.value) == f"seed: expected an integer in [0, {2 ** 128})"
+
 
 class TestRunScenario:
     @pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (1, 4), (4, 1)])
@@ -157,8 +182,9 @@ class TestRunScenario:
         rng = np.random.default_rng(10 * d_a + d_b)
         g_a, g_b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (d_a, d_b))
         h_a, h_b = (g_a + g_a.conj().T) / 2, (g_b + g_b.conj().T) / 2
-        spec = scenario.HamiltonianSpec(local=(h_a, h_b))
-        h, seed = scenario._resolve_hamiltonian(spec, "hamiltonian", (d_a, d_b), None, None)
+        literal = {"local": {"a": matrix_to_literal(h_a), "b": matrix_to_literal(h_b)}}
+        h, seed = scenario._read_hamiltonian(literal, "hamiltonian", (d_a, d_b),
+                                             scenario.Scenario("local", "kernel", ""))
         assert seed is None
         h = sync.make_system(clocks.make_clock(np.zeros(d_a)), clocks.make_clock(np.zeros(d_b)),
                              h).hamiltonian
@@ -183,12 +209,36 @@ class TestRunScenario:
         assert (h4["class"], h4["off_block_mass"]) == ("incompatible", 1.0)
         assert h4["residual"] == pytest.approx(4e-10, rel=1e-12)
 
+    def test_kernel_report_grows_with_its_vectors_only(self, tmp_path):
+        """d = 16 per side, labels 0..15 on both: k = 16 kernel vectors in
+        n = 256 dims. No report field holds n^2 numbers, and the report stays
+        below 16 bytes per vector entry (each "[0, 0], " here takes 8); an
+        n x n projector alone would add n^2 such entries, over 500 KB."""
+        labels = list(range(16))
+        path = write_scenario(tmp_path, {
+            "name": "kernel-16x16", "kind": "kernel",
+            "clock_a": {"labels": labels}, "clock_b": {"labels": labels},
+            "hamiltonian": {"local": {"a": {"diag": labels}, "b": {"diag": labels}}}})
+        report = scenario.run_scenario(scenario.parse_scenario(path))
+        n, k = 256, report["kernel"]["dim"]
+        assert (report["kernel"]["ambient_dim"], k) == (n, 16)
+
+        def numbers(obj):
+            if isinstance(obj, dict):
+                return sum(map(numbers, obj.values()))
+            if isinstance(obj, list):
+                return sum(map(numbers, obj))
+            return 1
+
+        assert all(numbers(value) < n * n for value in report.values())
+        assert len(scenario.emit_report(report)) < 16 * k * n
+
     def test_kernel_scenario(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "ex74_kernel.json")
         report = scenario.run_scenario(s)
         assert report["kernel"]["dim"] == 2
         assert report["epsilon"] <= 1e-12
-        proj = matrix_from_literal(report["projector"])
+        proj = kernel_projector(report)
         np.testing.assert_allclose(proj, np.diag([1.0, 0, 0, 1.0]), atol=1e-12)
 
     def test_compatible_drift_passes(self, tmp_path):
@@ -207,9 +257,9 @@ class TestRunScenario:
         assert report["drift_bound_ok"]
 
     def test_seed_override_changes_direction(self):
-        s = scenario.parse_scenario(SCENARIO_DIR / "drift_perturbed.json")
-        base = scenario.run_scenario(s)
-        other = scenario.run_scenario(s, seed_override=99)
+        path = SCENARIO_DIR / "drift_perturbed.json"
+        base = scenario.run_scenario(scenario.parse_scenario(path))
+        other = scenario.run_scenario(scenario.parse_scenario(path, seed_override=99))
         assert base["epsilon"] != other["epsilon"]
 
     def test_group_scenario(self, tmp_path):
@@ -615,7 +665,7 @@ class TestCli:
             clocks.make_clock(labels_a), clocks.make_clock(labels_b)), tol=1e-14)
         assert report["kernel"]["dim"] == want.shape[1] == 2
         assert report["kernel"]["tol_used"] == cutoff
-        np.testing.assert_allclose(matrix_from_literal(report["projector"]),
+        np.testing.assert_allclose(kernel_projector(report),
                                    oracles.span_projector(want), atol=1e-15)
 
     def test_computed_nan_exit_three(self, monkeypatch, capsys):
@@ -1078,12 +1128,21 @@ def assert_report_close(got, want, path="report"):
         assert type(got) is type(want) and got == want, path
 
 
+# golden name -> (bundled scenario, flags): the goldens of runs with --seed and --tol
+GOLDEN_OVERRIDES = {
+    "drift_perturbed.overrides": ("drift_perturbed", ("--seed", "7", "--tol", "bound_slack=1e-8")),
+    "ex55_compat.overrides": ("ex55_compat", ("--tol", "compat_tol=1e-9")),
+}
+
+
 def assert_matches_golden(tmp_path, name, fmt="json"):
-    """The report of a bundled scenario in ``fmt`` is its golden file, byte for byte."""
+    """The report of a bundled scenario in ``fmt`` is its golden file, byte for
+    byte; a name in GOLDEN_OVERRIDES runs its scenario with its flags."""
     suffix = "txt" if fmt == "text" else fmt
     out = tmp_path / f"report.{suffix}"
-    assert cli.main(["run", str(SCENARIO_DIR / f"{name}.json"), "--out", str(out),
-                     "--format", fmt]) == 0
+    source, flags = GOLDEN_OVERRIDES.get(name, (name, ()))
+    assert cli.main(["run", str(SCENARIO_DIR / f"{source}.json"), "--out", str(out),
+                     "--format", fmt, *flags]) == 0
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes()
 
 
@@ -1091,11 +1150,12 @@ class TestGolden:
     def test_group_example_matches_golden(self, tmp_path):
         assert_matches_golden(tmp_path, "ex_group_s3")
 
-    @pytest.mark.parametrize("name", ["ex55_compat", "ex74_kernel", "drift_perturbed"])
+    @pytest.mark.parametrize("name", ["ex55_compat", "ex74_kernel", "drift_perturbed",
+                                      "drift_perturbed.overrides"])
     def test_bundled_example_matches_golden(self, tmp_path, name):
         assert_matches_golden(tmp_path, name)
 
-    @pytest.mark.parametrize("name", [Path(p).stem for p in BUNDLED])
+    @pytest.mark.parametrize("name", [Path(p).stem for p in BUNDLED] + ["ex55_compat.overrides"])
     def test_text_report_matches_golden(self, tmp_path, name):
         assert_matches_golden(tmp_path, name, "text")
 
@@ -1181,11 +1241,11 @@ def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
     ||i[H', G]||, and no SVD: make_system's Hermiticity residual and the
     eigendecomposition's reconstruction pass on their Frobenius norms, and
     ||H|| is never needed."""
-    s = scenario.parse_scenario(write_scenario(tmp_path, drift_payload(
+    path = write_scenario(tmp_path, drift_payload(
         clock_a={"labels": [1, -1, 0]},
         hamiltonian={"base": {"local": {"a": {"diag": [0.5, -0.5, 0.1]},
                                         "b": {"diag": [0.5, -0.5]}}},
-                     "direction": "random", "strength": 0.05, "seed": 7})))
+                     "direction": "random", "strength": 0.05, "seed": 7}))
     n = 6
     shapes = {"require_hermitian": [], "operator_norm": [], "hermitian_norm": []}
     for name, calls in shapes.items():
@@ -1194,7 +1254,7 @@ def test_drift_checks_hamiltonian_once(tmp_path, monkeypatch):
             return _fn(m, *args, **kwargs)
         monkeypatch.setattr(opcore, name, counted)
     svds = record_shapes(monkeypatch, "svd")
-    assert scenario.run_scenario(s)["passed"]
+    assert scenario.run_scenario(scenario.parse_scenario(path))["passed"]
     assert shapes["require_hermitian"].count((n, n)) == 1
     assert shapes["hermitian_norm"] == [(n, n)] * 2
     assert shapes["operator_norm"] == [] and svds == []
@@ -1222,7 +1282,7 @@ def test_matrix_literal_hamiltonian_checked_once(tmp_path, monkeypatch, capsys, 
     one exits 2 with the exact spectral norm of M - M^dag in the message."""
     s = scenario.parse_scenario(write_scenario(
         tmp_path, literal_payload(kind, {"diag": [0.1, 0.2, 0.3, 0.4]})))
-    literal = (s.hamiltonians[0][1] if kind == "compat" else s.hamiltonian).matrix
+    literal = s.hamiltonians[0][1] if kind == "compat" else s.hamiltonian
     checked = []
 
     def counted(m, _fn=opcore.require_hermitian):
@@ -1647,6 +1707,8 @@ TRACED_NAMES_MOVED = {
     "opcore.hermitian_eig": "no scenario reaches it; H is checked once, then opcore.spectrum",
     "grouprep.tensor_representation": "membership's exact fallback forms joint commutators "
                                       "batch by batch",
+    "literals.matrix_to_literal": "the kernel report carries no projector; only the tests "
+                                  "write matrix literals",
 }
 
 
