@@ -88,11 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(path, args, allowed_kinds) -> int:
-    scenario = parse_scenario(path, seed_override=args.seed, tol_overrides=_parse_tol(args.tol))
-    if allowed_kinds is not None and scenario.kind not in allowed_kinds:
-        raise ScenarioError("kind", f"scenario {scenario.name!r} has kind "
-                                    f"{scenario.kind!r}; this subcommand handles "
-                                    f"{', '.join(allowed_kinds)}")
+    scenario = parse_scenario(path, seed_override=args.seed, tol_overrides=_parse_tol(args.tol),
+                              kinds=allowed_kinds)
     log.info("running scenario %s (kind %s)", scenario.name, scenario.kind)
     report = run_scenario(scenario)
     fmt = args.format or scenario.format or "json"

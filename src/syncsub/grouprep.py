@@ -18,7 +18,7 @@ import numpy as np
 from . import opcore
 from .clocks import COMPAT_TOL, make_clock
 from .opcore import NumericalError
-from .sync import SyncOperatorBundle, SyncSystem
+from .sync import SyncOperatorBundle
 
 EQUIVAR_TOL = 1e-10
 MULT_ROUND_TOL = 1e-6
@@ -336,17 +336,13 @@ def builtin_group(name: str):
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Unitary representation given extensionally: one matrix per element.
-
-    ``perm`` is set when every matrix is a permutation matrix (entries exactly
-    0 or 1): rho(g) e_j = e_{perm[g, j]}. The checks that can read it decide
-    from index arithmetic what the dense matrices give exactly; ``None`` means
-    a general representation, checked densely.
-    """
+    """Unitary representation given extensionally: one matrix per element, checked
+    densely (exactly, on permutation matrices). Its unitarity residual
+    e = max_g ||rho(g)^dag rho(g) - I||, at most UNITARY_TOL * d after
+    make_representation, sets the band of hsync_membership's factored norms."""
 
     group: FiniteGroup
     matrices: np.ndarray   # (order, dim, dim)
-    perm: np.ndarray | None = None   # (order, dim) int, or None
 
     @property
     def dim(self) -> int:
@@ -370,37 +366,7 @@ def make_representation(group: FiniteGroup, matrices) -> Representation:
         if not ok:
             raise ValueError(
                 f"matrix for element {group.elements[i]!r} is not unitary (residual {res:.3e})")
-    return Representation(group=group, matrices=mats, perm=_permutation_indices(mats))
-
-
-def _permutation_indices(mats: np.ndarray) -> np.ndarray | None:
-    """perm[g, j] with mats[g] e_j = e_{perm[g, j]}, when every entry is exactly
-    0 or 1 (imaginary part exactly 0) and each row and column holds one 1; else None."""
-    ones = mats == 1.0
-    if not np.all(ones | (mats == 0.0)):
-        return None
-    if not (np.all(ones.sum(axis=1) == 1) and np.all(ones.sum(axis=2) == 1)):
-        return None
-    return np.argmax(ones, axis=1)
-
-
-def _permutation_commutators(t: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """[P_g, T] = T[perm_g^-1, :] - T[:, perm_g] for each row perm_g of ``perm``.
-
-    P_g T and T P_g have one term 1 * T per entry and exact zeros elsewhere,
-    so the gather equals the dense commutator bit for bit, up to the sign of zero.
-    """
-    inv = np.argsort(perm, axis=-1)
-    return t[inv] - np.moveaxis(t[:, perm], 0, -2)
-
-
-def _joint_perm(rho_a: Representation, rho_b: Representation) -> np.ndarray | None:
-    """Index array of g -> rho_A(g) (x) rho_B(g) when both factors permute:
-    pi(i d_B + j) = pi_A(i) d_B + pi_B(j)."""
-    if rho_a.perm is None or rho_b.perm is None:
-        return None
-    joint = rho_a.perm[:, :, None] * rho_b.dim + rho_b.perm[:, None, :]
-    return joint.reshape(rho_a.group.order, rho_a.dim * rho_b.dim)
+    return Representation(group=group, matrices=mats)
 
 
 def representation_from_generators(group: FiniteGroup, generators: dict) -> Representation:
@@ -443,7 +409,9 @@ def validate_representation(rho: Representation) -> dict:
     R_h = nu (R_p + r_s) + r_s bounds max_g ||E(g, h)||, for r_s = max_g ||E(g, s)||
     and nu = sqrt(1 + max_unitarity_residual) >= max_g ||rho(g)||. As in
     hsync_membership, r_S > HOMOMORPHISM_TOL refutes, B <= HOMOMORPHISM_TOL
-    proves, and only in between is the exact max over G x G taken.
+    proves, and only in between is the exact max over G x G taken. On
+    permutation matrices the products are exact, so r_S = B = 0 without an
+    SVD. max_unitarity_residual is the e that sets hsync_membership's band.
     """
     group, n, mats = rho.group, rho.group.order, rho.matrices
     eye = np.eye(rho.dim)
@@ -467,14 +435,11 @@ def validate_representation(rho: Representation) -> dict:
 
 
 def _homomorphism_residual(rho: Representation, gs: np.ndarray, hs: np.ndarray) -> float:
-    """Exact max ||rho(g) rho(h) - rho(gh)|| over the pairs (gs[k], hs[k]): exactly 0
-    when a permutation representation's index arrays compose as the table says,
-    perm[g][perm[h]] == perm[gh], else one stacked spectral norm."""
-    mats, perm = rho.matrices, rho.perm
+    """Exact max ||rho(g) rho(h) - rho(gh)|| over the pairs (gs[k], hs[k]), one
+    stacked spectral norm; exactly 0 without an SVD for permutation matrices
+    that compose as the table says."""
+    mats = rho.matrices
     ghs = rho.group.mult_table[gs, hs]
-    if perm is not None and np.array_equal(
-            np.take_along_axis(perm[gs], perm[hs], axis=1), perm[ghs]):
-        return 0.0
     return _max_spectral_norm(
         lambda sl: mats[gs[sl]] @ mats[hs[sl]] - mats[ghs[sl]], len(gs), rho.dim)
 
@@ -575,68 +540,61 @@ def isotypic_projectors(rho: Representation, chars: tuple, mults: list) -> tuple
 # Schur scalars and synchronization structure
 
 def equivariance_residual(rho: Representation, t) -> float:
-    """Exact max_g ||rho(g) T - T rho(g)|| from one stacked commutator,
-    gathered from the index arrays on a permutation representation."""
+    """Exact max_g ||rho(g) T - T rho(g)|| from one stacked commutator."""
     t = opcore.as_complex_matrix(t)
     if t.shape[0] != rho.dim:
         raise ValueError(f"operator dim {t.shape[0]} does not match representation dim {rho.dim}")
-    mats, perm = rho.matrices, rho.perm
-    if perm is not None:
-        return _max_spectral_norm(lambda sl: _permutation_commutators(t, perm[sl]),
-                                  rho.group.order, rho.dim)
+    mats = rho.matrices
     return _max_spectral_norm(lambda sl: mats[sl] @ t - t @ mats[sl], rho.group.order, rho.dim)
 
 
 def _joint_commutators(t: np.ndarray, rho_a: Representation, rho_b: Representation,
                        gs) -> np.ndarray:
-    """Stack of [J(g), T] for g in ``gs``, J(g) = rho_A(g) (x) rho_B(g).
-
-    Gathered from the joint index array when both factors permute, so that no
-    Kronecker product is formed; otherwise J(g) = np.kron(rho_A(g), rho_B(g))
-    for the elements of ``gs`` only.
-    """
-    perm = _joint_perm(rho_a, rho_b)
-    if perm is not None:
-        return _permutation_commutators(t, perm[gs])
+    """Stack of [J(g), T] for g in ``gs``, J(g) = np.kron(rho_A(g), rho_B(g)),
+    formed for the elements of ``gs`` only."""
     joint = np.stack([np.kron(rho_a[g], rho_b[g]) for g in gs])
     return joint @ t - t @ joint
 
 
-def _generator_residuals(system: SyncSystem, rho_a: Representation,
-                         rho_b: Representation, gens) -> list:
-    """||[J(s), H]|| for each s in ``gens``, H the system's Hamiltonian.
+def _local_commutator_norms(h_a: np.ndarray, h_b: np.ndarray, rho_a: Representation,
+                            rho_b: Representation) -> np.ndarray:
+    """||[J(g), H]|| for every g and H = H_A (x) I + I (x) H_B, from the factors in
+    batches of at most _STACK_ENTRIES entries; no n x n matrix is formed.
 
-    When H = H_A (x) I + I (x) H_B is local and both factors permute, J(s) is a
-    permutation matrix P, so ||[J, H]|| = ||P(H - P^T H P)|| = ||H - P^T H P||,
-    and P^T H P = P_A^T H_A P_A (x) I + I (x) P_B^T H_B P_B, whose factors are
-    exact gathers: the norm is the opcore.kron_sum_norm of H_A - P_A^T H_A P_A
-    and its B twin. Otherwise each [J(s), H] comes from _joint_commutators on
-    the n x n H and takes its own spectral norm.
+    With A = rho_A(g), X_A = A^dag (A H_A - H_A A), E_A = A^dag A - I and their
+    B twins, J^dag [J, H] = X_A (x) I + I (x) X_B + E_A (x) X_B + X_A (x) E_B,
+    so each norm is the opcore.kron_sum_norm of the Hermitized X_A and X_B up
+    to the unitarity residuals e (Representation): Hermitizing moves X_A by at
+    most e_A ||H_A||, the E terms add e_A ||X_B|| + e_B ||X_A||, and J^dag
+    scales the norm by 1 +- (e_A + e_B), so the value lies within
+    4 (e_A + e_B) (||H_A|| + ||H_B||) of ||[J(g), H]||, to first order in e.
     """
-    if system.local is not None and rho_a.perm is not None and rho_b.perm is not None:
-        h_a, h_b = system.local
-        return [opcore.kron_sum_norm(h_a - h_a[np.ix_(p_a, p_a)], h_b - h_b[np.ix_(p_b, p_b)])
-                for p_a, p_b in zip(rho_a.perm[gens], rho_b.perm[gens])]
-    return [opcore.operator_norm(c)
-            for c in _joint_commutators(system.hamiltonian, rho_a, rho_b, gens)]
+    def hermitized(mats, h):
+        x = mats.conj().swapaxes(-1, -2) @ (mats @ h - h @ mats)
+        return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+    order, step = rho_a.group.order, max(1, _STACK_ENTRIES // max(rho_a.dim, rho_b.dim) ** 2)
+    return np.concatenate([opcore.kron_sum_norm(hermitized(rho_a.matrices[i:i + step], h_a),
+                                                hermitized(rho_b.matrices[i:i + step], h_b))
+                           for i in range(0, order, step)])
 
 
-def _equivariance_bound(system: SyncSystem, rho_a: Representation, rho_b: Representation,
+def _equivariance_bound(h: np.ndarray, rho_a: Representation, rho_b: Representation,
                         tree: GeneratorTree) -> tuple:
-    """(r_S, B): the exact max ||[J(s), H]|| over s in S, and B >= max over all g.
+    """(r_S, B) for an n x n H: the exact max ||[J(s), H]|| over s in S, from one
+    SVD each, and B >= max over all g.
 
-    ||[J(s), H]|| comes from _generator_residuals, which reads it off the
-    factors of a local H when it can. For h = p*s,
-    [H, J(p)J(s)] = [H, J(p)]J(s) + J(p)[H, J(s)], so along the tree
+    For h = p*s, [H, J(p)J(s)] = [H, J(p)]J(s) + J(p)[H, J(s)], so along the tree
     R_h = nu (R_p + r_s) + 2 ||H||_F eta_h with R_s = r_s, where
     nu = prod over factors of max_g sqrt(1 + ||M_g^dag M_g - I||_F) >= ||J(g)||
     and eta_h >= ||J(h) - J(p)J(s)||, with A_h (x) B_h - X (x) Y =
     (A_h - X) (x) B_h + X (x) (B_h - Y) for X = A_p A_s, Y = B_p B_s. Both are
     Frobenius norms of factor-size matrices; a permutation representation
-    has nu = 1 and eta = 0, and then the n x n H is not read.
+    that composes as the table says has nu = 1 and eta = 0, and then ||H||_F
+    is not taken.
     """
     gens = list(tree.generators)
-    r = dict(zip(gens, _generator_residuals(system, rho_a, rho_b, gens)))
+    r = dict(zip(gens, map(opcore.operator_norm, _joint_commutators(h, rho_a, rho_b, gens))))
     r_s = max(r.values())
     hs, ps, ss = np.array(tree.edges, dtype=np.int64).reshape(-1, 3).T
     def fro(stack):
@@ -648,7 +606,7 @@ def _equivariance_bound(system: SyncSystem, rho_a: Representation, rho_b: Repres
         x = m[ps] @ m[ss]
         eta = eta * fro(m[hs]) + lead * fro(m[hs] - x)
         lead = lead * fro(x)
-    extra = 2.0 * np.linalg.norm(system.hamiltonian) * eta if eta.any() else eta
+    extra = 2.0 * np.linalg.norm(h) * eta if eta.any() else eta
     return r_s, _tree_bound(tree, r, nu, extra)
 
 
@@ -730,16 +688,18 @@ def hsync_membership(bundle: SyncOperatorBundle, rho_a: Representation, rho_b: R
     g -> rho_A(g) (x) rho_B(g) and commutes with its K: the verdict ``member``,
     with the generating set S as ``generators``, the tree's ``word_length``,
     ``generator_residual`` r_S = max_{s in S} ||[J(s), H]||,
-    ``equivariance_bound`` B >= max_g ||[J(g), H]|| (or that exact max when
-    neither r_S nor B settled the verdict) and ``kernel_commutation_residual``
-    ||[H, K]||.
+    ``equivariance_bound`` B >= max_g ||[J(g), H]|| (that max itself for a
+    local H, or when neither r_S nor B settled the verdict) and
+    ``kernel_commutation_residual`` ||[H, K]||, the bundle's epsilon.
 
-    B <= equivar_tol proves equivariance and r_S > equivar_tol refutes it
-    (max_g ||[J(g), H]|| >= r_S); otherwise the exact max over the group is
-    taken from the joint commutators. ||[H, K]|| and ||K|| are the bundle's
-    epsilon and k_norm. A local H gives r_S (on permutation representations)
-    and epsilon from its factors; the n x n H is read only by the tree slack,
-    the exact fallback and the ||H|| scale.
+    A local H = H_A (x) I + I (x) H_B is read off its factors only, with
+    ||H|| = opcore.kron_sum_norm(H_A, H_B): r_S and B are the max over S and
+    over G of _local_commutator_norms, which lie within a band of
+    4 (e_A + e_B) (||H_A|| + ||H_B||) of the SVD's, e the unitarity residuals
+    (0 for permutation matrices). For an n x n H, r_S is exact and B the tree
+    bound of _equivariance_bound: B <= equivar_tol proves equivariance and
+    r_S > equivar_tol refutes it (max_g ||[J(g), H]|| >= r_S); otherwise the
+    exact max over the group is taken from the joint commutators.
     """
     _require_same_group(rho_a.group, rho_b.group)
     system = bundle.system
@@ -747,14 +707,24 @@ def hsync_membership(bundle: SyncOperatorBundle, rho_a: Representation, rho_b: R
         raise ValueError(f"clock dims {system.dim_a}x{system.dim_b} do not match "
                          f"representation dims {rho_a.dim}x{rho_b.dim}")
     group, tree = rho_a.group, rho_a.group.tree
-    r_s, bound = _equivariance_bound(system, rho_a, rho_b, tree)
-    if opcore.check(r_s, equivar_tol)[1] and not opcore.check(bound, equivar_tol)[1]:
-        h, gs = system.hamiltonian, np.arange(group.order)
-        bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),
-                                   group.order, system.dim)
+    if system.local is not None:
+        norms = _local_commutator_norms(*system.local, rho_a, rho_b)
+        r_s, bound = float(np.max(norms[list(tree.generators)])), float(np.max(norms))
+    else:
+        h = system.hamiltonian
+        r_s, bound = _equivariance_bound(h, rho_a, rho_b, tree)
+        if opcore.check(r_s, equivar_tol)[1] and not opcore.check(bound, equivar_tol)[1]:
+            gs = np.arange(group.order)
+            bound = _max_spectral_norm(lambda sl: _joint_commutators(h, rho_a, rho_b, gs[sl]),
+                                       group.order, system.dim)
+
+    def scale():
+        h_norm = (opcore.operator_norm(system.hamiltonian) if system.local is None
+                  else opcore.kron_sum_norm(*system.local))
+        return h_norm * bundle.k_norm
+
     kern_res = bundle.epsilon
-    member = opcore.check(bound, equivar_tol)[1] and opcore.check(
-        kern_res, compat_tol, lambda: opcore.operator_norm(system.hamiltonian) * bundle.k_norm)[1]
+    member = opcore.check(bound, equivar_tol)[1] and opcore.check(kern_res, compat_tol, scale)[1]
     return {"generators": [group.elements[g] for g in tree.generators],
             "word_length": tree.depth, "generator_residual": r_s, "equivariance_bound": bound,
             "kernel_commutation_residual": kern_res, "member": member}

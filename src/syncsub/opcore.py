@@ -44,11 +44,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _extreme_norm(lowest: float, highest: float) -> float:
-    """||M|| of a Hermitian M from its extreme eigenvalues: max(|lambda_min|, |lambda_max|)."""
-    return max(abs(lowest), abs(highest))
-
-
 def hermitian_norm(m) -> float:
     """Spectral norm of an exactly Hermitian matrix from one eigvalsh; 0.0 without
     one when every entry is 0, as operator_norm.
@@ -65,7 +60,7 @@ def hermitian_norm(m) -> float:
     if not m.any():
         return 0.0
     w = np.linalg.eigvalsh(m)
-    return _extreme_norm(float(w[0]), float(w[-1]))
+    return max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def kron_sum(x, y) -> np.ndarray:
@@ -73,16 +68,19 @@ def kron_sum(x, y) -> np.ndarray:
     return np.kron(x, np.eye(y.shape[0])) + np.kron(np.eye(x.shape[0]), y)
 
 
-def kron_sum_norm(x, y) -> float:
-    """||X (x) I + I (x) Y|| for Hermitian X and Y, from two factor-size eigvalsh calls.
+def kron_sum_norm(x, y):
+    """||X (x) I + I (x) Y|| for Hermitian X and Y, from two factor-size eigvalsh calls;
+    for stacks X[k], Y[k] of equal length, the array of the norms of each pair,
+    from one batched eigvalsh per side.
 
     The two terms commute, so the spectrum of the sum is {x_k + y_l} and its
     norm is max(|x_max + y_max|, |x_min + y_min|): exact, with no n x n matrix
-    formed. The sums are Python floats, so one beyond the float range is inf,
-    without a numpy warning.
+    formed. A sum beyond the float range is inf, without a numpy warning.
     """
     xs, ys = np.linalg.eigvalsh(x), np.linalg.eigvalsh(y)
-    return _extreme_norm(float(xs[0]) + float(ys[0]), float(xs[-1]) + float(ys[-1]))
+    with np.errstate(over="ignore"):
+        norms = np.maximum(np.abs(xs[..., 0] + ys[..., 0]), np.abs(xs[..., -1] + ys[..., -1]))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def screened_norm(r, limit: float) -> float:

@@ -194,19 +194,20 @@ def _parse_initial_state(obj, path: str) -> dict:
 
 
 def parse_scenario(path, seed_override: int | None = None,
-                   tol_overrides: dict | None = None) -> Scenario:
+                   tol_overrides: dict | None = None, kinds: tuple | None = None) -> Scenario:
     """Load and validate one scenario file and build its operators.
 
     ``seed_override`` replaces every seed the scenario samples with and is
     checked as the scenario's own seeds are, under the field name ``--seed``;
     ``tol_overrides`` maps tolerance names to values, checked as the file's
-    ``tolerances`` are, under ``tol``. The first failed check raises, in this
-    order: the file is read and decoded; ``name``, ``kind`` and the top-level
-    keys; the file's ``seed``, ``tolerances``, ``out`` and ``format``; then
-    ``--seed`` and ``--tol``; then the kind's fields in the order the kind
-    reads them (a series kind: ``clock_a``, ``clock_b``, ``hamiltonian``,
-    ``times``, ``initial_state``). Each Hamiltonian is built, and checked
-    against its space, where its literal is read.
+    ``tolerances`` are, under ``tol``; ``kinds``, when given, are the kinds a
+    CLI subcommand handles. The first failed check raises, in this order: the
+    file is read and decoded; ``name``, ``kind``, that ``kinds`` holds it, and
+    the top-level keys; the file's ``seed``, ``tolerances``, ``out`` and
+    ``format``; then ``--seed`` and ``--tol``; then the kind's fields in the
+    order the kind reads them (a series kind: ``clock_a``, ``clock_b``,
+    ``hamiltonian``, ``times``, ``initial_state``). Each Hamiltonian is built,
+    and checked against its space, where its literal is read.
     """
     path = Path(path)
     try:
@@ -226,6 +227,9 @@ def parse_scenario(path, seed_override: int | None = None,
     kind = obj.get("kind")
     if kind not in KINDS:
         _fail("kind", f"unknown kind {kind!r} (known: {', '.join(KINDS)})")
+    if kinds is not None and kind not in kinds:
+        _fail("kind", f"scenario {name!r} has kind {kind!r}; this subcommand handles "
+                      f"{', '.join(kinds)}")
     for key in obj:
         if key not in COMMON_FIELDS and key not in KIND_FIELDS[kind]:
             _fail(key, f"unknown field for kind {kind}")
@@ -503,7 +507,9 @@ def _csv_bytes(p: dict) -> bytes:
 
 def _text_bytes(p: dict) -> bytes:
     kind = p["kind"]
-    lines = [f"scenario: {p['scenario']}  (kind: {kind})", f"passed: {p['passed']}"]
+    tolerances = ", ".join(f"{k}={format(v, '.17g')}" for k, v in sorted(p["tolerances"].items()))
+    lines = [f"scenario: {p['scenario']}  (kind: {kind})", f"passed: {p['passed']}",
+             f"tolerances: {tolerances}", f"seed_override: {p['seed_override']}"]
     if kind == "compat":
         lines.append(f"{'hamiltonian':<16}{'class':<16}{'residual':<26}off_block_mass")
         for v in p["verdicts"]:

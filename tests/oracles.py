@@ -303,8 +303,7 @@ def tensor_representation(rho_a, rho_b):
     """
     grouprep._require_same_group(rho_a.group, rho_b.group)
     mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
-    return grouprep.Representation(group=rho_a.group, matrices=mats,
-                                   perm=grouprep._joint_perm(rho_a, rho_b))
+    return grouprep.Representation(group=rho_a.group, matrices=mats)
 
 
 def isotypic_components(rho, chars) -> tuple:

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -363,33 +362,20 @@ class TestMaxSpectralNorm:
 PERMUTATION_GROUPS = ("Z8", "Z16", "S3", "D4", "Z25")
 
 
-def dense_twin(rho):
-    """The same representation with no index array: every check runs densely."""
-    return dataclasses.replace(rho, perm=None)
-
-
-class TestPermutationPath:
-    """The index-array checks of a permutation representation against the dense
-    path on the same matrices, which stays on as their oracle."""
+class TestPermutationRepresentations:
+    """Permutation matrices take the one dense path, whose products on them are
+    exact: a relation the table demands leaves an exactly zero residual."""
 
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
-    def test_regular_representation_records_left_multiplication(self, name):
-        group, _ = grouprep.builtin_group(name)
-        reg = oracles.regular_representation(group)
-        assert np.array_equal(reg.perm, group.mult_table)   # rho(g)|h> = |gh>
-        g, j = np.indices(reg.perm.shape)
-        assert np.all(reg.matrices[g, reg.perm, j] == 1.0)
-
-    @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
-    def test_validation_equals_dense_path(self, name):
+    def test_validation_is_exact(self, name):
         reg = oracles.regular_representation(grouprep.builtin_group(name)[0])
         report = grouprep.validate_representation(reg)
-        assert report == grouprep.validate_representation(dense_twin(reg))
-        assert report["passed"] and report["homomorphism_bound"] == 0.0
+        assert assert_validation_matches_oracle(reg) == (True, False)
+        assert report["homomorphism_bound"] == report["max_unitarity_residual"] == 0.0
         assert report["pairs_checked"] == reg.group.order * len(reg.group.tree.generators)
 
     @pytest.mark.parametrize("name", PERMUTATION_GROUPS[:4])
-    def test_equivariance_residual_equals_dense_path(self, name):
+    def test_equivariance_residual_is_zero_exactly_for_central_t(self, name):
         group, _ = grouprep.builtin_group(name)
         reg = oracles.regular_representation(group)
         rng = np.random.default_rng(len(name))
@@ -398,49 +384,38 @@ class TestPermutationPath:
         noise = rng.normal(size=(reg.dim,) * 2) + 1j * rng.normal(size=(reg.dim,) * 2)
         for t in (central, noise, central + 1e-12 * noise):
             got = grouprep.equivariance_residual(reg, t)
-            assert got == grouprep.equivariance_residual(dense_twin(reg), t), name
+            assert got == max(opcore.operator_norm(oracles.commutator(reg[g], t))
+                              for g in range(group.order)), name
             assert (got == 0.0) == (t is central), name
 
     @pytest.mark.parametrize("edit", [lambda x: -x, lambda x: 1j * x,
                                       lambda x: np.nextafter(x.real, 2.0)],
                              ids=["signed", "phase", "one-ulp"])
-    def test_near_permutations_take_the_dense_path(self, edit):
+    def test_near_permutations_match_the_oracle(self, edit):
         """A signed permutation, a phase monomial and a matrix one ulp off a
-        permutation are unitary but carry no index array."""
+        permutation are unitary, and their residuals are not zero."""
         group, _ = grouprep.builtin_group("Z4")
         mats = oracles.regular_representation(group).matrices.copy()
         mats[1, 1, 0] = edit(mats[1, 1, 0])
         rho = grouprep.make_representation(group, mats)
-        assert rho.perm is None
         assert_validation_matches_oracle(rho)
         assert grouprep.validate_representation(rho)["max_homomorphism_residual"] > 0.0
 
-    def test_index_array_contradicting_the_table_reports_dense_residual(self):
+    def test_permutations_contradicting_the_table_report_their_residual(self):
         """rho(g2) = rho(g1) on Z3: each matrix permutes, but rho(g1)^2 != rho(g2)."""
         group, _ = grouprep.builtin_group("Z3")
         mats = oracles.regular_representation(group).matrices.copy()
         mats[2] = mats[1]
         rho = grouprep.make_representation(group, mats)
-        assert rho.perm is not None
         report = grouprep.validate_representation(rho)
-        assert report == grouprep.validate_representation(dense_twin(rho))
         assert report["max_homomorphism_residual"] == \
             per_pair_residuals(rho, generator_pairs(group))[0] > 1.0
         assert not report["passed"] and assert_validation_matches_oracle(rho) == (False, False)
 
-    def test_z16_membership_and_validation_form_no_dense_products(self, monkeypatch):
-        """Z16 reg (x) reg with a member H whose commutators with J(g1) is exactly
-        zero: membership forms no Kronecker product and takes no SVD, and
-        validation builds no homomorphism stack, checking G x S with integers; its unitarity
-        stack is exactly zero and takes no SVD either. ||[H, K]|| is the
-        bundle's, taken in the isotypic clock basis, whose change of basis rounds."""
-        group, chars = grouprep.builtin_group("Z16")
-        reg = oracles.regular_representation(group)
-        values = [0.9, 0.2, -0.1, 0.3, 0.7, -0.6, 0.15, 0.25, 0.4]
-        (t_a, clock_a), (_, clock_b) = (class_clock(
-            [c * values[min(k, 16 - k)] for k in range(16)], reg, chars) for c in (1.0, 0.5))
-        system = sync.make_system(clock_a, clock_b, np.kron(t_a, np.eye(16)))
-        bundle = sync.sync_bundle(system)
+    def test_z16_validation_forms_no_dense_products(self, monkeypatch):
+        """Z16 regular: validation checks G x S with one homomorphism stack, and
+        both it and the unitarity stack are exactly zero, so neither takes an SVD."""
+        reg = oracles.regular_representation(grouprep.builtin_group("Z16")[0])
         calls = []
         norm = np.linalg.norm
 
@@ -451,7 +426,6 @@ class TestPermutationPath:
 
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd"))
-        monkeypatch.setattr(np, "kron", lambda *a, **k: calls.append("kron"))
         stacked = grouprep._max_spectral_norm
 
         def counting_stack(stack, count, dim):
@@ -459,11 +433,8 @@ class TestPermutationPath:
             return stacked(stack, count, dim)
 
         monkeypatch.setattr(grouprep, "_max_spectral_norm", counting_stack)
-        verdict = grouprep.hsync_membership(bundle, reg, reg)
         report = grouprep.validate_representation(reg)
-        assert calls == [("stack", 16)]   # unitarity only, exactly zero: no SVD
-        assert verdict["member"] and verdict["equivariance_bound"] == 0.0
-        assert verdict["kernel_commutation_residual"] == bundle.epsilon <= 1e-12
+        assert calls == [("stack", 16), ("stack", 16)]   # unitarity, then G x {g1}
         assert report["passed"] and report["pairs_checked"] == 16
 
 
@@ -558,7 +529,7 @@ def test_one_replaced_permutation_is_always_caught(case, data):
     rho = oracles.regular_representation(group) if points is None \
         else cyclic_action(group, points)
     g = data.draw(st.integers(0, group.order - 1), label="element")
-    old = rho.perm[g].tolist()
+    old = np.argmax(rho[g].real, axis=0).tolist()   # rho(g) e_j = e_old[j]
     new = data.draw(st.permutations(range(rho.dim)).filter(lambda p: list(p) != old),
                     label="image")
     mats = rho.matrices.copy()

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +159,8 @@ class TestParseScenario:
     def test_checks_run_in_the_documented_order(self, tmp_path):
         """A Hamiltonian is built and checked where its literal is read, before
         ``times``; ``--seed`` comes after the file's own seed and before the
-        kind's fields."""
+        kind's fields; a kind outside ``kinds`` is refused first of all, before
+        an unknown top-level key."""
         path = write_scenario(tmp_path, drift_payload(hamiltonian={"diag": [0, 1, 2]},
                                                       times="soon"))
         with pytest.raises(ScenarioError) as err:
@@ -172,6 +174,13 @@ class TestParseScenario:
         with pytest.raises(ScenarioError) as err:
             scenario.parse_scenario(path, seed_override=-1)
         assert str(err.value) == f"seed: expected an integer in [0, {2 ** 128})"
+        path = write_scenario(tmp_path, drift_payload(hamiltonian={"diag": [0, 1, 2]},
+                                                      times="soon", seed=-1,
+                                                      mystery=1))
+        with pytest.raises(ScenarioError) as err:
+            scenario.parse_scenario(path, seed_override=-1, kinds=("kernel",))
+        assert str(err.value) == ("kind: scenario 'drift-test' has kind 'drift'; "
+                                  "this subcommand handles kernel")
 
 
 class TestRunScenario:
@@ -363,7 +372,13 @@ class TestEmitReport:
         lines = scenario.emit_report(report, "text").decode().splitlines()
         assert lines[:2] == [f"scenario: {p['scenario']}  (kind: {p['kind']})",
                              f"passed: {p['passed']}"]
-        body = lines[2:]
+        label, pairs = lines[2].split(": ")
+        names = [pair.split("=")[0] for pair in pairs.split(", ")]
+        assert (label, names) == ("tolerances", sorted(p["tolerances"]))
+        assert {k: float(v) for k, v in (pair.split("=") for pair in pairs.split(", "))} \
+            == p["tolerances"]
+        assert lines[3] == f"seed_override: {p['seed_override']}"
+        body = lines[4:]
         if p["kind"] == "kernel":
             assert body[0] == f"kernel dimension: {p['kernel']['dim']}"
             label, value = body[1].split(": ")
@@ -396,6 +411,17 @@ class TestCli:
     def test_kind_gate(self, capsys):
         assert cli.main(["drift", str(SCENARIO_DIR / "ex55_compat.json")]) == 2
         assert "kind" in capsys.readouterr().err
+
+    def test_kind_gate_comes_before_the_operators(self, tmp_path, monkeypatch, capsys):
+        """``syncsub kernel`` on a drift file with a bad H reports the kind, and
+        no Hamiltonian is read."""
+        path = write_scenario(tmp_path, drift_payload(hamiltonian={"diag": [0, 1, 2]}))
+        monkeypatch.setattr(scenario, "_read_hamiltonian",
+                            lambda *args: pytest.fail("Hamiltonian read"))
+        assert cli.main(["kernel", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "syncsub: scenario error: kind: scenario 'drift-test' has kind 'drift'; "
+            "this subcommand handles kernel\n")
 
     def test_parse_error_exit_two(self, tmp_path, capsys):
         empty = tmp_path / "broken.json"
@@ -1162,6 +1188,16 @@ class TestGolden:
     def test_csv_report_matches_golden(self, tmp_path):
         assert_matches_golden(tmp_path, "drift_perturbed", "csv")
 
+    def test_text_override_golden_differs_in_its_tolerance_line(self):
+        """ex55_compat's text report under --tol compat_tol=1e-9 differs from the
+        plain one in the tolerances line alone, so the golden pins the flag."""
+        plain, overridden = ((GOLDEN_DIR / f"{name}.txt").read_text().splitlines()
+                             for name in ("ex55_compat", "ex55_compat.overrides"))
+        differ = [i for i, (a, b) in enumerate(zip(plain, overridden)) if a != b]
+        assert len(plain) == len(overridden) and len(differ) == 1
+        assert overridden[differ[0]].startswith("tolerances: ")
+        assert "compat_tol=1.0000000000000001e-09" in overridden[differ[0]].split(", ")
+
 
 def _rename(obj, old, new):
     obj[new] = obj.pop(old)
@@ -1327,26 +1363,33 @@ def test_local_hamiltonian_checked_by_its_factors(tmp_path, capsys):
         "exceeds tolerance\n")
 
 
-def cyclic_regular_payload(member, n=8):
+def cyclic_regular_payload(member, n=8, rotation=None):
     """Zn regular (x) regular (Z8 by default) with symmetric class functions;
     the Hamiltonian is local and circulant on both sides (a member) or
     diagonal on side A (not equivariant, since a diagonal matrix does not
-    commute with the shift)."""
+    commute with the shift). A unitary ``rotation`` V writes the generator
+    and both local terms in the basis V, as V M V^dag."""
     shift = np.zeros((n, n))
     shift[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    values = [0.5, 0.2, -0.1, 0.3, 0.7, -0.4, 0.15, 0.6, -0.25]
+    values = [0.5, 0.2, -0.1, 0.3, 0.7, -0.4, 0.15, 0.6, -0.25,
+              0.05, 0.35, -0.2, 0.45, 0.1, -0.3, 0.25, 0.4]
     f = [values[min(k, n - k)] for k in range(n)]     # f(k) = f(n - k)
     circulant = np.asarray(f)[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
     h_a = circulant if member else np.diag(np.linspace(-1.0, 1.0, n))
+    v = np.eye(n) if rotation is None else rotation
+
+    def rotated(m, hermitian=True):
+        m = v @ m @ v.conj().T
+        return matrix_to_literal((m + m.conj().T) / 2.0 if hermitian else m)
+
     return {
         "name": f"z{n}-{'member' if member else 'non-member'}",
         "kind": "group",
         "group": f"Z{n}",
-        "rep": {"generators": {"g1": matrix_to_literal(shift)}},
+        "rep": {"generators": {"g1": rotated(shift, hermitian=False)}},
         "class_function_a": f,
         "class_function_b": [x + 0.25 * (k % 2) for k, x in enumerate(f)],
-        "hamiltonian": {"local": {"a": matrix_to_literal(h_a),
-                                  "b": matrix_to_literal(0.5 * circulant)}},
+        "hamiltonian": {"local": {"a": rotated(h_a), "b": rotated(0.5 * circulant)}},
     }
 
 
@@ -1418,20 +1461,44 @@ def count_kron_sums(monkeypatch):
 @pytest.mark.parametrize("member", [True, False])
 def test_local_group_scenario_forms_no_dense_h(tmp_path, monkeypatch, member):
     """Z16 regular (x) regular with a local H, a member and a non-member: every
-    check reads the permuted factors, so the 256 x 256 H is never formed."""
+    check reads the factors, so the 256 x 256 H is never formed."""
     s = scenario.parse_scenario(write_scenario(tmp_path, cyclic_regular_payload(member, n=16)))
     calls = count_kron_sums(monkeypatch)
     assert scenario.run_scenario(s)["membership"]["member"] is member
     assert calls == []
 
 
-def test_group_example_forms_dense_h_once(tmp_path, monkeypatch):
-    """ex_group_s3's rep_a does not permute, so membership reads its local H as
-    a 16 x 16 matrix: formed once, kept for every later read, and the report
+def test_group_example_forms_no_dense_h(tmp_path, monkeypatch):
+    """ex_group_s3's rep_a does not permute, and membership still reads its
+    local H off the factors: the 16 x 16 H is never formed, and the report
     keeps its golden bytes."""
     calls = count_kron_sums(monkeypatch)
     assert_matches_golden(tmp_path, "ex_group_s3")
-    assert calls == [(4, 4)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_rotated_z32_membership_stays_on_the_factors(tmp_path, monkeypatch, member):
+    """Z32 regular (x) regular in a random unitary basis with a local H, through
+    cli.main: no opcore.kron_sum call and no factorization of a matrix larger
+    than 32 x 32, for a member and a non-member. Read from the dense 1024 x 1024
+    H, the tree bound of a rotated basis exceeds equivar_tol and the exact
+    fallback takes 32 SVDs of 1024 x 1024 commutators (tens of seconds)."""
+    rng = np.random.default_rng(32)
+    q, r = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    path = write_scenario(tmp_path, cyclic_regular_payload(member, n=32,
+                                                           rotation=q * (np.diag(r) / abs(np.diag(r)))))
+    sums = count_kron_sums(monkeypatch)
+    recorded = [record_shapes(monkeypatch, name) for name in ("svd", "eigh", "eigvalsh")]
+    start = time.perf_counter()
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    elapsed = time.perf_counter() - start
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["membership"]["member"] is member
+    assert report["validation"]["rep_a"]["max_unitarity_residual"] > 0.0
+    shapes = [shape for calls in recorded for shape, _ in calls]
+    assert sums == [] and shapes and max(max(shape) for shape in shapes) <= 32
+    assert elapsed < 2.0
 
 
 def test_local_system_forms_dense_h_on_first_read(monkeypatch):
@@ -1675,7 +1742,7 @@ FACTORIZATIONS = {
     "drift_perturbed": {"eigh": 1, "eigvalsh": 2},
     "ex55_compat": {"norm2": 3},
     "ex74_kernel": {"eigvalsh": 2},
-    "ex_group_s3": {"eigh": 3, "eigvalsh": 2, "norm2": 11},
+    "ex_group_s3": {"eigh": 3, "eigvalsh": 4, "norm2": 11},
     "z16-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
     "z16-non-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
 }
@@ -1739,3 +1806,35 @@ def test_package_loads_no_scipy():
         [sys.executable, "-c", 'import sys, syncsub.cli; print("scipy" in sys.modules)'],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+FAILING_GIVEN_THEN_PASSING = '''
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(max_examples=5, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_given_test_does_not_end_the_session(tmp_path):
+    """Under pyproject.toml's pytest settings, which turn every warning into an
+    error, a failing @given test is one failure and the test after it still
+    runs: hypothesis's failure report raises a DeprecationWarning
+    (mypy_extensions.TypedDict) that, as an error, ended the session."""
+    (tmp_path / "test_pair.py").write_text(FAILING_GIVEN_THEN_PASSING)
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_pair.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

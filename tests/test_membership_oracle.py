@@ -11,8 +11,6 @@ non-members and near-threshold perturbations with r_S between 0.3 and 0.9 of
 the tolerance, where the exact fallback has to decide.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -144,14 +142,8 @@ def hamiltonians(rho_a, rho_b, rng):
     return cases
 
 
-def on_zero_clocks(h, rho_a, rho_b):
-    """The system of H, a matrix or a local pair, on zero clocks of the representations' dims."""
-    return sync.make_system(*(clocks.make_clock(np.zeros(r.dim)) for r in (rho_a, rho_b)), h)
-
-
 def tree_bound(h, rho_a, rho_b):
-    tree = rho_a.group.tree
-    return grouprep._equivariance_bound(on_zero_clocks(h, rho_a, rho_b), rho_a, rho_b, tree)[1]
+    return grouprep._equivariance_bound(h, rho_a, rho_b, rho_a.group.tree)[1]
 
 
 def check_against_oracle(h, rho_a, rho_b, factors, compat_tol, monkeypatch, where):
@@ -218,76 +210,67 @@ def test_fallback_decides_both_ways(monkeypatch):
     assert verdicts == [True, False, False]
 
 
-@pytest.mark.parametrize("name", ("Z8", "Z16", "S3", "D4"))
-def test_permutation_path_equals_dense_path(name):
-    """reg (x) reg with and without the index arrays: the same verdict, value for
-    value, for a member, a non-member and a near-threshold H, whose exact
-    fallback runs, and the same exact maximum over the joint action."""
-    rng = np.random.default_rng(len(name) + 100)
-    group, _ = grouprep.builtin_group(name)
-    reg = oracles.regular_representation(group)
-    dense = dataclasses.replace(reg, perm=None)
-    joint, dense_joint = (oracles.tensor_representation(r, r) for r in (reg, dense))
-    assert joint.perm is not None and dense_joint.perm is None
-    fallbacks, verdicts = 0, set()
-    for kind, h, factors, compat_tol in hamiltonians(reg, reg, rng):
-        if kind not in ("member", "non-member", "near 0.6"):
-            continue
-        verdict = membership(h, reg, reg, *factors, compat_tol=compat_tol)
-        assert verdict == membership(h, dense, dense, *factors, compat_tol=compat_tol), kind
-        fallback = verdict["generator_residual"] <= TOL < tree_bound(h, dense, dense)
-        if not fallback:
-            exact = grouprep.equivariance_residual(joint, h)
-            assert exact == grouprep.equivariance_residual(dense_joint, h), kind
-        fallbacks += fallback
-        verdicts.add(verdict["member"])
-    assert fallbacks and verdicts == {True, False}
-
-
 U = np.finfo(np.float64).eps / 2   # unit roundoff
 
 
-@pytest.mark.parametrize("name, side_b", [
-    ("Z8", "regular"), ("Z16", "regular"), ("S3", "regular"), ("D4", "regular"),
-    ("Z8", "trivial"), ("S3", "trivial"), ("D4", "trivial"),
-])
-def test_factored_generator_residuals_match_dense_gather(name, side_b):
-    """r_s of a local H read off its factors against the gathered n x n
-    commutator, on regular (x) regular and regular (x) trivial, for members
-    (twirled factors, r_s at roundoff) and random non-members.
+def conjugated(rho, rng):
+    """g -> V rho(g) V^dag for a random unitary V: the same representation in a rotated basis."""
+    v = random_unitary(rng, rho.dim)
+    return grouprep.make_representation(rho.group, v @ rho.matrices @ v.conj().T)
 
-    Let n = d_A d_B and F = sqrt(d_B) ||H_A||_F + sqrt(d_A) ||H_B||_F >= ||H||_F.
-    The gathers are exact. The dense H rounds its diagonal-block sums once
-    (u F) and the gathered difference once more (2 u F); the factored
-    differences round once (2 u F). Each norm is within its factorization's
-    backward error, taken as 2 m^2 u ||.|| for an m x m matrix (as in
-    test_opcore): 4 n^2 u F for the SVD, 4 (d_A^2 + d_B^2) u F <= 4 (n^2 + 1) u F
-    for the two eigvalsh calls. Summed, |factored - dense| <= (9 + 8 n^2) u F.
+
+@pytest.mark.parametrize("name", ("Z8", "Z16", "S3", "D4"))
+def test_factored_norms_match_kron_svd_oracle(name):
+    """||[J(g), H]|| over all of G for a local H, read off the factors, against
+    the SVD of the commutator with J(g) = np.kron(rho_A(g), rho_B(g)) and the
+    dense H, on regular (x) regular, regular (x) trivial and their random
+    unitary conjugates, for members (twirled factors) and random non-members.
+
+    With e_A, e_B the max unitarity residuals, h_A = ||H_A||, h_B = ||H_B||,
+    X_A = A^dag [A, H_A] and N = ||[J, H]||: the Hermitization moves X_A by at
+    most e_A h_A, J^dag [J, H] differs from X_A (x) I + I (x) X_B by
+    e_A ||X_B|| + e_B ||X_A|| with ||X_A|| <= 2 (1 + e_A) h_A, and
+    ||J^dag C|| lies within (e_A + e_B) N of N. Roundoff, with each product
+    of m x m matrices within m (m + 2) u of the product of the norms and each
+    factorization within 2 m^2 u ||.|| (as in test_opcore): the factors'
+    three products, difference and eigvalsh stay within 10 d (d + 2) u h per
+    side, and the oracle's two n x n products and SVD within
+    7 n (n + 2) u (h_A + h_B), for N <= 2 (1 + e) (h_A + h_B).
     """
-    rng = np.random.default_rng(sum(map(ord, name + side_b)))
+    rng = np.random.default_rng(sum(map(ord, name)))
     group, _ = grouprep.builtin_group(name)
-    rho_a = oracles.regular_representation(group)
-    rho_b = rho_a if side_b == "regular" else oracles.trivial_representation(group)
-    assert rho_a.perm is not None and rho_b.perm is not None
-    gens = list(group.tree.generators)
-    n = rho_a.dim * rho_b.dim
+    reg, triv = oracles.regular_representation(group), oracles.trivial_representation(group, 2)
+    pairs = [(reg, reg), (reg, triv)]
+    pairs += [(conjugated(a, rng), conjugated(b, rng)) for a, b in pairs]
     members = 0
-    for trial in range(8):
-        if trial % 2:
-            h_a, h_b = (clocks._random_hermitian(rng, r.dim) for r in (rho_a, rho_b))
-        else:
-            h_a, h_b = (oracles.random_equivariant_observable(r, 10 * trial + k)
-                        for k, r in enumerate((rho_a, rho_b)))
-        h_a, h_b = h_a * 2.0 ** rng.uniform(-20, 20), h_b * 2.0 ** rng.uniform(-20, 20)
-        h = oracles.local_hamiltonian(h_a, h_b)
-        got = grouprep._generator_residuals(on_zero_clocks((h_a, h_b), rho_a, rho_b),
-                                            rho_a, rho_b, gens)
-        want = grouprep._generator_residuals(on_zero_clocks(h, rho_a, rho_b), rho_a, rho_b, gens)
-        f = np.sqrt(rho_b.dim) * np.linalg.norm(h_a) + np.sqrt(rho_a.dim) * np.linalg.norm(h_b)
-        for x, y in zip(got, want):
-            assert abs(x - y) <= (9 + 8 * n * n) * U * f, (trial, x, y)
-        members += max(want) <= 1e-12 * f
-    assert members == 4
+    for rho_a, rho_b in pairs:
+        e_a, e_b = (grouprep.validate_representation(r)["max_unitarity_residual"]
+                    for r in (rho_a, rho_b))
+        n = rho_a.dim * rho_b.dim
+        for trial in range(4):
+            if trial % 2:
+                h_a, h_b = (clocks._random_hermitian(rng, r.dim) for r in (rho_a, rho_b))
+            else:
+                h_a, h_b = (oracles.random_equivariant_observable(r, 10 * trial + k)
+                            for k, r in enumerate((rho_a, rho_b)))
+            h_a, h_b = h_a * 2.0 ** rng.uniform(-20, 20), h_b * 2.0 ** rng.uniform(-20, 20)
+            got = grouprep._local_commutator_norms(h_a, h_b, rho_a, rho_b)
+            h = oracles.local_hamiltonian(h_a, h_b)
+            want = np.array([opcore.operator_norm(oracles.commutator(
+                np.kron(rho_a[g], rho_b[g]), h)) for g in range(group.order)])
+            n_a, n_b = opcore.operator_norm(h_a), opcore.operator_norm(h_b)
+            band = (e_a * n_a + e_b * n_b + 2 * e_a * (1 + e_b) * n_b
+                    + 2 * e_b * (1 + e_a) * n_a + (e_a + e_b) * want
+                    + 10 * U * sum(r.dim * (r.dim + 2) * x
+                                   for r, x in ((rho_a, n_a), (rho_b, n_b)))
+                    + 7 * n * (n + 2) * U * (n_a + n_b))
+            assert np.all(np.abs(got - want) <= band), (trial, got - want, band)
+            members += max(want) <= 1e-12 * (n_a + n_b)
+    assert members == 2 * len(pairs)
+
+
+def is_permutation(m):
+    return np.all((m == 0) | (m == 1)) and np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1)
 
 
 def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
@@ -295,12 +278,12 @@ def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
     permutes, but rho(g1)^2 != rho(g2), so eta > 0 on the tree edge to g2. With
     H = C (x) I, C = I + iP - iP^2 for the cyclic shift P, [J(g1), H] = 0 while
     [J(g2), H] != 0: r_S = 0 must not settle membership, and the verdict equals
-    the dense path's and the full-group oracle's."""
+    the full-group oracle's."""
     group, _ = grouprep.builtin_group("Z3")
     mats = oracles.regular_representation(group).matrices.copy()
     mats[2] = np.eye(3)[:, [0, 2, 1]]
     rho = grouprep.make_representation(group, mats)
-    assert rho.perm is not None
+    assert all(is_permutation(m) for m in rho.matrices)
     shift = mats[1]
     c = np.eye(3) + 1j * shift - 1j * shift @ shift
     h = np.kron(c, np.eye(3))
@@ -308,30 +291,6 @@ def test_permutations_off_the_table_keep_the_tree_slack(monkeypatch):
     verdict, fallback = check_against_oracle(h, rho, rho, factors, 1e-10, monkeypatch, "Z3")
     assert fallback and verdict["generator_residual"] == 0.0
     assert not verdict["member"] and verdict["equivariance_bound"] > TOL
-    dense = dataclasses.replace(rho, perm=None)
-    assert verdict == membership(h, dense, dense, *factors)
-
-
-def test_fallback_gathers_on_permutation_pairs(monkeypatch):
-    """Z16 reg (x) reg with near-threshold H, where r_S <= TOL < B: the exact
-    fallback gathers every joint commutator from the index array and forms no
-    Kronecker product (the dense joint action is a 16 x 256 x 256 stack), and
-    its maximum equals the full-group oracle's bit for bit."""
-    rng = np.random.default_rng(16)
-    group, _ = grouprep.builtin_group("Z16")
-    reg = oracles.regular_representation(group)
-    near = [case for case in hamiltonians(reg, reg, rng) if case[0].startswith("near")]
-    assert len(near) == len(NEAR)
-    for kind, h, factors, compat_tol in near:
-        exact, _ = oracle_membership(h, reg, reg, *(oracles.clock_matrix(c) for c in factors),
-                                     compat_tol=compat_tol)
-        system = sync.make_system(*factors, h)
-        bundle = sync.sync_bundle(system)
-        with monkeypatch.context() as m:
-            m.setattr(np, "kron", lambda *args: pytest.fail("Kronecker product formed"))
-            verdict = grouprep.hsync_membership(bundle, reg, reg, compat_tol=compat_tol)
-        assert verdict["generator_residual"] <= TOL < tree_bound(h, reg, reg), kind
-        assert verdict["equivariance_bound"] == exact, kind
 
 
 @pytest.mark.parametrize("name", GROUPS)
