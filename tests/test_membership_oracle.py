@@ -210,6 +210,23 @@ def test_fallback_decides_both_ways(monkeypatch):
     assert verdicts == [True, False, False]
 
 
+@pytest.mark.parametrize("kind", ["member", "non-member"] + [f"near {x}" for x in NEAR])
+def test_z16_permutation_pairs_match_full_group_oracle(kind, monkeypatch):
+    """Z16 reg (x) reg, a 256-dim joint action of permutation matrices, with
+    each H given as an n x n matrix: the verdict equals the full-group oracle's,
+    and at every near-threshold H, where r_S <= TOL < B, the exact fallback runs
+    and its maximum equals the oracle's bit for bit."""
+    rng = np.random.default_rng(16)
+    group, _ = grouprep.builtin_group("Z16")
+    reg = oracles.regular_representation(group)
+    cases = {case[0]: case[1:] for case in hamiltonians(reg, reg, rng)}
+    h, factors, compat_tol = cases[kind]
+    verdict, fallback = check_against_oracle(h, reg, reg, factors, compat_tol, monkeypatch, kind)
+    assert fallback == kind.startswith("near"), kind
+    if not fallback:
+        assert verdict["member"] == (kind == "member"), kind
+
+
 U = np.finfo(np.float64).eps / 2   # unit roundoff
 
 
@@ -220,11 +237,12 @@ def conjugated(rho, rng):
 
 
 @pytest.mark.parametrize("name", ("Z8", "Z16", "S3", "D4"))
-def test_factored_norms_match_kron_svd_oracle(name):
+@pytest.mark.parametrize("side_b", ("regular", "trivial"))
+def test_factored_norms_match_kron_svd_oracle(name, side_b):
     """||[J(g), H]|| over all of G for a local H, read off the factors, against
     the SVD of the commutator with J(g) = np.kron(rho_A(g), rho_B(g)) and the
-    dense H, on regular (x) regular, regular (x) trivial and their random
-    unitary conjugates, for members (twirled factors) and random non-members.
+    dense H, on regular (x) ``side_b`` and its random unitary conjugate, for
+    members (twirled factors) and random non-members.
 
     With e_A, e_B the max unitarity residuals, h_A = ||H_A||, h_B = ||H_B||,
     X_A = A^dag [A, H_A] and N = ||[J, H]||: the Hermitization moves X_A by at
@@ -237,11 +255,11 @@ def test_factored_norms_match_kron_svd_oracle(name):
     side, and the oracle's two n x n products and SVD within
     7 n (n + 2) u (h_A + h_B), for N <= 2 (1 + e) (h_A + h_B).
     """
-    rng = np.random.default_rng(sum(map(ord, name)))
+    rng = np.random.default_rng(sum(map(ord, name + side_b)))
     group, _ = grouprep.builtin_group(name)
-    reg, triv = oracles.regular_representation(group), oracles.trivial_representation(group, 2)
-    pairs = [(reg, reg), (reg, triv)]
-    pairs += [(conjugated(a, rng), conjugated(b, rng)) for a, b in pairs]
+    reg = oracles.regular_representation(group)
+    rho_b = reg if side_b == "regular" else oracles.trivial_representation(group, 2)
+    pairs = [(reg, rho_b), (conjugated(reg, rng), conjugated(rho_b, rng))]
     members = 0
     for rho_a, rho_b in pairs:
         e_a, e_b = (grouprep.validate_representation(r)["max_unitarity_residual"]
