@@ -26,7 +26,6 @@ SCHUR_TOL = 1e-9
 KERNEL_RESIDUAL_TOL = 1e-9  # allowance on ||K|_block - (alpha - beta) I||
 HOMOMORPHISM_TOL = 1e-10
 OBSERVABLE_HERM_TOL = 1e-10  # ||T - T^dag|| allowance for a clock observable
-OBSERVABLE_EQUIVAR_TOL = 1e-10   # max_g ||[rho(g), T]|| allowance for a class-function T
 CHARACTER_TOL = 1e-10   # entrywise allowance on the character Gram matrix minus I
 IDENTITY_TOL = 1e-12    # ||rho(e) - I|| allowance, times the dimension
 _IDEMPOTENT_TOL = 1e-8
@@ -618,12 +617,12 @@ def _tree_bound(tree: GeneratorTree, r: dict, nu: float, extra) -> float:
     return float(max(bound.values()))
 
 
-def isotypic_clock(t, equivariance: float, components: tuple,
-                   equivar_tol: float = EQUIVAR_TOL) -> tuple:
+def isotypic_clock(t, equivariance: float, components: tuple) -> tuple:
     """(schur, clock) of an observable T on the isotypic ``components`` of a
-    representation rho, where ``equivariance`` is max_g ||[rho(g), T]||.
+    representation rho, where ``equivariance`` is max_g ||[rho(g), T]||, already
+    gated by the caller (observable_from_class_function).
 
-    ``schur`` is the report's object: the checked equivariance_residual and one
+    ``schur`` is the report's object: that equivariance_residual and one
     entry {irrep, multiplicity, scalar: [re, im], residual} per component present,
     with alpha = tr(T P) / k, k = isotypic_dim, and the residual ||T B - alpha B||
     on its orthonormal basis B. A central T is alpha I on every isotypic
@@ -634,10 +633,6 @@ def isotypic_clock(t, equivariance: float, components: tuple,
     stacked bases form a unitary.
     """
     t = opcore.as_complex_matrix(t)
-    eq_res, ok = opcore.check(equivariance, equivar_tol)
-    if not ok:
-        raise ValueError(
-            f"operator is not equivariant: max ||[rho(g), T]|| = {eq_res:.3e} > {equivar_tol:g}")
     present = [c for c in components if c.multiplicity]
     entries = []
     for comp in present:
@@ -647,14 +642,16 @@ def isotypic_clock(t, equivariance: float, components: tuple,
                         "residual": opcore.operator_norm(t @ comp.basis - scalar * comp.basis)})
     labels = np.repeat([e["scalar"][0] for e in entries], [c.isotypic_dim for c in present])
     clock = make_clock(labels, np.hstack([c.basis for c in present]))
-    return {"equivariance_residual": eq_res, "entries": entries}, clock
+    return {"equivariance_residual": equivariance, "entries": entries}, clock
 
 
-def observable_from_class_function(values, rho: Representation) -> tuple:
+def observable_from_class_function(values, rho: Representation,
+                                   equivar_tol: float = EQUIVAR_TOL) -> tuple:
     """Central observable T = sum_g f(g) rho(g) from one real value per class,
     and its equivariance residual max_g ||[rho(g), T]||, as the pair (T, residual).
 
-    Hermiticity needs f(class of g) = f(class of g^-1); violated pairs raise.
+    Hermiticity needs f(class of g) = f(class of g^-1); violated pairs raise, and
+    so does a residual above ``equivar_tol``.
     """
     group = rho.group
     values = np.asarray(values, dtype=np.float64)
@@ -675,7 +672,7 @@ def observable_from_class_function(values, rho: Representation) -> tuple:
     herm, ok = opcore.check(t - t.conj().T, OBSERVABLE_HERM_TOL)
     if not ok:
         raise NumericalError(f"class-function observable is not Hermitian ({herm:.3e})")
-    eq, ok = opcore.check(equivariance_residual(rho, t), OBSERVABLE_EQUIVAR_TOL)
+    eq, ok = opcore.check(equivariance_residual(rho, t), equivar_tol)
     if not ok:
         raise NumericalError(f"class-function observable is not equivariant ({eq:.3e})")
     return t, eq

@@ -11,10 +11,10 @@ the report.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string   # json.dumps(str)'s quoting
 from pathlib import Path
 
 import numpy as np
@@ -357,7 +357,7 @@ def _run_sync(s: Scenario) -> tuple:
         fields = {"kernel": {
             "ambient_dim": bundle.system.dim, "dim": bundle.kernel_index.size,
             "tol_used": bundle.cutoff,
-            "vectors": [[[float(v.real), float(v.imag)] for v in column] for column in basis.T]}}
+            "vectors": np.stack((basis.T.real, basis.T.imag), axis=-1).tolist()}}
         if s.hamiltonian is not None:
             fields["epsilon"] = bundle.epsilon
         return fields, True
@@ -378,9 +378,11 @@ def _run_sync(s: Scenario) -> tuple:
 def _run_group(s: Scenario) -> tuple:
     """Validation, multiplicities, Schur scalars, containment and membership.
 
-    A scenario with one ``rep``, or with a ``rep_b`` literal that reads as
-    ``rep_a``'s, has ``rep_b is rep_a``; that representation is validated, counted and
-    decomposed once and side B reuses the results.
+    A representation that fails validation ends the run there: the report holds
+    ``group`` and ``validation`` and does not pass. A scenario with one ``rep``,
+    or with a ``rep_b`` literal that reads as ``rep_a``'s, has ``rep_b is rep_a``;
+    that representation is validated, counted and decomposed once and side B
+    reuses the results.
     Each side's clock is its observable in the isotypic basis, so kernel,
     ||K|| and ||[H, K]|| come from one sync bundle.
     """
@@ -393,27 +395,30 @@ def _run_group(s: Scenario) -> tuple:
                         "elements": list(s.group.elements)}}
     val_a, val_b = per_side(grouprep.validate_representation)
     fields["validation"] = {"rep_a": val_a, "rep_b": val_b}
+    if not (val_a["passed"] and val_b["passed"]):
+        return fields, False
     mult_a, mult_b = per_side(grouprep.multiplicities, s.characters)
     fields["multiplicities"] = {"rep_a": [[n, m] for n, m in mult_a],
                                 "rep_b": [[n, m] for n, m in mult_b]}
-    passed = val_a["passed"] and val_b["passed"]
     if s.class_function_a is None:
-        return fields, passed
+        return fields, True
 
-    t_a, eq_a = grouprep.observable_from_class_function(s.class_function_a, s.rep_a)
-    t_b, eq_b = grouprep.observable_from_class_function(s.class_function_b, s.rep_b)
+    t_a, eq_a = grouprep.observable_from_class_function(s.class_function_a, s.rep_a,
+                                                        equivar_tol=tol["equivar_tol"])
+    t_b, eq_b = grouprep.observable_from_class_function(s.class_function_b, s.rep_b,
+                                                        equivar_tol=tol["equivar_tol"])
     comps_a = grouprep.isotypic_projectors(s.rep_a, s.characters, mult_a)
     comps_b = (comps_a if s.rep_b is s.rep_a
                else grouprep.isotypic_projectors(s.rep_b, s.characters, mult_b))
-    schur_a, clock_a = grouprep.isotypic_clock(t_a, eq_a, comps_a, equivar_tol=tol["equivar_tol"])
-    schur_b, clock_b = grouprep.isotypic_clock(t_b, eq_b, comps_b, equivar_tol=tol["equivar_tol"])
+    schur_a, clock_a = grouprep.isotypic_clock(t_a, eq_a, comps_a)
+    schur_b, clock_b = grouprep.isotypic_clock(t_b, eq_b, comps_b)
     fields["schur"] = {"rep_a": schur_a, "rep_b": schur_b}
     schur_ok = all(opcore.check(e["residual"], tol["schur_tol"])[1]
                    for e in schur_a["entries"] + schur_b["entries"])
     bundle = _bundle(s, clock_a, clock_b)
     containment = grouprep.verify_kernel_containment(schur_a, schur_b, s.characters, bundle)
     fields["containment"] = containment
-    passed = passed and schur_ok and containment["passed"]
+    passed = schur_ok and containment["passed"]
     if s.hamiltonian is not None:
         fields["membership"] = grouprep.hsync_membership(
             bundle, s.rep_a, s.rep_b,
@@ -446,56 +451,39 @@ def run_scenario(s: Scenario) -> dict:
 # ---------------------------------------------------------------------------
 # emission
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        raise opcore.NumericalError("cannot serialize NaN")
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _write_json(obj, out: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
+def _json(obj, pad: str = "") -> str:
+    """The JSON text of one report value: a dict's keys sorted, one per line,
+    indented two spaces past ``pad``; a list or tuple on one line; a float at
+    17 significant digits, +-inf as the strings "inf" and "-inf", NaN refused."""
+    if isinstance(obj, float):
+        if obj != obj:
+            raise opcore.NumericalError("cannot serialize NaN")
+        if obj in (math.inf, -math.inf):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return format(obj, ".17g")
     if isinstance(obj, dict):
         if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        items = sorted(obj.items())
-        for i, (key, value) in enumerate(items):
-            out.write(f'{pad}  {json.dumps(str(key))}: ')
-            _write_json(value, out, indent + 1)
-            out.write(",\n" if i + 1 < len(items) else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.write("[]")
-            return
-        out.write("[")
-        for i, value in enumerate(seq):
-            _write_json(value, out, indent)
-            if i + 1 < len(seq):
-                out.write(", ")
-        out.write("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.write(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+            return "{}"
+        inner = pad + "  "
+        return ("{\n" + ",\n".join([f"{inner}{_json_string(str(k))}: {_json(v, inner)}"
+                                     for k, v in sorted(obj.items())])
+                + "\n" + pad + "}")
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_json(v, pad) for v in obj]) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, str):
+        return _json_string(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _json(float(obj))
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_report(payload: dict) -> str:
     """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
-    out = io.StringIO()
-    _write_json(payload, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    return _json(payload) + "\n"
 
 
 def _csv_bytes(p: dict) -> bytes:
@@ -529,8 +517,9 @@ def _text_bytes(p: dict) -> bytes:
             lines.append(f"{format(t, '.17g'):<26}{format(d, '.17g'):<26}{format(f, '.17g')}")
     elif kind == "group":
         lines.append(f"group: {p['group']['name']} (order {p['group']['order']})")
-        lines.append(f"rep_a multiplicities: {p['multiplicities']['rep_a']}")
-        lines.append(f"rep_b multiplicities: {p['multiplicities']['rep_b']}")
+        if "multiplicities" in p:
+            lines.append(f"rep_a multiplicities: {p['multiplicities']['rep_a']}")
+            lines.append(f"rep_b multiplicities: {p['multiplicities']['rep_b']}")
         if "containment" in p:
             c = p["containment"]
             lines.append(f"containment (matched part): {c['contained']}  "

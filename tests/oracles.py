@@ -7,6 +7,9 @@ functions do, the plain dense way, so that the tests can check the structured
 paths against them. None of them is reached from a scenario.
 """
 
+import io
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,9 +315,9 @@ def isotypic_components(rho, chars) -> tuple:
     return grouprep.isotypic_projectors(rho, chars, grouprep.multiplicities(rho, chars))
 
 
-def schur_clock(t, rho, comps, equivar_tol=grouprep.EQUIVAR_TOL) -> tuple:
+def schur_clock(t, rho, comps) -> tuple:
     """grouprep.isotypic_clock of any T, with its equivariance residual taken on ``rho``."""
-    return grouprep.isotypic_clock(t, grouprep.equivariance_residual(rho, t), comps, equivar_tol)
+    return grouprep.isotypic_clock(t, grouprep.equivariance_residual(rho, t), comps)
 
 
 def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> np.ndarray:
@@ -343,3 +346,60 @@ def diagonal_isotypic_subspace(rho_a, rho_b, chars) -> np.ndarray:
                     f"diagonal isotypic subspace is not invariant under "
                     f"{joint.group.elements[g]!r} (leakage {leak:.3e})")
     return basis
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+def dumps_report(payload) -> str:
+    """The report emitter as first written: one stream write per token, with
+    separators tracked by hand. scenario.dumps_report must give the same text."""
+    out = io.StringIO()
+    _write_json(payload, out, 0)
+    out.write("\n")
+    return out.getvalue()
+
+
+def _format_float(x: float) -> str:
+    if math.isnan(x):
+        raise NumericalError("cannot serialize NaN")
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return format(x, ".17g")
+
+
+def _write_json(obj, out: io.StringIO, indent: int) -> None:
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        out.write("{\n")
+        items = sorted(obj.items())
+        for i, (key, value) in enumerate(items):
+            out.write(f'{pad}  {json.dumps(str(key))}: ')
+            _write_json(value, out, indent + 1)
+            out.write(",\n" if i + 1 < len(items) else "\n")
+        out.write(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.write("[]")
+            return
+        out.write("[")
+        for i, value in enumerate(seq):
+            _write_json(value, out, indent)
+            if i + 1 < len(seq):
+                out.write(", ")
+        out.write("]")
+    elif isinstance(obj, bool) or obj is None:
+        out.write(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.write(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

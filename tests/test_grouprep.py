@@ -801,12 +801,16 @@ class TestSchurScalars:
         assert by_name["chi0"] == pytest.approx(1.0, abs=1e-12)
         assert by_name["chi1"] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_non_equivariant_rejected(self, z2):
+    def test_non_equivariant_observable_shows_in_its_residuals(self, z2):
+        # the equivariance gate is observable_from_class_function's; the Schur
+        # step reports the residual it is given, and sigma_z swaps the two
+        # eigenvectors of sigma_x, so each Schur residual is 1
         group, chars = z2
         rho = grouprep.representation_from_generators(group, {"g1": SIGMA_X})
         dec = oracles.isotypic_components(rho, chars)
-        with pytest.raises(ValueError, match="equivariant"):
-            oracles.schur_clock(SIGMA_Z, rho, dec)
+        report, _ = oracles.schur_clock(SIGMA_Z, rho, dec)
+        assert report["equivariance_residual"] == pytest.approx(2.0, abs=1e-12)
+        assert [e["residual"] for e in report["entries"]] == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_multiplicity_blocks_carry_scalar_and_residual(self, s3):
         # on std, multiplicity 2, an equivariant T need not be a scalar and a
@@ -838,9 +842,11 @@ class TestSchurScalars:
             assert all(abs(e["scalar"][1]) <= 1e-10 for e in entries)
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             loose = (g + g.conj().T) / 2
-            assert grouprep.equivariance_residual(rho, loose) > 1e-3
-            with pytest.raises(ValueError):
-                oracles.schur_clock(loose, rho, dec)
+            residual = grouprep.equivariance_residual(rho, loose)
+            assert residual > 1e-3
+            report = oracles.schur_clock(loose, rho, dec)[0]
+            assert report["equivariance_residual"] == residual
+            assert max(e["residual"] for e in report["entries"]) > 1e-3
 
 
 class TestObservableFromClassFunction:

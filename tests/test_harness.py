@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +55,10 @@ def kernel_projector(report) -> np.ndarray:
     v = np.array([[complex(re, im) for re, im in column]
                   for column in report["kernel"]["vectors"]]).T
     return oracles.span_projector(v)
+
+
+REPORT_COMMON_KEYS = {"scenario", "kind", "library_version", "input_digest", "generator",
+                      "tolerances", "seed_override", "passed"}
 
 
 def drift_payload(**overrides):
@@ -354,6 +359,29 @@ class TestEmitReport:
         assert parsed["input_digest"] == s.digest
         assert parsed["generator"] == "philox"
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=4), st.recursive(
+        st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.integers(-2**70, 2**70), st.integers(-2**63, 2**63 - 1).map(np.int64),
+                  st.floats(allow_nan=False), st.floats(allow_nan=False).map(np.float64),
+                  st.floats(allow_nan=False, width=32).map(np.float32),
+                  st.sampled_from([math.inf, -math.inf, -0.0])),
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.lists(inner, max_size=4).map(tuple),
+                                st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+        max_leaves=24), max_size=4))
+    def test_json_matches_the_reference_emitter(self, payload):
+        assert scenario.dumps_report(payload) == oracles.dumps_report(payload)
+
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, opcore.NumericalError), (np.float32("nan"), opcore.NumericalError),
+        ({1, 2}, TypeError), (np.bool_(True), TypeError), (1j, TypeError),
+        (np.zeros(2), TypeError)])
+    def test_json_refuses_what_both_emitters_refuse(self, value, error):
+        for dumps in (scenario.dumps_report, oracles.dumps_report):
+            with pytest.raises(error):
+                dumps({"ok": [1.0, {"deep": [value]}]})
+
     def test_text_format(self):
         s = scenario.parse_scenario(SCENARIO_DIR / "ex55_compat.json")
         text = scenario.emit_report(scenario.run_scenario(s), "text").decode()
@@ -502,6 +530,37 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         assert report["containment"]["passed"] and report["validation"]["rep_a"]["passed"]
+
+    @pytest.mark.parametrize("g1, class_function", [
+        ({"dim": 2, "entries": [[0, 1], [0, 0], [0, 0], [0, -1]]}, None),   # rho(g1)^2 = -I
+        ({"dim": 2, "entries": [[0, 1], [0, 0], [0, 0], [0, -1]]}, [0.3, 0.5]),
+        ({"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 1]]}, None),
+    ], ids=["squares-to-minus-i", "squares-to-minus-i-with-class-function", "diag-1-i"])
+    def test_failed_validation_ends_the_group_run(self, tmp_path, capsys, g1, class_function):
+        """A unitary rho of Z2 that is no homomorphism exits 1 with the group and
+        its failed validation only: no multiplicity or observable is read off it."""
+        doc = {"name": "z2-not-a-homomorphism", "kind": "group", "group": "Z2",
+               "rep_a": {"elements": [{"diag": [1, 1]}, g1]}}
+        if class_function is not None:
+            doc["class_function_a"] = class_function
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == ""
+        assert report["passed"] is False and report["validation"]["rep_a"]["passed"] is False
+        assert report.keys() - REPORT_COMMON_KEYS == {"group", "validation"}
+        assert cli.main(["run", str(path), "--format", "text"]) == 1
+        assert capsys.readouterr().out.splitlines()[4:] == ["group: Z2 (order 2)"]
+
+    def test_observable_equivariance_is_gated_by_equivar_tol(self, capsys):
+        """The class-function observable's one equivariance gate reads the
+        scenario's equivar_tol: below its roundoff it is a numerical failure."""
+        code = cli.main(["run", str(SCENARIO_DIR / "ex_group_s3.json"),
+                         "--tol", "equivar_tol=1e-17"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "syncsub: numerical failure: class-function observable is not equivariant (")
 
     @pytest.mark.parametrize("overrides, message", [
         ({"hamiltonian": {"diag": [1, 2, 3]}},
