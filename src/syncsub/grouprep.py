@@ -109,22 +109,21 @@ def make_group(elements, mult_table, classes=None, name: str = "group") -> Finit
     if table.min() < 0 or table.max() >= n:
         raise ValueError("multiplication table indices out of range")
     want = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(table[i]), want) or not np.array_equal(np.sort(table[:, i]), want):
-            raise ValueError(f"multiplication table is not a Latin square at row/col {i}")
+    latin = ((np.sort(table, axis=1) == want).all(axis=1)
+             & (np.sort(table, axis=0) == want[:, None]).all(axis=0))
+    if not latin.all():
+        raise ValueError(f"multiplication table is not a Latin square at row/col {np.argmin(latin)}")
 
-    ids = [e for e in range(n)
-           if np.array_equal(table[e], want) and np.array_equal(table[:, e], want)]
+    ids = np.flatnonzero((table == want).all(axis=1) & (table == want[:, None]).all(axis=0))
     if len(ids) != 1:
         raise ValueError("group must have exactly one identity element")
-    identity = ids[0]
+    identity = int(ids[0])
 
-    inverse = np.full(n, -1, dtype=np.int64)
-    for g in range(n):
-        hits = np.nonzero(table[g] == identity)[0]
-        if hits.size != 1 or table[hits[0], g] != identity:
-            raise ValueError(f"element {elements[g]!r} lacks a two-sided inverse")
-        inverse[g] = hits[0]
+    # row g of a Latin square holds the identity once, at g's right inverse
+    inverse = np.argmax(table == identity, axis=1)
+    two_sided = table[inverse, want] == identity
+    if not two_sided.all():
+        raise ValueError(f"element {elements[np.argmin(two_sided)]!r} lacks a two-sided inverse")
 
     # Light's test: the s with (xs)y = x(sy) for all x, y are closed under
     # products, so checking every s in a generating set checks all triples.
@@ -360,8 +359,9 @@ def make_representation(group: FiniteGroup, matrices) -> Representation:
     ident_res, ok = opcore.check(mats[group.identity_index] - eye, IDENTITY_TOL * dim)
     if not ok:
         raise ValueError(f"identity element must map to I (residual {ident_res:.3e})")
+    gram = mats.conj().swapaxes(-1, -2) @ mats
     for i in range(group.order):
-        res, ok = opcore.check(mats[i].conj().T @ mats[i] - eye, opcore.UNITARY_TOL * dim)
+        res, ok = opcore.check(gram[i] - eye, opcore.UNITARY_TOL * dim)
         if not ok:
             raise ValueError(
                 f"matrix for element {group.elements[i]!r} is not unitary (residual {res:.3e})")
@@ -399,7 +399,8 @@ def validate_representation(rho: Representation) -> dict:
     Returns the residuals, max_unitarity_residual, identity_residual,
     max_homomorphism_residual r_S (the max over G x S) and homomorphism_bound
     B (>= the max over G x G, or that max), with pairs_checked, |G| |S| or
-    |G|^2 when the max over G x G was taken, and the verdict ``passed``.
+    |G|^2 when the max over G x G was taken, and the verdict ``passed``; on a
+    fail, ``failed`` lists each failed check with its residual and limit.
 
     rho(g) rho(s) = rho(gs) for every g and each s in the generating set S
     implies a homomorphism by induction along the group's forward-word tree
@@ -425,12 +426,13 @@ def validate_representation(rho: Representation) -> dict:
                         [r[s] for _, _, s in group.tree.edges])
     if opcore.check(r_s, HOMOMORPHISM_TOL)[1] and not opcore.check(bound, HOMOMORPHISM_TOL)[1]:
         bound, pairs = _homomorphism_residual(rho, *np.divmod(np.arange(n * n), n)), n * n
-    passed = (opcore.check(bound, HOMOMORPHISM_TOL)[1]
-              and opcore.check(unit_res, opcore.UNITARY_TOL * rho.dim)[1]
-              and opcore.check(ident_res, IDENTITY_TOL * rho.dim)[1])
-    return {"max_homomorphism_residual": r_s, "homomorphism_bound": bound,
-            "max_unitarity_residual": unit_res, "identity_residual": ident_res,
-            "pairs_checked": pairs, "passed": passed}
+    report = {"max_homomorphism_residual": r_s, "homomorphism_bound": bound, "pairs_checked": pairs,
+              "max_unitarity_residual": unit_res, "identity_residual": ident_res}
+    limits = {"homomorphism_bound": HOMOMORPHISM_TOL, "max_unitarity_residual":
+              opcore.UNITARY_TOL * rho.dim, "identity_residual": IDENTITY_TOL * rho.dim}
+    failed = [{"check": key, "residual": report[key], "limit": limit}
+              for key, limit in limits.items() if not opcore.check(report[key], limit)[1]]
+    return {**report, **({"failed": failed} if failed else {}), "passed": not failed}
 
 
 def _homomorphism_residual(rho: Representation, gs: np.ndarray, hs: np.ndarray) -> float:
@@ -461,13 +463,15 @@ def _max_spectral_norm(stack, count: int, dim: int) -> float:
 # ---------------------------------------------------------------------------
 # isotypic structure
 
-def _element_characters(group: FiniteGroup, irrep: Irrep) -> np.ndarray:
-    """Character value per element index (characters are class functions)."""
-    if irrep.characters.shape != (len(group.conjugacy_classes),):
-        raise ValueError(
-            f"irrep {irrep.name!r} carries {irrep.characters.shape[0]} character values "
-            f"but the group has {len(group.conjugacy_classes)} conjugacy classes")
-    return irrep.characters[group.class_index]
+def _element_characters(group: FiniteGroup, chars: tuple) -> np.ndarray:
+    """Character value per irrep and element index (characters are class functions)."""
+    for irrep in chars:
+        if irrep.characters.shape != (len(group.conjugacy_classes),):
+            raise ValueError(
+                f"irrep {irrep.name!r} carries {irrep.characters.shape[0]} character values "
+                f"but the group has {len(group.conjugacy_classes)} conjugacy classes")
+    table = np.array([irrep.characters for irrep in chars])
+    return table.reshape(len(chars), len(group.conjugacy_classes))[:, group.class_index]
 
 
 def multiplicities(rho: Representation, chars: tuple) -> list:
@@ -478,9 +482,9 @@ def multiplicities(rho: Representation, chars: tuple) -> list:
     """
     group = rho.group
     traces = np.einsum("gii->g", rho.matrices)
+    raws = np.sum(traces * _element_characters(group, chars).conj(), axis=1) / group.order
     items = []
-    for irrep in chars:
-        raw = np.sum(traces * _element_characters(group, irrep).conj()) / group.order
+    for irrep, raw in zip(chars, raws):
         m = int(round(raw.real))
         if not opcore.check(abs(raw - m), MULT_ROUND_TOL)[1] or m < 0:
             raise ValueError(
@@ -510,19 +514,22 @@ def isotypic_projectors(rho: Representation, chars: tuple, mults: list) -> tuple
     """Character projectors P = (d/|G|) sum_g chi(g)* rho(g), one IsotypicComponent
     per irrep, for the (name, m) ``mults`` that multiplicities counted on ``rho``.
 
-    One eigh of each P checks its rank (eigenvalues > 0.5) and gives its range basis.
+    The stacked P (einsum sums over g in order, as for one irrep; a BLAS tensordot
+    may not) and one stacked eigh give each rank (eigenvalues > 0.5) and range basis.
     """
     group = rho.group
+    dims = np.array([irrep.dim for irrep in chars])
+    weights = _element_characters(group, chars).conj() * (dims[:, None] / group.order)
+    projectors = np.einsum("lg,gij->lij", weights, rho.matrices)
+    squares = projectors @ projectors
+    ws, vs = np.linalg.eigh((projectors + projectors.conj().swapaxes(-1, -2)) / 2.0)
     components = []
-    for irrep, (_, m) in zip(chars, mults):
-        weights = _element_characters(group, irrep).conj() * (irrep.dim / group.order)
-        p = np.einsum("g,gij->ij", weights, rho.matrices)
-        idem, ok = opcore.check(p @ p - p, _IDEMPOTENT_TOL)
+    for irrep, (_, m), p, p2, w, v in zip(chars, mults, projectors, squares, ws, vs):
+        idem, ok = opcore.check(p2 - p, _IDEMPOTENT_TOL)
         if not ok:
             raise NumericalError(
                 f"isotypic projector for {irrep.name!r} fails idempotence ({idem:.3e}); "
                 "representation and character table are inconsistent")
-        w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
         in_range = w > 0.5
         rank = int(np.count_nonzero(in_range))
         if rank != m * irrep.dim:
@@ -630,17 +637,20 @@ def isotypic_clock(t, equivariance: float, components: tuple) -> tuple:
     the multiplicity-one components, and the residual measures how far it is
     elsewhere. ``clock`` is T in its isotypic basis: label Re(alpha_l) on each of
     the k basis columns of every component l present; make_clock checks that the
-    stacked bases form a unitary.
+    stacked bases form a unitary. Residuals: one stacked SVD per basis width.
     """
     t = opcore.as_complex_matrix(t)
     present = [c for c in components if c.multiplicity]
-    entries = []
-    for comp in present:
-        scalar = complex(np.trace(t @ comp.projector) / comp.isotypic_dim)
-        entries.append({"irrep": comp.irrep, "multiplicity": comp.multiplicity,
-                        "scalar": [scalar.real, scalar.imag],
-                        "residual": opcore.operator_norm(t @ comp.basis - scalar * comp.basis)})
-    labels = np.repeat([e["scalar"][0] for e in entries], [c.isotypic_dim for c in present])
+    k = np.array([c.isotypic_dim for c in present])
+    scalars = np.trace(t @ np.stack([c.projector for c in present]), axis1=1, axis2=2) / k
+    residuals = np.empty(len(present))
+    for width in set(k.tolist()):
+        at = np.flatnonzero(k == width)
+        b = np.stack([present[i].basis for i in at])
+        residuals[at] = np.linalg.svd(t @ b - scalars[at, None, None] * b, compute_uv=False)[:, 0]
+    entries = [{"irrep": c.irrep, "multiplicity": c.multiplicity, "scalar": [a.real, a.imag],
+                "residual": r} for c, a, r in zip(present, scalars.tolist(), residuals.tolist())]
+    labels = np.repeat([e["scalar"][0] for e in entries], k)
     clock = make_clock(labels, np.hstack([c.basis for c in present]))
     return {"equivariance_residual": equivariance, "entries": entries}, clock
 

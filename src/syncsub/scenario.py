@@ -517,6 +517,11 @@ def _text_bytes(p: dict) -> bytes:
             lines.append(f"{format(t, '.17g'):<26}{format(d, '.17g'):<26}{format(f, '.17g')}")
     elif kind == "group":
         lines.append(f"group: {p['group']['name']} (order {p['group']['order']})")
+        for side, v in p["validation"].items():
+            if "failed" in v:
+                lines.append(f"{side} failed validation: " + ", ".join(
+                    f"{c['check']} {format(c['residual'], '.17g')} > {format(c['limit'], '.17g')}"
+                    for c in v["failed"]))
         if "multiplicities" in p:
             lines.append(f"rep_a multiplicities: {p['multiplicities']['rep_a']}")
             lines.append(f"rep_b multiplicities: {p['multiplicities']['rep_b']}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from syncsub import grouprep, opcore, sync
-from syncsub.clocks import COMPAT_TOL, ClockObservable, _philox, _random_hermitian
+from syncsub.clocks import COMPAT_TOL, ClockObservable, _philox, _random_hermitian, make_clock
 from syncsub.opcore import NumericalError
 
 LABEL_SEP = 1e-9       # absolute gap below which the dense classifier merges labels
@@ -307,6 +307,77 @@ def tensor_representation(rho_a, rho_b):
     grouprep._require_same_group(rho_a.group, rho_b.group)
     mats = np.stack([np.kron(rho_a[g], rho_b[g]) for g in range(rho_a.group.order)])
     return grouprep.Representation(group=rho_a.group, matrices=mats)
+
+
+def element_characters(group, irrep) -> np.ndarray:
+    """Character value per element index (characters are class functions)."""
+    if irrep.characters.shape != (len(group.conjugacy_classes),):
+        raise ValueError(
+            f"irrep {irrep.name!r} carries {irrep.characters.shape[0]} character values "
+            f"but the group has {len(group.conjugacy_classes)} conjugacy classes")
+    return irrep.characters[group.class_index]
+
+
+def multiplicities(rho, chars: tuple) -> list:
+    """grouprep.multiplicities one irrep at a time: the reference its stacked
+    sum must equal bit for bit, error messages included."""
+    group = rho.group
+    traces = np.einsum("gii->g", rho.matrices)
+    items = []
+    for irrep in chars:
+        raw = np.sum(traces * element_characters(group, irrep).conj()) / group.order
+        m = int(round(raw.real))
+        if not opcore.check(abs(raw - m), grouprep.MULT_ROUND_TOL)[1] or m < 0:
+            raise ValueError(
+                f"multiplicity of {irrep.name!r} is {raw:.6g}, not a nonnegative integer "
+                f"within {grouprep.MULT_ROUND_TOL:g}")
+        items.append((irrep.name, m))
+    total = sum(m * irrep.dim for (_, m), irrep in zip(items, chars))
+    if total != rho.dim:
+        raise ValueError(f"multiplicities account for dim {total}, expected {rho.dim}")
+    return items
+
+
+def isotypic_projectors(rho, chars: tuple, mults: list) -> tuple:
+    """grouprep.isotypic_projectors one irrep at a time: one einsum, one
+    idempotence check and one eigh per projector."""
+    group = rho.group
+    components = []
+    for irrep, (_, m) in zip(chars, mults):
+        weights = element_characters(group, irrep).conj() * (irrep.dim / group.order)
+        p = np.einsum("g,gij->ij", weights, rho.matrices)
+        idem, ok = opcore.check(p @ p - p, grouprep._IDEMPOTENT_TOL)
+        if not ok:
+            raise NumericalError(
+                f"isotypic projector for {irrep.name!r} fails idempotence ({idem:.3e}); "
+                "representation and character table are inconsistent")
+        w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
+        in_range = w > 0.5
+        rank = int(np.count_nonzero(in_range))
+        if rank != m * irrep.dim:
+            raise NumericalError(
+                f"isotypic projector for {irrep.name!r} has rank {rank}, "
+                f"expected {m * irrep.dim}")
+        components.append(grouprep.IsotypicComponent(
+            irrep=irrep.name, irrep_dim=irrep.dim, multiplicity=m, projector=p,
+            basis=opcore._fix_phases(v[:, in_range])))
+    return tuple(components)
+
+
+def isotypic_clock(t, equivariance: float, components: tuple) -> tuple:
+    """grouprep.isotypic_clock one component at a time: one trace and one
+    operator_norm per component present."""
+    t = opcore.as_complex_matrix(t)
+    present = [c for c in components if c.multiplicity]
+    entries = []
+    for comp in present:
+        scalar = complex(np.trace(t @ comp.projector) / comp.isotypic_dim)
+        entries.append({"irrep": comp.irrep, "multiplicity": comp.multiplicity,
+                        "scalar": [scalar.real, scalar.imag],
+                        "residual": opcore.operator_norm(t @ comp.basis - scalar * comp.basis)})
+    labels = np.repeat([e["scalar"][0] for e in entries], [c.isotypic_dim for c in present])
+    clock = make_clock(labels, np.hstack([c.basis for c in present]))
+    return {"equivariance_residual": equivariance, "entries": entries}, clock
 
 
 def isotypic_components(rho, chars) -> tuple:

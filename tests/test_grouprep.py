@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syncsub import clocks, grouprep, literals, opcore, sync
+from syncsub import clocks, grouprep, literals, opcore, scenario, sync
 from test_membership_oracle import (
     GROUPS,
     generator_built,
@@ -233,6 +233,30 @@ class TestValidateRepresentation:
         report = grouprep.validate_representation(rho)
         assert not report["passed"]
         assert report["max_homomorphism_residual"] > 1e-3
+
+    def test_failed_checks_named_with_residual_and_limit(self, z2):
+        """rho(e) = 2I fails all three checks, named in order; the text report
+        gives them on one line for the side."""
+        group, _ = z2
+        rho = grouprep.Representation(group=group,
+                                      matrices=np.stack([2.0 * np.eye(2), np.eye(2)]) + 0j)
+        report = grouprep.validate_representation(rho)
+        assert report["failed"] == [
+            {"check": "homomorphism_bound", "residual": report["homomorphism_bound"],
+             "limit": grouprep.HOMOMORPHISM_TOL},
+            {"check": "max_unitarity_residual", "residual": 3.0, "limit": 2 * opcore.UNITARY_TOL},
+            {"check": "identity_residual", "residual": 1.0, "limit": 2 * grouprep.IDENTITY_TOL}]
+        assert not report["passed"]
+        payload = {"scenario": "z2", "kind": "group", "passed": False, "tolerances": {},
+                   "seed_override": None, "group": {"name": "Z2", "order": 2},
+                   "validation": {"rep_a": report, "rep_b": {"passed": True}}}
+        assert scenario.emit_report(payload, "text").decode().splitlines()[-1] == (
+            f"rep_a failed validation: homomorphism_bound "
+            f"{format(report['homomorphism_bound'], '.17g')} > 1e-10, "
+            f"max_unitarity_residual 3 > {format(2e-12, '.17g')}, "
+            f"identity_residual 1 > {format(2e-12, '.17g')}")
+        assert "failed" not in grouprep.validate_representation(
+            oracles.regular_representation(group))
 
     def test_generators_must_generate(self, klein):
         group, _ = klein

@@ -551,7 +551,33 @@ class TestCli:
         assert report["passed"] is False and report["validation"]["rep_a"]["passed"] is False
         assert report.keys() - REPORT_COMMON_KEYS == {"group", "validation"}
         assert cli.main(["run", str(path), "--format", "text"]) == 1
-        assert capsys.readouterr().out.splitlines()[4:] == ["group: Z2 (order 2)"]
+        bound = format(report["validation"]["rep_a"]["homomorphism_bound"], ".17g")
+        assert capsys.readouterr().out.splitlines()[4:] == [
+            "group: Z2 (order 2)",
+            f"rep_a failed validation: homomorphism_bound {bound} > 1e-10",
+            f"rep_b failed validation: homomorphism_bound {bound} > 1e-10"]
+
+    @pytest.mark.parametrize("rep_b, failing", [(None, ["rep_a", "rep_b"]),
+                                                ({"elements": [{"diag": [1, 1]}, {"diag": [1, -1]}]},
+                                                 ["rep_a"])], ids=["one-rep", "rep-b-valid"])
+    def test_text_report_names_each_failed_validation(self, tmp_path, capsys, rep_b, failing):
+        """rho(g1) = diag(1, i) is unitary but squares to diag(1, -1), so it fails
+        the homomorphism check: the text report gives each failing side one line
+        with the failed check, its residual and its limit, as the json report's
+        ``failed`` does, and a side that passes gets none."""
+        doc = {"name": "z2-diag-1-i", "kind": "group", "group": "Z2",
+               "rep_a": {"elements": [{"diag": [1, 1]},
+                                      {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 1]]}]}}
+        if rep_b is not None:
+            doc["rep_b"] = rep_b
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["run", str(path)]) == 1
+        validation = json.loads(capsys.readouterr().out)["validation"]
+        assert [side for side in validation if "failed" in validation[side]] == failing
+        assert cli.main(["run", str(path), "--format", "text"]) == 1
+        assert capsys.readouterr().out.splitlines()[5:] == [
+            f"{side} failed validation: homomorphism_bound "
+            f"{format(validation[side]['homomorphism_bound'], '.17g')} > 1e-10" for side in failing]
 
     def test_observable_equivariance_is_gated_by_equivar_tol(self, capsys):
         """The class-function observable's one equivariance gate reads the
@@ -1796,14 +1822,17 @@ def test_compat_takes_norm_of_h_only_for_a_limit(monkeypatch):
 
 
 # Dense factorizations per scenario run, pinned: a tolerance check that screens
-# against a smaller limit, or reads a lazy scale eagerly, adds SVDs here.
+# against a smaller limit, or reads a lazy scale eagerly, adds SVDs here. The
+# group kind's isotypic projectors take one stacked eigh per representation
+# (ex_group_s3: 3 matrices, Z16: 16), and its Schur residuals one stacked svd
+# per side and basis width (ex_group_s3: 2 + 1 matrices per side, Z16: 16).
 FACTORIZATIONS = {
     "drift_perturbed": {"eigh": 1, "eigvalsh": 2},
     "ex55_compat": {"norm2": 3},
     "ex74_kernel": {"eigvalsh": 2},
-    "ex_group_s3": {"eigh": 3, "eigvalsh": 4, "norm2": 11},
-    "z16-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
-    "z16-non-member": {"eigh": 16, "eigvalsh": 4, "norm2": 32},
+    "ex_group_s3": {"eigh": 1, "eigvalsh": 4, "norm2": 5, "svd": 4},
+    "z16-member": {"eigh": 1, "eigvalsh": 4, "svd": 2},
+    "z16-non-member": {"eigh": 1, "eigvalsh": 4, "svd": 2},
 }
 
 
@@ -1858,13 +1887,36 @@ def test_benchmark_traced_names_resolve(monkeypatch):
             assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
 
 
-def test_package_loads_no_scipy():
-    """numpy is the only runtime dependency: importing the CLI pulls in no scipy."""
+IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import syncsub.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+import numpy
+
+
+def computed(value):
+    if isinstance(value, (tuple, list, dict)):
+        return any(map(computed, value.values() if isinstance(value, dict) else value))
+    return isinstance(value, numpy.ndarray) or type(value).__module__.startswith("syncsub")
+
+
+kept = [f"{name}.{key}" for name, module in list(sys.modules.items())
+        if name.partition(".")[0] == "syncsub"
+        for key, value in vars(module).items() if computed(value)]
+print(json.dumps([sorted(loaded - set(sys.stdlib_module_names)), kept]))
+"""
+
+
+def test_cli_import_loads_only_numpy_and_syncsub():
+    """numpy is the only runtime dependency: importing the CLI in a fresh
+    interpreter, the import the benchmark's setup_s times, loads no package
+    outside the standard library but numpy and syncsub (no scipy), and no
+    syncsub module keeps an array or library object computed at import."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", 'import sys, syncsub.cli; print("scipy" in sys.modules)'],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert json.loads(done.stdout) == [["numpy", "syncsub"], []]
 
 
 FAILING_GIVEN_THEN_PASSING = '''

@@ -26,6 +26,7 @@ from syncsub import clocks, grouprep, opcore
 from syncsub.opcore import NumericalError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "syncsub"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 RATIOS = st.floats(min_value=0.05, max_value=20.0)
 RANKS = st.sampled_from(["one", "full"])
@@ -183,7 +184,7 @@ def probe_make_representation_unitarity(n, c_ratio, rank):
     return lambda: grouprep.make_representation(group, mats).dim
 
 
-def probe_isotypic_idempotence(n, c_ratio, rank):
+def idempotence_input(n, c_ratio, rank):
     # rho(g1) = -I + diag(delta): the trivial projector is diag(delta / 2), so
     # P^2 - P = diag(delta^2 / 4 - delta / 2); the alternating signs of delta
     # keep the multiplicities integral
@@ -191,7 +192,18 @@ def probe_isotypic_idempotence(n, c_ratio, rank):
     delta = diagonal_residual(n, 2.0 * c_ratio * grouprep._IDEMPOTENT_TOL, rank)
     rho = grouprep.Representation(group, np.stack([np.eye(n), -np.eye(n) + np.diag(delta)])
                                   .astype(np.complex128))
+    return rho, chars
+
+
+def probe_isotypic_idempotence(n, c_ratio, rank):
+    rho, chars = idempotence_input(n, c_ratio, rank)
     return lambda: len(oracles.isotypic_components(rho, chars))
+
+
+def probe_reference_isotypic_idempotence(n, c_ratio, rank):
+    # the per-irrep reference of isotypic_projectors on the same input
+    rho, chars = idempotence_input(n, c_ratio, rank)
+    return lambda: len(oracles.isotypic_projectors(rho, chars, oracles.multiplicities(rho, chars)))
 
 
 def probe_diagonal_isotypic_leakage(n, c_ratio, rank):
@@ -238,16 +250,21 @@ LIBRARY_PROBES = {
     probe_classify_off_diagonal: "clocks.classify_compatibility",
 }
 # the oracles' own screened checks, which the tests rely on as they do on the library's
-ORACLE_PROBES = [probe_evolve, probe_diagonal_isotypic_leakage]
+ORACLE_PROBES = {
+    probe_evolve: "oracles.evolve",
+    probe_diagonal_isotypic_leakage: "oracles.diagonal_isotypic_subspace",
+    probe_reference_isotypic_idempotence: "oracles.isotypic_projectors",
+}
 
 
 def _probe_id(probe):
     return probe.__name__[len("probe_"):]
 
 
-def source_sites(match) -> list:
-    """(``module.function``, node) for every AST node in src/syncsub that ``match``
-    accepts, named by its enclosing function (and class)."""
+def source_sites(match, paths=None) -> list:
+    """(``module.function``, node) for every AST node in ``paths`` (the modules of
+    src/syncsub by default) that ``match`` accepts, named by its enclosing
+    function (and class)."""
     sites = []
 
     def visit(node, module, scope):
@@ -259,19 +276,19 @@ def source_sites(match) -> list:
                 sites.append((".".join([module] + scope), child))
             visit(child, module, scope)
 
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths or sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
     return sites
 
 
-def call_sites(*names, where=lambda call: True) -> list:
-    """``module.function`` of every call in src/syncsub to one of ``names`` that
-    ``where`` accepts, once per call. A name matches the tail of the called
-    expression: "subtract.outer" matches np.subtract.outer."""
+def call_sites(*names, where=lambda call: True, paths=None) -> list:
+    """``module.function`` of every call in ``paths`` (src/syncsub by default) to
+    one of ``names`` that ``where`` accepts, once per call. A name matches the
+    tail of the called expression: "subtract.outer" matches np.subtract.outer."""
     def match(node):
         called = "." + ast.unparse(node.func) if isinstance(node, ast.Call) else ""
         return any(called.endswith("." + name) for name in names) and where(node)
-    return [site for site, _ in source_sites(match)]
+    return [site for site, _ in source_sites(match, paths)]
 
 
 def passes_a_matrix(call) -> bool:
@@ -284,6 +301,12 @@ def passes_a_matrix(call) -> bool:
 def test_every_screened_site_has_one_library_probe():
     """Adding or removing a screened check in the library without its probe fails here."""
     assert Counter(call_sites("check", where=passes_a_matrix)) == Counter(LIBRARY_PROBES.values())
+
+
+def test_every_screened_oracle_site_has_one_probe():
+    """The same for the screened checks of tests/oracles.py."""
+    assert (Counter(call_sites("check", where=passes_a_matrix, paths=[ORACLES]))
+            == Counter(ORACLE_PROBES.values()))
 
 
 RULE = {"opcore.check", "opcore.screened_norm"}   # the rule and its screen
@@ -328,7 +351,7 @@ def test_site_matches_exact_rule(probe, n, rank, ratio):
     assert_same_as_exact_rule(probe(n, ratio, rank))
 
 
-@pytest.mark.parametrize("probe", ORACLE_PROBES, ids=_probe_id)
+@pytest.mark.parametrize("probe", list(ORACLE_PROBES), ids=_probe_id)
 @settings(max_examples=40, deadline=None)
 @given(n=DIMS, rank=RANKS, ratio=RATIOS)
 @example(n=4, rank="one", ratio=1.0)
@@ -338,7 +361,7 @@ def test_oracle_site_matches_exact_rule(probe, n, rank, ratio):
     assert_same_as_exact_rule(probe(n, ratio, rank))
 
 
-@pytest.mark.parametrize("probe", list(LIBRARY_PROBES) + ORACLE_PROBES, ids=_probe_id)
+@pytest.mark.parametrize("probe", list(LIBRARY_PROBES) + list(ORACLE_PROBES), ids=_probe_id)
 def test_site_passes_in_the_gap_and_fails_clearly(probe):
     """The fallback passes ||R|| <= limit < ||R||_F; a clear failure still raises."""
     passed = assert_same_as_exact_rule(probe(4, 0.9, "full"))
